@@ -1,11 +1,13 @@
-"""Closed-form and scan-based size bounds, plus the Ramsey transfer formulas.
+"""Closed-form size bounds, plus the Ramsey transfer formulas.
 
-The central scan (`m_upper`) certifies an upper bound on the size of a
+The central bound (`m_upper`) certifies an upper bound on the size of a
 spherical code with maximum inner product alpha in dimension r by finding the
 least n where n^2 <= r*(2n + (alpha*n)^2 + 27/4*(1+alpha*n)^2*alpha*n) fails.
 Every size-n' code contains size-n subcodes with no larger alpha, so the
-first failing n certifies the bound n-1.  The failing set is a bounded
-interval; when it is empty the scan reports an honest "vacuous" status.
+first failing n certifies the bound n-1.  The failing set is the integers
+strictly between the two roots of a downward parabola, so its least element
+comes from an exact integer square root; when the set is empty the report
+carries an honest "vacuous" status.
 """
 
 import math
@@ -20,16 +22,13 @@ CERTIFIED_FLOAT = "certified-float"
 VACUOUS = "vacuous"
 ASYMPTOTIC = "asymptotic-headline"
 
-DEFAULT_SCAN_CUTOFF = 10_000_000
-
 
 @dataclass(frozen=True)
 class BoundReport:
     """One bound evaluation: value, certification status, and provenance.
 
-    A vacuous status means the scan cutoff is echoed as the value and no size
-    restriction is claimed; asymptotic-headline values carry no finite-n
-    guarantee.
+    A vacuous status carries the value math.inf (null in JSON) and claims no
+    size restriction; asymptotic-headline values carry no finite-n guarantee.
     """
 
     name: str
@@ -41,6 +40,8 @@ class BoundReport:
 
     def to_dict(self):
         def enc(v):
+            if v == math.inf:
+                return None
             if isinstance(v, Fraction):
                 return v.numerator if v.denominator == 1 else format_scalar(v)
             if isinstance(v, tuple):
@@ -101,16 +102,28 @@ def rho_lower(r: int, k: int) -> BoundReport:
         details={"certified_lower": enclosure})
 
 
-def m_upper(r: int, alpha: Scalar, n_max: int = DEFAULT_SCAN_CUTOFF) -> BoundReport:
+def _fails(n: int, r: int, a: int, b: int) -> bool:
+    """Integerized failure test at size n, alpha = a/b:
+    4 n^2 b^3 > r (8 n b^3 + 4 n^2 a^2 b + 27 (b + a n)^2 a n)."""
+    b3 = b ** 3
+    return 4 * n * n * b3 > r * (8 * n * b3 + 4 * n * n * a * a * b
+                                 + 27 * (b + a * n) ** 2 * a * n)
+
+
+def m_upper(r: int, alpha: Scalar) -> BoundReport:
     """Certified size bound for spherical codes with max inner product alpha.
 
-    Exact rational scan for the least n failing
-    n^2 <= r*(2n + (alpha n)^2 + 27/4 (1+alpha n)^2 alpha n); returns n-1
-    (certified-exact) or a vacuous report.  Dividing by n, failure means the
-    downward parabola -A n^2 + B n - C is positive, so once the scan passes
-    the parabola's vertex without a failure none can occur later; that early
-    stop keeps provably vacuous cases cheap while the comparison itself stays
-    an exact integer scan.
+    Returns n-1 for the least n failing
+    n^2 <= r*(2n + (alpha n)^2 + 27/4 (1+alpha n)^2 alpha n) (certified-exact,
+    details["first_failure"] = n), or a vacuous report with value math.inf
+    when no n fails.  With alpha = a/b, failure divided by n is
+    P(n) = -A n^2 + B n - C > 0 for A = 27 r a^3, B = 4 b^3 - 58 r a^2 b and
+    C = r (8 b^3 + 27 a b^2), so n is the least integer above the smaller
+    root, found with an integer square root and confirmed by the failure
+    test at n and n-1.  Vacuity is proved, never assumed: B <= 0, a
+    discriminant <= 0, or no integer strictly between the roots.  A vacuous
+    report's details["scanned_up_to"] is the point past which no failure can
+    occur: 1 when B <= 0, else ceil(B / 2A), the parabola's vertex rounded up.
     """
     if r < 1:
         raise PreconditionViolated(f"dimension must be >= 1, got {r}")
@@ -118,42 +131,41 @@ def m_upper(r: int, alpha: Scalar, n_max: int = DEFAULT_SCAN_CUTOFF) -> BoundRep
     if alpha < 0:
         raise NegativeAlpha(f"alpha must be >= 0, got {alpha}")
     a, b = alpha.numerator, alpha.denominator
-
-    cap = n_max
-    provable = True
-    if a > 0:
-        big_a = Fraction(27, 4) * r * alpha ** 3
-        big_b = 1 - Fraction(29, 2) * r * alpha ** 2
-        if big_b <= 0:
-            cap = 1
-        else:
-            vertex = big_b / (2 * big_a)
-            cap = math.ceil(vertex)
-            if cap > n_max:
-                cap = n_max
-                provable = False
-
     inputs = {"r": r, "alpha": alpha}
-    b3 = b ** 3
-    for n in range(1, cap + 1):
-        # integerized failure test: 4 n^2 b^3 > r (8 n b^3 + 4 n^2 a^2 b + 27 (b+an)^2 a n)
-        lhs = 4 * n * n * b3
-        rhs = r * (8 * n * b3 + 4 * n * n * a * a * b + 27 * (b + a * n) ** 2 * a * n)
-        if lhs > rhs:
-            return BoundReport("m-upper", inputs, n - 1, CERTIFIED_EXACT,
-                               note="least failing size minus one",
-                               details={"first_failure": n})
-    note = ("no size restriction: the defining inequality holds for every n"
-            if provable else f"no failure found up to the cutoff {n_max}")
-    return BoundReport("m-upper", inputs, n_max, VACUOUS, note=note,
-                       details={"scanned_up_to": cap})
+
+    if a == 0:
+        n = 2 * r + 1                    # P(n) = 4n - 8r
+    else:
+        big_a = 27 * r * a ** 3
+        big_b = 4 * b ** 3 - 58 * r * a * a * b
+        big_c = r * (8 * b ** 3 + 27 * a * b * b)
+        disc = big_b * big_b - 4 * big_a * big_c
+        n = None
+        if big_b > 0 and disc > 0:
+            s = math.isqrt(disc)
+            # least integer strictly above the smaller root (B - sqrt(disc)) / 2A
+            if s * s == disc:
+                n = (big_b - s) // (2 * big_a) + 1
+            else:
+                n = -((s - big_b) // (2 * big_a))
+        if n is None or not _fails(n, r, a, b):
+            past = 1 if big_b <= 0 else -(-big_b // (2 * big_a))
+            return BoundReport("m-upper", inputs, math.inf, VACUOUS,
+                               note="no size restriction: the defining inequality "
+                                    "holds for every n",
+                               details={"scanned_up_to": past})
+    if not _fails(n, r, a, b) or n > 1 and _fails(n - 1, r, a, b):
+        raise AssertionError(f"closed form gave n={n}, not the least failing size")
+    return BoundReport("m-upper", inputs, n - 1, CERTIFIED_EXACT,
+                       note="least failing size minus one",
+                       details={"first_failure": n})
 
 
-def aq_upper(q: int, r: int, s: int, n_max: int = DEFAULT_SCAN_CUTOFF) -> BoundReport:
+def aq_upper(q: int, r: int, s: int) -> BoundReport:
     """Bound on q-ary codes via the simplex embedding into dimension (q-1)r.
 
     A code with distance s embeds as a spherical [-1, qj/((q-1)r)]-code where
-    j = (1-1/q)r - s, so the spherical scan applies with that alpha.
+    j = (1-1/q)r - s, so the spherical bound applies with that alpha.
     """
     if q < 2:
         raise PreconditionViolated(f"alphabet size must be >= 2, got {q}")
@@ -163,7 +175,7 @@ def aq_upper(q: int, r: int, s: int, n_max: int = DEFAULT_SCAN_CUTOFF) -> BoundR
     if j < 0:
         raise NegativeJ(f"j = (1-1/q)r - s = {j} < 0; embedding regime does not apply")
     alpha = Fraction(q * j, (q - 1) * r)
-    inner = m_upper((q - 1) * r, alpha, n_max)
+    inner = m_upper((q - 1) * r, alpha)
     return BoundReport("aq-upper", {"q": q, "r": r, "s": s}, inner.value,
                        inner.status, note=inner.note,
                        details={"j": j, "alpha": alpha,
@@ -244,22 +256,20 @@ def _is_prime_power(q: int) -> bool:
     return True  # q itself is prime
 
 
-def bq_window(q: int, prime_power: bool = None) -> tuple:
+def bq_window(q: int) -> tuple:
     """Window (q, 2(q-1)) for the limiting normalized code size near distance (1-1/q)r.
 
     The lower endpoint relies on equality constructions that exist when q is
-    a prime power; pass prime_power explicitly to override the built-in check.
+    a prime power; bq_window_report notes when it is not.
     """
     if q < 2:
         raise PreconditionViolated(f"alphabet size must be >= 2, got {q}")
-    if prime_power is None:
-        prime_power = _is_prime_power(q)
     return (q, 2 * (q - 1))
 
 
-def bq_window_report(q: int, prime_power: bool = None) -> BoundReport:
-    lo, hi = bq_window(q, prime_power)
-    pp = _is_prime_power(q) if prime_power is None else prime_power
+def bq_window_report(q: int) -> BoundReport:
+    lo, hi = bq_window(q)
+    pp = _is_prime_power(q)
     note = "" if pp else "lower endpoint not certified: q is not a prime power"
     return BoundReport("bq-window", {"q": q}, (lo, hi), CERTIFIED_EXACT, note=note,
                        details={"prime_power": pp})

@@ -9,11 +9,10 @@ import argparse
 import csv
 import itertools
 import json
-import os
+import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import __version__
 from .bounds import (CERTIFIED_EXACT, BoundReport, aq_upper, bq_window_report,
@@ -35,24 +34,9 @@ FORMAT_VERSIONS = "sphere v1, qary v1, certificate v1, report v1"
 
 
 @dataclass
-class RunManifest:
-    """Provenance block embedded in every file the CLI writes."""
-
-    subcommand: str
-    arguments: dict
-    input_digests: dict
-    version: str = __version__
-    seed: int = None
-    mode: str = "exact"
-    wall_time_s: float = 0.0
-
-    def comment_line(self) -> str:
-        return "# manifest: " + json.dumps(asdict(self), sort_keys=True)
-
-
-@dataclass
 class _Run:
-    """Mutable per-invocation context collected while a command executes."""
+    """Per-invocation context collected while a command executes; its
+    comment_line is the provenance manifest ending every file the CLI writes."""
 
     subcommand: str
     arguments: dict
@@ -61,10 +45,12 @@ class _Run:
     seed: int = None
     mode: str = "exact"
 
-    def manifest(self) -> RunManifest:
-        return RunManifest(self.subcommand, self.arguments, self.input_digests,
-                           seed=self.seed, mode=self.mode,
-                           wall_time_s=round(time.monotonic() - self.started, 6))
+    def comment_line(self) -> str:
+        manifest = {"subcommand": self.subcommand, "arguments": self.arguments,
+                    "input_digests": self.input_digests, "version": __version__,
+                    "seed": self.seed, "mode": self.mode,
+                    "wall_time_s": round(time.monotonic() - self.started, 6)}
+        return "# manifest: " + json.dumps(manifest, sort_keys=True)
 
     def read_input(self, path: str) -> str:
         with open(path, encoding="utf-8") as fh:
@@ -75,7 +61,7 @@ class _Run:
     def write_output(self, path: str, body: str):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(body)
-            fh.write(self.manifest().comment_line() + "\n")
+            fh.write(self.comment_line() + "\n")
 
 
 def _int_list(text: str):
@@ -110,14 +96,6 @@ def _single(values, name):
     return values[0]
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CODEBOUNDS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 _BOUND_PARAMS = {
     "rho": ("r", "k"),
     "m": ("r",),
@@ -134,9 +112,9 @@ def _bound_one(op, ns, combo) -> BoundReport:
     if op == "rho":
         return rho_lower(p["r"], p["k"])
     if op == "m":
-        return m_upper(p["r"], ns.alpha, n_max=ns.n_max)
+        return m_upper(p["r"], ns.alpha)
     if op == "aq":
-        return aq_upper(p["q"], p["r"], p["s"], n_max=ns.n_max)
+        return aq_upper(p["q"], p["r"], p["s"])
     if op == "plotkin":
         return BoundReport("plotkin-upper", p, plotkin_upper(p["r"]), CERTIFIED_EXACT,
                            note="binary half-distance bound")
@@ -173,23 +151,29 @@ def cmd_bound(ns, run: _Run) -> int:
         print(report_json(_bound_one(op, ns, combo)))
         return 0
 
-    combos = list(itertools.product(*value_lists))
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda c: _bound_one(op, ns, c), combos))
-    else:
-        reports = [_bound_one(op, ns, c) for c in combos]
+    # a cell outside its bound's domain gets a row and an error line, and the
+    # sweep goes on; the exit code reports it once every row is out
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(list(names) + ["value", "status"])
-    for combo, report in zip(combos, reports):
+    failed = False
+    for combo in itertools.product(*value_lists):
+        try:
+            report = _bound_one(op, ns, combo)
+        except CodeBoundsError as exc:
+            cell = " ".join(f"{k}={v}" for k, v in zip(names, combo))
+            print(f"error: {cell}: {exc}", file=sys.stderr)
+            writer.writerow(list(combo) + ["", "out-of-domain"])
+            failed = True
+            continue
         value = report.value
-        if isinstance(value, tuple):
+        if value == math.inf:
+            value = ""
+        elif isinstance(value, tuple):
             value = " ".join(str(v) for v in value)
         else:
-            value = format_scalar(value) if not isinstance(value, str) else value
+            value = format_scalar(value)
         writer.writerow(list(combo) + [value, report.status])
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_verify(ns, run: _Run) -> int:
@@ -324,11 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     bound_op("rho", "r", "k")
-    bound_op("m", "r", extra=lambda p: (
-        p.add_argument("--alpha", type=_scalar_arg, required=True),
-        p.add_argument("--n-max", type=int, default=10_000_000)))
-    bound_op("aq", "q", "r", "s", extra=lambda p:
-             p.add_argument("--n-max", type=int, default=10_000_000))
+    bound_op("m", "r", extra=lambda p:
+             p.add_argument("--alpha", type=_scalar_arg, required=True))
+    bound_op("aq", "q", "r", "s")
     bound_op("plotkin", "r")
     bound_op("ms", "q", "r")
     bound_op("ramsey-asymptotic", "q", "r", "j")

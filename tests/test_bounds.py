@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -62,7 +64,7 @@ def test_m_upper_alpha_zero():
 def test_m_upper_vacuous():
     report = m_upper(10, Fraction(1, 5))
     assert report.status == VACUOUS
-    assert report.value == 10_000_000   # the scan cutoff, not a claim
+    assert report.value == math.inf     # no size restriction is claimed
 
 
 def test_m_upper_rejects_negative_alpha():
@@ -71,12 +73,10 @@ def test_m_upper_rejects_negative_alpha():
 
 
 def test_m_upper_monotone_in_alpha():
-    cutoff = 10_000_000
     for r in (4, 8, 16):
         alphas = [Fraction(0), Fraction(1, 1000), Fraction(1, 100),
                   Fraction(1, 20), Fraction(1, 10), Fraction(1, 5), Fraction(1, 2)]
         values = [m_upper(r, a).value for a in alphas]
-        assert all(v <= cutoff for v in values)
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -93,6 +93,102 @@ def test_m_upper_first_failure_is_genuine():
 
         assert not holds(n0)
         assert all(holds(n) for n in range(1, n0))
+
+
+def _least_failure_by_scan(r, alpha):
+    """Reference for m_upper: the integer failure test at n = 1, 2, ... up to
+    a point past which nothing can fail (2r + 2 at alpha 0, else the failure
+    parabola's vertex rounded up, at least 1).  Returns (first failing n or
+    None, that point)."""
+    a, b = alpha.numerator, alpha.denominator
+    if a == 0:
+        top = 2 * r + 2
+    else:
+        vertex = ((1 - Fraction(29, 2) * r * alpha ** 2)
+                  / (Fraction(27, 2) * r * alpha ** 3))
+        top = max(1, math.ceil(vertex))
+    b3 = b ** 3
+    for n in range(1, top + 1):
+        if 4 * n * n * b3 > r * (8 * n * b3 + 4 * n * n * a * a * b
+                                 + 27 * (b + a * n) ** 2 * a * n):
+            return n, top
+    return None, top
+
+
+def _failure_parabola(r, alpha):
+    """(B, discriminant) of -A n^2 + B n - C, the failure test divided by n."""
+    a, b = alpha.numerator, alpha.denominator
+    big_a = 27 * r * a ** 3
+    big_b = 4 * b ** 3 - 58 * r * a * a * b
+    big_c = r * (8 * b ** 3 + 27 * a * b * b)
+    return big_b, big_b * big_b - 4 * big_a * big_c
+
+
+def _assert_matches_scan(r, alpha):
+    first, top = _least_failure_by_scan(r, alpha)
+    report = m_upper(r, alpha)
+    if first is None:
+        assert report.status == VACUOUS, (r, alpha)
+        assert report.value == math.inf
+        assert report.details == {"scanned_up_to": top}, (r, alpha)
+    else:
+        assert report.status == CERTIFIED_EXACT, (r, alpha)
+        assert report.details == {"first_failure": first}, (r, alpha)
+        assert report.value == first - 1
+
+
+def test_m_upper_closed_form_matches_scan():
+    rng = random.Random(20230530)
+    for _ in range(3000):
+        r = rng.randint(1, 300)
+        kind = rng.randrange(4)
+        if kind == 0:
+            alpha = Fraction(0)
+        elif kind == 1:     # near 1/1000: certified, first failure just above 2r
+            alpha = Fraction(1, 1000) + Fraction(rng.randint(-500, 500), 10 ** 6)
+        elif kind == 2:     # near 1/100: certified and vacuous cells mix
+            alpha = Fraction(1, 100) + Fraction(rng.randint(-5000, 5000), 10 ** 6)
+        else:
+            alpha = Fraction(rng.randint(1, 10 ** 6), rng.randint(10 ** 6, 10 ** 9))
+        _assert_matches_scan(r, alpha)
+
+
+def test_m_upper_closed_form_edges():
+    # B = 0 exactly (2 b^2 = 29 r a^2) and B < 0
+    for r, alpha in [(58, Fraction(1, 29)), (10, Fraction(1, 5))]:
+        assert _failure_parabola(r, alpha)[0] <= 0
+        _assert_matches_scan(r, alpha)
+    # B > 0 with a negative discriminant: the parabola never reaches zero
+    for r, alpha in [(1, Fraction(1, 4)), (2, Fraction(1, 6))]:
+        big_b, disc = _failure_parabola(r, alpha)
+        assert big_b > 0 and disc < 0
+        _assert_matches_scan(r, alpha)
+    # real roots ~1.5e-5 apart around 10.2026: no integer between them
+    alpha = Fraction(90245399953, 549755813888)
+    big_b, disc = _failure_parabola(1, alpha)
+    assert big_b > 0 and disc > 0
+    _assert_matches_scan(1, alpha)
+    assert m_upper(1, alpha).status == VACUOUS
+    # perfect-square discriminants with the smaller root an integer, which
+    # itself holds with equality, so the first failure is one above it
+    for r, alpha, first in [(36, Fraction(1, 84), 85), (36, Fraction(1, 222), 75)]:
+        _assert_matches_scan(r, alpha)
+        assert m_upper(r, alpha).details["first_failure"] == first
+    # non-square discriminants whose smaller root lies just below the integer
+    # (B - isqrt(disc)) / 2A, which is then the first failure
+    for r, alpha, first in [(5, Fraction(1, 51), 11), (28, Fraction(1, 72), 66)]:
+        _assert_matches_scan(r, alpha)
+        assert m_upper(r, alpha).details["first_failure"] == first
+
+
+def test_m_upper_large_r_tiny_alpha_is_certified():
+    # the first failure sits at 2r + 1 = 12,000,001, beyond any practical scan
+    start = time.perf_counter()
+    report = m_upper(6_000_000, Fraction(1, 10 ** 12))
+    assert time.perf_counter() - start < 1.0
+    assert report.status == CERTIFIED_EXACT
+    assert report.value == 12_000_000
+    assert report.details["first_failure"] == 12_000_001
 
 
 def test_aq_upper_examples():

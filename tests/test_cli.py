@@ -110,6 +110,9 @@ def test_construct_and_verify_chain(tmp_path, capsys):
     assert code == 0
     text = path.read_text()
     assert "# manifest:" in text
+    manifest = json.loads(text.splitlines()[-1].removeprefix("# manifest: "))
+    assert sorted(manifest) == ["arguments", "input_digests", "mode", "seed",
+                                "subcommand", "version", "wall_time_s"]
     code, out, _ = run(capsys, "verify", "chain", "--in", str(path))
     assert code == 0
     cert = json.loads(out)
@@ -228,18 +231,29 @@ def test_verify_trace_rank_cli(tmp_path, capsys):
         assert set(link) == {"name", "lhs", "rhs", "slack", "mode", "verdict"}
 
 
-def test_grid_respects_thread_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CODEBOUNDS_THREADS", "3")
-    code, out, _ = run(capsys, "bound", "m", "--r", "1:6", "--alpha", "0", "--grid")
+def test_bound_grid_out_of_domain_cells_keep_the_sweep(capsys):
+    code, out, err = run(capsys, "bound", "aq", "--grid", "--q", "2",
+                         "--r", "10:12", "--s", "4:6")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert lines[0] == "q,r,s,value,status"
+    assert lines[1:] == [
+        "2,10,4,,vacuous", "2,10,5,20,certified-exact", "2,10,6,,out-of-domain",
+        "2,11,4,,vacuous", "2,11,5,,vacuous", "2,11,6,,out-of-domain",
+        "2,12,4,,vacuous", "2,12,5,,vacuous", "2,12,6,24,certified-exact"]
+    errors = err.strip().splitlines()
+    assert len(errors) == 2
+    assert errors[0].startswith("error: q=2 r=10 s=6: j = ")
+    assert errors[1].startswith("error: q=2 r=11 s=6: j = ")
+
+
+def test_bound_vacuous_report_value_is_null(capsys):
+    code, out, _ = run(capsys, "bound", "m", "--r", "10", "--alpha", "1/5")
     assert code == 0
-    monkeypatch.delenv("CODEBOUNDS_THREADS")
-    code, out2, _ = run(capsys, "bound", "m", "--r", "1:6", "--alpha", "0", "--grid")
-    assert out == out2
-
-
-def test_bq_override_flag():
-    from codebounds.bounds import bq_window
-    assert bq_window(6, prime_power=True) == (6, 10)
+    report = json.loads(out)
+    assert report["status"] == "vacuous"
+    assert report["value"] is None
+    assert report["details"] == {"scanned_up_to": 1}
 
 
 def test_written_files_round_trip_exactly(tmp_path, capsys):
