@@ -18,6 +18,7 @@ from . import __version__
 from .bounds import (CERTIFIED_EXACT, BoundReport, aq_upper, bq_window_report,
                      m_upper, ms_upper, plotkin_upper, ramsey_asymptotic,
                      ramsey_lower, ramsey_upper_param, rho_lower)
+from .certificates import Certificate, make_link
 from .codes import (certify_chain, gram_analyze, min_distance,
                     verify_lemma_beta, verify_lemma_gamma, verify_spherical_code)
 from .constructions import (cross_polytope, embed_qary, hadamard_code,
@@ -184,7 +185,6 @@ def cmd_verify(ns, run: _Run) -> int:
         code = parse_qary(text)
         if ns.s is None:
             raise CodeBoundsError("verify qary requires --s <claimed distance>")
-        from .certificates import Certificate, make_link
         d = min_distance(code)
         link = make_link("minimum distance at least the claim", ns.s, d, tol)
         cert = Certificate.from_links("qary-distance", [link],

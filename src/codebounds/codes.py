@@ -9,6 +9,8 @@ certificates in exact arithmetic.
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .certificates import Certificate, make_link
 from .errors import (AlphaOutOfRange, DuplicateCodewords, InvalidCode,
                      NonUnitVector, TooFewWords)
@@ -117,34 +119,46 @@ def hamming_distance(x, y) -> int:
     return sum(1 for a, b in zip(x, y) if a != b)
 
 
+def distance_matrix(code: QaryCode) -> np.ndarray:
+    """n x n array of pairwise Hamming distances, built one row at a time."""
+    w = np.array(code.words, dtype=np.int64)
+    return np.array([(w != x).sum(axis=1) for x in w])
+
+
 def min_distance(code: QaryCode) -> int:
     """Minimum pairwise Hamming distance; needs at least two codewords."""
     if len(code) < 2:
         raise TooFewWords(f"need >= 2 codewords, got {len(code)}")
-    words = code.words
-    best = code.r
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            d = hamming_distance(words[i], words[j])
-            if d < best:
-                best = d
-                if best == 0:
-                    return 0
-    return best
+    w = np.array(code.words, dtype=np.int64)
+    return int(min((w[i + 1:] != w[i]).sum(axis=1).min() for i in range(len(w) - 1)))
+
+
+def _squared_norms(vset: UnitVectorSet):
+    """Per-vector squared norms, summed in raw_gram's order, and the Gram's mode."""
+    if vset.exact_gram is not None:
+        g = vset.exact_gram
+        return [g.rows[i][i] for i in range(g.n)], g.mode()
+    norms = []
+    for v in vset.vectors:
+        s = 0
+        for a in v:
+            s += a * a
+        norms.append(s)
+    return norms, vset.mode()
 
 
 def gram_analyze(vset: UnitVectorSet, tol: Tolerance = Tolerance()) -> GramAnalysis:
     """Gram matrix with per-vertex sign partition and negative-edge sums.
 
-    Raises NonUnitVector if any diagonal entry is off the unit sphere (exactly
-    in exact mode, within tolerance in float mode).  Ties at inner product 0
-    are classified as nonnegative.
+    Raises NonUnitVector if any vector is off the unit sphere (exactly in
+    exact mode, within tolerance in float mode), before the Gram is built.
+    Ties at inner product 0 are classified as nonnegative.
     """
+    norms, mode = _squared_norms(vset)
+    for i, norm_sq in enumerate(norms):
+        if not tol.unit_norm_ok(norm_sq, mode):
+            raise NonUnitVector(i, norm_sq)
     gram = vset.raw_gram()
-    mode = gram.mode()
-    for i in range(gram.n):
-        if not tol.unit_norm_ok(gram.rows[i][i], mode):
-            raise NonUnitVector(i, gram.rows[i][i])
     n = gram.n
     alpha = -1 if n == 1 else max(gram.rows[i][j] for i in range(n) for j in range(n) if i != j)
     nplus, nminus, gamma = [], [], []

@@ -1,9 +1,12 @@
 """Explicit witness configurations and the q-ary-to-spherical embedding.
 
 Regular-simplex coordinates are irrational for q >= 3, so constructions that
-involve them return float coordinates together with an exact Gram oracle
-computed from Hamming distances; certificates evaluate against the oracle
-while the coordinates remain available for generic linear algebra.
+involve them return float coordinates together with an exact Gram oracle;
+certificates evaluate against the oracle while the coordinates remain
+available for generic linear algebra.  There is one such oracle: under the
+simplex map the inner product of two words depends only on their Hamming
+distance d, as 1 - q*d/((q-1)*r).  The +-1 embedding is that map at q = 2,
+and the regular simplex is its image of the q one-symbol words (r = 1).
 """
 
 import math
@@ -12,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import QaryCode, UnitVectorSet, hamming_distance
+from .codes import QaryCode, UnitVectorSet, distance_matrix, min_distance
 from .errors import CodeBoundsError, NotBinary, PreconditionViolated
 from .linalg import SymMatrix
 
@@ -56,11 +59,7 @@ def hadamard_code(h: HadamardMatrix) -> QaryCode:
         for row in h.rows:
             words.append(tuple(0 if sign * x == 1 else 1 for x in row))
     code = QaryCode(2, r, tuple(words), claimed_distance=r // 2)
-    # min distance via sign vectors: d(i,j) = (r - <v_i, v_j>)/2
-    v = np.array([[1 - 2 * s for s in w] for w in words], dtype=np.int64)
-    g = v @ v.T
-    np.fill_diagonal(g, -r)
-    if (r - int(g.max())) // 2 != r // 2:
+    if min_distance(code) != r // 2:
         raise CodeBoundsError(f"construction broke: min distance != {r // 2}")
     return code
 
@@ -80,9 +79,11 @@ def cross_polytope(r: int) -> UnitVectorSet:
     return UnitVectorSet(r, tuple(vectors), tuple(labels))
 
 
-def _simplex_gram(q: int) -> SymMatrix:
-    off = Fraction(-1, q - 1)
-    return SymMatrix([[1 if i == j else off for j in range(q)] for i in range(q)])
+def _distance_gram(code: QaryCode) -> SymMatrix:
+    """Exact Gram of the simplex image: entry (x, y) is 1 - q*d(x,y)/((q-1)*r)."""
+    q, r = code.q, code.r
+    values = [1 - Fraction(q * d, (q - 1) * r) for d in range(r + 1)]
+    return SymMatrix([values[d] for d in row.tolist()] for row in distance_matrix(code))
 
 
 def simplex_vectors(q: int) -> UnitVectorSet:
@@ -106,9 +107,10 @@ def simplex_vectors(q: int) -> UnitVectorSet:
         if i < d:
             rem = 1.0 - coords[i, :i] @ coords[i, :i]
             coords[i, i] = math.sqrt(max(rem, 0.0))
+    symbols = QaryCode(q, 1, tuple((s,) for s in range(q)))
     return UnitVectorSet(d, tuple(map(tuple, coords.tolist())),
                          tuple(f"u{i + 1}" for i in range(q)),
-                         exact_gram=_simplex_gram(q))
+                         exact_gram=_distance_gram(symbols))
 
 
 @dataclass(frozen=True)
@@ -131,20 +133,17 @@ class EmbeddedCode:
 
     def alpha(self):
         """Largest off-diagonal exact Gram entry (-1 for a single word)."""
-        g = self.exact_gram
-        if g.n == 1:
+        code = self.source
+        if len(code) == 1:
             return Fraction(-1)
-        return max(g.rows[i][j] for i in range(g.n) for j in range(g.n) if i != j)
+        return 1 - Fraction(code.q * min_distance(code), (code.q - 1) * code.r)
 
     def max_coordinate_deviation(self) -> float:
         """Largest |float inner product - exact Gram entry| over all pairs."""
         m = np.array(self.coords)
-        fg = m @ m.T
-        worst = 0.0
-        for i in range(len(self.coords)):
-            for j in range(i, len(self.coords)):
-                worst = max(worst, abs(fg[i, j] - float(self.exact_gram.rows[i][j])))
-        return float(worst)
+        dev = m @ m.T
+        dev -= np.array(self.exact_gram.rows, dtype=float)
+        return float(np.triu(np.abs(dev, out=dev)).max(initial=0.0))
 
 
 def embed_qary(code: QaryCode) -> EmbeddedCode:
@@ -155,37 +154,20 @@ def embed_qary(code: QaryCode) -> EmbeddedCode:
     """
     q, r = code.q, code.r
     simplex = np.array(simplex_vectors(q).vectors)
-    scale = 1.0 / math.sqrt(r)
-    coords = []
-    for w in code.words:
-        coords.append(tuple((np.concatenate([simplex[s] for s in w]) * scale).tolist()))
-    n = len(code.words)
-    denom = (q - 1) * r
-    rows = [[Fraction(1)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = hamming_distance(code.words[i], code.words[j])
-            rows[i][j] = rows[j][i] = 1 - Fraction(q * d, denom)
-    return EmbeddedCode(code, denom, tuple(coords), SymMatrix(rows))
+    dimension = (q - 1) * r
+    words = np.array(code.words, dtype=np.int64)
+    coords = simplex[words].reshape(len(code), dimension) * (1.0 / math.sqrt(r))
+    return EmbeddedCode(code, dimension, tuple(map(tuple, coords.tolist())),
+                        _distance_gram(code))
 
 
 def pm_one_embedding(code: QaryCode) -> UnitVectorSet:
     """Binary words to vectors in R^r: 0 -> +1, 1 -> -1, scaled by 1/sqrt(r).
 
-    A pair at Hamming distance d has inner product 1 - 2d/r; the exact Gram
-    oracle records that value.
+    This is embed_qary at q = 2, whose simplex is +-1: a pair at Hamming
+    distance d has inner product 1 - 2d/r, and the exact Gram oracle records
+    that value.
     """
     if code.q != 2:
         raise NotBinary(f"alphabet size {code.q}, expected 2")
-    r = code.r
-    scale = 1.0 / math.sqrt(r)
-    vectors = tuple(tuple((1.0 if s == 0 else -1.0) * scale for s in w)
-                    for w in code.words)
-    n = len(code.words)
-    rows = [[Fraction(1)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = hamming_distance(code.words[i], code.words[j])
-            rows[i][j] = rows[j][i] = 1 - Fraction(2 * d, r)
-    labels = tuple("".join(map(str, w)) for w in code.words)
-    return UnitVectorSet(r, vectors, labels, exact_gram=SymMatrix(rows))
+    return embed_qary(code).unit_vectors()

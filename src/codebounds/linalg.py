@@ -54,9 +54,6 @@ class SymMatrix:
     def mode(self) -> str:
         return join_modes(*(mode_of(x) for row in self.rows for x in row)) if self.n else EXACT
 
-    def copy_rows(self):
-        return [list(r) for r in self.rows]
-
 
 def trace(m: SymMatrix) -> Scalar:
     total = 0

@@ -38,11 +38,6 @@ def to_fraction(x: Scalar) -> Fraction:
     return Fraction(x)
 
 
-def to_float(x: Scalar) -> float:
-    """Round-to-nearest conversion."""
-    return float(x)
-
-
 def parse_scalar(token: str, exact: bool = True) -> Scalar:
     """Parse a scalar token: sign, then digits, digits.digits, or digits/digits.
 
@@ -106,6 +101,3 @@ class Tolerance:
         if mode == EXACT:
             return norm_sq == 1
         return abs(norm_sq - 1) <= self.rel_eps + self.abs_eps
-
-
-DEFAULT_TOLERANCE = Tolerance()

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from codebounds.codes import (QaryCode, UnitVectorSet, certify_chain,
-                              gram_analyze, min_distance, verify_lemma_beta,
+                              distance_matrix, gram_analyze, hamming_distance,
+                              min_distance, verify_lemma_beta,
                               verify_lemma_gamma, verify_spherical_code)
 from codebounds.constructions import cross_polytope, simplex_vectors
 from codebounds.errors import (AlphaOutOfRange, DuplicateCodewords, InvalidCode,
@@ -73,6 +74,30 @@ def test_gram_analyze_rejects_non_unit():
     assert err.value.norm_sq == 2
 
 
+@pytest.mark.parametrize("vset, index, message", [
+    (UnitVectorSet(2, ((1, 0), (0, 1), (1, 1))), 2,
+     "vector 2 has squared norm 2, expected 1"),
+    (UnitVectorSet(2, ((1.0, 0.0), (0.6, 0.9))), 1,
+     "vector 1 has squared norm 1.17, expected 1"),
+    (UnitVectorSet(2, ((Fraction(3, 5), Fraction(4, 5)), (Fraction(1, 2), Fraction(1, 2)))), 1,
+     "vector 1 has squared norm Fraction(1, 2), expected 1"),
+    (UnitVectorSet(1, ((1.0,), (-1.0,)),
+                   exact_gram=SymMatrix([[1, -1], [-1, Fraction(3, 2)]])), 1,
+     "vector 1 has squared norm Fraction(3, 2), expected 1"),
+], ids=["int", "float", "fraction", "oracle"])
+def test_gram_analyze_rejects_non_unit_before_building_gram(vset, index, message,
+                                                            monkeypatch):
+    # an off-sphere set is rejected from its norms, without its full Gram
+    def no_gram(self):
+        raise AssertionError("raw_gram called before the norm check")
+
+    monkeypatch.setattr(UnitVectorSet, "raw_gram", no_gram)
+    with pytest.raises(NonUnitVector) as err:
+        gram_analyze(vset)
+    assert err.value.index == index
+    assert str(err.value) == message
+
+
 def test_gram_analyze_zero_product_goes_to_nplus():
     analysis = gram_analyze(UnitVectorSet(2, ((1, 0), (0, 1))))
     assert analysis.nplus == ((1,), (0,))
@@ -96,6 +121,35 @@ def test_min_distance_examples():
     assert min_distance(QaryCode(2, 3, ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)))) == 2
     with pytest.raises(TooFewWords):
         min_distance(QaryCode(2, 3, ((0, 0, 0),)))
+
+
+def random_qary_code(rng, q, r, n):
+    words = set()
+    while len(words) < min(n, q ** r):
+        words.add(tuple(rng.randrange(q) for _ in range(r)))
+    return QaryCode(q, r, tuple(sorted(words)))
+
+
+def distance_kernel_cases():
+    rng = random.Random(4242)
+    cases = [random_qary_code(rng, 2, 1, 2), random_qary_code(rng, 5, 1, 5),
+             random_qary_code(rng, 3, 12, 2), random_qary_code(rng, 5, 12, 40)]
+    for _ in range(60):
+        cases.append(random_qary_code(rng, rng.randint(2, 5), rng.randint(1, 12),
+                                      rng.randint(2, 40)))
+    return cases
+
+
+@pytest.mark.parametrize("code", distance_kernel_cases())
+def test_distance_kernel_matches_pairwise_reference(code):
+    n = len(code)
+    reference = [[hamming_distance(x, y) for y in code.words] for x in code.words]
+    d = distance_matrix(code)
+    assert d.shape == (n, n)
+    assert d.tolist() == reference
+    assert (d == d.T).all() and not d.diagonal().any()
+    assert min_distance(code) == min(reference[i][j] for i in range(n)
+                                     for j in range(i + 1, n))
 
 
 def test_qary_code_validation():
