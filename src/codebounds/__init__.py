@@ -13,13 +13,13 @@ from .constructions import (EmbeddedCode, HadamardMatrix, cross_polytope,
                             embed_qary, hadamard_code, pm_one_embedding,
                             simplex_vectors, sylvester_hadamard)
 from .linalg import SymMatrix, is_psd, rank, trace, trace_of_square, verify_trace_rank
-from .scalars import Scalar, Tolerance, format_scalar, parse_scalar
+from .scalars import Scalar, format_scalar, parse_scalar
 from .search import SearchResult, exact_max_code, greedy_lexicode, heuristic_rho
 
 __all__ = [
     "BoundReport", "Certificate", "EmbeddedCode", "GramAnalysis",
     "HadamardMatrix", "Link", "QaryCode", "Scalar", "SearchResult",
-    "SymMatrix", "Tolerance", "UnitVectorSet", "aq_upper", "bq_window",
+    "SymMatrix", "UnitVectorSet", "aq_upper", "bq_window",
     "certify_chain", "cross_polytope", "embed_qary", "exact_max_code",
     "format_scalar", "gram_analyze", "greedy_lexicode", "hadamard_code",
     "hamming_distance", "heuristic_rho", "is_psd", "m_upper", "min_distance",

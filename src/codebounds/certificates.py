@@ -2,12 +2,13 @@
 
 A certificate is a list of links, one per inequality in a chain.  Each link
 freezes both sides, the slack, the arithmetic mode that produced the numbers,
-and the verdict under the tolerance policy in force when it was built.
+and the verdict under the fixed float policy of ``scalars`` (exact
+comparison in exact mode).
 """
 
 from dataclasses import dataclass, field
 
-from .scalars import Scalar, Tolerance, format_scalar, join_modes, mode_of
+from .scalars import Scalar, format_scalar, join_modes, mode_of, slack_ok
 
 
 @dataclass(frozen=True)
@@ -30,11 +31,11 @@ class Link:
         }
 
 
-def make_link(name: str, lhs: Scalar, rhs: Scalar, tol: Tolerance) -> Link:
+def make_link(name: str, lhs: Scalar, rhs: Scalar) -> Link:
     """Build a link asserting lhs <= rhs."""
     mode = join_modes(mode_of(lhs), mode_of(rhs))
     slack = rhs - lhs
-    return Link(name, lhs, rhs, slack, mode, tol.slack_ok(slack, mode))
+    return Link(name, lhs, rhs, slack, mode, slack_ok(slack, mode))
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,11 @@ from .codes import (certify_chain, gram_analyze, min_distance,
 from .constructions import (cross_polytope, embed_qary, hadamard_code,
                             simplex_vectors, sylvester_hadamard)
 from .errors import (CodeBoundsError, DuplicateCodewords, FileFormatError,
-                     InvalidCode, NodeLimitExceeded, NonUnitVector)
+                     InvalidCode, NonUnitVector)
 from .fileio import (certificate_json, parse_qary, parse_spherical, report_json,
                      serialize_qary, serialize_spherical, sha256_hex)
 from .linalg import verify_trace_rank
-from .scalars import Tolerance, format_scalar, parse_scalar
+from .scalars import format_scalar, parse_scalar
 from .search import exact_max_code, greedy_lexicode, heuristic_rho
 
 FORMAT_VERSIONS = "sphere v1, qary v1, certificate v1, report v1"
@@ -179,14 +179,13 @@ def cmd_bound(ns, run: _Run) -> int:
 
 def cmd_verify(ns, run: _Run) -> int:
     run.mode = "float" if ns.float else "exact"
-    tol = Tolerance()
     text = run.read_input(ns.infile)
     if ns.kind == "qary":
         code = parse_qary(text)
         if ns.s is None:
             raise CodeBoundsError("verify qary requires --s <claimed distance>")
         d = min_distance(code)
-        link = make_link("minimum distance at least the claim", ns.s, d, tol)
+        link = make_link("minimum distance at least the claim", ns.s, d)
         cert = Certificate.from_links("qary-distance", [link],
                                       meta={"q": code.q, "r": code.r, "n": len(code),
                                             "min_distance": d})
@@ -195,15 +194,15 @@ def cmd_verify(ns, run: _Run) -> int:
         if ns.kind == "spherical":
             if ns.alpha is None:
                 raise CodeBoundsError("verify spherical requires --alpha <claim>")
-            cert = verify_spherical_code(vset, ns.alpha, tol)
+            cert = verify_spherical_code(vset, ns.alpha)
         elif ns.kind == "trace-rank":
-            cert = verify_trace_rank(vset.raw_gram(), tol)
+            cert = verify_trace_rank(vset.raw_gram())
         elif ns.kind == "beta":
-            cert = verify_lemma_beta(gram_analyze(vset, tol), tol)
+            cert = verify_lemma_beta(gram_analyze(vset))
         elif ns.kind == "gamma":
-            cert = verify_lemma_gamma(gram_analyze(vset, tol), tol)
+            cert = verify_lemma_gamma(gram_analyze(vset))
         elif ns.kind == "chain":
-            cert = certify_chain(vset, tol)
+            cert = certify_chain(vset)
         else:
             raise AssertionError(ns.kind)
     print(certificate_json(cert))
@@ -398,9 +397,6 @@ def main(argv=None) -> int:
     except _FILE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NodeLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except CodeBoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,6 +6,7 @@ products (simplices, distance-based embeddings) use this to keep all
 certificates in exact arithmetic.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from .certificates import Certificate, make_link
 from .errors import (AlphaOutOfRange, DuplicateCodewords, InvalidCode,
                      NonUnitVector, TooFewWords)
 from .linalg import SymMatrix, rank, trace_of_square
-from .scalars import EXACT, Scalar, Tolerance, format_scalar, join_modes, mode_of
+from .scalars import EXACT, Scalar, format_scalar, join_modes, mode_of, unit_norm_ok
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,10 @@ class UnitVectorSet:
         return join_modes(*(mode_of(x) for v in self.vectors for x in v))
 
     def raw_gram(self) -> SymMatrix:
-        """Gram matrix without any unit-norm enforcement."""
+        """Gram matrix without any unit-norm enforcement.
+
+        Raises InvalidCode when a float squared norm overflows to infinity.
+        """
         if self.exact_gram is not None:
             return self.exact_gram
         n = len(self.vectors)
@@ -64,6 +68,9 @@ class UnitVectorSet:
                 for a, b in zip(vi, vj):
                     s += a * b
                 rows[i][j] = rows[j][i] = s
+            # a finite squared norm bounds the row's products (Cauchy-Schwarz)
+            if isinstance(rows[i][i], float) and not math.isfinite(rows[i][i]):
+                raise InvalidCode(f"vector {i}: squared norm overflows a float")
         return SymMatrix(rows)
 
 
@@ -147,16 +154,16 @@ def _squared_norms(vset: UnitVectorSet):
     return norms, vset.mode()
 
 
-def gram_analyze(vset: UnitVectorSet, tol: Tolerance = Tolerance()) -> GramAnalysis:
+def gram_analyze(vset: UnitVectorSet) -> GramAnalysis:
     """Gram matrix with per-vertex sign partition and negative-edge sums.
 
     Raises NonUnitVector if any vector is off the unit sphere (exactly in
-    exact mode, within tolerance in float mode), before the Gram is built.
+    exact mode, within the float policy in float mode), before the Gram is built.
     Ties at inner product 0 are classified as nonnegative.
     """
     norms, mode = _squared_norms(vset)
     for i, norm_sq in enumerate(norms):
-        if not tol.unit_norm_ok(norm_sq, mode):
+        if not unit_norm_ok(norm_sq, mode):
             raise NonUnitVector(i, norm_sq)
     gram = vset.raw_gram()
     n = gram.n
@@ -175,8 +182,7 @@ def gram_analyze(vset: UnitVectorSet, tol: Tolerance = Tolerance()) -> GramAnaly
     return GramAnalysis(gram, alpha, tuple(nplus), tuple(nminus), tuple(gamma), vset.labels)
 
 
-def verify_spherical_code(vset: UnitVectorSet, alpha_claim: Scalar,
-                          tol: Tolerance = Tolerance()) -> Certificate:
+def verify_spherical_code(vset: UnitVectorSet, alpha_claim: Scalar) -> Certificate:
     """Certify that all norms are 1 and all pairwise products lie in [-1, claim].
 
     Violations are failing links, never exceptions.
@@ -184,16 +190,16 @@ def verify_spherical_code(vset: UnitVectorSet, alpha_claim: Scalar,
     gram = vset.raw_gram()
     n = gram.n
     worst_norm = max(abs(gram.rows[i][i] - 1) for i in range(n))
-    links = [make_link("unit norms (max |<v,v>| deviation from 1)", worst_norm, 0, tol)]
+    links = [make_link("unit norms (max |<v,v>| deviation from 1)", worst_norm, 0)]
     if n >= 2:
         off = [gram.rows[i][j] for i in range(n) for j in range(i + 1, n)]
         links.append(make_link("pairwise inner products at most the claim",
-                               max(off), alpha_claim, tol))
+                               max(off), alpha_claim))
         links.append(make_link("pairwise inner products at least -1",
-                               -1, min(off), tol))
+                               -1, min(off)))
     else:
         links.append(make_link("pairwise inner products at most the claim (empty: -1)",
-                               -1, alpha_claim, tol))
+                               -1, alpha_claim))
     return Certificate.from_links("spherical-code", links,
                                   meta={"n": n, "dimension": vset.dimension,
                                         "alpha_claim": format_scalar(alpha_claim)})
@@ -204,7 +210,7 @@ def _require_alpha_in_range(alpha):
         raise AlphaOutOfRange(alpha)
 
 
-def verify_lemma_beta(analysis: GramAnalysis, tol: Tolerance = Tolerance()) -> Certificate:
+def verify_lemma_beta(analysis: GramAnalysis) -> Certificate:
     """Per vertex u: sum of squared negative products <= 1 + alpha * gamma(u)^2."""
     _require_alpha_in_range(analysis.alpha)
     alpha = analysis.alpha
@@ -216,12 +222,12 @@ def verify_lemma_beta(analysis: GramAnalysis, tol: Tolerance = Tolerance()) -> C
             lhs += row[v] * row[v]
         g = analysis.gamma[u]
         links.append(make_link(f"negative-edge energy at vertex {analysis.labels[u]}",
-                               lhs, 1 + alpha * g * g, tol))
+                               lhs, 1 + alpha * g * g))
     return Certificate.from_links("negative-edge-energy", links,
                                   meta={"alpha": format_scalar(alpha), "n": analysis.n})
 
 
-def verify_lemma_gamma(analysis: GramAnalysis, tol: Tolerance = Tolerance()) -> Certificate:
+def verify_lemma_gamma(analysis: GramAnalysis) -> Certificate:
     """Sum over u of gamma(u)^2 <= 27/4 * (1 + alpha*n)^2 * n."""
     _require_alpha_in_range(analysis.alpha)
     alpha, n = analysis.alpha, analysis.n
@@ -230,12 +236,12 @@ def verify_lemma_gamma(analysis: GramAnalysis, tol: Tolerance = Tolerance()) -> 
         lhs += g * g
     t = alpha * n
     rhs = Fraction(27, 4) * (1 + t) * (1 + t) * n
-    link = make_link("total squared negative-edge load", lhs, rhs, tol)
+    link = make_link("total squared negative-edge load", lhs, rhs)
     return Certificate.from_links("negative-edge-load", [link],
                                   meta={"alpha": format_scalar(alpha), "n": n})
 
 
-def certify_chain(vset: UnitVectorSet, tol: Tolerance = Tolerance()) -> Certificate:
+def certify_chain(vset: UnitVectorSet) -> Certificate:
     """Full inequality chain from the Gram spectra to the size bound.
 
     Links, in order: (i) n^2/rank <= tr(M^2); (ii) tr(M^2) <= 2n + t^2 +
@@ -244,11 +250,11 @@ def certify_chain(vset: UnitVectorSet, tol: Tolerance = Tolerance()) -> Certific
     dimension would also be valid (rank <= dimension, so the chain is at least
     as strong); both numbers are recorded in the metadata.
     """
-    analysis = gram_analyze(vset, tol)
+    analysis = gram_analyze(vset)
     _require_alpha_in_range(analysis.alpha)
     gram = analysis.gram
     n = analysis.n
-    rk = rank(gram, tol)
+    rk = rank(gram)
     alpha = analysis.alpha
     t = alpha * n
     tsq = trace_of_square(gram)
@@ -262,13 +268,13 @@ def certify_chain(vset: UnitVectorSet, tol: Tolerance = Tolerance()) -> Certific
     envelope = c274 * ((1 + t) ** 3 - 1)
     links = [
         make_link("squared trace over rank at most trace of square",
-                  ratio(n * n, rk), tsq, tol),
+                  ratio(n * n, rk), tsq),
         make_link("trace of square at most the negative-edge bound",
-                  tsq, 2 * n + alpha_terms, tol),
+                  tsq, 2 * n + alpha_terms),
         make_link("alpha terms at most the cubic envelope",
-                  alpha_terms, envelope, tol),
+                  alpha_terms, envelope),
         make_link("size excess over twice the rank at most the cubic bound",
-                  n - 2 * rk, Fraction(1, 2) * envelope, tol),
+                  n - 2 * rk, Fraction(1, 2) * envelope),
     ]
     return Certificate.from_links(
         "gram-chain", links,

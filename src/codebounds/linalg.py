@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, sqrt
 
 from .certificates import Certificate, make_link
-from .scalars import EXACT, Scalar, Tolerance, join_modes, mode_of
+from .scalars import ABS_EPS, EXACT, REL_EPS, Scalar, join_modes, mode_of
 
 
 class SymMatrix:
@@ -26,10 +26,11 @@ class SymMatrix:
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"asymmetric entries at ({i},{j})")
+        # list equality runs in C and short-circuits on shared entry objects
+        for i, (row, col) in enumerate(zip(rows, zip(*rows))):
+            if row[i + 1:] != list(col[i + 1:]):
+                j = next(j for j in range(i + 1, n) if row[j] != col[j])
+                raise ValueError(f"asymmetric entries at ({i},{j})")
         self.n = n
         self.rows = rows
 
@@ -40,10 +41,6 @@ class SymMatrix:
     @classmethod
     def filled(cls, n, value):
         return cls([[value] * n for _ in range(n)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
 
     def __eq__(self, other):
         return isinstance(other, SymMatrix) and self.rows == other.rows
@@ -115,12 +112,12 @@ def _rank_exact(rows) -> int:
     return rank_count
 
 
-def _rank_float(rows, tol: Tolerance) -> int:
+def _rank_float(rows) -> int:
     a = [[float(x) for x in row] for row in rows]
     nr = len(a)
     nc = nr and len(a[0])
     max_row_norm = max((sqrt(sum(x * x for x in row)) for row in a), default=0.0)
-    threshold = tol.rel_eps * max_row_norm
+    threshold = REL_EPS * max_row_norm
     rank_count = 0
     for col in range(nc):
         pivot_row = max(range(rank_count, nr), key=lambda i: abs(a[i][col]), default=None)
@@ -141,13 +138,13 @@ def _rank_float(rows, tol: Tolerance) -> int:
     return rank_count
 
 
-def rank(m: SymMatrix, tol: Tolerance = Tolerance()) -> int:
+def rank(m: SymMatrix) -> int:
     """Matrix rank; exact elimination when all entries are exact, else pivoted float."""
     if m.n == 0:
         return 0
     if m.mode() == EXACT:
         return _rank_exact(m.rows)
-    return _rank_float(m.rows, tol)
+    return _rank_float(m.rows)
 
 
 def _lift_witness(lvals, perm, reduced, n):
@@ -180,7 +177,7 @@ def _quadratic_form_exact(rows, x):
     return total
 
 
-def is_psd(m: SymMatrix, tol: Tolerance = Tolerance()):
+def is_psd(m: SymMatrix):
     """Pivoted LDL^T positive-semidefiniteness test.
 
     Returns (True, None) or (False, x) with <Mx, x> < 0; the witness is
@@ -189,20 +186,20 @@ def is_psd(m: SymMatrix, tol: Tolerance = Tolerance()):
     for marginal float cases.
     """
     exact = m.mode() == EXACT
-    verdict, witness = _is_psd_impl(m.rows, m.n, tol, exact)
+    verdict, witness = _is_psd_impl(m.rows, m.n, exact)
     if verdict or witness is None:
         return verdict, witness
     if _quadratic_form_exact(m.rows, witness) < 0:
         return False, witness
     # float pivots disagreed with exact arithmetic on a marginal matrix
-    return _is_psd_impl([[Fraction(x) for x in row] for row in m.rows], m.n, tol, True)
+    return _is_psd_impl([[Fraction(x) for x in row] for row in m.rows], m.n, True)
 
 
-def _is_psd_impl(rows, n, tol, exact):
+def _is_psd_impl(rows, n, exact):
     if n == 0:
         return True, None
     a = [list(r) for r in rows]
-    eps = 0 if exact else tol.abs_eps
+    eps = 0 if exact else ABS_EPS
     perm = list(range(n))
     lvals = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -246,10 +243,10 @@ def _swap_sym(a, i, j):
         row[i], row[j] = row[j], row[i]
 
 
-def verify_trace_rank(m: SymMatrix, tol: Tolerance = Tolerance()) -> Certificate:
+def verify_trace_rank(m: SymMatrix) -> Certificate:
     """Certify tr(M)^2 <= rank(M) * tr(M^2) for a symmetric matrix."""
-    r = rank(m, tol)
+    r = rank(m)
     t = trace(m)
     link = make_link("squared trace at most rank times trace of square",
-                     t * t, r * trace_of_square(m), tol)
+                     t * t, r * trace_of_square(m))
     return Certificate.from_links("trace-rank", [link], meta={"rank": r, "dimension": m.n})

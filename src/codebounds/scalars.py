@@ -7,7 +7,6 @@ want (exact op exact stays exact, anything touching a float becomes float).
 
 import math
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Union
@@ -27,10 +26,6 @@ def mode_of(x: Scalar) -> str:
 
 def join_modes(*modes: str) -> str:
     return FLOAT if FLOAT in modes else EXACT
-
-
-def is_exact(x: Scalar) -> bool:
-    return not isinstance(x, float)
 
 
 def to_fraction(x: Scalar) -> Fraction:
@@ -80,24 +75,20 @@ def format_scalar(x: Scalar) -> str:
     raise TypeError(f"not a scalar: {x!r}")
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Float comparison policy; ignored entirely in exact mode."""
+# the float comparison policy; exact mode compares without slack
+REL_EPS = 1e-9
+ABS_EPS = 1e-12
 
-    rel_eps: float = 1e-9
-    abs_eps: float = 1e-12
 
-    def __post_init__(self):
-        if self.rel_eps < 0 or self.abs_eps < 0:
-            raise ValueError("tolerances must be nonnegative")
+def slack_ok(slack: Scalar, mode: str) -> bool:
+    """Accept an inequality's slack: >= 0 exactly, or >= -ABS_EPS in float mode."""
+    if mode == EXACT:
+        return slack >= 0
+    return slack >= -ABS_EPS
 
-    def slack_ok(self, slack: Scalar, mode: str) -> bool:
-        """Accept an inequality's slack: >= 0 exactly, or >= -abs_eps in float mode."""
-        if mode == EXACT:
-            return slack >= 0
-        return slack >= -self.abs_eps
 
-    def unit_norm_ok(self, norm_sq: Scalar, mode: str) -> bool:
-        if mode == EXACT:
-            return norm_sq == 1
-        return abs(norm_sq - 1) <= self.rel_eps + self.abs_eps
+def unit_norm_ok(norm_sq: Scalar, mode: str) -> bool:
+    """Accept a squared norm: == 1 exactly, or within REL_EPS + ABS_EPS in float mode."""
+    if mode == EXACT:
+        return norm_sq == 1
+    return abs(norm_sq - 1) <= REL_EPS + ABS_EPS

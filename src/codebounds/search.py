@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import QaryCode, UnitVectorSet, hamming_distance
+from .codes import QaryCode, UnitVectorSet
 from .errors import NodeLimitExceeded, PreconditionViolated
 
 MAX_SEARCH_SPACE = 8192
@@ -29,34 +29,36 @@ class SearchResult:
     seed: int = None
 
 
-def _all_words(q, r):
-    words = [()]
-    for _ in range(r):
-        words = [w + (s,) for w in words for s in range(q)]
-    return words
-
-
-def greedy_lexicode(q: int, r: int, s: int) -> QaryCode:
-    """Keep each word (lexicographic scan) at distance >= s from all kept words."""
-    if not 1 <= s <= r:
-        raise PreconditionViolated(f"need 1 <= s <= r, got s={s}, r={r}")
-    kept = []
-    for w in _all_words(q, r):
-        if all(hamming_distance(w, k) >= s for k in kept):
-            kept.append(w)
-    return QaryCode(q, r, tuple(kept), claimed_distance=s)
-
-
-def _compatibility_masks(q, r, s):
-    """Per-word bitmask of words at Hamming distance >= s (numpy-packed)."""
+def _word_table(q, r):
+    """q^r x r array of digits: row w holds w's base-q digits, least significant first."""
     n = q ** r
     digits = np.zeros((n, r), dtype=np.int8)
     idx = np.arange(n)
     for pos in range(r):
         digits[:, pos] = idx % q
         idx = idx // q
+    return digits
+
+
+def greedy_lexicode(q: int, r: int, s: int) -> QaryCode:
+    """Keep each word (lexicographic scan) at distance >= s from all kept words."""
+    if not 1 <= s <= r:
+        raise PreconditionViolated(f"need 1 <= s <= r, got s={s}, r={r}")
+    # most significant digit first: row order is lexicographic order
+    digits = _word_table(q, r)[:, ::-1]
+    alive = np.ones(len(digits), dtype=bool)
+    kept = []
+    while alive.any():
+        v = int(alive.argmax())    # the first word still at distance >= s
+        kept.append(v)
+        alive[v:] &= (digits[v:] != digits[v]).sum(axis=1) >= s
+    return QaryCode(q, r, tuple(map(tuple, digits[kept].tolist())), claimed_distance=s)
+
+
+def _compatibility_masks(digits, s):
+    """Per-word bitmask of words at Hamming distance >= s (numpy-packed)."""
     masks = []
-    for u in range(n):
+    for u in range(len(digits)):
         dist = (digits != digits[u]).sum(axis=1)
         ok = dist >= s
         ok[u] = False
@@ -82,7 +84,8 @@ def exact_max_code(q: int, r: int, s: int, node_limit: int = 10_000_000) -> Sear
     limit = sys.getrecursionlimit()
     if limit < n_words + 128:
         sys.setrecursionlimit(n_words + 128)
-    comp = _compatibility_masks(q, r, s)
+    digits = _word_table(q, r)
+    comp = _compatibility_masks(digits, s)
     seed_code = greedy_lexicode(q, r, s)
     best_size = len(seed_code)
     best_words = [tuple(w) for w in seed_code.words]
@@ -92,13 +95,6 @@ def exact_max_code(q: int, r: int, s: int, node_limit: int = 10_000_000) -> Sear
     class _Budget(Exception):
         pass
 
-    def decode(w):
-        out = []
-        for _ in range(r):
-            out.append(w % q)
-            w //= q
-        return tuple(out)
-
     def expand(cand):
         nonlocal nodes, best_size, best_words
         nodes += 1
@@ -107,7 +103,7 @@ def exact_max_code(q: int, r: int, s: int, node_limit: int = 10_000_000) -> Sear
         size = len(stack_words)
         if size > best_size:
             best_size = size
-            best_words = [decode(w) for w in stack_words]
+            best_words = digits[stack_words].tolist()
         if not cand:
             return
         # greedy clique-cover coloring: classes are pairwise at distance < s
@@ -153,16 +149,15 @@ def _max_offdiag(gram):
     return float(g.max())
 
 
-def heuristic_rho(r: int, n: int, iterations: int = 2000, seed: int = 0,
-                  tau0: float = 1.0, decay: float = 0.97,
-                  step0: float = 0.5) -> SearchResult:
+def heuristic_rho(r: int, n: int, iterations: int = 2000, seed: int = 0) -> SearchResult:
     """Push n unit vectors in R^r apart by annealed log-sum-exp descent.
 
     Each iteration smooths the maximum pairwise inner product at temperature
-    tau_i = tau0 * decay^i (floored to stay in float range), takes one
+    tau_i = 0.97^i (floored at 1e-9 to stay in float range), takes one
     normalized tangent step against its gradient, and renormalizes to the
-    sphere.  The step length backtracks whenever the true maximum got worse
-    and grows otherwise, which lets late iterations polish to ~1e-12.
+    sphere.  The step length starts at 0.5, halves (down to 1e-12) whenever
+    the true maximum got worse and grows by 5% (up to 0.5) otherwise, which
+    lets late iterations polish to ~1e-12.
     Deterministic for a fixed seed; the reported value is the true maximum
     pairwise inner product of the final configuration.
     """
@@ -172,10 +167,10 @@ def heuristic_rho(r: int, n: int, iterations: int = 2000, seed: int = 0,
     v = rng.normal(size=(n, r))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     pair_mask = ~np.eye(n, dtype=bool)
-    step = step0
+    step = 0.5
     previous_max = np.inf
     for i in range(iterations):
-        tau = max(tau0 * decay ** i, 1e-9)
+        tau = max(0.97 ** i, 1e-9)
         gram = v @ v.T
         current_max = gram[pair_mask].max()
         shifted = np.where(pair_mask, (gram - current_max) / tau, -np.inf)
@@ -186,7 +181,7 @@ def heuristic_rho(r: int, n: int, iterations: int = 2000, seed: int = 0,
         if current_max > previous_max:
             step = max(step * 0.5, 1e-12)
         else:
-            step = min(step * 1.05, step0)
+            step = min(step * 1.05, 0.5)
         previous_max = current_max
         norm = np.linalg.norm(grad)
         if norm > 0:

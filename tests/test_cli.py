@@ -193,6 +193,16 @@ def test_search_exact_cli(tmp_path, capsys):
     assert len(code) == 8
 
 
+def test_search_exact_node_limit_cli(capsys):
+    code, out, err = run(capsys, "search", "exact", "--q", "2", "--r", "8",
+                         "--s", "3", "--node-limit", "100")
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: node limit reached after ")
+
+
 def test_search_greedy_cli(capsys):
     code, out, _ = run(capsys, "search", "greedy", "--q", "2", "--r", "3", "--s", "2")
     assert code == 0
@@ -229,6 +239,19 @@ def test_verify_trace_rank_cli(tmp_path, capsys):
     assert cert["meta"]["rank"] == 3
     for link in cert["links"]:
         assert set(link) == {"name", "lhs", "rhs", "slack", "mode", "verdict"}
+
+
+@pytest.mark.parametrize("coords", ["1" * 401 + " 0", "1" + "0" * 200 + " 0"],
+                         ids=["parses-to-inf", "squares-to-inf"])
+@pytest.mark.parametrize("kind", [["spherical", "--alpha", "0"], ["trace-rank"]],
+                         ids=lambda kind: kind[0])
+def test_verify_float_overflowing_coordinates_exit_2(tmp_path, capsys, coords, kind):
+    path = tmp_path / "huge.sphere"
+    path.write_text(f"sphere 2\n{coords}\n0 1\n")
+    code, out, err = run(capsys, "verify", kind[0], "--in", str(path), "--float", *kind[1:])
+    assert code == 2
+    assert out == ""
+    assert err == "error: vector 0: squared norm overflows a float\n"
 
 
 def test_bound_grid_out_of_domain_cells_keep_the_sweep(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -96,6 +97,15 @@ def test_gram_analyze_rejects_non_unit_before_building_gram(vset, index, message
         gram_analyze(vset)
     assert err.value.index == index
     assert str(err.value) == message
+
+
+def test_gram_analyze_float_unit_norm_boundary():
+    # float norms pass within 1e-9 + 1e-12 of 1
+    inside = UnitVectorSet(2, ((1.0, math.sqrt(5e-10)),))
+    assert gram_analyze(inside).gram.rows[0][0] == 1.0 + 5e-10
+    with pytest.raises(NonUnitVector) as err:
+        gram_analyze(UnitVectorSet(2, ((1.0, math.sqrt(2e-9)),)))
+    assert err.value.index == 0
 
 
 def test_gram_analyze_zero_product_goes_to_nplus():

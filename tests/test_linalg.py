@@ -6,7 +6,6 @@ import pytest
 
 from codebounds.linalg import (SymMatrix, is_psd, rank, trace, trace_of_square,
                                verify_trace_rank)
-from codebounds.scalars import Tolerance
 
 CROSS_POLYTOPE_2_GRAM = SymMatrix([
     [1, -1, 0, 0],
@@ -144,8 +143,18 @@ def test_is_psd_float_mode():
     assert not ok and witness is not None
     # tiny negative eigenvalue within tolerance is accepted in float mode
     eps = 1e-14
-    ok, _ = is_psd(SymMatrix([[eps, 1e-15], [1e-15, eps]]), Tolerance())
+    ok, _ = is_psd(SymMatrix([[eps, 1e-15], [1e-15, eps]]))
     assert ok
+
+
+def test_float_policy_boundaries_rank_and_psd():
+    # rank drops a pivot at most 1e-9 times the largest row norm
+    assert rank(SymMatrix([[1.0, 0.0], [0.0, 2e-9]])) == 2
+    assert rank(SymMatrix([[1.0, 0.0], [0.0, 5e-10]])) == 1
+    # is_psd accepts a diagonal down to -1e-12 and certifies anything below
+    assert is_psd(SymMatrix([[1.0, 0.0], [0.0, -5e-13]])) == (True, None)
+    ok, witness = is_psd(SymMatrix([[1.0, 0.0], [0.0, -2e-12]]))
+    assert not ok and witness == [0, 1]
 
 
 def test_verify_trace_rank_examples():

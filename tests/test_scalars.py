@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from codebounds.scalars import (EXACT, FLOAT, Tolerance, format_scalar,
-                                join_modes, mode_of, parse_scalar, to_fraction)
+from codebounds.certificates import make_link
+from codebounds.scalars import (EXACT, FLOAT, format_scalar, join_modes,
+                                mode_of, parse_scalar, slack_ok, to_fraction)
 
 
 @pytest.mark.parametrize("token,expected", [
@@ -78,11 +79,13 @@ def test_mode_contamination():
     assert join_modes(EXACT, FLOAT) == FLOAT
 
 
+def test_make_link_float_slack_boundary():
+    assert make_link("x", 0.0, -1e-12).verdict
+    assert not make_link("x", 0.0, -2e-12).verdict
+
+
 def test_tolerance_policy():
-    tol = Tolerance()
-    assert tol.slack_ok(0, EXACT)
-    assert not tol.slack_ok(Fraction(-1, 10**20), EXACT)
-    assert tol.slack_ok(-1e-13, FLOAT)
-    assert not tol.slack_ok(-1e-11, FLOAT)
-    with pytest.raises(ValueError):
-        Tolerance(rel_eps=-1.0)
+    assert slack_ok(0, EXACT)
+    assert not slack_ok(Fraction(-1, 10**20), EXACT)
+    assert slack_ok(-1e-13, FLOAT)
+    assert not slack_ok(-1e-11, FLOAT)

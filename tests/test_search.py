@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,40 @@ def test_greedy_output_distance_invariant():
     for (q, r, s) in [(2, 5, 2), (2, 6, 3), (3, 4, 2), (4, 3, 2)]:
         code = greedy_lexicode(q, r, s)
         assert min_distance(code) >= s
+
+
+def _ball(word, q, radius):
+    """Every word within Hamming distance radius of word."""
+    for t in range(radius + 1):
+        for positions in itertools.combinations(range(len(word)), t):
+            for shifts in itertools.product(range(1, q), repeat=t):
+                x = list(word)
+                for p, d in zip(positions, shifts):
+                    x[p] = (x[p] + d) % q
+                yield tuple(x)
+
+
+def _lexicographic_scan(q, r, s):
+    """Reference lexicode: keep each word outside the radius s-1 balls of the kept ones."""
+    blocked, kept = set(), []
+    for w in itertools.product(range(q), repeat=r):
+        if w not in blocked:
+            kept.append(w)
+            blocked.update(_ball(w, q, s - 1))
+    return kept
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+def test_greedy_matches_plain_lexicographic_scan(q):
+    r = 1
+    while q ** r <= 4096:
+        for s in range(1, r + 1):
+            code = greedy_lexicode(q, r, s)
+            assert list(code.words) == _lexicographic_scan(q, r, s), (q, r, s)
+            # maximal: the radius s-1 balls of the code cover the whole space
+            covered = {x for w in code.words for x in _ball(w, q, s - 1)}
+            assert len(covered) == q ** r, (q, r, s)
+        r += 1
 
 
 def test_heuristic_square_configuration():
