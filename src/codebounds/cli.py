@@ -7,6 +7,7 @@ default everywhere; float mode is opt-in via --float.
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -374,6 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call and reused: parse_args keeps no state between calls
+_parser = functools.cache(build_parser)
+
 _DISPATCH = {"bound": cmd_bound, "verify": cmd_verify, "construct": cmd_construct,
              "embed": cmd_embed, "search": cmd_search}
 
@@ -382,9 +386,8 @@ _FILE_ERRORS = (FileFormatError, InvalidCode, NonUnitVector, DuplicateCodewords,
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     def plain(v):

@@ -4,6 +4,11 @@ A ``UnitVectorSet`` may carry an exact Gram oracle alongside float
 coordinates; constructions with irrational coordinates but rational inner
 products (simplices, distance-based embeddings) use this to keep all
 certificates in exact arithmetic.
+
+Exact analysis works on an ``IntegerGram``: a rational file's coordinates
+scaled to integers A = L*V give numerators A A^T over L^2, an oracle brings
+its own.  Fractions are made only for values that a certificate or an error
+message prints.
 """
 
 import math
@@ -15,18 +20,22 @@ import numpy as np
 from .certificates import Certificate, make_link
 from .errors import (AlphaOutOfRange, DuplicateCodewords, InvalidCode,
                      NonUnitVector, TooFewWords)
-from .linalg import SymMatrix, rank, trace_of_square
-from .scalars import EXACT, Scalar, format_scalar, join_modes, mode_of, unit_norm_ok
+from .linalg import IntegerGram, SymMatrix, exact_array, rank, trace_of_square
+from .scalars import EXACT, FLOAT, Scalar, format_scalar, join_modes, mode_of, unit_norm_ok
 
 
 @dataclass(frozen=True)
 class UnitVectorSet:
-    """n vectors in R^d claimed to lie on the unit sphere."""
+    """n vectors in R^d claimed to lie on the unit sphere.
+
+    ``exact_gram``, when given, is the exact Gram oracle: a SymMatrix or an
+    IntegerGram.
+    """
 
     dimension: int
     vectors: tuple
     labels: tuple = ()
-    exact_gram: SymMatrix = None
+    exact_gram: SymMatrix | IntegerGram = None
 
     def __post_init__(self):
         vectors = tuple(tuple(v) for v in self.vectors)
@@ -56,29 +65,49 @@ class UnitVectorSet:
 
         Raises InvalidCode when a float squared norm overflows to infinity.
         """
-        if self.exact_gram is not None:
+        if isinstance(self.exact_gram, SymMatrix):
             return self.exact_gram
+        if self.exact_gram is not None:
+            return SymMatrix(self.exact_gram.rows)
+        if self.mode() == EXACT:
+            a, den = _integer_coordinates(self)
+            return SymMatrix(IntegerGram(a @ a.T, den * den).rows)
         n = len(self.vectors)
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             vi = self.vectors[i]
             for j in range(i, n):
-                vj = self.vectors[j]
-                s = 0
-                for a, b in zip(vi, vj):
-                    s += a * b
-                rows[i][j] = rows[j][i] = s
+                rows[i][j] = rows[j][i] = _dot(vi, self.vectors[j])
             # a finite squared norm bounds the row's products (Cauchy-Schwarz)
             if isinstance(rows[i][i], float) and not math.isfinite(rows[i][i]):
                 raise InvalidCode(f"vector {i}: squared norm overflows a float")
         return SymMatrix(rows)
 
 
+def _dot(u, v) -> Scalar:
+    """Sum of coordinate products from 0, left to right: a Gram entry's value and type."""
+    s = 0
+    for a, b in zip(u, v):
+        s += a * b
+    return s
+
+
+def _integer_coordinates(vset: UnitVectorSet):
+    """(A, L): exact coordinates over their common denominator L as integers A = L*V,
+    held as int64 only when each entry of A A^T stays below 2^63."""
+    den = math.lcm(*(x.denominator for v in vset.vectors for x in v))
+    a = [[int(x.numerator) * (den // x.denominator) for x in v] for v in vset.vectors]
+    return exact_array(a, vset.dimension), den
+
+
 @dataclass(frozen=True)
 class GramAnalysis:
-    """Gram matrix plus the per-vertex negative-edge data the lemmas use."""
+    """Gram matrix plus the per-vertex negative-edge data the lemmas use.
 
-    gram: SymMatrix
+    ``gram`` is an IntegerGram in exact mode and a SymMatrix in float mode.
+    """
+
+    gram: SymMatrix | IntegerGram
     alpha: Scalar
     nplus: tuple      # per vertex, indices with inner product >= 0
     nminus: tuple     # per vertex, indices with inner product < 0
@@ -140,18 +169,46 @@ def min_distance(code: QaryCode) -> int:
     return int(min((w[i + 1:] != w[i]).sum(axis=1).min() for i in range(len(w) - 1)))
 
 
-def _squared_norms(vset: UnitVectorSet):
-    """Per-vector squared norms, summed in raw_gram's order, and the Gram's mode."""
+def _require_unit_norms(norms, one, typed_norm):
+    """Raise NonUnitVector at the first squared norm (numerator) that is not ``one``."""
+    bad = np.flatnonzero(np.asarray(norms, dtype=object) != one)
+    if bad.size:
+        i = int(bad[0])
+        raise NonUnitVector(i, typed_norm(i))
+
+
+def _exact_gram(vset: UnitVectorSet) -> IntegerGram:
+    """The IntegerGram of an exact set, after checking every norm exactly;
+    a file's norms are checked before its Gram is formed."""
     if vset.exact_gram is not None:
-        g = vset.exact_gram
-        return [g.rows[i][i] for i in range(g.n)], g.mode()
-    norms = []
-    for v in vset.vectors:
-        s = 0
-        for a in v:
-            s += a * a
-        norms.append(s)
-    return norms, vset.mode()
+        g = IntegerGram.of(vset.exact_gram)
+        _require_unit_norms(np.diagonal(g.num), g.den, lambda i: g.entry(i, i))
+        return g
+    a, den = _integer_coordinates(vset)
+    vectors = vset.vectors
+    _require_unit_norms((a * a).sum(axis=1), den * den, lambda i: _dot(vectors[i], vectors[i]))
+    return IntegerGram(a @ a.T, den * den, a)
+
+
+def _analyze_exact(vset: UnitVectorSet) -> GramAnalysis:
+    g = _exact_gram(vset)
+    n, num = g.n, g.num
+    if n == 1:
+        alpha = -1
+    else:
+        # the first maximum in row-major order, typed as the Gram entry is
+        iu = np.triu_indices(n, 1)
+        k = int(np.argmax(num[iu]))
+        i, j = int(iu[0][k]), int(iu[1][k])
+        alpha = g.entry(i, j) if vset.exact_gram is not None else \
+            _dot(vset.vectors[i], vset.vectors[j])
+    negative = num < 0       # never on the diagonal, which is den > 0
+    nplus = tuple(tuple(v for v in np.flatnonzero(~row).tolist() if v != u)
+                  for u, row in enumerate(negative))
+    nminus = tuple(tuple(np.flatnonzero(row).tolist()) for row in negative)
+    gamma = tuple(g.value(int(x)) if x else 0
+                  for x in np.where(negative, num, 0).sum(axis=1).tolist())
+    return GramAnalysis(g, alpha, nplus, nminus, gamma, vset.labels)
 
 
 def gram_analyze(vset: UnitVectorSet) -> GramAnalysis:
@@ -161,9 +218,15 @@ def gram_analyze(vset: UnitVectorSet) -> GramAnalysis:
     exact mode, within the float policy in float mode), before the Gram is built.
     Ties at inner product 0 are classified as nonnegative.
     """
-    norms, mode = _squared_norms(vset)
+    oracle = vset.exact_gram
+    if (oracle.mode() if oracle is not None else vset.mode()) == EXACT:
+        return _analyze_exact(vset)
+    if oracle is not None:
+        norms = [oracle.rows[i][i] for i in range(oracle.n)]
+    else:
+        norms = [_dot(v, v) for v in vset.vectors]
     for i, norm_sq in enumerate(norms):
-        if not unit_norm_ok(norm_sq, mode):
+        if not unit_norm_ok(norm_sq, FLOAT):
             raise NonUnitVector(i, norm_sq)
     gram = vset.raw_gram()
     n = gram.n
@@ -205,6 +268,23 @@ def verify_spherical_code(vset: UnitVectorSet, alpha_claim: Scalar) -> Certifica
                                         "alpha_claim": format_scalar(alpha_claim)})
 
 
+def _negative_energy(analysis: GramAnalysis) -> list:
+    """Per vertex, the sum of its squared negative inner products."""
+    gram = analysis.gram
+    if isinstance(gram, IntegerGram):
+        num = gram.num
+        sums = np.where(num < 0, num * num, 0).sum(axis=1).tolist()
+        return [gram.value(int(x), 2) for x in sums]
+    out = []
+    for u in range(analysis.n):
+        row = gram.rows[u]
+        lhs = 0
+        for v in analysis.nminus[u]:
+            lhs += row[v] * row[v]
+        out.append(lhs)
+    return out
+
+
 def _require_alpha_in_range(alpha):
     if alpha < 0 or alpha >= 1:
         raise AlphaOutOfRange(alpha)
@@ -215,11 +295,7 @@ def verify_lemma_beta(analysis: GramAnalysis) -> Certificate:
     _require_alpha_in_range(analysis.alpha)
     alpha = analysis.alpha
     links = []
-    for u in range(analysis.n):
-        row = analysis.gram.rows[u]
-        lhs = 0
-        for v in analysis.nminus[u]:
-            lhs += row[v] * row[v]
+    for u, lhs in enumerate(_negative_energy(analysis)):
         g = analysis.gamma[u]
         links.append(make_link(f"negative-edge energy at vertex {analysis.labels[u]}",
                                lhs, 1 + alpha * g * g))

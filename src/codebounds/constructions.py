@@ -5,8 +5,10 @@ involve them return float coordinates together with an exact Gram oracle;
 certificates evaluate against the oracle while the coordinates remain
 available for generic linear algebra.  There is one such oracle: under the
 simplex map the inner product of two words depends only on their Hamming
-distance d, as 1 - q*d/((q-1)*r).  The +-1 embedding is that map at q = 2,
-and the regular simplex is its image of the q one-symbol words (r = 1).
+distance d, as 1 - q*d/((q-1)*r).  It is held as integers: with
+C = q*onehot(word) - 1, the Gram is C C^T / (q(q-1)r) and C C^T =
+q(q-1)r - q^2 * distance.  The +-1 embedding is that map at q = 2, and the
+regular simplex is its image of the q one-symbol words (r = 1).
 """
 
 import math
@@ -17,7 +19,7 @@ import numpy as np
 
 from .codes import QaryCode, UnitVectorSet, distance_matrix, min_distance
 from .errors import CodeBoundsError, NotBinary, PreconditionViolated
-from .linalg import SymMatrix
+from .linalg import IntegerGram
 
 
 @dataclass(frozen=True)
@@ -79,11 +81,18 @@ def cross_polytope(r: int) -> UnitVectorSet:
     return UnitVectorSet(r, tuple(vectors), tuple(labels))
 
 
-def _distance_gram(code: QaryCode) -> SymMatrix:
-    """Exact Gram of the simplex image: entry (x, y) is 1 - q*d(x,y)/((q-1)*r)."""
+def _distance_gram(code: QaryCode) -> IntegerGram:
+    """Exact Gram of the simplex image: entry (x, y) is 1 - q*d(x,y)/((q-1)*r).
+
+    The factor is C without the last symbol's column in each coordinate block:
+    a block's q columns sum to zero, so the dropped one lies in the span of
+    the others and the rank is unchanged.
+    """
     q, r = code.q, code.r
-    values = [1 - Fraction(q * d, (q - 1) * r) for d in range(r + 1)]
-    return SymMatrix([values[d] for d in row.tolist()] for row in distance_matrix(code))
+    den = q * (q - 1) * r
+    words = np.array(code.words, dtype=np.int64)
+    factor = (words[:, :, None] == np.arange(q - 1)).reshape(len(code), (q - 1) * r) * q - 1
+    return IntegerGram(den - q * q * distance_matrix(code), den, factor)
 
 
 def simplex_vectors(q: int) -> UnitVectorSet:
@@ -124,7 +133,7 @@ class EmbeddedCode:
     source: QaryCode
     dimension: int
     coords: tuple
-    exact_gram: SymMatrix
+    exact_gram: IntegerGram
 
     def unit_vectors(self) -> UnitVectorSet:
         labels = tuple("".join(map(str, w)) for w in self.source.words)
@@ -142,7 +151,9 @@ class EmbeddedCode:
         """Largest |float inner product - exact Gram entry| over all pairs."""
         m = np.array(self.coords)
         dev = m @ m.T
-        dev -= np.array(self.exact_gram.rows, dtype=float)
+        # numerator and denominator are exact floats, so the quotient is the
+        # correctly rounded entry
+        dev -= self.exact_gram.num / self.exact_gram.den
         return float(np.triu(np.abs(dev, out=dev)).max(initial=0.0))
 
 

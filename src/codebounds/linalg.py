@@ -1,18 +1,32 @@
-"""Symmetric-matrix primitives over dual-mode scalars.
+"""Symmetric matrices, exact integer Grams, and rank.
 
-Exact mode runs fraction-free (Bareiss) elimination on an integer-rescaled
-copy so intermediate entries stay bounded by minor determinants; float mode
-uses partially pivoted elimination with a relative pivot threshold.  The
-positive-semidefiniteness check is a diagonally pivoted LDL^T factorization
-that, on failure, lifts a certified negative-energy direction back through
-the partially built factor.
+An exact Gram is held as an ``IntegerGram``: integer numerators N over one
+positive integer denominator c, so that G = N / c, together with an integer
+matrix of the same rank over Q (the factor).  Integer arrays are numpy int64
+only while every sum of products they enter stays below 2^63, and Python
+ints otherwise.
+
+Exact rank eliminates an integer matrix modulo the fixed prime ``P`` in
+numpy.  A rank mod P never exceeds the rank over Q, which never exceeds
+min(rows, cols), so the modular count is returned only when it reaches that
+minimum; otherwise fraction-free (Bareiss) elimination of the same integer
+matrix decides.  Float mode uses partially pivoted elimination with a
+relative pivot threshold.  The positive-semidefiniteness check is a
+diagonally pivoted LDL^T factorization that, on failure, lifts a certified
+negative-energy direction back through the partially built factor.
 """
 
 from fractions import Fraction
-from math import gcd, sqrt
+from math import isfinite, lcm, sqrt
+
+import numpy as np
 
 from .certificates import Certificate, make_link
+from .errors import InvalidCode
 from .scalars import ABS_EPS, EXACT, REL_EPS, Scalar, join_modes, mode_of
+
+# 2^31 - 1 is prime, and a product of two residues stays below 2^62
+P = 2_147_483_647
 
 
 class SymMatrix:
@@ -52,15 +66,81 @@ class SymMatrix:
         return join_modes(*(mode_of(x) for row in self.rows for x in row)) if self.n else EXACT
 
 
-def trace(m: SymMatrix) -> Scalar:
+def exact_array(values, terms: int) -> np.ndarray:
+    """Integer array for sums of up to ``terms`` products of two entries:
+    numpy int64 when such a sum stays below 2^63, Python ints otherwise."""
+    a = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    bound = int(np.abs(a).max(initial=0))
+    return a.astype(np.int64 if terms * bound * bound < 2 ** 63 else object)
+
+
+class IntegerGram:
+    """Exact Gram matrix ``num / den`` with an integer factor of the same rank.
+
+    ``num`` is symmetric with entries fit for sums of n^2 products
+    (``exact_array``) and ``den`` is a positive int.  ``factor`` is an integer
+    matrix whose rank over Q is the Gram's: scaled coordinates, a code's
+    one-hot matrix, or ``num`` itself.  ``rows`` builds the entries as
+    Fractions (ints when ``den`` is 1) on first use.
+    """
+
+    __slots__ = ("num", "den", "factor", "_rows")
+
+    def __init__(self, num, den: int, factor=None, rows=None):
+        self.num = exact_array(num, len(num) ** 2)
+        self.den = den
+        self.factor = self.num if factor is None else factor
+        self._rows = rows
+
+    @classmethod
+    def of(cls, m: "SymMatrix | IntegerGram") -> "IntegerGram":
+        """An exact matrix over the lcm of its denominators (an IntegerGram as is)."""
+        if isinstance(m, IntegerGram):
+            return m
+        den = lcm(*(x.denominator for row in m.rows for x in row))
+        num = [[int(x.numerator) * (den // x.denominator) for x in row] for row in m.rows]
+        return cls(num, den, rows=m.rows)
+
+    @property
+    def n(self) -> int:
+        return len(self.num)
+
+    def mode(self) -> str:
+        return EXACT
+
+    def value(self, x: int, power: int = 1) -> Scalar:
+        """x / den^power: an int when den is 1, else a Fraction."""
+        return x if self.den == 1 else Fraction(x, self.den ** power)
+
+    def entry(self, i, j) -> Scalar:
+        if self._rows is not None:
+            return self._rows[i][j]
+        return self.value(int(self.num[i, j]))
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            values, index = np.unique(self.num, return_inverse=True)
+            entries = [self.value(int(x)) for x in values.tolist()]
+            self._rows = [[entries[k] for k in row] for row in index.tolist()]
+        return self._rows
+
+    def __eq__(self, other):
+        return isinstance(other, IntegerGram) and self.rows == other.rows
+
+
+def trace(m: SymMatrix | IntegerGram) -> Scalar:
     total = 0
     for i in range(m.n):
         total += m.rows[i][i]
     return total
 
 
-def trace_of_square(m: SymMatrix) -> Scalar:
+def trace_of_square(m: SymMatrix | IntegerGram) -> Scalar:
     """Sum of squared entries; equals the trace of M^2 for symmetric M."""
+    if m.mode() == EXACT:
+        g = IntegerGram.of(m)
+        return g.value(int((g.num * g.num).sum()), 2)
     total = 0
     for row in m.rows:
         for x in row:
@@ -68,21 +148,29 @@ def trace_of_square(m: SymMatrix) -> Scalar:
     return total
 
 
-def _integer_rows(rows):
-    """Scale each row by the lcm of its denominators (rank-preserving)."""
-    out = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        lcm = 1
-        for x in fr:
-            d = x.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        out.append([int(x * lcm) for x in fr])
-    return out
+def _rank_mod_p(a) -> int:
+    """Rank of an integer matrix over the field of P elements."""
+    a = (a % P).astype(np.int64)
+    if a.shape[0] < a.shape[1]:      # one step per column: eliminate along the shorter side
+        a = a.T.copy()
+    rank_count = 0
+    for col in range(a.shape[1]):
+        nonzero = np.flatnonzero(a[rank_count:, col])
+        if nonzero.size == 0:
+            continue
+        pivot_row = rank_count + int(nonzero[0])
+        if pivot_row != rank_count:
+            a[[rank_count, pivot_row]] = a[[pivot_row, rank_count]]
+        unit_row = a[rank_count, col:] * pow(int(a[rank_count, col]), -1, P) % P
+        below = a[rank_count + 1:, col:]
+        below -= below[:, :1] * unit_row
+        below %= P
+        rank_count += 1
+    return rank_count
 
 
-def _rank_exact(rows) -> int:
-    a = _integer_rows(rows)
+def _rank_bareiss(a) -> int:
+    """Fraction-free elimination on integer rows; entries stay bounded by minors."""
     nr = len(a)
     nc = nr and len(a[0])
     prev = 1
@@ -112,6 +200,19 @@ def _rank_exact(rows) -> int:
     return rank_count
 
 
+def integer_rank(a) -> int:
+    """Rank over Q of a 2-D integer numpy array (int64 or Python ints).
+
+    The rank mod P is a lower bound and min(rows, cols) an upper one, so the
+    modular count is exact when it reaches that minimum; otherwise Bareiss
+    elimination on the same matrix decides.
+    """
+    bound = min(a.shape)
+    if bound == 0 or _rank_mod_p(a) == bound:
+        return bound
+    return _rank_bareiss(a.tolist())
+
+
 def _rank_float(rows) -> int:
     a = [[float(x) for x in row] for row in rows]
     nr = len(a)
@@ -138,12 +239,12 @@ def _rank_float(rows) -> int:
     return rank_count
 
 
-def rank(m: SymMatrix) -> int:
-    """Matrix rank; exact elimination when all entries are exact, else pivoted float."""
+def rank(m: SymMatrix | IntegerGram) -> int:
+    """Matrix rank: exact from an integer factor when every entry is exact, else pivoted float."""
     if m.n == 0:
         return 0
     if m.mode() == EXACT:
-        return _rank_exact(m.rows)
+        return integer_rank(IntegerGram.of(m).factor)
     return _rank_float(m.rows)
 
 
@@ -243,10 +344,18 @@ def _swap_sym(a, i, j):
         row[i], row[j] = row[j], row[i]
 
 
-def verify_trace_rank(m: SymMatrix) -> Certificate:
-    """Certify tr(M)^2 <= rank(M) * tr(M^2) for a symmetric matrix."""
+def verify_trace_rank(m: SymMatrix | IntegerGram) -> Certificate:
+    """Certify tr(M)^2 <= rank(M) * tr(M^2) for a symmetric matrix.
+
+    Raises InvalidCode when a float side overflows to infinity.
+    """
+    if m.mode() == EXACT:
+        m = IntegerGram.of(m)
     r = rank(m)
     t = trace(m)
-    link = make_link("squared trace at most rank times trace of square",
-                     t * t, r * trace_of_square(m))
+    lhs, rhs = t * t, r * trace_of_square(m)
+    for side, value in (("squared trace", lhs), ("rank times trace of square", rhs)):
+        if isinstance(value, float) and not isfinite(value):
+            raise InvalidCode(f"{side} overflows a float")
+    link = make_link("squared trace at most rank times trace of square", lhs, rhs)
     return Certificate.from_links("trace-rank", [link], meta={"rank": r, "dimension": m.n})

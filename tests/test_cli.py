@@ -284,3 +284,34 @@ def test_written_files_round_trip_exactly(tmp_path, capsys):
     run(capsys, "construct", "crosspolytope", "--r", "4", "--out", str(path))
     parsed = parse_spherical(path.read_text(), exact=True)
     assert parsed.vectors == cross_polytope(4).vectors
+
+
+def test_verify_trace_rank_float_squared_trace_overflow_exits_2(tmp_path, capsys):
+    # both squared norms are finite, but tr(M)^2 = 10^600 is not
+    path = tmp_path / "wide.sphere"
+    path.write_text("sphere 2\n1" + "0" * 150 + " 0\n0 1\n")
+    code, out, err = run(capsys, "verify", "trace-rank", "--in", str(path), "--float")
+    assert code == 2
+    assert out == ""
+    assert err == "error: squared trace overflows a float\n"
+
+
+def test_main_repeats_identically_within_one_process(tmp_path, capsys):
+    path = tmp_path / "cp.sphere"
+    sequence = [
+        ["--version"],
+        ["bound", "m", "--r", "4", "--alpha", "0"],
+        ["bound", "m", "--r", "4"],                      # argparse error
+        ["bound", "nonsense"],
+        ["construct", "crosspolytope", "--r", "3", "--out", str(path)],
+        ["verify", "chain", "--in", str(path)],
+        ["verify", "spherical", "--in", str(path), "--alpha=-1/2"],
+        ["verify", "chain", "--in", str(path), "--float", "--exact"],
+        ["search", "greedy", "--q", "2", "--r", "5", "--s", "3"],
+    ]
+    first = [run(capsys, *argv) for argv in sequence]
+    assert [code for code, _, _ in first] == [0, 0, 2, 2, 0, 0, 1, 2, 0]
+    first[4:6] = [(code, out, "") for code, out, _ in first[4:6]]
+    second = [run(capsys, *argv) for argv in sequence]
+    second[4:6] = [(code, out, "") for code, out, _ in second[4:6]]
+    assert second == first
