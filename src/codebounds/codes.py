@@ -70,8 +70,7 @@ class UnitVectorSet:
         if self.exact_gram is not None:
             return SymMatrix(self.exact_gram.rows)
         if self.mode() == EXACT:
-            a, den = _integer_coordinates(self)
-            return SymMatrix(IntegerGram(a @ a.T, den * den).rows)
+            return SymMatrix(integer_gram(self).rows)
         n = len(self.vectors)
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
@@ -177,21 +176,25 @@ def _require_unit_norms(norms, one, typed_norm):
         raise NonUnitVector(i, typed_norm(i))
 
 
-def _exact_gram(vset: UnitVectorSet) -> IntegerGram:
-    """The IntegerGram of an exact set, after checking every norm exactly;
-    a file's norms are checked before its Gram is formed."""
+def integer_gram(vset: UnitVectorSet, unit: bool = False) -> IntegerGram:
+    """The IntegerGram of an exact set: its oracle, or a file's A A^T over L^2
+    with the coordinates A as the factor.  With ``unit`` every squared norm is
+    first checked to be exactly 1; a file's before its Gram is formed."""
     if vset.exact_gram is not None:
         g = IntegerGram.of(vset.exact_gram)
-        _require_unit_norms(np.diagonal(g.num), g.den, lambda i: g.entry(i, i))
+        if unit:
+            _require_unit_norms(np.diagonal(g.num), g.den, lambda i: g.entry(i, i))
         return g
     a, den = _integer_coordinates(vset)
-    vectors = vset.vectors
-    _require_unit_norms((a * a).sum(axis=1), den * den, lambda i: _dot(vectors[i], vectors[i]))
+    if unit:
+        vectors = vset.vectors
+        _require_unit_norms((a * a).sum(axis=1), den * den,
+                            lambda i: _dot(vectors[i], vectors[i]))
     return IntegerGram(a @ a.T, den * den, a)
 
 
 def _analyze_exact(vset: UnitVectorSet) -> GramAnalysis:
-    g = _exact_gram(vset)
+    g = integer_gram(vset, unit=True)
     n, num = g.n, g.num
     if n == 1:
         alpha = -1

@@ -16,7 +16,8 @@ Scalar = Union[int, Fraction, float]
 EXACT = "exact"
 FLOAT = "float"
 
-_SCALAR_RE = re.compile(r"^[+-]?(\d+(\.\d+)?|\d+/\d+)$")
+# groups: sign, then whole and fraction digits, or numerator and denominator
+_SCALAR_RE = re.compile(r"([+-]?)(?:(\d+)(?:\.(\d+))?|(\d+)/(\d+))")
 
 
 def mode_of(x: Scalar) -> str:
@@ -40,18 +41,26 @@ def parse_scalar(token: str, exact: bool = True) -> Scalar:
     exact, e.g. "0.2" -> 1/5); in float mode the value is rounded to nearest.
     """
     token = token.strip()
-    if not _SCALAR_RE.match(token):
+    match = _SCALAR_RE.fullmatch(token)
+    if not match:
         raise ValueError(f"not a scalar token: {token!r}")
-    if "/" in token:
-        num, den = token.split("/")
-        if int(den) == 0:
+    sign, whole, frac, num, den = match.groups()
+    if den is not None:
+        den = int(den)
+        if den == 0:
             raise ValueError(f"zero denominator in {token!r}")
-        value = Fraction(int(num), int(den))
+        value = Fraction(int(sign + num), den)
         return value if exact else float(value)
-    if exact:
-        value = Fraction(token)
-        return value.numerator if value.denominator == 1 else value
-    return float(token)
+    if not exact:
+        return float(token)
+    # built from the matched digits as Fraction(token) builds it, without a second parse
+    value = int(whole)
+    if frac is not None:
+        scale = 10 ** len(frac)
+        value = Fraction(value * scale + int(frac), scale)
+        if value.denominator == 1:
+            value = value.numerator
+    return -value if sign == "-" else value
 
 
 def format_scalar(x: Scalar) -> str:

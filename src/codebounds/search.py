@@ -7,6 +7,7 @@ coloring of the candidates (classes are sets pairwise closer than s), which
 prunes dense low-distance instances that a size-only bound cannot touch.
 """
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -143,12 +144,6 @@ def exact_max_code(q: int, r: int, s: int, node_limit: int = 10_000_000) -> Sear
     return result
 
 
-def _max_offdiag(gram):
-    g = gram.copy()
-    np.fill_diagonal(g, -np.inf)
-    return float(g.max())
-
-
 def heuristic_rho(r: int, n: int, iterations: int = 2000, seed: int = 0) -> SearchResult:
     """Push n unit vectors in R^r apart by annealed log-sum-exp descent.
 
@@ -160,34 +155,67 @@ def heuristic_rho(r: int, n: int, iterations: int = 2000, seed: int = 0) -> Sear
     lets late iterations polish to ~1e-12.
     Deterministic for a fixed seed; the reported value is the true maximum
     pairwise inner product of the final configuration.
+
+    Every iteration works in four arrays allocated once per run (the n x n
+    weights, two n x r and one n x 1) and performs the same floating-point
+    operations in the same order as a loop with fresh temporaries
+    (``v @ v.T``, ``np.where`` over an off-diagonal mask, ``np.linalg.norm``),
+    so the results are bit-identical to that loop's for every seed.
+    Raises PreconditionViolated for n < 2, r < 1, iterations < 0 or seed < 0.
     """
     if n < 2 or r < 1:
         raise PreconditionViolated(f"need n >= 2 and r >= 1, got n={n}, r={r}")
+    if iterations < 0 or seed < 0:
+        raise PreconditionViolated(
+            f"need iterations >= 0 and seed >= 0, got iterations={iterations}, seed={seed}")
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n, r))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    pair_mask = ~np.eye(n, dtype=bool)
+    w = np.empty((n, n))        # the Gram, then the softmax weights
+    grad = np.empty((n, r))
+    tmp = np.empty((n, r))
+    col = np.empty((n, 1))
+    diagonal = w.reshape(-1)[::n + 1]
+    flat_grad = grad.reshape(-1)
+
+    def renormalize():
+        # v /= np.linalg.norm(v, axis=1, keepdims=True), step for step
+        np.multiply(v, v, out=tmp)
+        np.add.reduce(tmp, axis=1, keepdims=True, out=col)
+        np.sqrt(col, out=col)
+        np.divide(v, col, out=v)
+
+    def gram_max():
+        # the largest off-diagonal inner product; the diagonal is left at -inf
+        np.matmul(v, v.T, out=w)
+        diagonal.fill(-np.inf)
+        return np.maximum.reduce(w, axis=None)
+
+    renormalize()
     step = 0.5
     previous_max = np.inf
     for i in range(iterations):
         tau = max(0.97 ** i, 1e-9)
-        gram = v @ v.T
-        current_max = gram[pair_mask].max()
-        shifted = np.where(pair_mask, (gram - current_max) / tau, -np.inf)
-        weights = np.exp(shifted)
-        weights /= weights.sum()
-        grad = weights @ v                      # d/dv_i of the smoothed max
-        grad -= (grad * v).sum(axis=1, keepdims=True) * v   # tangent part
+        current_max = gram_max()
+        w -= current_max
+        w /= tau
+        np.exp(w, out=w)
+        w /= np.add.reduce(w, axis=None)
+        np.matmul(w, v, out=grad)               # d/dv_i of the smoothed max
+        np.multiply(grad, v, out=tmp)           # minus the radial part
+        np.add.reduce(tmp, axis=1, keepdims=True, out=col)
+        np.multiply(col, v, out=tmp)
+        grad -= tmp
         if current_max > previous_max:
             step = max(step * 0.5, 1e-12)
         else:
             step = min(step * 1.05, 0.5)
         previous_max = current_max
-        norm = np.linalg.norm(grad)
+        norm = math.sqrt(flat_grad.dot(flat_grad))   # np.linalg.norm(grad)
         if norm > 0:
-            v -= step * grad / norm
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-    gram = v @ v.T
-    achieved = _max_offdiag(gram)
+            grad *= step
+            grad /= norm
+            v -= grad
+        renormalize()
+    achieved = float(gram_max())
     witness = UnitVectorSet(r, tuple(map(tuple, v.tolist())))
     return SearchResult(achieved, witness, iterations, optimal=None, seed=seed)

@@ -229,6 +229,15 @@ def test_search_rho_deterministic(tmp_path, capsys):
     assert serialize_spherical(va) == serialize_spherical(vb)
 
 
+
+@pytest.mark.parametrize("flag, value, got", [("--iterations", "-5", "iterations=-5, seed=0"),
+                                              ("--seed", "-1", "iterations=2000, seed=-1")])
+def test_search_rho_rejects_negative_iterations_and_seed(capsys, flag, value, got):
+    code, out, err = run(capsys, "search", "rho", "--r", "2", "--n", "5", flag, value)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: need iterations >= 0 and seed >= 0, got {got}\n"
+
 def test_verify_trace_rank_cli(tmp_path, capsys):
     path = tmp_path / "cp.sphere"
     run(capsys, "construct", "crosspolytope", "--r", "3", "--out", str(path))

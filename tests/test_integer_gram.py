@@ -9,13 +9,15 @@ from math import gcd
 import numpy as np
 import pytest
 
+from codebounds import linalg
 from codebounds.certificates import Certificate, make_link
+from codebounds.cli import main
 from codebounds.codes import (QaryCode, UnitVectorSet, certify_chain,
                               gram_analyze, hamming_distance, verify_lemma_beta,
                               verify_lemma_gamma, verify_spherical_code)
 from codebounds.constructions import embed_qary
 from codebounds.errors import AlphaOutOfRange, NonUnitVector
-from codebounds.fileio import certificate_json
+from codebounds.fileio import certificate_json, serialize_spherical
 from codebounds.linalg import (P, SymMatrix, integer_rank, rank,
                                trace_of_square, verify_trace_rank)
 from codebounds.scalars import format_scalar
@@ -285,3 +287,29 @@ def test_int64_guard_on_large_denominators(digits):
     assert certificate_json(verify_lemma_beta(analysis)) == \
         certificate_json(ref_beta(rows, vset.labels))
     assert certificate_json(verify_lemma_gamma(analysis)) == certificate_json(ref_gamma(rows))
+
+
+def test_verify_trace_rank_cli_ranks_the_coordinates(tmp_path, capsys, monkeypatch):
+    # n > d: the n x n Gram is rank-deficient, the n x d coordinate matrix is not wider
+    shapes = []
+    real_rank = linalg.integer_rank
+
+    def recorded(a):
+        shapes.append(a.shape)
+        return real_rank(a)
+
+    monkeypatch.setattr(linalg, "integer_rank", recorded)
+    rng = random.Random(20261018)
+    path = tmp_path / "wide.sphere"
+    for _ in range(40):
+        d = rng.randint(1, 5)
+        n = rng.randint(d + 1, 3 * d + 3)
+        vectors = [sphere_point(rng, d, rng.choice((1, 2, 4, 30))) for _ in range(n)]
+        if rng.random() < 0.3:    # trace-rank does not need unit norms
+            vectors[0] = tuple(Fraction(3, 2) * x for x in vectors[0])
+        path.write_text(serialize_spherical(UnitVectorSet(d, tuple(vectors))))
+        shapes.clear()
+        assert main(["verify", "trace-rank", "--in", str(path)]) == 0
+        out, _ = capsys.readouterr()
+        assert out == certificate_json(ref_trace_rank(ref_gram(vectors))) + "\n"
+        assert shapes == [(n, d)]

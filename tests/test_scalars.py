@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -89,3 +90,61 @@ def test_tolerance_policy():
     assert not slack_ok(Fraction(-1, 10**20), EXACT)
     assert slack_ok(-1e-13, FLOAT)
     assert not slack_ok(-1e-11, FLOAT)
+
+
+def _digits(rng):
+    length = rng.choice((1, 1, 2, 3, 5, 20, 400))
+    body = "".join(rng.choice("0123456789") for _ in range(length))
+    return "0" * rng.choice((0, 0, 1, 3)) + body + "0" * rng.choice((0, 0, 2))
+
+
+def _tokens():
+    rng = random.Random(20261018)
+    tokens = ["0", "-0", "+0", "0.0", "-0.000", "0/7", "-0/7", "+0/7", "007", "-1.000",
+              "2.50", "-0.125", "6/3", "-6/4", "1" * 400, "-" + "9" * 400 + "." + "0" * 400]
+    for _ in range(600):
+        sign = rng.choice(("", "+", "-"))
+        form = rng.choice(("int", "decimal", "ratio"))
+        if form == "int":
+            tokens.append(sign + _digits(rng))
+        elif form == "decimal":
+            tokens.append(sign + _digits(rng) + "." + _digits(rng))
+        else:
+            den = _digits(rng)
+            tokens.append(sign + _digits(rng) + "/" + (den if den.strip("0") else "1"))
+    return tokens
+
+
+def test_parse_exact_matches_fraction_of_the_token():
+    for token in _tokens():
+        reference = Fraction(token)
+        if "/" not in token and reference.denominator == 1:
+            reference = reference.numerator
+        value = parse_scalar(token, exact=True)
+        assert type(value) is type(reference) and value == reference, token
+        assert _outcome(parse_scalar, token, exact=False) == _outcome(_float_of, token), token
+
+
+def _float_of(token):
+    return float(Fraction(token)) if "/" in token else float(token)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except OverflowError:       # a 400-digit ratio has no float
+        return OverflowError
+
+
+@pytest.mark.parametrize("token, message", [
+    ("1e5", "not a scalar token: '1e5'"),
+    ("1.", "not a scalar token: '1.'"),
+    (".5", "not a scalar token: '.5'"),
+    ("1/0", "zero denominator in '1/0'"),
+    ("+-1", "not a scalar token: '+-1'"),
+])
+def test_parse_error_texts(token, message):
+    for exact in (True, False):
+        with pytest.raises(ValueError) as err:
+            parse_scalar(token, exact=exact)
+        assert str(err.value) == message

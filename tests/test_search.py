@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -167,3 +168,73 @@ def test_heuristic_never_below_certified_bound():
                 result = heuristic_rho(r, n, iterations=800, seed=seed)
                 bound = rho_lower(r, n - 2 * r)
                 assert result.value >= bound.value - 1e-6
+
+
+# sha256 of repr((value, witness.vectors)) for heuristic_rho(r, n, iterations, seed):
+# every float the optimizer returns, pinned bit for bit (a BLAS that rounds
+# its matrix products differently would change them)
+RHO_GOLDEN = [
+    (1, 2, 300, 0, "f5ff261576f0d848a577abc9ef026d6d739bc00956ad06838403705dcad794c5"),
+    (1, 2, 300, 9, "08d9bfea2e57a74e38ff0ed99b2f0b4cd0ddea2dfddc8c7b778553e5c2488649"),
+    (5, 3, 300, 1, "54f681746e997b9ebdb5d268c3a118e3fce02e9403dde191ede1ac8e1522d696"),
+    (7, 2, 300, 4, "935be48bc4df4021fb6304032163ef2d5daa6c5402bb6374ca664d77e4edd0d6"),
+    (3, 6, 300, 0, "d5007cbb150649e952e83f65e622590f9ee2607fc0add004e4585a036f3d176d"),
+    (3, 5, 300, 2, "a10b6e2b95f9c1c6f352efb411f9b45ff985b8cd3e1422cc46073b54daea29f8"),
+    (4, 8, 300, 5, "53ff5b247291e4febf3de0ccd6b6a48f96c7e2e59ec94f8fff81a4318940cda9"),
+    (4, 7, 300, 11, "2e8190673f6865920c87efe4e2ec2bddbe830ffa8ca20c397625f1b82c6f036e"),
+    (3, 4, 0, 3, "1d7bc3fefc8ca3de6df595ae2a39b8f5a670ed9b41f7d00c4571f69be0e50fe6"),
+    (2, 5, 2000, 1234567, "cf03486e015d86c67db8de1d18e0a592422b95ae8f99471ec8c4914a97f1e9ed"),
+    (6, 18, 2000, 2 ** 31 - 1, "8ad19b731ee80b28fa938beb094fbefd3cef07019d116aad94573c1f6f9e9935"),
+    (50, 200, 50, 77, "75b1f473f567c5194806b005a1402093ed3d4e18df8b0fc2d5cd93074ad3a1e0"),
+]
+
+
+@pytest.mark.parametrize("r, n, iterations, seed, digest", RHO_GOLDEN,
+                         ids=[f"r{c[0]}-n{c[1]}-it{c[2]}-seed{c[3]}" for c in RHO_GOLDEN])
+def test_heuristic_rho_golden_digests(r, n, iterations, seed, digest):
+    result = heuristic_rho(r, n, iterations=iterations, seed=seed)
+    blob = repr((result.value, result.witness.vectors)).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+    assert (result.nodes, result.seed, result.optimal) == (iterations, seed, None)
+
+
+def _fresh_temporaries_rho(r, n, iterations, seed):
+    """Reference: the optimizer loop with a fresh array for every step."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(n, r))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    pair_mask = ~np.eye(n, dtype=bool)
+    step, previous_max = 0.5, np.inf
+    for i in range(iterations):
+        tau = max(0.97 ** i, 1e-9)
+        gram = v @ v.T
+        current_max = gram[pair_mask].max()
+        weights = np.exp(np.where(pair_mask, (gram - current_max) / tau, -np.inf))
+        weights /= weights.sum()
+        grad = weights @ v
+        grad -= (grad * v).sum(axis=1, keepdims=True) * v
+        step = max(step * 0.5, 1e-12) if current_max > previous_max else min(step * 1.05, 0.5)
+        previous_max = current_max
+        norm = np.linalg.norm(grad)
+        if norm > 0:
+            v -= step * grad / norm
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    gram = v @ v.T
+    np.fill_diagonal(gram, -np.inf)
+    return float(gram.max()), tuple(map(tuple, v.tolist()))
+
+
+def test_heuristic_rho_equals_the_fresh_temporaries_loop():
+    rng = np.random.default_rng(20261018)
+    for _ in range(40):
+        r = int(rng.integers(1, 9))
+        n = int(rng.choice([2, 3, r, 2 * r - 1, 2 * r, 2 * r + 1, rng.integers(2, 40)]))
+        n, seed = max(n, 2), int(rng.integers(2 ** 31))
+        result = heuristic_rho(r, n, iterations=200, seed=seed)
+        assert (result.value, result.witness.vectors) == _fresh_temporaries_rho(r, n, 200, seed)
+
+@pytest.mark.parametrize("r, n, iterations, seed", [(2, 1, 10, 0), (0, 3, 10, 0),
+                                                    (2, 5, -1, 0), (2, 5, 10, -1)])
+def test_heuristic_rho_rejects_bad_inputs(r, n, iterations, seed):
+    with pytest.raises(PreconditionViolated):
+        heuristic_rho(r, n, iterations=iterations, seed=seed)
