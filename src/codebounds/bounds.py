@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NegativeAlpha, NegativeJ, OddBlockLength, OracleRange, PreconditionViolated
-from .scalars import Scalar, format_scalar, to_fraction
+from .scalars import Scalar, format_scalar
 
 CERTIFIED_EXACT = "certified-exact"
 CERTIFIED_FLOAT = "certified-float"
@@ -127,7 +127,7 @@ def m_upper(r: int, alpha: Scalar) -> BoundReport:
     """
     if r < 1:
         raise PreconditionViolated(f"dimension must be >= 1, got {r}")
-    alpha = to_fraction(alpha)
+    alpha = Fraction(alpha)     # lossless: every binary float is a rational
     if alpha < 0:
         raise NegativeAlpha(f"alpha must be >= 0, got {alpha}")
     a, b = alpha.numerator, alpha.denominator

@@ -3,11 +3,13 @@
 A ``UnitVectorSet`` may carry an exact Gram oracle alongside float
 coordinates; constructions with irrational coordinates but rational inner
 products (simplices, distance-based embeddings) use this to keep all
-certificates in exact arithmetic.
+certificates in exact arithmetic.  The oracle is held as an ``IntegerGram``
+from construction on: an exact ``SymMatrix`` is scaled to integers there, and
+one with a float entry is rejected.
 
 Exact analysis works on an ``IntegerGram``: a rational file's coordinates
-scaled to integers A = L*V give numerators A A^T over L^2, an oracle brings
-its own.  Fractions are made only for values that a certificate or an error
+scaled to integers A = L*V give numerators A A^T over L^2, an oracle is one
+already.  Fractions are made only for values that a certificate or an error
 message prints.
 """
 
@@ -20,7 +22,7 @@ import numpy as np
 from .certificates import Certificate, make_link
 from .errors import (AlphaOutOfRange, DuplicateCodewords, InvalidCode,
                      NonUnitVector, TooFewWords)
-from .linalg import IntegerGram, SymMatrix, exact_array, rank, trace_of_square
+from .linalg import IntegerGram, SymMatrix, exact_array, rank, scaled_integers, trace_of_square
 from .scalars import EXACT, FLOAT, Scalar, format_scalar, join_modes, mode_of, unit_norm_ok
 
 
@@ -28,14 +30,14 @@ from .scalars import EXACT, FLOAT, Scalar, format_scalar, join_modes, mode_of, u
 class UnitVectorSet:
     """n vectors in R^d claimed to lie on the unit sphere.
 
-    ``exact_gram``, when given, is the exact Gram oracle: a SymMatrix or an
-    IntegerGram.
+    ``exact_gram``, when given, is the exact Gram oracle.  It is passed as an
+    IntegerGram or an exact SymMatrix and held as an IntegerGram.
     """
 
     dimension: int
     vectors: tuple
     labels: tuple = ()
-    exact_gram: SymMatrix | IntegerGram = None
+    exact_gram: IntegerGram = None
 
     def __post_init__(self):
         vectors = tuple(tuple(v) for v in self.vectors)
@@ -49,8 +51,13 @@ class UnitVectorSet:
         if len(labels) != len(vectors):
             raise InvalidCode("label count differs from vector count")
         object.__setattr__(self, "labels", labels)
-        if self.exact_gram is not None and self.exact_gram.n != len(vectors):
-            raise InvalidCode("exact Gram dimension differs from vector count")
+        gram = self.exact_gram
+        if gram is not None:
+            if gram.n != len(vectors):
+                raise InvalidCode("exact Gram dimension differs from vector count")
+            if gram.mode() != EXACT:
+                raise InvalidCode("an exact Gram oracle needs exact entries")
+            object.__setattr__(self, "exact_gram", IntegerGram.of(gram))
 
     def __len__(self):
         return len(self.vectors)
@@ -65,10 +72,6 @@ class UnitVectorSet:
 
         Raises InvalidCode when a float squared norm overflows to infinity.
         """
-        if isinstance(self.exact_gram, SymMatrix):
-            return self.exact_gram
-        if self.exact_gram is not None:
-            return SymMatrix(self.exact_gram.rows)
         if self.mode() == EXACT:
             return SymMatrix(integer_gram(self).rows)
         n = len(self.vectors)
@@ -89,14 +92,6 @@ def _dot(u, v) -> Scalar:
     for a, b in zip(u, v):
         s += a * b
     return s
-
-
-def _integer_coordinates(vset: UnitVectorSet):
-    """(A, L): exact coordinates over their common denominator L as integers A = L*V,
-    held as int64 only when each entry of A A^T stays below 2^63."""
-    den = math.lcm(*(x.denominator for v in vset.vectors for x in v))
-    a = [[int(x.numerator) * (den // x.denominator) for x in v] for v in vset.vectors]
-    return exact_array(a, vset.dimension), den
 
 
 @dataclass(frozen=True)
@@ -151,7 +146,8 @@ class QaryCode:
 
 
 def hamming_distance(x, y) -> int:
-    return sum(1 for a, b in zip(x, y) if a != b)
+    """Positions where two words differ; raises ValueError when their lengths differ."""
+    return sum(1 for a, b in zip(x, y, strict=True) if a != b)
 
 
 def distance_matrix(code: QaryCode) -> np.ndarray:
@@ -180,12 +176,14 @@ def integer_gram(vset: UnitVectorSet, unit: bool = False) -> IntegerGram:
     """The IntegerGram of an exact set: its oracle, or a file's A A^T over L^2
     with the coordinates A as the factor.  With ``unit`` every squared norm is
     first checked to be exactly 1; a file's before its Gram is formed."""
-    if vset.exact_gram is not None:
-        g = IntegerGram.of(vset.exact_gram)
+    g = vset.exact_gram
+    if g is not None:
         if unit:
             _require_unit_norms(np.diagonal(g.num), g.den, lambda i: g.entry(i, i))
         return g
-    a, den = _integer_coordinates(vset)
+    a, den = scaled_integers(vset.vectors)
+    # int64 only when each entry of A A^T stays below 2^63
+    a = exact_array(a, vset.dimension)
     if unit:
         vectors = vset.vectors
         _require_unit_norms((a * a).sum(axis=1), den * den,
@@ -221,14 +219,10 @@ def gram_analyze(vset: UnitVectorSet) -> GramAnalysis:
     exact mode, within the float policy in float mode), before the Gram is built.
     Ties at inner product 0 are classified as nonnegative.
     """
-    oracle = vset.exact_gram
-    if (oracle.mode() if oracle is not None else vset.mode()) == EXACT:
+    if vset.mode() == EXACT:
         return _analyze_exact(vset)
-    if oracle is not None:
-        norms = [oracle.rows[i][i] for i in range(oracle.n)]
-    else:
-        norms = [_dot(v, v) for v in vset.vectors]
-    for i, norm_sq in enumerate(norms):
+    for i, v in enumerate(vset.vectors):
+        norm_sq = _dot(v, v)
         if not unit_norm_ok(norm_sq, FLOAT):
             raise NonUnitVector(i, norm_sq)
     gram = vset.raw_gram()

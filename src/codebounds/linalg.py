@@ -11,9 +11,7 @@ numpy.  A rank mod P never exceeds the rank over Q, which never exceeds
 min(rows, cols), so the modular count is returned only when it reaches that
 minimum; otherwise fraction-free (Bareiss) elimination of the same integer
 matrix decides.  Float mode uses partially pivoted elimination with a
-relative pivot threshold.  The positive-semidefiniteness check is a
-diagonally pivoted LDL^T factorization that, on failure, lifts a certified
-negative-energy direction back through the partially built factor.
+relative pivot threshold.
 """
 
 from fractions import Fraction
@@ -23,7 +21,7 @@ import numpy as np
 
 from .certificates import Certificate, make_link
 from .errors import InvalidCode
-from .scalars import ABS_EPS, EXACT, REL_EPS, Scalar, join_modes, mode_of
+from .scalars import EXACT, REL_EPS, Scalar, join_modes, mode_of
 
 # 2^31 - 1 is prime, and a product of two residues stays below 2^62
 P = 2_147_483_647
@@ -74,6 +72,13 @@ def exact_array(values, terms: int) -> np.ndarray:
     return a.astype(np.int64 if terms * bound * bound < 2 ** 63 else object)
 
 
+def scaled_integers(rows):
+    """(A, L): exact rational rows over the lcm L of their denominators, as
+    integer rows A = L * rows."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x.numerator) * (den // x.denominator) for x in row] for row in rows], den
+
+
 class IntegerGram:
     """Exact Gram matrix ``num / den`` with an integer factor of the same rank.
 
@@ -97,8 +102,7 @@ class IntegerGram:
         """An exact matrix over the lcm of its denominators (an IntegerGram as is)."""
         if isinstance(m, IntegerGram):
             return m
-        den = lcm(*(x.denominator for row in m.rows for x in row))
-        num = [[int(x.numerator) * (den // x.denominator) for x in row] for row in m.rows]
+        num, den = scaled_integers(m.rows)
         return cls(num, den, rows=m.rows)
 
     @property
@@ -246,102 +250,6 @@ def rank(m: SymMatrix | IntegerGram) -> int:
     if m.mode() == EXACT:
         return integer_rank(IntegerGram.of(m).factor)
     return _rank_float(m.rows)
-
-
-def _lift_witness(lvals, perm, reduced, n):
-    """Solve L^T z = w for the partial unit-lower factor and unpermute."""
-    w = [0] * n
-    for pos, val in reduced.items():
-        w[pos] = val
-    z = [0] * n
-    for i in range(n - 1, -1, -1):
-        s = w[i]
-        for j in range(i + 1, n):
-            s -= lvals[j][i] * z[j]
-        z[i] = s
-    x = [0] * n
-    for i in range(n):
-        x[perm[i]] = z[i]
-    return x
-
-
-def _quadratic_form_exact(rows, x):
-    n = len(x)
-    xf = [Fraction(v) for v in x]
-    total = Fraction(0)
-    for i in range(n):
-        if xf[i] == 0:
-            continue
-        for j in range(n):
-            if xf[j] != 0:
-                total += xf[i] * Fraction(rows[i][j]) * xf[j]
-    return total
-
-
-def is_psd(m: SymMatrix):
-    """Pivoted LDL^T positive-semidefiniteness test.
-
-    Returns (True, None) or (False, x) with <Mx, x> < 0; the witness is
-    re-checked in exact arithmetic before being returned (float inputs are
-    lifted losslessly to rationals), falling back to an exact factorization
-    for marginal float cases.
-    """
-    exact = m.mode() == EXACT
-    verdict, witness = _is_psd_impl(m.rows, m.n, exact)
-    if verdict or witness is None:
-        return verdict, witness
-    if _quadratic_form_exact(m.rows, witness) < 0:
-        return False, witness
-    # float pivots disagreed with exact arithmetic on a marginal matrix
-    return _is_psd_impl([[Fraction(x) for x in row] for row in m.rows], m.n, True)
-
-
-def _is_psd_impl(rows, n, exact):
-    if n == 0:
-        return True, None
-    a = [list(r) for r in rows]
-    eps = 0 if exact else ABS_EPS
-    perm = list(range(n))
-    lvals = [[0] * n for _ in range(n)]
-    for i in range(n):
-        lvals[i][i] = 1
-
-    for k in range(n):
-        pivot = max(range(k, n), key=lambda i: a[i][i])
-        if a[pivot][pivot] <= eps:
-            # no usable pivot left: remaining diagonal is <= eps everywhere
-            neg = min(range(k, n), key=lambda i: a[i][i])
-            if a[neg][neg] < -eps:
-                witness = _lift_witness(lvals, perm, {neg: 1}, n)
-                return False, witness
-            # diagonal ~ 0: PSD iff the remaining block vanishes
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if abs(a[i][j]) > eps:
-                        sign = -1 if a[i][j] > 0 else 1
-                        witness = _lift_witness(lvals, perm, {i: 1, j: sign}, n)
-                        return False, witness
-            return True, None
-        if pivot != k:
-            _swap_sym(a, k, pivot)
-            perm[k], perm[pivot] = perm[pivot], perm[k]
-            lvals[k][:k], lvals[pivot][:k] = lvals[pivot][:k], lvals[k][:k]
-        d = a[k][k]
-        for i in range(k + 1, n):
-            lik = Fraction(a[i][k]) / d if exact else a[i][k] / d
-            lvals[i][k] = lik
-            if lik == 0:
-                continue
-            for j in range(k + 1, i + 1):
-                a[i][j] -= lik * a[k][j]
-                a[j][i] = a[i][j]
-    return True, None
-
-
-def _swap_sym(a, i, j):
-    a[i], a[j] = a[j], a[i]
-    for row in a:
-        row[i], row[j] = row[j], row[i]
 
 
 def verify_trace_rank(m: SymMatrix | IntegerGram) -> Certificate:

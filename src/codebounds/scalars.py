@@ -29,11 +29,6 @@ def join_modes(*modes: str) -> str:
     return FLOAT if FLOAT in modes else EXACT
 
 
-def to_fraction(x: Scalar) -> Fraction:
-    """Lossless conversion; every binary float is a rational."""
-    return Fraction(x)
-
-
 def parse_scalar(token: str, exact: bool = True) -> Scalar:
     """Parse a scalar token: sign, then digits, digits.digits, or digits/digits.
 

@@ -67,6 +67,11 @@ def test_m_upper_vacuous():
     assert report.value == math.inf     # no size restriction is claimed
 
 
+def test_m_upper_reads_a_float_alpha_losslessly():
+    # every binary float is a rational: 0.1 is read as itself, not as 1/10
+    assert m_upper(20, 0.1).inputs["alpha"] == Fraction(0.1) != Fraction(1, 10)
+
+
 def test_m_upper_rejects_negative_alpha():
     with pytest.raises(NegativeAlpha):
         m_upper(4, Fraction(-1, 10))

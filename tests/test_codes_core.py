@@ -11,7 +11,7 @@ from codebounds.codes import (QaryCode, UnitVectorSet, certify_chain,
 from codebounds.constructions import cross_polytope, simplex_vectors
 from codebounds.errors import (AlphaOutOfRange, DuplicateCodewords, InvalidCode,
                                NonUnitVector, TooFewWords)
-from codebounds.linalg import SymMatrix
+from codebounds.linalg import IntegerGram, SymMatrix
 
 
 def rational_sphere_point(rng, d, spread=4):
@@ -171,6 +171,17 @@ def test_qary_code_validation():
         QaryCode(2, 2, ((0, 1, 0),))
 
 
+def test_float_gram_oracle_is_rejected():
+    with pytest.raises(InvalidCode, match="exact entries"):
+        UnitVectorSet(1, ((1.0,), (-1.0,)), exact_gram=SymMatrix([[1, -1.0], [-1.0, 1]]))
+
+
+def test_hamming_distance_needs_equal_lengths():
+    assert hamming_distance((0, 1, 2), (0, 2, 2)) == 1
+    with pytest.raises(ValueError):
+        hamming_distance((0, 1), (0,))
+
+
 def test_verify_spherical_code_pass_and_fail():
     assert verify_spherical_code(cross_polytope(3), 0).verdict
     cert = verify_spherical_code(simplex_vectors(4), Fraction(-1, 3))
@@ -259,6 +270,8 @@ def test_certify_chain_simplex_plus_orthogonal_pair():
          [0, 0, 0, 1, -1],
          [0, 0, 0, -1, 1]]
     vset = UnitVectorSet(3, coords, exact_gram=SymMatrix(g))
+    # the oracle is held as an IntegerGram that keeps the given entries
+    assert isinstance(vset.exact_gram, IntegerGram) and vset.exact_gram.rows == g
     cert = certify_chain(vset)
     assert cert.verdict
     assert cert.meta["rank"] == 3

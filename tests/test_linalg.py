@@ -4,8 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from codebounds.linalg import (SymMatrix, is_psd, rank, trace, trace_of_square,
-                               verify_trace_rank)
+from codebounds.linalg import SymMatrix, rank, trace, trace_of_square, verify_trace_rank
 
 CROSS_POLYTOPE_2_GRAM = SymMatrix([
     [1, -1, 0, 0],
@@ -86,75 +85,10 @@ def test_rank_low_rank_rational():
     assert rank(SymMatrix(rows)) == 1
 
 
-def test_is_psd_examples():
-    ok, witness = is_psd(SymMatrix.identity(4))
-    assert ok and witness is None
-    ok, witness = is_psd(SymMatrix([[1, -2], [-2, 1]]))
-    assert not ok
-    x = [Fraction(v) for v in witness]
-    m = [[1, -2], [-2, 1]]
-    energy = sum(x[i] * m[i][j] * x[j] for i in range(2) for j in range(2))
-    assert energy < 0
-
-
-def test_is_psd_zero_diagonal_with_offdiagonal():
-    m = SymMatrix([[0, 1], [1, 0]])
-    ok, witness = is_psd(m)
-    assert not ok
-    x = witness
-    assert x[0] * x[0] * 0 + 2 * x[0] * x[1] * 1 + x[1] * x[1] * 0 < 0
-
-
-def test_is_psd_on_random_gram_matrices():
-    rng = random.Random(99)
-    for _ in range(500):
-        n, d = rng.randint(1, 6), rng.randint(1, 5)
-        vecs = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]
-                for _ in range(n)]
-        rows = [[sum(a * b for a, b in zip(u, v)) for v in vecs] for u in vecs]
-        ok, witness = is_psd(SymMatrix(rows))
-        assert ok, f"Gram matrix reported non-PSD: {rows}"
-
-
-def test_is_psd_witness_is_exactly_negative():
-    rng = random.Random(5)
-    found = 0
-    while found < 50:
-        n = rng.randint(2, 6)
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                rows[i][j] = rows[j][i] = rng.randint(-3, 3)
-        m = SymMatrix(rows)
-        ok, witness = is_psd(m)
-        if ok:
-            continue
-        found += 1
-        x = [Fraction(v) for v in witness]
-        energy = sum(x[i] * Fraction(rows[i][j]) * x[j]
-                     for i in range(n) for j in range(n))
-        assert energy < 0
-
-
-def test_is_psd_float_mode():
-    ok, _ = is_psd(SymMatrix([[1.0, 0.5], [0.5, 1.0]]))
-    assert ok
-    ok, witness = is_psd(SymMatrix([[1.0, -2.0], [-2.0, 1.0]]))
-    assert not ok and witness is not None
-    # tiny negative eigenvalue within tolerance is accepted in float mode
-    eps = 1e-14
-    ok, _ = is_psd(SymMatrix([[eps, 1e-15], [1e-15, eps]]))
-    assert ok
-
-
 def test_float_policy_boundaries_rank_and_psd():
     # rank drops a pivot at most 1e-9 times the largest row norm
     assert rank(SymMatrix([[1.0, 0.0], [0.0, 2e-9]])) == 2
     assert rank(SymMatrix([[1.0, 0.0], [0.0, 5e-10]])) == 1
-    # is_psd accepts a diagonal down to -1e-12 and certifies anything below
-    assert is_psd(SymMatrix([[1.0, 0.0], [0.0, -5e-13]])) == (True, None)
-    ok, witness = is_psd(SymMatrix([[1.0, 0.0], [0.0, -2e-12]]))
-    assert not ok and witness == [0, 1]
 
 
 def test_verify_trace_rank_examples():

@@ -5,7 +5,7 @@ import pytest
 
 from codebounds.certificates import make_link
 from codebounds.scalars import (EXACT, FLOAT, format_scalar, join_modes,
-                                mode_of, parse_scalar, slack_ok, to_fraction)
+                                mode_of, parse_scalar, slack_ok)
 
 
 @pytest.mark.parametrize("token,expected", [
@@ -65,12 +65,6 @@ def test_format_rejects_non_finite():
         format_scalar(float("nan"))
     with pytest.raises(ValueError):
         format_scalar(float("inf"))
-
-
-def test_float_to_fraction_is_lossless():
-    x = 0.1
-    assert float(to_fraction(x)) == x
-    assert to_fraction(x) != Fraction(1, 10)
 
 
 def test_mode_contamination():
