@@ -11,10 +11,14 @@ Exact analysis works on an ``IntegerGram``: a rational file's coordinates
 scaled to integers A = L*V give numerators A A^T over L^2, an oracle is one
 already.  Fractions are made only for values that a certificate or an error
 message prints.
+
+Float analysis works on a ``FloatGram``, built from the coordinates converted
+once by ``float`` into an (n, d) array; every sum in it adds left to right
+from 0 (see ``linalg``).
 """
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -22,8 +26,9 @@ import numpy as np
 from .certificates import Certificate, make_link
 from .errors import (AlphaOutOfRange, DuplicateCodewords, InvalidCode,
                      NonUnitVector, TooFewWords)
-from .linalg import IntegerGram, SymMatrix, exact_array, rank, scaled_integers, trace_of_square
-from .scalars import EXACT, FLOAT, Scalar, format_scalar, join_modes, mode_of, unit_norm_ok
+from .linalg import (FloatGram, IntegerGram, SymMatrix, exact_array, float_kernel, rank,
+                     scaled_integers, sequential_sums, trace_of_square)
+from .scalars import EXACT, FLOAT, Scalar, format_scalar, mode_of, unit_norm_ok
 
 
 @dataclass(frozen=True)
@@ -31,13 +36,16 @@ class UnitVectorSet:
     """n vectors in R^d claimed to lie on the unit sphere.
 
     ``exact_gram``, when given, is the exact Gram oracle.  It is passed as an
-    IntegerGram or an exact SymMatrix and held as an IntegerGram.
+    IntegerGram or an exact SymMatrix and held as an IntegerGram.  The set is
+    in float mode when it has no oracle and some coordinate is a float; then
+    every coordinate, exact ones too, enters its Gram through ``float``.
     """
 
     dimension: int
     vectors: tuple
     labels: tuple = ()
     exact_gram: IntegerGram = None
+    _mode: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vectors = tuple(tuple(v) for v in self.vectors)
@@ -58,32 +66,56 @@ class UnitVectorSet:
             if gram.mode() != EXACT:
                 raise InvalidCode("an exact Gram oracle needs exact entries")
             object.__setattr__(self, "exact_gram", IntegerGram.of(gram))
+        floating = gram is None and any(mode_of(x) == FLOAT for v in vectors for x in v)
+        object.__setattr__(self, "_mode", FLOAT if floating else EXACT)
 
     def __len__(self):
         return len(self.vectors)
 
     def mode(self) -> str:
-        if self.exact_gram is not None:
-            return EXACT
-        return join_modes(*(mode_of(x) for v in self.vectors for x in v))
+        return self._mode
 
-    def raw_gram(self) -> SymMatrix:
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """The (n, d) float64 array of ``float(x)`` for every coordinate x.
+
+        Raises InvalidCode when an exact coordinate is beyond the float range.
+        """
+        try:
+            return np.array(self.vectors, dtype=np.float64)
+        except OverflowError:
+            raise InvalidCode("a coordinate is beyond the float range") from None
+
+    def raw_gram(self) -> SymMatrix | FloatGram:
         """Gram matrix without any unit-norm enforcement.
 
         Raises InvalidCode when a float squared norm overflows to infinity.
         """
         if self.mode() == EXACT:
             return SymMatrix(integer_gram(self).rows)
-        n = len(self.vectors)
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            vi = self.vectors[i]
-            for j in range(i, n):
-                rows[i][j] = rows[j][i] = _dot(vi, self.vectors[j])
-            # a finite squared norm bounds the row's products (Cauchy-Schwarz)
-            if isinstance(rows[i][i], float) and not math.isfinite(rows[i][i]):
-                raise InvalidCode(f"vector {i}: squared norm overflows a float")
-        return SymMatrix(rows)
+        return _float_gram(self.coords)
+
+
+@float_kernel
+def _squared_norms(v) -> np.ndarray:
+    return sequential_sums(v * v)
+
+
+@float_kernel
+def _float_gram(v) -> FloatGram:
+    """G = sum over k of outer(v[:, k], v[:, k]), added from zeros one column
+    at a time: each entry is its pair's products summed left to right from 0.
+    The squared norms are checked first."""
+    bad = np.flatnonzero(~np.isfinite(_squared_norms(v)))
+    if bad.size:
+        # a finite squared norm bounds the row's products (Cauchy-Schwarz)
+        raise InvalidCode(f"vector {int(bad[0])}: squared norm overflows a float")
+    n = len(v)
+    g, term = np.zeros((n, n)), np.empty((n, n))
+    for column in np.ascontiguousarray(v.T):
+        np.multiply(column[:, None], column, out=term)
+        g += term
+    return FloatGram(g)
 
 
 def _dot(u, v) -> Scalar:
@@ -98,10 +130,10 @@ def _dot(u, v) -> Scalar:
 class GramAnalysis:
     """Gram matrix plus the per-vertex negative-edge data the lemmas use.
 
-    ``gram`` is an IntegerGram in exact mode and a SymMatrix in float mode.
+    ``gram`` is an IntegerGram in exact mode and a FloatGram in float mode.
     """
 
-    gram: SymMatrix | IntegerGram
+    gram: FloatGram | IntegerGram
     alpha: Scalar
     nplus: tuple      # per vertex, indices with inner product >= 0
     nminus: tuple     # per vertex, indices with inner product < 0
@@ -204,12 +236,38 @@ def _analyze_exact(vset: UnitVectorSet) -> GramAnalysis:
         alpha = g.entry(i, j) if vset.exact_gram is not None else \
             _dot(vset.vectors[i], vset.vectors[j])
     negative = num < 0       # never on the diagonal, which is den > 0
-    nplus = tuple(tuple(v for v in np.flatnonzero(~row).tolist() if v != u)
-                  for u, row in enumerate(negative))
-    nminus = tuple(tuple(np.flatnonzero(row).tolist()) for row in negative)
     gamma = tuple(g.value(int(x)) if x else 0
                   for x in np.where(negative, num, 0).sum(axis=1).tolist())
-    return GramAnalysis(g, alpha, nplus, nminus, gamma, vset.labels)
+    return GramAnalysis(g, alpha, *_sign_partition(negative), gamma, vset.labels)
+
+
+def _sign_partition(negative):
+    """(nplus, nminus) from the mask of negative entries, which is never on the diagonal."""
+    plus = ~negative
+    np.fill_diagonal(plus, False)
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in plus), \
+        tuple(tuple(np.flatnonzero(row).tolist()) for row in negative)
+
+
+def _negative_sums(negative, values) -> tuple:
+    """Per row, the sum of ``values`` where ``negative``, left to right from 0;
+    the int 0 for a row with no negative entry, as that empty loop leaves it."""
+    sums = sequential_sums(np.where(negative, values, 0.0)).tolist()
+    return tuple(x if any_ else 0 for x, any_ in zip(sums, negative.any(axis=1).tolist()))
+
+
+def _analyze_float(vset: UnitVectorSet) -> GramAnalysis:
+    norms = _squared_norms(vset.coords).tolist()
+    for i, norm_sq in enumerate(norms):
+        if not unit_norm_ok(norm_sq, FLOAT):
+            raise NonUnitVector(i, norm_sq)
+    gram = vset.raw_gram()
+    a, n = gram.a, gram.n
+    # entries are sums from +0.0, so never -0.0: the maximum's bits are unique
+    alpha = -1 if n == 1 else float(a[~np.eye(n, dtype=bool)].max())
+    negative = a < 0         # never on the diagonal, which is within 1e-9 of 1
+    return GramAnalysis(gram, alpha, *_sign_partition(negative),
+                        _negative_sums(negative, a), vset.labels)
 
 
 def gram_analyze(vset: UnitVectorSet) -> GramAnalysis:
@@ -221,25 +279,7 @@ def gram_analyze(vset: UnitVectorSet) -> GramAnalysis:
     """
     if vset.mode() == EXACT:
         return _analyze_exact(vset)
-    for i, v in enumerate(vset.vectors):
-        norm_sq = _dot(v, v)
-        if not unit_norm_ok(norm_sq, FLOAT):
-            raise NonUnitVector(i, norm_sq)
-    gram = vset.raw_gram()
-    n = gram.n
-    alpha = -1 if n == 1 else max(gram.rows[i][j] for i in range(n) for j in range(n) if i != j)
-    nplus, nminus, gamma = [], [], []
-    for u in range(n):
-        row = gram.rows[u]
-        plus = tuple(v for v in range(n) if v != u and row[v] >= 0)
-        minus = tuple(v for v in range(n) if v != u and row[v] < 0)
-        g = 0
-        for v in minus:
-            g += row[v]
-        nplus.append(plus)
-        nminus.append(minus)
-        gamma.append(g)
-    return GramAnalysis(gram, alpha, tuple(nplus), tuple(nminus), tuple(gamma), vset.labels)
+    return _analyze_float(vset)
 
 
 def verify_spherical_code(vset: UnitVectorSet, alpha_claim: Scalar) -> Certificate:
@@ -249,10 +289,14 @@ def verify_spherical_code(vset: UnitVectorSet, alpha_claim: Scalar) -> Certifica
     """
     gram = vset.raw_gram()
     n = gram.n
-    worst_norm = max(abs(gram.rows[i][i] - 1) for i in range(n))
+    if isinstance(gram, FloatGram):
+        diagonal, off = np.diagonal(gram.a).tolist(), gram.a[np.triu_indices(n, 1)].tolist()
+    else:
+        diagonal = [gram.rows[i][i] for i in range(n)]
+        off = [gram.rows[i][j] for i in range(n) for j in range(i + 1, n)]
+    worst_norm = max(abs(x - 1) for x in diagonal)
     links = [make_link("unit norms (max |<v,v>| deviation from 1)", worst_norm, 0)]
     if n >= 2:
-        off = [gram.rows[i][j] for i in range(n) for j in range(i + 1, n)]
         links.append(make_link("pairwise inner products at most the claim",
                                max(off), alpha_claim))
         links.append(make_link("pairwise inner products at least -1",
@@ -272,14 +316,8 @@ def _negative_energy(analysis: GramAnalysis) -> list:
         num = gram.num
         sums = np.where(num < 0, num * num, 0).sum(axis=1).tolist()
         return [gram.value(int(x), 2) for x in sums]
-    out = []
-    for u in range(analysis.n):
-        row = gram.rows[u]
-        lhs = 0
-        for v in analysis.nminus[u]:
-            lhs += row[v] * row[v]
-        out.append(lhs)
-    return out
+    a = gram.a
+    return list(_negative_sums(a < 0, a * a))
 
 
 def _require_alpha_in_range(alpha):

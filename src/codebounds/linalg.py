@@ -1,4 +1,4 @@
-"""Symmetric matrices, exact integer Grams, and rank.
+"""Symmetric matrices, exact integer Grams, float Grams, and rank.
 
 An exact Gram is held as an ``IntegerGram``: integer numerators N over one
 positive integer denominator c, so that G = N / c, together with an integer
@@ -10,8 +10,15 @@ Exact rank eliminates an integer matrix modulo the fixed prime ``P`` in
 numpy.  A rank mod P never exceeds the rank over Q, which never exceeds
 min(rows, cols), so the modular count is returned only when it reaches that
 minimum; otherwise fraction-free (Bareiss) elimination of the same integer
-matrix decides.  Float mode uses partially pivoted elimination with a
-relative pivot threshold.
+matrix decides.
+
+A float Gram is a ``FloatGram``: one float64 array.  Its kernels run in
+numpy but add in the order of a Python loop ``s = 0; for x in row: s += x``
+(``sequential_sums``, never numpy's pairwise ``sum``), so each float they
+return has the bits that loop gives.  Overflow follows IEEE (inf, and nan
+from inf - inf) as Python floats do; numpy's warnings for it are silenced.
+Float rank uses partially pivoted elimination with a relative pivot
+threshold.
 """
 
 from fractions import Fraction
@@ -21,7 +28,7 @@ import numpy as np
 
 from .certificates import Certificate, make_link
 from .errors import InvalidCode
-from .scalars import EXACT, REL_EPS, Scalar, join_modes, mode_of
+from .scalars import EXACT, FLOAT, REL_EPS, Scalar, join_modes, mode_of
 
 # 2^31 - 1 is prime, and a product of two residues stays below 2^62
 P = 2_147_483_647
@@ -133,23 +140,76 @@ class IntegerGram:
         return isinstance(other, IntegerGram) and self.rows == other.rows
 
 
-def trace(m: SymMatrix | IntegerGram) -> Scalar:
-    total = 0
-    for i in range(m.n):
-        total += m.rows[i][i]
-    return total
+# a decorator (one errstate cannot be entered twice as a context manager):
+# overflow to inf and inf - inf = nan are results, as with Python floats
+float_kernel = np.errstate(over="ignore", invalid="ignore")
 
 
-def trace_of_square(m: SymMatrix | IntegerGram) -> Scalar:
-    """Sum of squared entries; equals the trace of M^2 for symmetric M."""
-    if m.mode() == EXACT:
-        g = IntegerGram.of(m)
-        return g.value(int((g.num * g.num).sum()), 2)
-    total = 0
-    for row in m.rows:
-        for x in row:
-            total += x * x
-    return total
+@float_kernel
+def sequential_sums(x) -> np.ndarray:
+    """Sums along the last axis, each added left to right from +0.0: the bits of
+    ``s = 0; for t in row: s += t`` (0 + -0.0 is +0.0, hence the final + 0.0)."""
+    if x.shape[-1] == 0:
+        return np.zeros(x.shape[:-1])
+    return np.add.accumulate(x, axis=-1)[..., -1] + 0.0
+
+
+class FloatGram:
+    """Float Gram matrix held as one symmetric (n, n) float64 array ``a``.
+
+    Its mode is float by type.  ``rows`` builds the entries as a list of
+    Python floats on first use.
+    """
+
+    __slots__ = ("a", "_rows")
+
+    def __init__(self, a):
+        self.a = a
+        self._rows = None
+
+    @classmethod
+    def of(cls, m: "SymMatrix | FloatGram") -> "FloatGram":
+        """A float-mode matrix with every entry converted by ``float`` (a FloatGram as is)."""
+        if isinstance(m, FloatGram):
+            return m
+        return cls(np.array([[float(x) for x in row] for row in m.rows], dtype=np.float64))
+
+    @property
+    def n(self) -> int:
+        return len(self.a)
+
+    def mode(self) -> str:
+        return FLOAT
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            self._rows = self.a.tolist()
+        return self._rows
+
+
+def _typed(m):
+    """An exact matrix as an IntegerGram, a float one as a FloatGram."""
+    if isinstance(m, (IntegerGram, FloatGram)):
+        return m
+    return IntegerGram.of(m) if m.mode() == EXACT else FloatGram.of(m)
+
+
+def trace(m: SymMatrix | IntegerGram | FloatGram) -> Scalar:
+    m = _typed(m)
+    if isinstance(m, IntegerGram):
+        return m.value(int(sum(m.num[i, i] for i in range(m.n))))
+    return float(sequential_sums(np.diagonal(m.a)))
+
+
+@float_kernel
+def trace_of_square(m: SymMatrix | IntegerGram | FloatGram) -> Scalar:
+    """Sum of squared entries; equals the trace of M^2 for symmetric M.
+    Float squares are added in row-major order."""
+    m = _typed(m)
+    if isinstance(m, IntegerGram):
+        return m.value(int((m.num * m.num).sum()), 2)
+    return float(sequential_sums((m.a * m.a).reshape(-1)))
 
 
 def _rank_mod_p(a) -> int:
@@ -217,48 +277,47 @@ def integer_rank(a) -> int:
     return _rank_bareiss(a.tolist())
 
 
-def _rank_float(rows) -> int:
-    a = [[float(x) for x in row] for row in rows]
-    nr = len(a)
-    nc = nr and len(a[0])
-    max_row_norm = max((sqrt(sum(x * x for x in row)) for row in a), default=0.0)
+@float_kernel
+def _rank_float(a) -> int:
+    """Rank of a float64 matrix by elimination with partial pivoting (the
+    first largest |entry| of the column), dropping pivots at most REL_EPS
+    times the largest row norm; rows whose multiplier is 0 are left as they are."""
+    a = a.copy()
+    nr, nc = a.shape
+    max_row_norm = max(map(sqrt, sequential_sums(a * a).tolist()), default=0.0)
     threshold = REL_EPS * max_row_norm
     rank_count = 0
     for col in range(nc):
-        pivot_row = max(range(rank_count, nr), key=lambda i: abs(a[i][col]), default=None)
-        if pivot_row is None or abs(a[pivot_row][col]) <= threshold:
+        pivot_row = rank_count + int(np.argmax(np.abs(a[rank_count:, col])))
+        if abs(a[pivot_row, col]) <= threshold:
             continue
         if pivot_row != rank_count:
-            a[rank_count], a[pivot_row] = a[pivot_row], a[rank_count]
-        piv = a[rank_count][col]
-        for i in range(rank_count + 1, nr):
-            f = a[i][col] / piv
-            if f == 0.0:
-                continue
-            for j in range(col, nc):
-                a[i][j] -= f * a[rank_count][j]
+            a[[rank_count, pivot_row]] = a[[pivot_row, rank_count]]
+        f = a[rank_count + 1:, col] / a[rank_count, col]
+        moved = np.flatnonzero(f)
+        a[rank_count + 1 + moved, col:] -= np.multiply.outer(f[moved], a[rank_count, col:])
         rank_count += 1
         if rank_count == nr:
             break
     return rank_count
 
 
-def rank(m: SymMatrix | IntegerGram) -> int:
+def rank(m: SymMatrix | IntegerGram | FloatGram) -> int:
     """Matrix rank: exact from an integer factor when every entry is exact, else pivoted float."""
     if m.n == 0:
         return 0
-    if m.mode() == EXACT:
-        return integer_rank(IntegerGram.of(m).factor)
-    return _rank_float(m.rows)
+    m = _typed(m)
+    if isinstance(m, IntegerGram):
+        return integer_rank(m.factor)
+    return _rank_float(m.a)
 
 
-def verify_trace_rank(m: SymMatrix | IntegerGram) -> Certificate:
+def verify_trace_rank(m: SymMatrix | IntegerGram | FloatGram) -> Certificate:
     """Certify tr(M)^2 <= rank(M) * tr(M^2) for a symmetric matrix.
 
     Raises InvalidCode when a float side overflows to infinity.
     """
-    if m.mode() == EXACT:
-        m = IntegerGram.of(m)
+    m = _typed(m)
     r = rank(m)
     t = trace(m)
     lhs, rhs = t * t, r * trace_of_square(m)
