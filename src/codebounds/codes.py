@@ -289,14 +289,10 @@ def verify_spherical_code(vset: UnitVectorSet, alpha_claim: Scalar) -> Certifica
     """
     gram = vset.raw_gram()
     n = gram.n
-    if isinstance(gram, FloatGram):
-        diagonal, off = np.diagonal(gram.a).tolist(), gram.a[np.triu_indices(n, 1)].tolist()
-    else:
-        diagonal = [gram.rows[i][i] for i in range(n)]
-        off = [gram.rows[i][j] for i in range(n) for j in range(i + 1, n)]
-    worst_norm = max(abs(x - 1) for x in diagonal)
+    worst_norm = max(abs(gram.rows[i][i] - 1) for i in range(n))
     links = [make_link("unit norms (max |<v,v>| deviation from 1)", worst_norm, 0)]
     if n >= 2:
+        off = [gram.rows[i][j] for i in range(n) for j in range(i + 1, n)]
         links.append(make_link("pairwise inner products at most the claim",
                                max(off), alpha_claim))
         links.append(make_link("pairwise inner products at least -1",

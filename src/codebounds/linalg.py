@@ -22,6 +22,7 @@ threshold.
 """
 
 from fractions import Fraction
+from functools import wraps
 from math import isfinite, lcm, sqrt
 
 import numpy as np
@@ -133,16 +134,23 @@ class IntegerGram:
         if self._rows is None:
             values, index = np.unique(self.num, return_inverse=True)
             entries = [self.value(int(x)) for x in values.tolist()]
-            self._rows = [[entries[k] for k in row] for row in index.tolist()]
+            self._rows = [[entries[k] for k in row]
+                          for row in index.reshape(self.num.shape).tolist()]
         return self._rows
 
     def __eq__(self, other):
         return isinstance(other, IntegerGram) and self.rows == other.rows
 
 
-# a decorator (one errstate cannot be entered twice as a context manager):
-# overflow to inf and inf - inf = nan are results, as with Python floats
-float_kernel = np.errstate(over="ignore", invalid="ignore")
+def float_kernel(f):
+    """Run f under a fresh ``np.errstate`` per call, so nested kernels restore the
+    caller's settings: overflow to inf and inf - inf = nan are results, as with
+    Python floats."""
+    @wraps(f)
+    def kernel(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return f(*args, **kwargs)
+    return kernel
 
 
 @float_kernel
@@ -197,9 +205,12 @@ def _typed(m):
 
 def trace(m: SymMatrix | IntegerGram | FloatGram) -> Scalar:
     m = _typed(m)
-    if isinstance(m, IntegerGram):
-        return m.value(int(sum(m.num[i, i] for i in range(m.n))))
-    return float(sequential_sums(np.diagonal(m.a)))
+    if isinstance(m, FloatGram):
+        return float(sequential_sums(np.diagonal(m.a)))
+    total = 0
+    for i in range(m.n):
+        total += m.rows[i][i]
+    return total
 
 
 @float_kernel

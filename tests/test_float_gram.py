@@ -323,3 +323,15 @@ def test_float_mode_converts_exact_coordinates_before_any_product():
     cert = certify_chain(vset)
     assert cert.mode == "float" and cert.meta["alpha"] == "0.3333333333333333"
     assert {link.mode for link in verify_spherical_code(vset, Fraction(1, 2)).links} == {"float"}
+
+
+def test_float_kernels_restore_the_callers_error_settings():
+    # trace_of_square calls sequential_sums: both kernels silence overflow,
+    # and the outer one must hand back the settings it found
+    big = SymMatrix([[1e200, 1e200], [1e200, 1e200]])
+    with np.errstate(over="raise", invalid="raise"):
+        before = np.geterr()
+        assert trace_of_square(big) == math.inf
+        assert np.geterr() == before
+        with pytest.raises(FloatingPointError):
+            np.array([1e308]) * 10
