@@ -94,7 +94,10 @@ def rho_lower(r: int, k: int) -> BoundReport:
     if r < 1 or k < 0:
         raise PreconditionViolated(f"need r >= 1 and k >= 0, got r={r}, k={k}")
     radicand = Fraction(8 * k, 27) + 1
-    value = ((8 * k / 27 + 1) ** (1 / 3) - 1) / (2 * r + k)
+    try:
+        value = ((8 * k / 27 + 1) ** (1 / 3) - 1) / (2 * r + k)
+    except OverflowError:
+        raise PreconditionViolated("r and k are beyond the float range") from None
     enclosure = (_cbrt_lower(radicand) - 1) / (2 * r + k)
     return BoundReport(
         "rho-lower", {"r": r, "k": k}, value, CERTIFIED_FLOAT,
@@ -212,6 +215,8 @@ def ramsey_upper_param(q: int, r: int, s: int, eps: Scalar, c: Scalar,
     caller input, as is the code-size oracle; the subscriptless size function
     is interpreted as the q-ary size A_q.
     """
+    if q < 2:
+        raise PreconditionViolated(f"alphabet size must be >= 2, got {q}")
     if eps <= 0 or c <= 0:
         raise PreconditionViolated("eps and c must be positive")
     if s > Fraction(q - 1, q) * r:
@@ -232,6 +237,8 @@ def ramsey_upper_param(q: int, r: int, s: int, eps: Scalar, c: Scalar,
 
 def ramsey_asymptotic(q: int, r: int, j: int) -> BoundReport:
     """Headline transfer value 2(q-1)r; the o(1) term is unquantified."""
+    if q < 2 or r < 1:
+        raise PreconditionViolated(f"need q >= 2 and r >= 1, got q={q}, r={r}")
     if j < 0:
         raise PreconditionViolated(f"j must be >= 0, got {j}")
     s = Fraction(q - 1, q) * r - j

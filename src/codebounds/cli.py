@@ -20,7 +20,7 @@ from .bounds import (CERTIFIED_EXACT, BoundReport, aq_upper, bq_window_report,
                      m_upper, ms_upper, plotkin_upper, ramsey_asymptotic,
                      ramsey_lower, ramsey_upper_param, rho_lower)
 from .certificates import Certificate, make_link
-from .codes import (certify_chain, gram_analyze, integer_gram, min_distance,
+from .codes import (certify_chain, gram_analyze, min_distance,
                     verify_lemma_beta, verify_lemma_gamma, verify_spherical_code)
 from .constructions import (cross_polytope, embed_qary, hadamard_code,
                             simplex_vectors, sylvester_hadamard)
@@ -79,7 +79,10 @@ def _int_list(text: str):
             step = int(pieces[2]) if len(pieces) == 3 else 1
             if step < 1:
                 raise argparse.ArgumentTypeError(f"step must be >= 1 in {part!r}")
-            values.extend(range(lo, hi + 1, step))
+            span = range(lo, hi + 1, step)
+            if not span:
+                raise argparse.ArgumentTypeError(f"empty range {part!r}")
+            values.extend(span)
         else:
             values.append(int(part))
     return sorted(set(values))
@@ -197,8 +200,7 @@ def cmd_verify(ns, run: _Run) -> int:
                 raise CodeBoundsError("verify spherical requires --alpha <claim>")
             cert = verify_spherical_code(vset, ns.alpha)
         elif ns.kind == "trace-rank":
-            # an exact set is ranked through its coordinates, not its n x n Gram
-            cert = verify_trace_rank(vset.raw_gram() if ns.float else integer_gram(vset))
+            cert = verify_trace_rank(vset.raw_gram())
         elif ns.kind == "beta":
             cert = verify_lemma_beta(gram_analyze(vset))
         elif ns.kind == "gamma":

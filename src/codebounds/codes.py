@@ -3,9 +3,9 @@
 A ``UnitVectorSet`` may carry an exact Gram oracle alongside float
 coordinates; constructions with irrational coordinates but rational inner
 products (simplices, distance-based embeddings) use this to keep all
-certificates in exact arithmetic.  The oracle is held as an ``IntegerGram``
-from construction on: an exact ``SymMatrix`` is scaled to integers there, and
-one with a float entry is rejected.
+certificates in exact arithmetic.  The oracle must be an ``IntegerGram``
+(``linalg.gram_from_rows`` builds one from exact rows); anything else is
+rejected.
 
 Exact analysis works on an ``IntegerGram``: a rational file's coordinates
 scaled to integers A = L*V give numerators A A^T over L^2, an oracle is one
@@ -26,7 +26,7 @@ import numpy as np
 from .certificates import Certificate, make_link
 from .errors import (AlphaOutOfRange, DuplicateCodewords, InvalidCode,
                      NonUnitVector, TooFewWords)
-from .linalg import (FloatGram, IntegerGram, SymMatrix, exact_array, float_kernel, rank,
+from .linalg import (FloatGram, IntegerGram, exact_array, float_kernel, rank,
                      scaled_integers, sequential_sums, trace_of_square)
 from .scalars import EXACT, FLOAT, Scalar, format_scalar, mode_of, unit_norm_ok
 
@@ -35,10 +35,9 @@ from .scalars import EXACT, FLOAT, Scalar, format_scalar, mode_of, unit_norm_ok
 class UnitVectorSet:
     """n vectors in R^d claimed to lie on the unit sphere.
 
-    ``exact_gram``, when given, is the exact Gram oracle.  It is passed as an
-    IntegerGram or an exact SymMatrix and held as an IntegerGram.  The set is
-    in float mode when it has no oracle and some coordinate is a float; then
-    every coordinate, exact ones too, enters its Gram through ``float``.
+    ``exact_gram``, when given, is the exact Gram oracle, an IntegerGram.  The
+    set is in float mode when it has no oracle and some coordinate is a float;
+    then every coordinate, exact ones too, enters its Gram through ``float``.
     """
 
     dimension: int
@@ -61,11 +60,10 @@ class UnitVectorSet:
         object.__setattr__(self, "labels", labels)
         gram = self.exact_gram
         if gram is not None:
+            if not isinstance(gram, IntegerGram):
+                raise InvalidCode("an exact Gram oracle needs exact entries")
             if gram.n != len(vectors):
                 raise InvalidCode("exact Gram dimension differs from vector count")
-            if gram.mode() != EXACT:
-                raise InvalidCode("an exact Gram oracle needs exact entries")
-            object.__setattr__(self, "exact_gram", IntegerGram.of(gram))
         floating = gram is None and any(mode_of(x) == FLOAT for v in vectors for x in v)
         object.__setattr__(self, "_mode", FLOAT if floating else EXACT)
 
@@ -86,13 +84,13 @@ class UnitVectorSet:
         except OverflowError:
             raise InvalidCode("a coordinate is beyond the float range") from None
 
-    def raw_gram(self) -> SymMatrix | FloatGram:
+    def raw_gram(self) -> IntegerGram | FloatGram:
         """Gram matrix without any unit-norm enforcement.
 
         Raises InvalidCode when a float squared norm overflows to infinity.
         """
         if self.mode() == EXACT:
-            return SymMatrix(integer_gram(self).rows)
+            return integer_gram(self)
         return _float_gram(self.coords)
 
 
@@ -288,11 +286,11 @@ def verify_spherical_code(vset: UnitVectorSet, alpha_claim: Scalar) -> Certifica
     Violations are failing links, never exceptions.
     """
     gram = vset.raw_gram()
-    n = gram.n
-    worst_norm = max(abs(gram.rows[i][i] - 1) for i in range(n))
+    n, rows = gram.n, gram.rows
+    worst_norm = max(abs(rows[i][i] - 1) for i in range(n))
     links = [make_link("unit norms (max |<v,v>| deviation from 1)", worst_norm, 0)]
     if n >= 2:
-        off = [gram.rows[i][j] for i in range(n) for j in range(i + 1, n)]
+        off = [rows[i][j] for i in range(n) for j in range(i + 1, n)]
         links.append(make_link("pairwise inner products at most the claim",
                                max(off), alpha_claim))
         links.append(make_link("pairwise inner products at least -1",

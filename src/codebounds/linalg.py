@@ -1,4 +1,4 @@
-"""Symmetric matrices, exact integer Grams, float Grams, and rank.
+"""Exact integer Grams, float Grams, and rank.
 
 An exact Gram is held as an ``IntegerGram``: integer numerators N over one
 positive integer denominator c, so that G = N / c, together with an integer
@@ -19,6 +19,9 @@ return has the bits that loop gives.  Overflow follows IEEE (inf, and nan
 from inf - inf) as Python floats do; numpy's warnings for it are silenced.
 Float rank uses partially pivoted elimination with a relative pivot
 threshold.
+
+A matrix given by rows enters through ``gram_from_rows``; ``rank``, ``trace``,
+``trace_of_square`` and ``verify_trace_rank`` take only the two Gram types.
 """
 
 from fractions import Fraction
@@ -29,47 +32,10 @@ import numpy as np
 
 from .certificates import Certificate, make_link
 from .errors import InvalidCode
-from .scalars import EXACT, FLOAT, REL_EPS, Scalar, join_modes, mode_of
+from .scalars import EXACT, FLOAT, REL_EPS, Scalar, mode_of
 
 # 2^31 - 1 is prime, and a product of two residues stays below 2^62
 P = 2_147_483_647
-
-
-class SymMatrix:
-    """Dense symmetric matrix; symmetry is asserted on construction."""
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, rows):
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        # list equality runs in C and short-circuits on shared entry objects
-        for i, (row, col) in enumerate(zip(rows, zip(*rows))):
-            if row[i + 1:] != list(col[i + 1:]):
-                j = next(j for j in range(i + 1, n) if row[j] != col[j])
-                raise ValueError(f"asymmetric entries at ({i},{j})")
-        self.n = n
-        self.rows = rows
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def filled(cls, n, value):
-        return cls([[value] * n for _ in range(n)])
-
-    def __eq__(self, other):
-        return isinstance(other, SymMatrix) and self.rows == other.rows
-
-    def __repr__(self):
-        return f"SymMatrix({self.rows!r})"
-
-    def mode(self) -> str:
-        return join_modes(*(mode_of(x) for row in self.rows for x in row)) if self.n else EXACT
 
 
 def exact_array(values, terms: int) -> np.ndarray:
@@ -104,14 +70,6 @@ class IntegerGram:
         self.den = den
         self.factor = self.num if factor is None else factor
         self._rows = rows
-
-    @classmethod
-    def of(cls, m: "SymMatrix | IntegerGram") -> "IntegerGram":
-        """An exact matrix over the lcm of its denominators (an IntegerGram as is)."""
-        if isinstance(m, IntegerGram):
-            return m
-        num, den = scaled_integers(m.rows)
-        return cls(num, den, rows=m.rows)
 
     @property
     def n(self) -> int:
@@ -175,13 +133,6 @@ class FloatGram:
         self.a = a
         self._rows = None
 
-    @classmethod
-    def of(cls, m: "SymMatrix | FloatGram") -> "FloatGram":
-        """A float-mode matrix with every entry converted by ``float`` (a FloatGram as is)."""
-        if isinstance(m, FloatGram):
-            return m
-        return cls(np.array([[float(x) for x in row] for row in m.rows], dtype=np.float64))
-
     @property
     def n(self) -> int:
         return len(self.a)
@@ -196,15 +147,31 @@ class FloatGram:
         return self._rows
 
 
-def _typed(m):
-    """An exact matrix as an IntegerGram, a float one as a FloatGram."""
-    if isinstance(m, (IntegerGram, FloatGram)):
-        return m
-    return IntegerGram.of(m) if m.mode() == EXACT else FloatGram.of(m)
+def gram_from_rows(rows) -> IntegerGram | FloatGram:
+    """The Gram of a square symmetric matrix given by rows.
+
+    Every entry exact: an IntegerGram over the lcm of the denominators that
+    keeps the given entries as its ``rows``.  Otherwise a FloatGram of
+    ``float(x)`` for every entry.  Raises ValueError when the matrix is not
+    square or not symmetric.
+    """
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+    # list equality runs in C and short-circuits on shared entry objects
+    for i, (row, col) in enumerate(zip(rows, zip(*rows))):
+        if row[i + 1:] != list(col[i + 1:]):
+            j = next(j for j in range(i + 1, n) if row[j] != col[j])
+            raise ValueError(f"asymmetric entries at ({i},{j})")
+    if any(mode_of(x) == FLOAT for row in rows for x in row):
+        return FloatGram(np.array([[float(x) for x in row] for row in rows], dtype=np.float64))
+    num, den = scaled_integers(rows)
+    return IntegerGram(num, den, rows=rows)
 
 
-def trace(m: SymMatrix | IntegerGram | FloatGram) -> Scalar:
-    m = _typed(m)
+def trace(m: IntegerGram | FloatGram) -> Scalar:
     if isinstance(m, FloatGram):
         return float(sequential_sums(np.diagonal(m.a)))
     total = 0
@@ -214,10 +181,9 @@ def trace(m: SymMatrix | IntegerGram | FloatGram) -> Scalar:
 
 
 @float_kernel
-def trace_of_square(m: SymMatrix | IntegerGram | FloatGram) -> Scalar:
+def trace_of_square(m: IntegerGram | FloatGram) -> Scalar:
     """Sum of squared entries; equals the trace of M^2 for symmetric M.
     Float squares are added in row-major order."""
-    m = _typed(m)
     if isinstance(m, IntegerGram):
         return m.value(int((m.num * m.num).sum()), 2)
     return float(sequential_sums((m.a * m.a).reshape(-1)))
@@ -313,22 +279,20 @@ def _rank_float(a) -> int:
     return rank_count
 
 
-def rank(m: SymMatrix | IntegerGram | FloatGram) -> int:
-    """Matrix rank: exact from an integer factor when every entry is exact, else pivoted float."""
+def rank(m: IntegerGram | FloatGram) -> int:
+    """Matrix rank: exact from an IntegerGram's factor, pivoted float for a FloatGram."""
     if m.n == 0:
         return 0
-    m = _typed(m)
     if isinstance(m, IntegerGram):
         return integer_rank(m.factor)
     return _rank_float(m.a)
 
 
-def verify_trace_rank(m: SymMatrix | IntegerGram | FloatGram) -> Certificate:
+def verify_trace_rank(m: IntegerGram | FloatGram) -> Certificate:
     """Certify tr(M)^2 <= rank(M) * tr(M^2) for a symmetric matrix.
 
     Raises InvalidCode when a float side overflows to infinity.
     """
-    m = _typed(m)
     r = rank(m)
     t = trace(m)
     lhs, rhs = t * t, r * trace_of_square(m)

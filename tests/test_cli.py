@@ -324,3 +324,49 @@ def test_main_repeats_identically_within_one_process(tmp_path, capsys):
     second = [run(capsys, *argv) for argv in sequence]
     second[4:6] = [(code, out, "") for code, out, _ in second[4:6]]
     assert second == first
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ramsey-asymptotic", "--q", "0", "--r", "3", "--j", "0"],
+     "need q >= 2 and r >= 1, got q=0, r=3"),
+    (["ramsey-asymptotic", "--q", "1", "--r", "3", "--j", "0"],
+     "need q >= 2 and r >= 1, got q=1, r=3"),
+    (["ramsey-asymptotic", "--q", "2", "--r", "0", "--j", "0"],
+     "need q >= 2 and r >= 1, got q=2, r=0"),
+    (["ramsey-upper", "--q", "0", "--r", "4", "--s", "2", "--eps", "1/2", "--c", "1"],
+     "alphabet size must be >= 2, got 0"),
+    (["ramsey-upper", "--q", "1", "--r", "4", "--s", "2", "--eps", "1/2", "--c", "1"],
+     "alphabet size must be >= 2, got 1"),
+], ids=["asymptotic-q0", "asymptotic-q1", "asymptotic-r0", "upper-q0", "upper-q1"])
+def test_bound_ramsey_rejects_small_alphabets_and_lengths(capsys, argv, message):
+    code, out, err = run(capsys, "bound", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_bound_ramsey_asymptotic_grid_marks_small_q_out_of_domain(capsys):
+    code, out, err = run(capsys, "bound", "ramsey-asymptotic", "--grid",
+                         "--q", "0:2", "--r", "4", "--j", "0")
+    assert code == 1
+    assert out.splitlines() == ["q,r,j,value,status", "0,4,0,,out-of-domain",
+                                "1,4,0,,out-of-domain", "2,4,0,8,asymptotic-headline"]
+    assert err.splitlines() == ["error: q=0 r=4 j=0: need q >= 2 and r >= 1, got q=0, r=4",
+                                "error: q=1 r=4 j=0: need q >= 2 and r >= 1, got q=1, r=4"]
+
+
+@pytest.mark.parametrize("r", ["5:1", "1,5:1", "1:9:2,4:3"])
+def test_bound_grid_rejects_an_empty_range(capsys, r):
+    code, out, err = run(capsys, "bound", "m", "--r", r, "--alpha", "0", "--grid")
+    assert code == 2
+    assert out == ""
+    assert "empty range" in err
+
+
+@pytest.mark.parametrize("r, k", [("1", "1" + "0" * 309), ("1" + "0" * 309, "0")],
+                         ids=["huge-k", "huge-r"])
+def test_bound_rho_beyond_the_float_range_exits_1(capsys, r, k):
+    code, out, err = run(capsys, "bound", "rho", "--r", r, "--k", k)
+    assert code == 1
+    assert out == ""
+    assert err == "error: r and k are beyond the float range\n"

@@ -11,7 +11,8 @@ from codebounds.codes import (QaryCode, UnitVectorSet, certify_chain,
 from codebounds.constructions import cross_polytope, simplex_vectors
 from codebounds.errors import (AlphaOutOfRange, DuplicateCodewords, InvalidCode,
                                NonUnitVector, TooFewWords)
-from codebounds.linalg import IntegerGram, SymMatrix
+from codebounds.fileio import parse_spherical
+from codebounds.linalg import IntegerGram, gram_from_rows, rank
 
 
 def rational_sphere_point(rng, d, spread=4):
@@ -83,7 +84,7 @@ def test_gram_analyze_rejects_non_unit():
     (UnitVectorSet(2, ((Fraction(3, 5), Fraction(4, 5)), (Fraction(1, 2), Fraction(1, 2)))), 1,
      "vector 1 has squared norm Fraction(1, 2), expected 1"),
     (UnitVectorSet(1, ((1.0,), (-1.0,)),
-                   exact_gram=SymMatrix([[1, -1], [-1, Fraction(3, 2)]])), 1,
+                   exact_gram=gram_from_rows([[1, -1], [-1, Fraction(3, 2)]])), 1,
      "vector 1 has squared norm Fraction(3, 2), expected 1"),
 ], ids=["int", "float", "fraction", "oracle"])
 def test_gram_analyze_rejects_non_unit_before_building_gram(vset, index, message,
@@ -173,7 +174,18 @@ def test_qary_code_validation():
 
 def test_float_gram_oracle_is_rejected():
     with pytest.raises(InvalidCode, match="exact entries"):
-        UnitVectorSet(1, ((1.0,), (-1.0,)), exact_gram=SymMatrix([[1, -1.0], [-1.0, 1]]))
+        UnitVectorSet(1, ((1.0,), (-1.0,)), exact_gram=gram_from_rows([[1, -1.0], [-1.0, 1]]))
+
+
+def test_exact_raw_gram_of_a_file_is_its_integer_gram():
+    vset = parse_spherical("sphere 3\n1 0 0\n0 3/5 4/5\n0 -0.8 0.6\n-1 0 0\n")
+    g = vset.raw_gram()
+    assert isinstance(g, IntegerGram)
+    # the n x d coordinate matrix over its lcm 5 is the factor; the Gram is over 5^2
+    assert g.factor.tolist() == [[5, 0, 0], [0, 3, 4], [0, -4, 3], [-5, 0, 0]]
+    assert g.den == 25 and g.num.tolist() == (g.factor @ g.factor.T).tolist()
+    assert g.rows[1][2] == 0 and g.rows[0][3] == -1
+    assert rank(g) == 3
 
 
 def test_hamming_distance_needs_equal_lengths():
@@ -269,7 +281,7 @@ def test_certify_chain_simplex_plus_orthogonal_pair():
          [off, off, 1, 0, 0],
          [0, 0, 0, 1, -1],
          [0, 0, 0, -1, 1]]
-    vset = UnitVectorSet(3, coords, exact_gram=SymMatrix(g))
+    vset = UnitVectorSet(3, coords, exact_gram=gram_from_rows(g))
     # the oracle is held as an IntegerGram that keeps the given entries
     assert isinstance(vset.exact_gram, IntegerGram) and vset.exact_gram.rows == g
     cert = certify_chain(vset)

@@ -18,7 +18,7 @@ from codebounds.codes import (QaryCode, UnitVectorSet, certify_chain,
 from codebounds.constructions import embed_qary
 from codebounds.errors import AlphaOutOfRange, NonUnitVector
 from codebounds.fileio import certificate_json, serialize_spherical
-from codebounds.linalg import (P, SymMatrix, integer_rank, rank,
+from codebounds.linalg import (P, gram_from_rows, integer_rank, rank,
                                trace_of_square, verify_trace_rank)
 from codebounds.scalars import format_scalar
 
@@ -203,7 +203,7 @@ def oracle_case(rng):
     if rng.random() < 0.15:
         rows[n - 1][n - 1] = Fraction(3, 2)
     floats = tuple(tuple(float(x) for x in v) for v in vectors)
-    return UnitVectorSet(d, floats, exact_gram=SymMatrix(rows)), rows
+    return UnitVectorSet(d, floats, exact_gram=gram_from_rows(rows)), rows
 
 
 def cases():
@@ -254,8 +254,8 @@ def test_integer_pipeline_matches_fraction_reference(vset, rows):
 
 def test_rank_falls_back_to_bareiss_when_the_rank_drops_mod_p():
     # diag(P, 1) has rank 2 over Q but rank 1 mod P
-    assert rank(SymMatrix([[P, 0], [0, 1]])) == 2
-    assert rank(SymMatrix([[Fraction(P, 3), 0], [0, Fraction(1, 3)]])) == 2
+    assert rank(gram_from_rows([[P, 0], [0, 1]])) == 2
+    assert rank(gram_from_rows([[Fraction(P, 3), 0], [0, Fraction(1, 3)]])) == 2
     assert integer_rank(np.array([[P, 0], [0, 1]])) == 2
     assert integer_rank(np.array([[P], [2 * P]], dtype=object)) == 1
     # a rank below min(rows, cols) is confirmed by the fallback, not taken mod P
