@@ -1,7 +1,8 @@
 """Command-line front end: bound tables, verification, construction, search.
 
 Exit codes: 0 success (all verdicts pass), 1 domain error or failing verdict,
-2 argument error or malformed/invalid input file.  Exact arithmetic is the
+2 argument error, malformed/invalid input file, or an input that cannot be
+read or an output that cannot be written.  Exact arithmetic is the
 default everywhere; float mode is opt-in via --float.
 """
 
@@ -55,8 +56,11 @@ class _Run:
         return "# manifest: " + json.dumps(manifest, sort_keys=True)
 
     def read_input(self, path: str) -> str:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
         self.input_digests[path] = sha256_hex(text)
         return text
 
@@ -384,8 +388,8 @@ _parser = functools.cache(build_parser)
 _DISPATCH = {"bound": cmd_bound, "verify": cmd_verify, "construct": cmd_construct,
              "embed": cmd_embed, "search": cmd_search}
 
-_FILE_ERRORS = (FileFormatError, InvalidCode, NonUnitVector, DuplicateCodewords,
-                FileNotFoundError)
+# OSError: an --in that cannot be read or an --out that cannot be written
+_FILE_ERRORS = (FileFormatError, InvalidCode, NonUnitVector, DuplicateCodewords, OSError)
 
 
 def main(argv=None) -> int:

@@ -1,16 +1,13 @@
 """Code objects and the inequality verifiers built on their Gram matrices.
 
-A ``UnitVectorSet`` may carry an exact Gram oracle alongside float
-coordinates; constructions with irrational coordinates but rational inner
-products (simplices, distance-based embeddings) use this to keep all
-certificates in exact arithmetic.  The oracle must be an ``IntegerGram``
-(``linalg.gram_from_rows`` builds one from exact rows); anything else is
-rejected.
-
-Exact analysis works on an ``IntegerGram``: a rational file's coordinates
-scaled to integers A = L*V give numerators A A^T over L^2, an oracle is one
-already.  Fractions are made only for values that a certificate or an error
-message prints.
+An exact set's Gram is always computed, never supplied, from one of two
+sources.  Rational coordinates scaled to integers A = L*V give numerators
+A A^T over L^2.  The simplex image of a ``QaryCode`` (``UnitVectorSet.source``,
+set by ``constructions``) has irrational coordinates for q >= 3 but rational
+inner products, and its Gram comes from the code's Hamming distances
+(``distance_gram``); the float coordinates beside it are not read.  Either
+way the Gram is an ``IntegerGram``, and Fractions are made only for values
+that a certificate or an error message prints.
 
 Float analysis works on a ``FloatGram``, built from the coordinates converted
 once by ``float`` into an (n, d) array; every sum in it adds left to right
@@ -35,15 +32,16 @@ from .scalars import EXACT, FLOAT, Scalar, format_scalar, mode_of, unit_norm_ok
 class UnitVectorSet:
     """n vectors in R^d claimed to lie on the unit sphere.
 
-    ``exact_gram``, when given, is the exact Gram oracle, an IntegerGram.  The
-    set is in float mode when it has no oracle and some coordinate is a float;
-    then every coordinate, exact ones too, enters its Gram through ``float``.
+    ``source``, when given, is the QaryCode whose simplex image the vectors
+    are: the exact Gram comes from its distances and the set is in exact mode.
+    Otherwise the set is in float mode when some coordinate is a float; then
+    every coordinate, exact ones too, enters its Gram through ``float``.
     """
 
     dimension: int
     vectors: tuple
     labels: tuple = ()
-    exact_gram: IntegerGram = None
+    source: "QaryCode" = None
     _mode: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -58,13 +56,15 @@ class UnitVectorSet:
         if len(labels) != len(vectors):
             raise InvalidCode("label count differs from vector count")
         object.__setattr__(self, "labels", labels)
-        gram = self.exact_gram
-        if gram is not None:
-            if not isinstance(gram, IntegerGram):
-                raise InvalidCode("an exact Gram oracle needs exact entries")
-            if gram.n != len(vectors):
-                raise InvalidCode("exact Gram dimension differs from vector count")
-        floating = gram is None and any(mode_of(x) == FLOAT for v in vectors for x in v)
+        code = self.source
+        if code is not None:
+            if not isinstance(code, QaryCode):
+                raise InvalidCode("the source of a vector set must be a QaryCode")
+            if len(code) != len(vectors):
+                raise InvalidCode("source code size differs from vector count")
+            if (code.q - 1) * code.r != self.dimension:
+                raise InvalidCode("a code image has dimension (q-1)r")
+        floating = code is None and any(mode_of(x) == FLOAT for v in vectors for x in v)
         object.__setattr__(self, "_mode", FLOAT if floating else EXACT)
 
     def __len__(self):
@@ -194,30 +194,39 @@ def min_distance(code: QaryCode) -> int:
     return int(min((w[i + 1:] != w[i]).sum(axis=1).min() for i in range(len(w) - 1)))
 
 
-def _require_unit_norms(norms, one, typed_norm):
-    """Raise NonUnitVector at the first squared norm (numerator) that is not ``one``."""
-    bad = np.flatnonzero(np.asarray(norms, dtype=object) != one)
-    if bad.size:
-        i = int(bad[0])
-        raise NonUnitVector(i, typed_norm(i))
+def distance_gram(code: QaryCode) -> IntegerGram:
+    """Exact Gram of the simplex image: entry (x, y) is 1 - q*d(x,y)/((q-1)*r).
+
+    With C = q*onehot(word) - 1 the Gram is C C^T / (q(q-1)r), and C C^T =
+    q(q-1)r - q^2 * distance; its diagonal is the denominator, so every word
+    maps to a unit vector.  The factor is C without the last symbol's column
+    in each coordinate block: a block's q columns sum to zero, so the dropped
+    one lies in the span of the others and the rank is unchanged.  Full C has
+    rank at most (q-1)r, below min(n, qr) once n > (q-1)r, so its rank mod p
+    could not confirm itself and Bareiss elimination would always decide.
+    """
+    q, r = code.q, code.r
+    den = q * (q - 1) * r
+    words = np.array(code.words, dtype=np.int64)
+    factor = (words[:, :, None] == np.arange(q - 1)).reshape(len(code), (q - 1) * r) * q - 1
+    return IntegerGram(den - q * q * distance_matrix(code), den, factor)
 
 
 def integer_gram(vset: UnitVectorSet, unit: bool = False) -> IntegerGram:
-    """The IntegerGram of an exact set: its oracle, or a file's A A^T over L^2
-    with the coordinates A as the factor.  With ``unit`` every squared norm is
-    first checked to be exactly 1; a file's before its Gram is formed."""
-    g = vset.exact_gram
-    if g is not None:
-        if unit:
-            _require_unit_norms(np.diagonal(g.num), g.den, lambda i: g.entry(i, i))
-        return g
+    """The IntegerGram of an exact set: its source code's ``distance_gram``, or
+    a file's A A^T over L^2 with the coordinates A as the factor.  With
+    ``unit`` a file's squared norms are first checked to be exactly 1, before
+    its Gram is formed; a code image's are 1 by construction."""
+    if vset.source is not None:
+        return distance_gram(vset.source)
     a, den = scaled_integers(vset.vectors)
     # int64 only when each entry of A A^T stays below 2^63
     a = exact_array(a, vset.dimension)
     if unit:
-        vectors = vset.vectors
-        _require_unit_norms((a * a).sum(axis=1), den * den,
-                            lambda i: _dot(vectors[i], vectors[i]))
+        bad = np.flatnonzero(np.asarray((a * a).sum(axis=1), dtype=object) != den * den)
+        if bad.size:
+            v = vset.vectors[int(bad[0])]
+            raise NonUnitVector(int(bad[0]), _dot(v, v))
     return IntegerGram(a @ a.T, den * den, a)
 
 
@@ -231,8 +240,8 @@ def _analyze_exact(vset: UnitVectorSet) -> GramAnalysis:
         iu = np.triu_indices(n, 1)
         k = int(np.argmax(num[iu]))
         i, j = int(iu[0][k]), int(iu[1][k])
-        alpha = g.entry(i, j) if vset.exact_gram is not None else \
-            _dot(vset.vectors[i], vset.vectors[j])
+        alpha = _dot(vset.vectors[i], vset.vectors[j]) if vset.source is None \
+            else g.value(int(num[i, j]))
     negative = num < 0       # never on the diagonal, which is den > 0
     gamma = tuple(g.value(int(x)) if x else 0
                   for x in np.where(negative, num, 0).sum(axis=1).tolist())

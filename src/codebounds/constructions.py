@@ -1,13 +1,12 @@
 """Explicit witness configurations and the q-ary-to-spherical embedding.
 
-Regular-simplex coordinates are irrational for q >= 3, so constructions that
-involve them return float coordinates together with an exact Gram oracle;
-certificates evaluate against the oracle while the coordinates remain
-available for generic linear algebra.  There is one such oracle: under the
-simplex map the inner product of two words depends only on their Hamming
-distance d, as 1 - q*d/((q-1)*r).  It is held as integers: with
-C = q*onehot(word) - 1, the Gram is C C^T / (q(q-1)r) and C C^T =
-q(q-1)r - q^2 * distance.  The +-1 embedding is that map at q = 2, and the
+Regular-simplex coordinates are irrational for q >= 3, so the simplex and
+the embedding of a q-ary code return float coordinates together with the
+code they are the image of (``UnitVectorSet.source``); certificates read the
+exact Gram that ``codes.distance_gram`` computes from the code, while the
+coordinates remain available for generic linear algebra.  Under the simplex
+map the inner product of two words depends only on their Hamming distance d,
+as 1 - q*d/((q-1)*r).  The +-1 embedding is that map at q = 2, and the
 regular simplex is its image of the q one-symbol words (r = 1).
 """
 
@@ -17,9 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import QaryCode, UnitVectorSet, distance_matrix, min_distance
+from .codes import QaryCode, UnitVectorSet, distance_gram, min_distance
 from .errors import CodeBoundsError, NotBinary, PreconditionViolated
-from .linalg import IntegerGram
 
 
 @dataclass(frozen=True)
@@ -81,27 +79,13 @@ def cross_polytope(r: int) -> UnitVectorSet:
     return UnitVectorSet(r, tuple(vectors), tuple(labels))
 
 
-def _distance_gram(code: QaryCode) -> IntegerGram:
-    """Exact Gram of the simplex image: entry (x, y) is 1 - q*d(x,y)/((q-1)*r).
-
-    The factor is C without the last symbol's column in each coordinate block:
-    a block's q columns sum to zero, so the dropped one lies in the span of
-    the others and the rank is unchanged.
-    """
-    q, r = code.q, code.r
-    den = q * (q - 1) * r
-    words = np.array(code.words, dtype=np.int64)
-    factor = (words[:, :, None] == np.arange(q - 1)).reshape(len(code), (q - 1) * r) * q - 1
-    return IntegerGram(den - q * q * distance_matrix(code), den, factor)
-
-
 def simplex_vectors(q: int) -> UnitVectorSet:
     """q equidistant unit vectors in R^(q-1) with pairwise product -1/(q-1).
 
     Coordinates are built one vector at a time: forward-substitute the inner
     products against the previously placed vectors, then spend the norm
-    remainder on a fresh axis.  The exact Gram oracle carries the rational
-    inner products.
+    remainder on a fresh axis.  The source, the q one-symbol words, gives
+    the exact inner products.
     """
     if q < 2:
         raise PreconditionViolated(f"alphabet size must be >= 2, got {q}")
@@ -118,27 +102,24 @@ def simplex_vectors(q: int) -> UnitVectorSet:
             coords[i, i] = math.sqrt(max(rem, 0.0))
     symbols = QaryCode(q, 1, tuple((s,) for s in range(q)))
     return UnitVectorSet(d, tuple(map(tuple, coords.tolist())),
-                         tuple(f"u{i + 1}" for i in range(q)),
-                         exact_gram=_distance_gram(symbols))
+                         tuple(f"u{i + 1}" for i in range(q)), source=symbols)
 
 
 @dataclass(frozen=True)
 class EmbeddedCode:
     """Spherical image of a q-ary code under the simplex concatenation map.
 
-    The exact Gram oracle is computed from Hamming distances, never from the
-    float coordinates: entry (x, y) is 1 - q*d(x,y)/((q-1)*r).
+    The exact Gram is computed from the source's Hamming distances, never
+    from the float coordinates: entry (x, y) is 1 - q*d(x,y)/((q-1)*r).
     """
 
     source: QaryCode
     dimension: int
     coords: tuple
-    exact_gram: IntegerGram
 
     def unit_vectors(self) -> UnitVectorSet:
         labels = tuple("".join(map(str, w)) for w in self.source.words)
-        return UnitVectorSet(self.dimension, self.coords, labels,
-                             exact_gram=self.exact_gram)
+        return UnitVectorSet(self.dimension, self.coords, labels, source=self.source)
 
     def alpha(self):
         """Largest off-diagonal exact Gram entry (-1 for a single word)."""
@@ -153,7 +134,8 @@ class EmbeddedCode:
         dev = m @ m.T
         # numerator and denominator are exact floats, so the quotient is the
         # correctly rounded entry
-        dev -= self.exact_gram.num / self.exact_gram.den
+        g = distance_gram(self.source)
+        dev -= g.num / g.den
         return float(np.triu(np.abs(dev, out=dev)).max(initial=0.0))
 
 
@@ -168,16 +150,15 @@ def embed_qary(code: QaryCode) -> EmbeddedCode:
     dimension = (q - 1) * r
     words = np.array(code.words, dtype=np.int64)
     coords = simplex[words].reshape(len(code), dimension) * (1.0 / math.sqrt(r))
-    return EmbeddedCode(code, dimension, tuple(map(tuple, coords.tolist())),
-                        _distance_gram(code))
+    return EmbeddedCode(code, dimension, tuple(map(tuple, coords.tolist())))
 
 
 def pm_one_embedding(code: QaryCode) -> UnitVectorSet:
     """Binary words to vectors in R^r: 0 -> +1, 1 -> -1, scaled by 1/sqrt(r).
 
     This is embed_qary at q = 2, whose simplex is +-1: a pair at Hamming
-    distance d has inner product 1 - 2d/r, and the exact Gram oracle records
-    that value.
+    distance d has inner product 1 - 2d/r, and the exact Gram reads that
+    value from the code.
     """
     if code.q != 2:
         raise NotBinary(f"alphabet size {code.q}, expected 2")

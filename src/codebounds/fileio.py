@@ -11,7 +11,7 @@ import hashlib
 import json
 
 from .codes import QaryCode, UnitVectorSet
-from .errors import FileFormatError
+from .errors import CodeBoundsError, FileFormatError
 from .scalars import format_scalar, parse_scalar
 
 
@@ -87,7 +87,7 @@ def parse_qary(text: str) -> QaryCode:
         raise FileFormatError("no codewords in file")
     try:
         return QaryCode(q, r, tuple(words))
-    except Exception as exc:
+    except CodeBoundsError as exc:
         raise FileFormatError(str(exc)) from None
 
 

@@ -2,9 +2,11 @@
 
 An exact Gram is held as an ``IntegerGram``: integer numerators N over one
 positive integer denominator c, so that G = N / c, together with an integer
-matrix of the same rank over Q (the factor).  Integer arrays are numpy int64
-only while every sum of products they enter stays below 2^63, and Python
-ints otherwise.
+matrix of the same rank over Q (the factor).  A vector set's exact Gram is
+always computed (see ``codes``): from rational coordinates, or from the
+Hamming distances of the code whose simplex image the set is.  Integer
+arrays are numpy int64 only while every sum of products they enter stays
+below 2^63, and Python ints otherwise.
 
 Exact rank eliminates an integer matrix modulo the fixed prime ``P`` in
 numpy.  A rank mod P never exceeds the rank over Q, which never exceeds
@@ -20,8 +22,9 @@ from inf - inf) as Python floats do; numpy's warnings for it are silenced.
 Float rank uses partially pivoted elimination with a relative pivot
 threshold.
 
-A matrix given by rows enters through ``gram_from_rows``; ``rank``, ``trace``,
-``trace_of_square`` and ``verify_trace_rank`` take only the two Gram types.
+``rank``, ``trace``, ``trace_of_square`` and ``verify_trace_rank`` take only
+the two Gram types; a matrix given by rows reaches them through
+``gram_from_rows``, and a vector set never takes one.
 """
 
 from fractions import Fraction
@@ -59,8 +62,9 @@ class IntegerGram:
     ``num`` is symmetric with entries fit for sums of n^2 products
     (``exact_array``) and ``den`` is a positive int.  ``factor`` is an integer
     matrix whose rank over Q is the Gram's: scaled coordinates, a code's
-    one-hot matrix, or ``num`` itself.  ``rows`` builds the entries as
-    Fractions (ints when ``den`` is 1) on first use.
+    one-hot matrix less one column per coordinate block, or ``num`` itself.
+    ``rows`` builds the entries as Fractions (ints when ``den`` is 1) on
+    first use.
     """
 
     __slots__ = ("num", "den", "factor", "_rows")
@@ -82,11 +86,6 @@ class IntegerGram:
         """x / den^power: an int when den is 1, else a Fraction."""
         return x if self.den == 1 else Fraction(x, self.den ** power)
 
-    def entry(self, i, j) -> Scalar:
-        if self._rows is not None:
-            return self._rows[i][j]
-        return self.value(int(self.num[i, j]))
-
     @property
     def rows(self):
         if self._rows is None:
@@ -95,9 +94,6 @@ class IntegerGram:
             self._rows = [[entries[k] for k in row]
                           for row in index.reshape(self.num.shape).tolist()]
         return self._rows
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerGram) and self.rows == other.rows
 
 
 def float_kernel(f):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from codebounds import cli
 from codebounds.cli import main
 from codebounds.fileio import parse_qary, parse_spherical, serialize_spherical
 from codebounds.constructions import cross_polytope
@@ -370,3 +371,50 @@ def test_bound_rho_beyond_the_float_range_exits_1(capsys, r, k):
     assert code == 1
     assert out == ""
     assert err == "error: r and k are beyond the float range\n"
+
+
+def _unopenable(tmp_path, what):
+    """A path that open() refuses: a directory, or a path under a regular file."""
+    if what == "directory":
+        return str(tmp_path)
+    (tmp_path / "plain").write_text("")
+    return str(tmp_path / "plain" / "x")
+
+
+@pytest.mark.parametrize("argv", [["verify", "chain"], ["verify", "qary", "--s", "1"],
+                                  ["embed"]], ids=["verify-chain", "verify-qary", "embed"])
+@pytest.mark.parametrize("what", ["directory", "under-a-file", "not-utf-8", "permission"])
+def test_unreadable_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                      argv, what):
+    if what == "not-utf-8":
+        path = tmp_path / "bom.sphere"
+        path.write_bytes(b"\xff\xfe")
+        path = str(path)
+        expected = f"error: {path}: not UTF-8 text (byte 0)\n"
+    elif what == "permission":
+        # open() is denied as it would be for a mode-000 file read by a non-root user
+        path = str(tmp_path / "locked.sphere")
+
+        def denied(file, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", file)
+
+        monkeypatch.setattr(cli, "open", denied, raising=False)
+        expected = f"error: [Errno 13] Permission denied: '{path}'\n"
+    else:
+        path = _unopenable(tmp_path, what)
+        expected = None
+    code, out, err = run(capsys, *argv, "--in", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert expected is None or err == expected
+
+
+@pytest.mark.parametrize("argv", [["construct", "simplex", "--q", "3"],
+                                  ["search", "greedy", "--q", "2", "--r", "3", "--s", "2"]],
+                         ids=["construct", "search"])
+@pytest.mark.parametrize("what", ["directory", "under-a-file"])
+def test_unwritable_output_exits_2_with_one_error_line(tmp_path, capsys, argv, what):
+    code, _, err = run(capsys, *argv, "--out", _unopenable(tmp_path, what))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

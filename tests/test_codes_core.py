@@ -83,10 +83,7 @@ def test_gram_analyze_rejects_non_unit():
      "vector 1 has squared norm 1.17, expected 1"),
     (UnitVectorSet(2, ((Fraction(3, 5), Fraction(4, 5)), (Fraction(1, 2), Fraction(1, 2)))), 1,
      "vector 1 has squared norm Fraction(1, 2), expected 1"),
-    (UnitVectorSet(1, ((1.0,), (-1.0,)),
-                   exact_gram=gram_from_rows([[1, -1], [-1, Fraction(3, 2)]])), 1,
-     "vector 1 has squared norm Fraction(3, 2), expected 1"),
-], ids=["int", "float", "fraction", "oracle"])
+], ids=["int", "float", "fraction"])
 def test_gram_analyze_rejects_non_unit_before_building_gram(vset, index, message,
                                                             monkeypatch):
     # an off-sphere set is rejected from its norms, without its full Gram
@@ -173,8 +170,21 @@ def test_qary_code_validation():
 
 
 def test_float_gram_oracle_is_rejected():
-    with pytest.raises(InvalidCode, match="exact entries"):
-        UnitVectorSet(1, ((1.0,), (-1.0,)), exact_gram=gram_from_rows([[1, -1.0], [-1.0, 1]]))
+    # an exact set's Gram is computed, never supplied: a Gram of either kind
+    # is not a source
+    for rows in ([[1, -1.0], [-1.0, 1]], [[1, -1], [-1, Fraction(3, 2)]]):
+        with pytest.raises(InvalidCode, match="must be a QaryCode"):
+            UnitVectorSet(1, ((1.0,), (-1.0,)), source=gram_from_rows(rows))
+
+
+def test_source_code_must_match_the_vectors():
+    with pytest.raises(InvalidCode, match="source code size differs"):
+        UnitVectorSet(1, ((1.0,), (-1.0,)), source=QaryCode(3, 1, ((0,), (1,), (2,))))
+    with pytest.raises(InvalidCode, match=r"dimension \(q-1\)r"):
+        UnitVectorSet(1, ((1.0,), (-1.0,)), source=QaryCode(3, 1, ((0,), (1,))))
+    vset = UnitVectorSet(1, ((1.0,), (-1.0,)), source=QaryCode(2, 1, ((0,), (1,))))
+    assert vset.mode() == "exact"
+    assert vset.raw_gram().rows == [[1, -1], [-1, 1]]
 
 
 def test_exact_raw_gram_of_a_file_is_its_integer_gram():
@@ -271,19 +281,19 @@ def test_certify_chain_cross_polytope_equalities():
 
 
 def test_certify_chain_simplex_plus_orthogonal_pair():
-    # planar simplex lifted to R^3 together with +-e3: alpha = 0
-    s = simplex_vectors(3)
-    coords = tuple(tuple(v) + (0.0,) for v in s.vectors) + \
-        ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0))
+    # a planar simplex with rational coordinates in R^4 (its three vectors sum
+    # to 0), lifted to R^5 together with +-e5: alpha = 0
+    h = Fraction(1, 2)
+    coords = ((1, 0, 0, 0, 0), (-h, h, h, h, 0), (-h, -h, -h, -h, 0),
+              (0, 0, 0, 0, 1), (0, 0, 0, 0, -1))
     off = Fraction(-1, 2)
     g = [[1, off, off, 0, 0],
          [off, 1, off, 0, 0],
          [off, off, 1, 0, 0],
          [0, 0, 0, 1, -1],
          [0, 0, 0, -1, 1]]
-    vset = UnitVectorSet(3, coords, exact_gram=gram_from_rows(g))
-    # the oracle is held as an IntegerGram that keeps the given entries
-    assert isinstance(vset.exact_gram, IntegerGram) and vset.exact_gram.rows == g
+    vset = UnitVectorSet(5, coords)
+    assert vset.raw_gram().rows == g
     cert = certify_chain(vset)
     assert cert.verdict
     assert cert.meta["rank"] == 3

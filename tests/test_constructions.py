@@ -10,7 +10,8 @@ from codebounds.constructions import (HadamardMatrix, cross_polytope,
                                       pm_one_embedding, simplex_vectors,
                                       sylvester_hadamard)
 from codebounds.errors import CodeBoundsError, NotBinary, PreconditionViolated
-from codebounds.fileio import certificate_json, serialize_spherical, sha256_hex
+from codebounds.fileio import (certificate_json, parse_spherical,
+                               serialize_spherical, sha256_hex)
 from codebounds.linalg import rank
 from codebounds.codes import verify_spherical_code
 from codebounds.scalars import format_scalar
@@ -56,7 +57,7 @@ def test_simplex_q3():
 
 def test_simplex_q5_gram_and_rank():
     s = simplex_vectors(5)
-    g = s.exact_gram
+    g = s.raw_gram()
     # (5/4) I - (1/4) J on five points
     for i in range(5):
         for j in range(5):
@@ -70,7 +71,7 @@ def test_simplex_float_coords_match_exact_gram(q):
     s = simplex_vectors(q)
     coords = np.array(s.vectors)
     fg = coords @ coords.T
-    eg = np.array([[float(x) for x in row] for row in s.exact_gram.rows])
+    eg = np.array([[float(x) for x in row] for row in s.raw_gram().rows])
     assert np.abs(fg - eg).max() < 1e-12
 
 
@@ -139,8 +140,9 @@ def test_embed_identity_example():
     code = QaryCode(3, 2, ((0, 0), (0, 1)))
     embedded = embed_qary(code)
     # distance 1: normalized product (2 - 3/2)/2 = 1/4
-    assert embedded.exact_gram.rows[0][1] == Fraction(1, 4)
-    assert embedded.exact_gram.rows[0][0] == 1
+    rows = embedded.unit_vectors().raw_gram().rows
+    assert rows[0][1] == Fraction(1, 4)
+    assert rows[0][0] == 1
     assert embedded.dimension == 4
 
 
@@ -169,11 +171,12 @@ def test_embed_random_codes_exact_vs_float():
     for _ in range(30):
         code = random_code(rng)
         embedded = embed_qary(code)
+        rows = embedded.unit_vectors().raw_gram().rows
         q, r = code.q, code.r
         for i in range(len(code)):
             for j in range(len(code)):
                 d = sum(a != b for a, b in zip(code.words[i], code.words[j]))
-                assert embedded.exact_gram.rows[i][j] == 1 - Fraction(q * d, (q - 1) * r)
+                assert rows[i][j] == 1 - Fraction(q * d, (q - 1) * r)
         assert embedded.max_coordinate_deviation() < 1e-9
 
 
@@ -193,14 +196,14 @@ def test_distance_threshold_iff_product_threshold():
     rng = random.Random(55)
     for _ in range(10):
         code = random_code(rng, n_max=10)
-        embedded = embed_qary(code)
+        rows = embed_qary(code).unit_vectors().raw_gram().rows
         q, r = code.q, code.r
         for s in range(1, r + 1):
             cutoff = 1 - Fraction(q * s, (q - 1) * r)
             for i in range(len(code)):
                 for j in range(i + 1, len(code)):
                     d = sum(a != b for a, b in zip(code.words[i], code.words[j]))
-                    assert (d >= s) == (embedded.exact_gram.rows[i][j] <= cutoff)
+                    assert (d >= s) == (rows[i][j] <= cutoff)
 
 
 def test_min_distance_recoverable_from_embedding_gram():
@@ -210,9 +213,8 @@ def test_min_distance_recoverable_from_embedding_gram():
         code = random_code(rng, n_max=15)
         if len(code) < 2:
             continue
-        embedded = embed_qary(code)
         q, r = code.q, code.r
-        g = embedded.exact_gram
+        g = embed_qary(code).unit_vectors().raw_gram()
         implied = min(
             (1 - g.rows[i][j]) * Fraction((q - 1) * r, q)
             for i in range(g.n) for j in range(i + 1, g.n))
@@ -221,12 +223,13 @@ def test_min_distance_recoverable_from_embedding_gram():
 
 def test_pm_one_examples():
     two = pm_one_embedding(QaryCode(2, 2, ((0, 0), (1, 1))))
-    assert two.exact_gram.rows[0][1] == -1
+    assert two.raw_gram().rows[0][1] == -1
     four = pm_one_embedding(QaryCode(2, 3, ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))))
+    rows = four.raw_gram().rows
     for i in range(4):
         for j in range(4):
             if i != j:
-                assert four.exact_gram.rows[i][j] == Fraction(-1, 3)
+                assert rows[i][j] == Fraction(-1, 3)
     with pytest.raises(NotBinary):
         pm_one_embedding(QaryCode(3, 2, ((0, 0), (1, 2))))
 
@@ -237,7 +240,7 @@ def test_pm_one_agrees_with_embed_for_binary():
         code = random_code(rng, q_max=2, r_max=8, n_max=12)
         a = pm_one_embedding(code)
         b = embed_qary(code)
-        assert a.exact_gram == b.exact_gram
+        assert a.raw_gram().rows == b.unit_vectors().raw_gram().rows
         assert a.vectors == b.coords
         assert a.labels == b.unit_vectors().labels
         assert a.dimension == b.dimension
@@ -284,3 +287,13 @@ def test_embedding_outputs_are_byte_stable(name):
                       repr(embedded.max_coordinate_deviation()),
                       certificate_json(certify_chain(vset))])
     assert sha256_hex(text) == EMBEDDING_DIGESTS[name]
+
+
+@pytest.mark.parametrize("t", [2, 4, 6], ids=["r4", "r16", "r64"])
+def test_code_image_chain_matches_the_rational_file_chain(t):
+    # the coordinates +-1/2, +-1/4 and +-1/8 are exact decimals, so the file
+    # route takes the Gram from rational coordinates, not from distances
+    vset = embed_qary(hadamard_code(sylvester_hadamard(t))).unit_vectors()
+    parsed = parse_spherical(serialize_spherical(vset), exact=True)
+    assert parsed.source is None and parsed.mode() == "exact"
+    assert certificate_json(certify_chain(vset)) == certificate_json(certify_chain(parsed))

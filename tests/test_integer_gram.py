@@ -196,14 +196,17 @@ def code_case(rng):
 
 
 def oracle_case(rng):
-    # Grams of n vectors in d <= 4 dimensions: rank-deficient whenever n > d
-    d, n = rng.randint(1, 4), rng.randint(1, 9)
-    vectors = [sphere_point(rng, d, 4) for _ in range(n)]
-    rows = ref_gram(vectors)
-    if rng.random() < 0.15:
-        rows[n - 1][n - 1] = Fraction(3, 2)
-    floats = tuple(tuple(float(x) for x in v) for v in vectors)
-    return UnitVectorSet(d, floats, exact_gram=gram_from_rows(rows)), rows
+    # the source code is the exact Gram's only oracle: the coordinates beside
+    # it are rounded to 3 decimals and never read.  Up to 9 words in
+    # (q-1)r <= 4 dimensions: rank-deficient whenever n > (q-1)r
+    q, r = rng.choice(((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (5, 1)))
+    n = rng.randint(1, min(9, q ** r))
+    words = set()
+    while len(words) < n:
+        words.add(tuple(rng.randrange(q) for _ in range(r)))
+    code = QaryCode(q, r, tuple(sorted(words)))
+    rounded = tuple(tuple(round(x, 3) for x in v) for v in embed_qary(code).coords)
+    return UnitVectorSet((q - 1) * r, rounded, source=code), ref_distance_gram(code)
 
 
 def cases():
