@@ -3,7 +3,9 @@
 Exit codes: 0 success (all verdicts pass), 1 domain error or failing verdict,
 2 argument error, malformed/invalid input file, or an input that cannot be
 read or an output that cannot be written.  Exact arithmetic is the
-default everywhere; float mode is opt-in via --float.
+default everywhere; float mode is opt-in via --float.  Each swept ``bound`` op
+is declared once, in ``_BOUNDS``: its parser, its single run and its --grid
+sweep all read that table.
 """
 
 import argparse
@@ -105,36 +107,23 @@ def _single(values, name):
     return values[0]
 
 
-_BOUND_PARAMS = {
-    "rho": ("r", "k"),
-    "m": ("r",),
-    "aq": ("q", "r", "s"),
-    "plotkin": ("r",),
-    "ms": ("q", "r"),
-    "ramsey-asymptotic": ("q", "r", "j"),
-    "bq": ("q",),
+# Each swept bound op: the parameters --grid sweeps, in CSV column order; its
+# BoundReport for the namespace and one combination p of them; and the unswept
+# (name, type) arguments, if any, that its parser adds after --grid.
+_BOUNDS = {
+    "rho": (("r", "k"), lambda ns, p: rho_lower(p["r"], p["k"])),
+    "m": (("r",), lambda ns, p: m_upper(p["r"], ns.alpha), ("alpha", _scalar_arg)),
+    "aq": (("q", "r", "s"), lambda ns, p: aq_upper(p["q"], p["r"], p["s"])),
+    "plotkin": (("r",), lambda ns, p: BoundReport(
+        "plotkin-upper", p, plotkin_upper(p["r"]), CERTIFIED_EXACT,
+        note="binary half-distance bound")),
+    "ms": (("q", "r"), lambda ns, p: BoundReport(
+        "ms-upper", p, ms_upper(p["q"], p["r"]), CERTIFIED_EXACT,
+        note="q-ary bound at distance (1-1/q)r")),
+    "ramsey-asymptotic": (("q", "r", "j"),
+                          lambda ns, p: ramsey_asymptotic(p["q"], p["r"], p["j"])),
+    "bq": (("q",), lambda ns, p: bq_window_report(p["q"])),
 }
-
-
-def _bound_one(op, ns, combo) -> BoundReport:
-    p = dict(zip(_BOUND_PARAMS[op], combo))
-    if op == "rho":
-        return rho_lower(p["r"], p["k"])
-    if op == "m":
-        return m_upper(p["r"], ns.alpha)
-    if op == "aq":
-        return aq_upper(p["q"], p["r"], p["s"])
-    if op == "plotkin":
-        return BoundReport("plotkin-upper", p, plotkin_upper(p["r"]), CERTIFIED_EXACT,
-                           note="binary half-distance bound")
-    if op == "ms":
-        return BoundReport("ms-upper", p, ms_upper(p["q"], p["r"]), CERTIFIED_EXACT,
-                           note="q-ary bound at distance (1-1/q)r")
-    if op == "ramsey-asymptotic":
-        return ramsey_asymptotic(p["q"], p["r"], p["j"])
-    if op == "bq":
-        return bq_window_report(p["q"])
-    raise AssertionError(op)
 
 
 def cmd_bound(ns, run: _Run) -> int:
@@ -153,11 +142,11 @@ def cmd_bound(ns, run: _Run) -> int:
         print(report_json(report))
         return 0
 
-    names = _BOUND_PARAMS[op]
-    value_lists = [getattr(ns, name.replace("-", "_")) for name in names]
+    names, report_of, *_ = _BOUNDS[op]
+    value_lists = [getattr(ns, name) for name in names]
     if not ns.grid:
-        combo = tuple(_single(vals, name) for vals, name in zip(value_lists, names))
-        print(report_json(_bound_one(op, ns, combo)))
+        p = {name: _single(vals, name) for vals, name in zip(value_lists, names)}
+        print(report_json(report_of(ns, p)))
         return 0
 
     # a cell outside its bound's domain gets a row and an error line, and the
@@ -166,10 +155,11 @@ def cmd_bound(ns, run: _Run) -> int:
     writer.writerow(list(names) + ["value", "status"])
     failed = False
     for combo in itertools.product(*value_lists):
+        p = dict(zip(names, combo))
         try:
-            report = _bound_one(op, ns, combo)
+            report = report_of(ns, p)
         except CodeBoundsError as exc:
-            cell = " ".join(f"{k}={v}" for k, v in zip(names, combo))
+            cell = " ".join(f"{k}={v}" for k, v in p.items())
             print(f"error: {cell}: {exc}", file=sys.stderr)
             writer.writerow(list(combo) + ["", "out-of-domain"])
             failed = True
@@ -276,8 +266,9 @@ def cmd_search(ns, run: _Run) -> int:
     else:
         raise AssertionError(ns.mode)
     if ns.out:
+        # the file first: a header on stdout means the result was written
+        run.write_output(ns.out, body)
         print(json.dumps(header, sort_keys=True))
-        _emit(ns.out, body, run)
     else:
         # keep stdout a valid code file: the result header rides in a comment
         sys.stdout.write("# result: " + json.dumps(header, sort_keys=True) + "\n")
@@ -304,24 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     bound = sub.add_parser("bound", help="evaluate a bound")
     bsub = bound.add_subparsers(dest="op", required=True)
 
-    def bound_op(name, *params, extra=None):
-        p = bsub.add_parser(name)
-        for name_ in params:
-            p.add_argument(f"--{name_}", type=_int_list, required=True)
+    for op, (params, _, *unswept) in _BOUNDS.items():
+        p = bsub.add_parser(op)
+        for name in params:
+            p.add_argument(f"--{name}", type=_int_list, required=True)
         p.add_argument("--grid", action="store_true",
                        help="sweep comma/range parameters and emit CSV")
-        if extra:
-            extra(p)
-        return p
-
-    bound_op("rho", "r", "k")
-    bound_op("m", "r", extra=lambda p:
-             p.add_argument("--alpha", type=_scalar_arg, required=True))
-    bound_op("aq", "q", "r", "s")
-    bound_op("plotkin", "r")
-    bound_op("ms", "q", "r")
-    bound_op("ramsey-asymptotic", "q", "r", "j")
-    bound_op("bq", "q")
+        for name, type_ in unswept:
+            p.add_argument(f"--{name}", type=type_, required=True)
 
     rl = bsub.add_parser("ramsey-lower")
     for name in ("q", "r", "s", "a-value"):

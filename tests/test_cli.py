@@ -415,6 +415,7 @@ def test_unreadable_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypa
                          ids=["construct", "search"])
 @pytest.mark.parametrize("what", ["directory", "under-a-file"])
 def test_unwritable_output_exits_2_with_one_error_line(tmp_path, capsys, argv, what):
-    code, _, err = run(capsys, *argv, "--out", _unopenable(tmp_path, what))
+    code, out, err = run(capsys, *argv, "--out", _unopenable(tmp_path, what))
     assert code == 2
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from codebounds.codes import (QaryCode, UnitVectorSet, certify_chain,
-                              distance_matrix, gram_analyze, hamming_distance,
+                              distance_gram, gram_analyze, hamming_distance,
                               min_distance, verify_lemma_beta,
                               verify_lemma_gamma, verify_spherical_code)
 from codebounds.constructions import cross_polytope, simplex_vectors
@@ -150,12 +150,12 @@ def distance_kernel_cases():
 
 @pytest.mark.parametrize("code", distance_kernel_cases())
 def test_distance_kernel_matches_pairwise_reference(code):
-    n = len(code)
+    n, q, r = len(code), code.q, code.r
     reference = [[hamming_distance(x, y) for y in code.words] for x in code.words]
-    d = distance_matrix(code)
-    assert d.shape == (n, n)
-    assert d.tolist() == reference
-    assert (d == d.T).all() and not d.diagonal().any()
+    g = distance_gram(code)
+    den = q * (q - 1) * r
+    assert g.den == den and g.num.shape == (n, n)
+    assert g.num.tolist() == [[den - q * q * d for d in row] for row in reference]
     assert min_distance(code) == min(reference[i][j] for i in range(n)
                                      for j in range(i + 1, n))
 
@@ -219,6 +219,28 @@ def test_verify_spherical_code_reports_norm_failure_as_verdict():
     cert = verify_spherical_code(UnitVectorSet(2, ((1, 1), (1, 0))), 1)
     assert not cert.verdict
     assert not cert.links[0].verdict
+
+
+@pytest.mark.parametrize("vset", [
+    cross_polytope(3), simplex_vectors(4), UnitVectorSet(2, ((1, 1), (1, 0), (0, 1))),
+    UnitVectorSet(2, ((Fraction(3, 5), Fraction(4, 5)), (1, 0), (Fraction(1, 2), 0))),
+    UnitVectorSet(2, ((0.6, 0.8), (1.0, 0.0), (0.0, -1.0))), UnitVectorSet(1, ((1,),)),
+    UnitVectorSet(2, ((Fraction(1, 10 ** 12), 1), (1, 0), (0, -1))),
+], ids=["ints", "code-image", "off-norm-ints", "fractions", "floats", "one-vector",
+        "beyond-int64"])
+def test_verify_spherical_code_extremes_are_the_gram_entries(vset):
+    # the extremes read off the Gram arrays are the scalars its entries are,
+    # in value and type: int, Fraction, or a Python float
+    rows = vset.raw_gram().rows
+    n = len(rows)
+    off = [rows[i][j] for i in range(n) for j in range(i + 1, n)]
+    expected = [max(abs(rows[i][i] - 1) for i in range(n))]
+    cert = verify_spherical_code(vset, Fraction(1, 2))
+    got = [cert.links[0].lhs]
+    if off:
+        expected += [max(off), min(off)]
+        got += [cert.links[1].lhs, cert.links[2].rhs]
+    assert [(type(x), x) for x in got] == [(type(x), x) for x in expected]
 
 
 def test_lemma_beta_equality_case():

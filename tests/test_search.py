@@ -18,6 +18,20 @@ def test_exact_small_cases():
     assert result.optimal
 
 
+@pytest.mark.xfail(strict=True, reason="exact_max_code is not yet sound (see ROADMAP): it "
+                   "stops at the first colour that cannot beat the incumbent, cutting "
+                   "live branches")
+def test_exact_search_known_wrong_optima():
+    # binary A(9,5) = 6, A(10,6) = 6 and A(9,4) = 20; the search claims
+    # optimal=True on 4, 4 and 16, each after one node
+    truth = {(2, 9, 5): 6, (2, 10, 6): 6, (2, 9, 4): 20}
+    found = {}
+    for (q, r, s) in truth:
+        result = exact_max_code(q, r, s)
+        found[q, r, s] = (result.value, result.optimal)
+    assert found == {key: (size, True) for key, size in truth.items()}
+
+
 def test_exact_witness_replay():
     result = exact_max_code(2, 4, 2)
     witness = result.witness
