@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (all verdicts pass), 1 domain error or failing verdict,
 2 argument error, malformed/invalid input file, or an input that cannot be
-read or an output that cannot be written.  Exact arithmetic is the
+read or an output that cannot be written.  A stdout closed early (``| head``)
+is no file error: the run stops quietly and exits 1.  Exact arithmetic is the
 default everywhere; float mode is opt-in via --float.  Each swept ``bound`` op
 is declared once, in ``_BOUNDS``: its parser, its single run and its --grid
 sweep all read that table.
@@ -14,6 +15,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -384,7 +386,13 @@ def main(argv=None) -> int:
     run = _Run(ns.command, {k: plain(v) for k, v in sorted(vars(ns).items())
                             if k != "command"})
     try:
-        return _DISPATCH[ns.command](ns, run)
+        code = _DISPATCH[ns.command](ns, run)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:    # an OSError; stdout to devnull so the flush at exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except _FILE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

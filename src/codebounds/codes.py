@@ -9,9 +9,10 @@ inner products, and its Gram comes from the code's Hamming distances
 way the Gram is an ``IntegerGram``, and Fractions are made only for values
 that a certificate or an error message prints.
 
-Float analysis works on a ``FloatGram``, built from the coordinates converted
+A float set's Gram is a ``FloatGram``, built from the coordinates converted
 once by ``float`` into an (n, d) array; every sum in it adds left to right
-from 0 (see ``linalg``).
+from 0 (see ``linalg``).  The mode decides only which Gram is built: the
+analysis and the verifiers read both through the protocol they share.
 """
 
 from dataclasses import dataclass, field
@@ -23,8 +24,8 @@ import numpy as np
 from .certificates import Certificate, make_link
 from .errors import (AlphaOutOfRange, DuplicateCodewords, InvalidCode,
                      NonUnitVector, TooFewWords)
-from .linalg import (FloatGram, IntegerGram, exact_array, float_kernel, rank,
-                     scaled_integers, sequential_sums, trace_of_square)
+from .linalg import (FloatGram, IntegerGram, exact_array, float_kernel, negative_sums,
+                     rank, scaled_integers, sequential_sums, trace_of_square)
 from .scalars import EXACT, FLOAT, Scalar, format_scalar, mode_of, unit_norm_ok
 
 
@@ -95,25 +96,26 @@ class UnitVectorSet:
 
 
 @float_kernel
-def _squared_norms(v) -> np.ndarray:
-    return sequential_sums(v * v)
-
-
-@float_kernel
-def _float_gram(v) -> FloatGram:
+def _float_gram(v, unit: bool = False) -> FloatGram:
     """G = sum over k of outer(v[:, k], v[:, k]), added from zeros one column
     at a time: each entry is its pair's products summed left to right from 0.
-    The squared norms are checked first."""
-    bad = np.flatnonzero(~np.isfinite(_squared_norms(v)))
+    The squared norms, summed the same way, are checked first: to be 1 within
+    the float policy when ``unit``, then to be finite."""
+    norms = sequential_sums(v * v)
+    if unit:
+        for i, norm_sq in enumerate(norms.tolist()):
+            if not unit_norm_ok(norm_sq, FLOAT):
+                raise NonUnitVector(i, norm_sq)
+    bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
         # a finite squared norm bounds the row's products (Cauchy-Schwarz)
         raise InvalidCode(f"vector {int(bad[0])}: squared norm overflows a float")
     n = len(v)
-    g, term = np.zeros((n, n)), np.empty((n, n))
+    gram, term = FloatGram(np.zeros((n, n))), np.empty((n, n))
     for column in np.ascontiguousarray(v.T):
         np.multiply(column[:, None], column, out=term)
-        g += term
-    return FloatGram(g)
+        gram.num += term
+    return gram
 
 
 def _dot(u, v) -> Scalar:
@@ -227,51 +229,12 @@ def integer_gram(vset: UnitVectorSet, unit: bool = False) -> IntegerGram:
     return IntegerGram(a @ a.T, den * den, a)
 
 
-def _analyze_exact(vset: UnitVectorSet) -> GramAnalysis:
-    g = integer_gram(vset, unit=True)
-    n, num = g.n, g.num
-    if n == 1:
-        alpha = -1
-    else:
-        # the first maximum in row-major order, typed as the Gram entry is
-        iu = np.triu_indices(n, 1)
-        k = int(np.argmax(num[iu]))
-        i, j = int(iu[0][k]), int(iu[1][k])
-        alpha = _dot(vset.vectors[i], vset.vectors[j]) if vset.source is None \
-            else g.value(int(num[i, j]))
-    negative = num < 0       # never on the diagonal, which is den > 0
-    gamma = tuple(g.value(int(x)) if x else 0
-                  for x in np.where(negative, num, 0).sum(axis=1).tolist())
-    return GramAnalysis(g, alpha, *_sign_partition(negative), gamma, vset.labels)
-
-
 def _sign_partition(negative):
     """(nplus, nminus) from the mask of negative entries, which is never on the diagonal."""
     plus = ~negative
     np.fill_diagonal(plus, False)
     return tuple(tuple(np.flatnonzero(row).tolist()) for row in plus), \
         tuple(tuple(np.flatnonzero(row).tolist()) for row in negative)
-
-
-def _negative_sums(negative, values) -> tuple:
-    """Per row, the sum of ``values`` where ``negative``, left to right from 0;
-    the int 0 for a row with no negative entry, as that empty loop leaves it."""
-    sums = sequential_sums(np.where(negative, values, 0.0)).tolist()
-    return tuple(x if any_ else 0 for x, any_ in zip(sums, negative.any(axis=1).tolist()))
-
-
-def _analyze_float(vset: UnitVectorSet) -> GramAnalysis:
-    norms = _squared_norms(vset.coords).tolist()
-    for i, norm_sq in enumerate(norms):
-        if not unit_norm_ok(norm_sq, FLOAT):
-            raise NonUnitVector(i, norm_sq)
-    gram = vset.raw_gram()
-    a, n = gram.a, gram.n
-    # entries are sums from +0.0, so never -0.0: the maximum's bits are unique
-    alpha = -1 if n == 1 else float(a[~np.eye(n, dtype=bool)].max())
-    negative = a < 0         # never on the diagonal, which is within 1e-9 of 1
-    return GramAnalysis(gram, alpha, *_sign_partition(negative),
-                        _negative_sums(negative, a), vset.labels)
 
 
 def gram_analyze(vset: UnitVectorSet) -> GramAnalysis:
@@ -281,9 +244,22 @@ def gram_analyze(vset: UnitVectorSet) -> GramAnalysis:
     exact mode, within the float policy in float mode), before the Gram is built.
     Ties at inner product 0 are classified as nonnegative.
     """
-    if vset.mode() == EXACT:
-        return _analyze_exact(vset)
-    return _analyze_float(vset)
+    exact = vset.mode() == EXACT
+    g = integer_gram(vset, unit=True) if exact else _float_gram(vset.coords, unit=True)
+    num, n = g.num, g.n
+    if n == 1:
+        alpha = -1
+    else:
+        # the first maximum in row-major order (no float entry is -0.0, so
+        # its bits are unique), typed as a file's coordinate products add up
+        iu = np.triu_indices(n, 1)
+        k = int(np.argmax(num[iu]))
+        i, j = int(iu[0][k]), int(iu[1][k])
+        alpha = _dot(vset.vectors[i], vset.vectors[j]) if exact and vset.source is None \
+            else g.value(num[i, j])
+    negative = num < 0       # never on the diagonal: den > 0, or within 1e-9 of 1
+    return GramAnalysis(g, alpha, *_sign_partition(negative),
+                        negative_sums(g, negative, num), vset.labels)
 
 
 def verify_spherical_code(vset: UnitVectorSet, alpha_claim: Scalar) -> Certificate:
@@ -292,14 +268,10 @@ def verify_spherical_code(vset: UnitVectorSet, alpha_claim: Scalar) -> Certifica
     Violations are failing links, never exceptions.
     """
     gram = vset.raw_gram()
-    n = gram.n
+    n, m, value = gram.n, gram.num, gram.value
     # extremes are found on the arrays; each becomes the scalar a Gram entry is
     # (int or Fraction in exact mode, a Python float in float mode)
-    if isinstance(gram, IntegerGram):
-        m, one, value = gram.num, gram.den, lambda x: gram.value(int(x))
-    else:
-        m, one, value = gram.a, 1, float
-    worst_norm = value(np.abs(m.diagonal() - one).max())
+    worst_norm = value(np.abs(m.diagonal() - gram.den).max())
     links = [make_link("unit norms (max |<v,v>| deviation from 1)", worst_norm, 0)]
     if n >= 2:
         off = m[np.triu_indices(n, 1)]
@@ -315,15 +287,10 @@ def verify_spherical_code(vset: UnitVectorSet, alpha_claim: Scalar) -> Certifica
                                         "alpha_claim": format_scalar(alpha_claim)})
 
 
-def _negative_energy(analysis: GramAnalysis) -> list:
+def _negative_energy(analysis: GramAnalysis) -> tuple:
     """Per vertex, the sum of its squared negative inner products."""
-    gram = analysis.gram
-    if isinstance(gram, IntegerGram):
-        num = gram.num
-        sums = np.where(num < 0, num * num, 0).sum(axis=1).tolist()
-        return [gram.value(int(x), 2) for x in sums]
-    a = gram.a
-    return list(_negative_sums(a < 0, a * a))
+    num = analysis.gram.num
+    return negative_sums(analysis.gram, num < 0, num * num, 2)
 
 
 def _require_alpha_in_range(alpha):

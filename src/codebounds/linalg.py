@@ -22,13 +22,18 @@ from inf - inf) as Python floats do; numpy's warnings for it are silenced.
 Float rank uses partially pivoted elimination with a relative pivot
 threshold.
 
+Code that reads a Gram's entries never asks which type it holds: both have
+the array ``num``, ``den`` (1 for floats), ``value(x, power)`` (x / den^power
+as an int or Fraction, or ``float(x)``) and ``sums(x)`` (exact row sums, or
+``sequential_sums``); ``negative_sums`` builds the lemmas' row sums on them.
+
 ``rank``, ``trace``, ``trace_of_square`` and ``verify_trace_rank`` take only
 the two Gram types; a matrix given by rows reaches them through
 ``gram_from_rows``, and a vector set never takes one.
 """
 
 from fractions import Fraction
-from functools import wraps
+from functools import partial, wraps
 from math import isfinite, lcm, sqrt
 
 import numpy as np
@@ -64,10 +69,11 @@ class IntegerGram:
     matrix whose rank over Q is the Gram's: scaled coordinates, a code's
     one-hot matrix less one column per coordinate block, or ``num`` itself.
     ``rows`` builds the entries as Fractions (ints when ``den`` is 1) on
-    first use.
+    first use, unless ``gram_from_rows`` supplied them.
     """
 
     __slots__ = ("num", "den", "factor", "_rows")
+    sums = staticmethod(partial(np.sum, axis=-1))      # exact integer row sums
 
     def __init__(self, num, den: int, factor=None, rows=None):
         self.num = exact_array(num, len(num) ** 2)
@@ -82,15 +88,15 @@ class IntegerGram:
     def mode(self) -> str:
         return EXACT
 
-    def value(self, x: int, power: int = 1) -> Scalar:
-        """x / den^power: an int when den is 1, else a Fraction."""
-        return x if self.den == 1 else Fraction(x, self.den ** power)
+    def value(self, x, power: int = 1) -> Scalar:
+        """The integer x / den^power: an int when den is 1, else a Fraction."""
+        return int(x) if self.den == 1 else Fraction(int(x), self.den ** power)
 
     @property
     def rows(self):
         if self._rows is None:
             values, index = np.unique(self.num, return_inverse=True)
-            entries = [self.value(int(x)) for x in values.tolist()]
+            entries = [self.value(x) for x in values.tolist()]
             self._rows = [[entries[k] for k in row]
                           for row in index.reshape(self.num.shape).tolist()]
         return self._rows
@@ -117,21 +123,24 @@ def sequential_sums(x) -> np.ndarray:
 
 
 class FloatGram:
-    """Float Gram matrix held as one symmetric (n, n) float64 array ``a``.
+    """Float Gram matrix held as one symmetric (n, n) float64 array ``num``.
 
-    Its mode is float by type.  ``rows`` builds the entries as a list of
-    Python floats on first use.
+    Its mode is float by type; ``value`` is ``float`` whatever the power, and
+    ``rows`` builds the entries as a list of Python floats on first use.
     """
 
-    __slots__ = ("a", "_rows")
+    __slots__ = ("num", "_rows")
+    den = 1
+    sums = staticmethod(sequential_sums)
+    value = staticmethod(lambda x, power=1: float(x))
 
-    def __init__(self, a):
-        self.a = a
+    def __init__(self, num):
+        self.num = num
         self._rows = None
 
     @property
     def n(self) -> int:
-        return len(self.a)
+        return len(self.num)
 
     def mode(self) -> str:
         return FLOAT
@@ -139,7 +148,7 @@ class FloatGram:
     @property
     def rows(self):
         if self._rows is None:
-            self._rows = self.a.tolist()
+            self._rows = self.num.tolist()
         return self._rows
 
 
@@ -168,11 +177,13 @@ def gram_from_rows(rows) -> IntegerGram | FloatGram:
 
 
 def trace(m: IntegerGram | FloatGram) -> Scalar:
-    if isinstance(m, FloatGram):
-        return float(sequential_sums(np.diagonal(m.a)))
+    """Sum of the diagonal from 0.  Entries held as scalars (given to
+    ``gram_from_rows``, or built by ``rows``) are added as they are."""
+    if m._rows is None:
+        return m.value(m.sums(np.diagonal(m.num)))
     total = 0
-    for i in range(m.n):
-        total += m.rows[i][i]
+    for i, row in enumerate(m._rows):
+        total += row[i]
     return total
 
 
@@ -180,9 +191,15 @@ def trace(m: IntegerGram | FloatGram) -> Scalar:
 def trace_of_square(m: IntegerGram | FloatGram) -> Scalar:
     """Sum of squared entries; equals the trace of M^2 for symmetric M.
     Float squares are added in row-major order."""
-    if isinstance(m, IntegerGram):
-        return m.value(int((m.num * m.num).sum()), 2)
-    return float(sequential_sums((m.a * m.a).reshape(-1)))
+    return m.value(m.sums((m.num * m.num).reshape(-1)), 2)
+
+
+def negative_sums(gram: IntegerGram | FloatGram, mask, x, power: int = 1) -> tuple:
+    """Per row, ``gram.value`` at ``power`` of the sum of x where ``mask`` holds;
+    the int 0, as an empty loop from 0 leaves it, where it holds nowhere."""
+    sums = gram.sums(np.where(mask, x, 0)).tolist()
+    return tuple(gram.value(s, power) if any_ else 0
+                 for s, any_ in zip(sums, mask.any(axis=1).tolist()))
 
 
 def _rank_mod_p(a) -> int:
@@ -281,7 +298,7 @@ def rank(m: IntegerGram | FloatGram) -> int:
         return 0
     if isinstance(m, IntegerGram):
         return integer_rank(m.factor)
-    return _rank_float(m.a)
+    return _rank_float(m.num)
 
 
 def verify_trace_rank(m: IntegerGram | FloatGram) -> Certificate:

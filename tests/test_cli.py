@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -408,6 +411,19 @@ def test_unreadable_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypa
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert expected is None or err == expected
+
+
+def test_closed_stdout_exits_1_without_an_error_line():
+    # a reader that stops early (``| head``) is not a file error; the output,
+    # about 76 kB, is more than a pipe buffer holds
+    argv = ["bound", "m", "--r", "1:3000", "--alpha", "0", "--grid"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    with subprocess.Popen([sys.executable, "-m", "codebounds.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 1
 
 
 @pytest.mark.parametrize("argv", [["construct", "simplex", "--q", "3"],

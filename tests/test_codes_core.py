@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from codebounds import codes
 from codebounds.codes import (QaryCode, UnitVectorSet, certify_chain,
                               distance_gram, gram_analyze, hamming_distance,
                               min_distance, verify_lemma_beta,
@@ -86,11 +87,14 @@ def test_gram_analyze_rejects_non_unit():
 ], ids=["int", "float", "fraction"])
 def test_gram_analyze_rejects_non_unit_before_building_gram(vset, index, message,
                                                             monkeypatch):
-    # an off-sphere set is rejected from its norms, without its full Gram
-    def no_gram(self):
-        raise AssertionError("raw_gram called before the norm check")
+    # an off-sphere set is rejected from its norms, without its full Gram: an
+    # exact Gram is made from its numerators, and a float Gram is made from
+    # zeros before any product is added, so either made first fails here
+    def no_gram(*args, **kwargs):
+        raise AssertionError("Gram built before the norm check")
 
-    monkeypatch.setattr(UnitVectorSet, "raw_gram", no_gram)
+    monkeypatch.setattr(codes, "IntegerGram", no_gram)
+    monkeypatch.setattr(codes, "FloatGram", no_gram)
     with pytest.raises(NonUnitVector) as err:
         gram_analyze(vset)
     assert err.value.index == index
@@ -256,6 +260,19 @@ def test_lemma_beta_cross_polytope():
     cert = verify_lemma_beta(gram_analyze(cross_polytope(3)))
     assert cert.verdict
     assert all(link.lhs == 1 and link.rhs == 1 for link in cert.links)
+
+
+@pytest.mark.parametrize("vectors", [
+    ((1, 0), (0, 1), (Fraction(3, 5), Fraction(4, 5))),
+    ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8)),
+], ids=["exact-den-25", "float"])
+def test_no_negative_neighbour_gives_int_zero_in_both_modes(vectors):
+    # with no negative inner product, gamma and the energy are the int 0 an
+    # empty sum from 0 leaves, never Fraction(0) or 0.0
+    analysis = gram_analyze(UnitVectorSet(2, vectors))
+    lhs = [link.lhs for link in verify_lemma_beta(analysis).links]
+    assert all(type(x) is int and x == 0 for x in lhs + list(analysis.gamma))
+    assert len(lhs) == 3
 
 
 def test_lemma_gamma_cross_polytope():

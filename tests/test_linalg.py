@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from codebounds.codes import UnitVectorSet
+from codebounds.constructions import simplex_vectors
 from codebounds.linalg import (FloatGram, IntegerGram, gram_from_rows, rank, trace,
                                trace_of_square, verify_trace_rank)
 
@@ -39,6 +41,20 @@ def test_trace_examples():
     assert trace(gram_from_rows(identity_rows(5))) == 5
     assert trace(gram_from_rows([[1, 1], [1, 1]])) == 2
     assert trace(gram_from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 0]])) == 0
+
+
+@pytest.mark.parametrize("gram, expected", [
+    # given rows: an int diagonal over den 2 adds up to an int
+    (lambda: gram_from_rows([[1, Fraction(1, 2)], [Fraction(1, 2), 3]]), "4"),
+    (lambda: UnitVectorSet(2, ((Fraction(3, 5), Fraction(4, 5)), (1, 0))).raw_gram(),
+     "Fraction(2, 1)"),
+    (lambda: simplex_vectors(3).raw_gram(), "Fraction(3, 1)"),
+    # squared norms 0.05000000000000001, 0.25 and 0.49999999999999994 added in order
+    (lambda: UnitVectorSet(2, ((0.1, 0.2), (0.3, 0.4), (0.7, 0.1))).raw_gram(),
+     "0.7999999999999999"),
+], ids=["given-rows", "rational-file", "code-image", "float-set"])
+def test_trace_value_and_type(gram, expected):
+    assert repr(trace(gram())) == expected
 
 
 def test_trace_of_square_examples():
@@ -139,7 +155,7 @@ def test_gram_from_rows_keeps_exact_entries():
 ], ids=["float-int", "int-fraction-float", "mixed-negative-zero"])
 def test_gram_from_rows_with_a_float_entry_is_a_float_gram(rows):
     g = gram_from_rows(rows)
-    assert isinstance(g, FloatGram) and g.a.dtype == np.float64
+    assert isinstance(g, FloatGram) and g.num.dtype == np.float64
     # float(x) for every entry, bit for bit (-0.0 included)
     assert repr(g.rows) == repr([[float(x) for x in row] for row in rows])
 
