@@ -4,9 +4,11 @@ Exit codes: 0 success (all verdicts pass), 1 domain error or failing verdict,
 2 argument error, malformed/invalid input file, or an input that cannot be
 read or an output that cannot be written.  A stdout closed early (``| head``)
 is no file error: the run stops quietly and exits 1.  Exact arithmetic is the
-default everywhere; float mode is opt-in via --float.  Each swept ``bound`` op
-is declared once, in ``_BOUNDS``: its parser, its single run and its --grid
-sweep all read that table.
+default everywhere; float mode is opt-in via --float.  Every command is one
+row of a table keyed by its name: each bound op in ``_BOUNDS``, verify kind in
+``_VERIFY``, construct target in ``_CONSTRUCT`` and search mode in
+``_SEARCH``.  That row drives both its parser and its run, and a swept bound
+op's row its --grid sweep too.
 """
 
 import argparse
@@ -50,12 +52,11 @@ class _Run:
     started: float = field(default_factory=time.monotonic)
     input_digests: dict = field(default_factory=dict)
     seed: int = None
-    mode: str = "exact"
 
     def comment_line(self) -> str:
         manifest = {"subcommand": self.subcommand, "arguments": self.arguments,
                     "input_digests": self.input_digests, "version": __version__,
-                    "seed": self.seed, "mode": self.mode,
+                    "seed": self.seed,
                     "wall_time_s": round(time.monotonic() - self.started, 6)}
         return "# manifest: " + json.dumps(manifest, sort_keys=True)
 
@@ -109,9 +110,29 @@ def _single(values, name):
     return values[0]
 
 
-# Each swept bound op: the parameters --grid sweeps, in CSV column order; its
-# BoundReport for the namespace and one combination p of them; and the unswept
-# (name, type) arguments, if any, that its parser adds after --grid.
+def _add_arguments(parser, args):
+    """Add --name for each (name, type[, default]); one without a default is required."""
+    for name, type_, *default in args:
+        parser.add_argument(f"--{name}", type=type_, required=not default,
+                            default=default[0] if default else None)
+
+
+def _add_rows(parser, dest, table):
+    """One subparser per row of a construct or search table, each with --out."""
+    rows = parser.add_subparsers(dest=dest, required=True)
+    for name, (args, *_) in table.items():
+        p = rows.add_parser(name)
+        _add_arguments(p, args)
+        p.add_argument("--out")
+
+
+_QRS = (("q", int), ("r", int), ("s", int))
+_NODE_LIMIT = ("node-limit", int, 10_000_000)
+
+# Each bound op: the parameters --grid sweeps, in CSV column order (an op with
+# none has no --grid); its BoundReport for the namespace and one combination p
+# of them; and its unswept arguments as (name, type[, default]), which its
+# parser adds after --grid.
 _BOUNDS = {
     "rho": (("r", "k"), lambda ns, p: rho_lower(p["r"], p["k"])),
     "m": (("r",), lambda ns, p: m_upper(p["r"], ns.alpha), ("alpha", _scalar_arg)),
@@ -125,28 +146,21 @@ _BOUNDS = {
     "ramsey-asymptotic": (("q", "r", "j"),
                           lambda ns, p: ramsey_asymptotic(p["q"], p["r"], p["j"])),
     "bq": (("q",), lambda ns, p: bq_window_report(p["q"])),
+    "ramsey-lower": ((), lambda ns, p: BoundReport(
+        "ramsey-lower", {"q": ns.q, "r": ns.r, "s": ns.s, "a_value": ns.a_value},
+        ramsey_lower(ns.q, ns.r, ns.s, ns.a_value), CERTIFIED_EXACT,
+        note="code size plus one"), *_QRS, ("a-value", int)),
+    "ramsey-upper": ((), lambda ns, p: ramsey_upper_param(
+        ns.q, ns.r, ns.s, ns.eps, ns.c,
+        lambda r, s: exact_max_code(ns.q, r, s, node_limit=ns.node_limit).value),
+        *_QRS, ("eps", _scalar_arg), ("c", _scalar_arg), _NODE_LIMIT),
 }
 
 
 def cmd_bound(ns, run: _Run) -> int:
-    op = ns.op
-    if op == "ramsey-lower":
-        report = BoundReport("ramsey-lower", {"q": ns.q, "r": ns.r, "s": ns.s,
-                                              "a_value": ns.a_value},
-                             ramsey_lower(ns.q, ns.r, ns.s, ns.a_value),
-                             CERTIFIED_EXACT, note="code size plus one")
-        print(report_json(report))
-        return 0
-    if op == "ramsey-upper":
-        def oracle(r, s_reduced):
-            return exact_max_code(ns.q, r, s_reduced, node_limit=ns.node_limit).value
-        report = ramsey_upper_param(ns.q, ns.r, ns.s, ns.eps, ns.c, oracle)
-        print(report_json(report))
-        return 0
-
-    names, report_of, *_ = _BOUNDS[op]
+    names, report_of, *_ = _BOUNDS[ns.op]
     value_lists = [getattr(ns, name) for name in names]
-    if not ns.grid:
+    if not (names and ns.grid):
         p = {name: _single(vals, name) for vals, name in zip(value_lists, names)}
         print(report_json(report_of(ns, p)))
         return 0
@@ -177,62 +191,67 @@ def cmd_bound(ns, run: _Run) -> int:
     return 1 if failed else 0
 
 
+def _claim(value, message):
+    if value is None:
+        raise CodeBoundsError(message)
+    return value
+
+
+def _sphere(ns, text):
+    return parse_spherical(text, exact=not ns.float)
+
+
+def _qary_certificate(code, claim):
+    d = min_distance(code)
+    link = make_link("minimum distance at least the claim", claim, d)
+    return Certificate.from_links("qary-distance", [link],
+                                  meta={"q": code.q, "r": code.r, "n": len(code),
+                                        "min_distance": d})
+
+
+# Each verify kind: the certificate it builds from the namespace and the file
+# text.  The file is parsed before a missing claim is reported.
+_VERIFY = {
+    "spherical": lambda ns, text: verify_spherical_code(
+        _sphere(ns, text), _claim(ns.alpha, "verify spherical requires --alpha <claim>")),
+    "qary": lambda ns, text: _qary_certificate(
+        parse_qary(text), _claim(ns.s, "verify qary requires --s <claimed distance>")),
+    "beta": lambda ns, text: verify_lemma_beta(gram_analyze(_sphere(ns, text))),
+    "gamma": lambda ns, text: verify_lemma_gamma(gram_analyze(_sphere(ns, text))),
+    "chain": lambda ns, text: certify_chain(_sphere(ns, text)),
+    "trace-rank": lambda ns, text: verify_trace_rank(_sphere(ns, text).raw_gram()),
+}
+
+
 def cmd_verify(ns, run: _Run) -> int:
-    run.mode = "float" if ns.float else "exact"
-    text = run.read_input(ns.infile)
-    if ns.kind == "qary":
-        code = parse_qary(text)
-        if ns.s is None:
-            raise CodeBoundsError("verify qary requires --s <claimed distance>")
-        d = min_distance(code)
-        link = make_link("minimum distance at least the claim", ns.s, d)
-        cert = Certificate.from_links("qary-distance", [link],
-                                      meta={"q": code.q, "r": code.r, "n": len(code),
-                                            "min_distance": d})
-    else:
-        vset = parse_spherical(text, exact=not ns.float)
-        if ns.kind == "spherical":
-            if ns.alpha is None:
-                raise CodeBoundsError("verify spherical requires --alpha <claim>")
-            cert = verify_spherical_code(vset, ns.alpha)
-        elif ns.kind == "trace-rank":
-            cert = verify_trace_rank(vset.raw_gram())
-        elif ns.kind == "beta":
-            cert = verify_lemma_beta(gram_analyze(vset))
-        elif ns.kind == "gamma":
-            cert = verify_lemma_gamma(gram_analyze(vset))
-        elif ns.kind == "chain":
-            cert = certify_chain(vset)
-        else:
-            raise AssertionError(ns.kind)
+    cert = _VERIFY[ns.kind](ns, run.read_input(ns.infile))
     print(certificate_json(cert))
     return 0 if cert.verdict else 1
 
 
-def cmd_construct(ns, run: _Run) -> int:
-    if ns.what == "simplex":
-        body = serialize_spherical(simplex_vectors(ns.q))
-    elif ns.what == "crosspolytope":
-        body = serialize_spherical(cross_polytope(ns.r))
-    elif ns.what == "hadamard":
-        t = _order_to_t(ns.order)
-        h = sylvester_hadamard(t)
-        body = f"# hadamard order {h.order}\n" + "\n".join(
-            " ".join(str(x) for x in row) for row in h.rows) + "\n"
-    elif ns.what == "hadamard-code":
-        t = _order_to_t(ns.order)
-        body = serialize_qary(hadamard_code(sylvester_hadamard(t)))
-    else:
-        raise AssertionError(ns.what)
-    _emit(ns.out, body, run)
-    return 0
-
-
-def _order_to_t(order: int) -> int:
+def _sylvester(order: int):
     t = order.bit_length() - 1
     if order < 1 or (1 << t) != order:
         raise CodeBoundsError(f"only powers of two are constructible, got order {order}")
-    return t
+    return sylvester_hadamard(t)
+
+
+# Each construct target: its arguments as (name, type[, default]) and the text
+# it writes for the namespace.
+_ORDER = (("order", int),)
+_CONSTRUCT = {
+    "simplex": ((("q", int),), lambda ns: serialize_spherical(simplex_vectors(ns.q))),
+    "crosspolytope": ((("r", int),), lambda ns: serialize_spherical(cross_polytope(ns.r))),
+    "hadamard": (_ORDER, lambda ns: f"# hadamard order {ns.order}\n" + "\n".join(
+        " ".join(map(str, row)) for row in _sylvester(ns.order).rows) + "\n"),
+    "hadamard-code": (_ORDER, lambda ns: serialize_qary(hadamard_code(_sylvester(ns.order)))),
+}
+
+
+def cmd_construct(ns, run: _Run) -> int:
+    _, text_of = _CONSTRUCT[ns.what]
+    _emit(ns.out, text_of(ns), run)
+    return 0
 
 
 def cmd_embed(ns, run: _Run) -> int:
@@ -247,26 +266,28 @@ def cmd_embed(ns, run: _Run) -> int:
     return 0
 
 
+# Each search mode: its arguments as (name, type[, default]); the search it runs
+# on the namespace; and, from that result, the header entries beyond the mode
+# and its required arguments, with the text of the witness.
+_SEARCH = {
+    "exact": ((*_QRS, _NODE_LIMIT),
+              lambda ns: exact_max_code(ns.q, ns.r, ns.s, node_limit=ns.node_limit),
+              lambda res: ({"size": res.value, "nodes": res.nodes, "optimal": res.optimal},
+                           serialize_qary(res.witness))),
+    "greedy": (_QRS, lambda ns: greedy_lexicode(ns.q, ns.r, ns.s),
+               lambda code: ({"size": len(code)}, serialize_qary(code))),
+    "rho": ((("r", int), ("n", int), ("iterations", int, 2000), ("seed", int, 0)),
+            lambda ns: heuristic_rho(ns.r, ns.n, iterations=ns.iterations, seed=ns.seed),
+            lambda res: ({"seed": res.seed, "iterations": res.nodes,
+                          "achieved_alpha": res.value}, serialize_spherical(res.witness))),
+}
+
+
 def cmd_search(ns, run: _Run) -> int:
-    if ns.mode == "exact":
-        result = exact_max_code(ns.q, ns.r, ns.s, node_limit=ns.node_limit)
-        header = {"search": "exact", "q": ns.q, "r": ns.r, "s": ns.s,
-                  "size": result.value, "nodes": result.nodes,
-                  "optimal": result.optimal}
-        body = serialize_qary(result.witness)
-    elif ns.mode == "greedy":
-        code = greedy_lexicode(ns.q, ns.r, ns.s)
-        header = {"search": "greedy", "q": ns.q, "r": ns.r, "s": ns.s,
-                  "size": len(code)}
-        body = serialize_qary(code)
-    elif ns.mode == "rho":
-        run.seed = ns.seed
-        result = heuristic_rho(ns.r, ns.n, iterations=ns.iterations, seed=ns.seed)
-        header = {"search": "rho", "r": ns.r, "n": ns.n, "seed": ns.seed,
-                  "iterations": result.nodes, "achieved_alpha": result.value}
-        body = serialize_spherical(result.witness)
-    else:
-        raise AssertionError(ns.mode)
+    args, search, report = _SEARCH[ns.mode]
+    found, body = report(search(ns))
+    required = {name: getattr(ns, name) for name, _, *default in args if not default}
+    header = {"search": ns.mode, **required, **found}
     if ns.out:
         # the file first: a header on stdout means the result was written
         run.write_output(ns.out, body)
@@ -296,72 +317,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     bound = sub.add_parser("bound", help="evaluate a bound")
     bsub = bound.add_subparsers(dest="op", required=True)
-
     for op, (params, _, *unswept) in _BOUNDS.items():
         p = bsub.add_parser(op)
         for name in params:
             p.add_argument(f"--{name}", type=_int_list, required=True)
-        p.add_argument("--grid", action="store_true",
-                       help="sweep comma/range parameters and emit CSV")
-        for name, type_ in unswept:
-            p.add_argument(f"--{name}", type=type_, required=True)
-
-    rl = bsub.add_parser("ramsey-lower")
-    for name in ("q", "r", "s", "a-value"):
-        rl.add_argument(f"--{name}", type=int, required=True)
-    ru = bsub.add_parser("ramsey-upper")
-    for name in ("q", "r", "s"):
-        ru.add_argument(f"--{name}", type=int, required=True)
-    ru.add_argument("--eps", type=_scalar_arg, required=True)
-    ru.add_argument("--c", type=_scalar_arg, required=True)
-    ru.add_argument("--node-limit", type=int, default=10_000_000)
+        if params:
+            p.add_argument("--grid", action="store_true",
+                           help="sweep comma/range parameters and emit CSV")
+        _add_arguments(p, unswept)
 
     verify = sub.add_parser("verify", help="check a certificate against a file")
-    verify.add_argument("kind", choices=["spherical", "qary", "beta", "gamma",
-                                         "chain", "trace-rank"])
+    verify.add_argument("kind", choices=list(_VERIFY))
     verify.add_argument("--in", dest="infile", required=True)
     verify.add_argument("--alpha", type=_scalar_arg, default=None)
     verify.add_argument("--s", type=int, default=None)
-    mode = verify.add_mutually_exclusive_group()
-    mode.add_argument("--float", action="store_true",
-                      help="parse and evaluate in float mode")
-    mode.add_argument("--exact", action="store_true", help="exact mode (default)")
+    verify.add_argument("--float", action="store_true",
+                        help="parse and evaluate in float mode")
 
-    construct = sub.add_parser("construct", help="emit a witness configuration")
-    csub = construct.add_subparsers(dest="what", required=True)
-    p = csub.add_parser("simplex")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--out")
-    p = csub.add_parser("crosspolytope")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--out")
-    for name in ("hadamard", "hadamard-code"):
-        p = csub.add_parser(name)
-        p.add_argument("--order", type=int, required=True)
-        p.add_argument("--out")
+    _add_rows(sub.add_parser("construct", help="emit a witness configuration"),
+              "what", _CONSTRUCT)
 
     embed = sub.add_parser("embed", help="map a q-ary code onto the sphere")
     embed.add_argument("--in", dest="infile", required=True)
     embed.add_argument("--out")
 
-    search = sub.add_parser("search", help="run a search oracle")
-    ssub = search.add_subparsers(dest="mode", required=True)
-    p = ssub.add_parser("exact")
-    for name in ("q", "r", "s"):
-        p.add_argument(f"--{name}", type=int, required=True)
-    p.add_argument("--node-limit", type=int, default=10_000_000)
-    p.add_argument("--out")
-    p = ssub.add_parser("greedy")
-    for name in ("q", "r", "s"):
-        p.add_argument(f"--{name}", type=int, required=True)
-    p.add_argument("--out")
-    p = ssub.add_parser("rho")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--iterations", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-
+    _add_rows(sub.add_parser("search", help="run a search oracle"), "mode", _SEARCH)
     return parser
 
 
@@ -384,7 +364,7 @@ def main(argv=None) -> int:
         return v if isinstance(v, (bool, int, float, str, list, type(None))) else str(v)
 
     run = _Run(ns.command, {k: plain(v) for k, v in sorted(vars(ns).items())
-                            if k != "command"})
+                            if k != "command"}, seed=getattr(ns, "seed", None))
     try:
         code = _DISPATCH[ns.command](ns, run)
         sys.stdout.flush()

@@ -115,13 +115,21 @@ def test_construct_and_verify_chain(tmp_path, capsys):
     text = path.read_text()
     assert "# manifest:" in text
     manifest = json.loads(text.splitlines()[-1].removeprefix("# manifest: "))
-    assert sorted(manifest) == ["arguments", "input_digests", "mode", "seed",
+    assert sorted(manifest) == ["arguments", "input_digests", "seed",
                                 "subcommand", "version", "wall_time_s"]
     code, out, _ = run(capsys, "verify", "chain", "--in", str(path))
     assert code == 0
     cert = json.loads(out)
     assert cert["verdict"] is True
     assert cert["mode"] == "exact"
+
+
+@pytest.mark.parametrize("what", ["hadamard", "hadamard-code"])
+def test_construct_above_the_hadamard_cap_exits_1(capsys, what):
+    code, out, err = run(capsys, "construct", what, "--order", "4096")
+    assert code == 1
+    assert out == ""
+    assert err == "error: order 2^12 exceeds MAX_HADAMARD_ORDER = 2048\n"
 
 
 def test_verify_tampered_file_exits_2(tmp_path, capsys):

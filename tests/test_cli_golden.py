@@ -14,6 +14,7 @@ After an intended change to the output, print the new table with
 and replace DIGESTS with it.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -166,7 +167,7 @@ DIGESTS = {
     "help:bound bq": "975d166f543cdc2c69e0d94ec8847fbe3d4f82d71a60f42754bc223a341e304a",
     "help:bound ramsey-lower": "c5b84bccd10d7377483c867d9b647f7bdc52774c0e454323a26508209ade579d",
     "help:bound ramsey-upper": "be86c22d4a756b9cf8289e977479fd9f7471def9a29f8cff0c62c7c83a1000c2",
-    "help:verify": "6b531aeb35ba6a12e1d061b49ba43e54f31a1cbbf6fb2246c81fafe68fdd2b30",
+    "help:verify": "c33ad3dbaf43af753ed54b67c12f58d1c40ef4c71115e145936c4164c7ca23a2",
     "help:construct": "32ab811540c995b4541d2abfa753532884e3839f633ff10620d830eb3ee6b58a",
     "help:construct simplex": "2f6a6977237c55a45a5b05fae02ab3806b325d07e9835fd20aaff53542c29c47",
     "help:construct crosspolytope": "4fb57c5df8fdbacc65cba9ea938dd15141eda9cbdb73b06457d0568f983d5db8",
@@ -183,7 +184,7 @@ DIGESTS = {
     "usage:unknown-op": "e3b2d6929be58979ec5844d3689ca86e32f04435db98e18fddc0c3ffe755e442",
     "usage:bad-range": "de95d588fc5224c08f8fa33c4816dd533eb7af18e71e2c0fe071ac0f1686457c",
     "usage:bad-scalar": "ba260a7d675e02f9402c1a6c796d3547d099970acd82388fd7cc2fa58144773e",
-    "usage:unknown-kind": "15669434c898ee7ca857466057b285dc51e19f9b295fa3f05fcb1f0b41b7f20e",
+    "usage:unknown-kind": "ec9ad3d0e968cb53fee6cdda5dba7ee0eca7156bcfc1e393faa4a1e79ebd3fdb",
     "bound:rho": "f83605fa48987c5cff9c8fa68f6e0b4b2d1ed2ed2a2120e3525ba6d50333ecdb",
     "bound:rho:grid": "43ffe6b8b747f1b6dfeded46617a428f275b9f262cd46064dc7cd211517a387e",
     "bound:m": "fd64aa249124854913d44f4aaab22d80a751b1d964420c3561f32a885ddc2094",
@@ -207,15 +208,15 @@ DIGESTS = {
     "construct:hadamard": "379266edbc7ae793cb66460249ad79a59928466df0558aefcb5fac673ddb0bd6",
     "construct:hadamard-code": "b188ffa8fe3b416b3900c8fd545c12886ef580ca4c86d02d9f920340ac715bde",
     "construct:bad-order": "88d679ffe67e89f408af9acd30067a1db20bdfa0d5f1810d306e1dfa6049b1bd",
-    "construct:hadamard-code:out": "965dc70ce667e1cda8308a006c64e185acda5d1b487ad3f5e3d004f53d4e7ea7",
+    "construct:hadamard-code:out": "fa20e5cd5dac2f297fa522c32b217ebf2f880dea684fb5ecc67b8e042fb7de36",
     "embed": "3867354e570f0a2cbba8c7a88bb971d739037f28ee4c8fb7d7a317927ca25178",
-    "embed:out": "8116c11ff21ca5a975ec111ac3a5c4f0245a85f48eb16627f62ef209655cf1b3",
+    "embed:out": "11a689ec4616584874b64584caab0e6e7718c3c2eb547efb7ba9ec0002b467ba",
     "search:greedy": "7af11ae1356fe7ced971296e3a100200f211519d48ae6547f1fb171cd9729a31",
-    "search:greedy:out": "6b5f9c0965177bd9d95973e1f81e26ebb45262b3b8bccf5d876a23ae103c464f",
+    "search:greedy:out": "0416d21a92c98f5bc6198298d15476a967788cab1c69686dbb2cf8ea9aae5b44",
     "search:exact": "55b01fd4fba88dfead1cc601b8aeecb6bd709096efb6d0719b750c98cb106642",
     "search:exact:node-limit": "7a29096d83c265404356a3a7f486285fd4803d08f8c980104eba28cd147e1138",
     "search:rho": "2cc5aaa17ee8d7c0a190d9c142fd9b55d35d7fbc19380ee2f69fbb57a3b71921",
-    "search:rho:out": "27ce015b4551e34158533c7b3d394127a7730fb157de2a2bf5efb9a5bbf646ac",
+    "search:rho:out": "6cd9406ae84fe89c9c60a673adf18bdb2d29db590cf400f88ddbd92a535f898e",
     "verify:spherical": "ba12dc1243bdf6c0a0c918c03bc6f4074a991a05516749411508ff7bf7b555f9",
     "verify:spherical:float": "21b8db6c65b5b0446ca60d35c25c466c135f197c4c808fa13b4ec3a8aa6ccc5d",
     "verify:qary": "b90af5c90de578732ac7d206e25582c8c084eacc80bf46f4cc4d35e269764533",
@@ -228,7 +229,7 @@ DIGESTS = {
     "verify:chain:float": "eba9fb04f513177a9186e8bc0031069e0f268a7d6fde45bd9b86f1f52622abe0",
     "verify:trace-rank": "131f49968f8e682baeb3fae9ce25a637e978247829437c652bc1eed99386db32",
     "verify:trace-rank:float": "5035a257d1f578d6188c6230eb656c4ce59123779ee8f5fb8c52106877a3054b",
-    "verify:spherical:failing-claim": "51a50cc28d615c348cc1351cbbe094b2ab5c8a80ffcb3db3e5269becf1852548",
+    "verify:spherical:failing-claim": "f3baff6ffaecd2ebde522d15077b35c0669f6fa342f83e98efd485a11742464d",
     "verify:spherical:no-alpha": "b75a7f1c3c3459c7f73fd0f02824c47cf6b2759f7471acc30ac85ef171a6c94f",
     "verify:missing-file": "0ed55264a908aa2c1646a0080356164defa928bb977e80f3aa5fe1979ade7102",
 }
@@ -245,6 +246,31 @@ def test_cli_transcript_matches_its_golden_digest(case, capsys, monkeypatch):
         return c.out, c.err
 
     assert transcript_digest(CASES[case], captured) == DIGESTS[case]
+
+
+def _parser_paths(parser, path=()):
+    yield list(path)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parser_paths(sub, path + (name,))
+
+
+def test_every_table_key_has_a_run_case():
+    run_heads = {tuple(argv[:2]) for argv in CASES.values() if "--help" not in argv}
+    tables = {"bound": cli._BOUNDS, "verify": cli._VERIFY,
+              "construct": cli._CONSTRUCT, "search": cli._SEARCH}
+    missing = [(command, key) for command, table in tables.items() for key in table
+               if (command, key) not in run_heads]
+    assert missing == []
+
+
+def test_every_parser_has_a_help_path():
+    assert sorted(_parser_paths(cli.build_parser())) == sorted(HELP_PATHS)
+
+
+def test_digests_and_cases_have_the_same_keys():
+    assert set(DIGESTS) == set(CASES)
 
 
 if __name__ == "__main__":

@@ -98,6 +98,18 @@ def test_sylvester_orthogonality(t):
     assert h.order == 1 << t
 
 
+@pytest.mark.parametrize("t", [12, 64])
+def test_sylvester_rejects_orders_above_the_cap(monkeypatch, t):
+    # refused before the doubling starts: order 2^64 would need exabytes
+    def no_doubling(*args, **kwargs):
+        raise AssertionError("doubling started above the cap")
+
+    monkeypatch.setattr(np, "block", no_doubling)
+    with pytest.raises(PreconditionViolated,
+                       match=rf"^order 2\^{t} exceeds MAX_HADAMARD_ORDER = 2048$"):
+        sylvester_hadamard(t)
+
+
 def test_hadamard_matrix_validation():
     with pytest.raises(CodeBoundsError):
         HadamardMatrix(2, ((1, 1), (1, 1)))
