@@ -155,7 +155,6 @@ class QaryCode:
     q: int
     r: int
     words: tuple
-    claimed_distance: int = None
 
     def __post_init__(self):
         if self.q < 2:

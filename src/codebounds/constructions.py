@@ -66,7 +66,7 @@ def hadamard_code(h: HadamardMatrix) -> QaryCode:
     for sign in (1, -1):
         for row in h.rows:
             words.append(tuple(0 if sign * x == 1 else 1 for x in row))
-    code = QaryCode(2, r, tuple(words), claimed_distance=r // 2)
+    code = QaryCode(2, r, tuple(words))
     if min_distance(code) != r // 2:
         raise CodeBoundsError(f"construction broke: min distance != {r // 2}")
     return code

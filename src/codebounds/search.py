@@ -5,10 +5,10 @@ all q^r words with edges at Hamming distance >= s.  Candidate sets live in
 arbitrary-precision bitmasks; the bound at each node is a greedy clique-cover
 coloring of the candidates (classes are sets pairwise closer than s), which
 prunes dense low-distance instances that a size-only bound cannot touch.
+It runs as one loop over an explicit stack, so no recursion limit bounds its depth.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +30,21 @@ class SearchResult:
     seed: int = None
 
 
-def _word_table(q, r):
-    """q^r x r array of digits: row w holds w's base-q digits, least significant first."""
-    n = q ** r
+def _word_table(q, r, s):
+    """q^r x r array of digits: row w holds w's base-q digits, least significant first.
+
+    Both code searches start here, so it checks their inputs before allocating.
+    """
+    if q < 2:
+        raise PreconditionViolated(f"alphabet size must be >= 2, got {q}")
+    if not 1 <= s <= r:
+        raise PreconditionViolated(f"need 1 <= s <= r, got s={s}, r={r}")
+    # q^r is spelled out only while it is quick to compute and within the
+    # 4300 digits Python will print
+    n = q ** r if r * math.log2(q) <= 4096 else None
+    if n is None or n > MAX_SEARCH_SPACE:
+        shown = f"{q}^{r}" if n is None else f"{q}^{r} = {n}"
+        raise PreconditionViolated(f"search space {shown} exceeds {MAX_SEARCH_SPACE}")
     digits = np.zeros((n, r), dtype=np.int8)
     idx = np.arange(n)
     for pos in range(r):
@@ -43,17 +55,15 @@ def _word_table(q, r):
 
 def greedy_lexicode(q: int, r: int, s: int) -> QaryCode:
     """Keep each word (lexicographic scan) at distance >= s from all kept words."""
-    if not 1 <= s <= r:
-        raise PreconditionViolated(f"need 1 <= s <= r, got s={s}, r={r}")
     # most significant digit first: row order is lexicographic order
-    digits = _word_table(q, r)[:, ::-1]
+    digits = _word_table(q, r, s)[:, ::-1]
     alive = np.ones(len(digits), dtype=bool)
     kept = []
     while alive.any():
         v = int(alive.argmax())    # the first word still at distance >= s
         kept.append(v)
         alive[v:] &= (digits[v:] != digits[v]).sum(axis=1) >= s
-    return QaryCode(q, r, tuple(map(tuple, digits[kept].tolist())), claimed_distance=s)
+    return QaryCode(q, r, tuple(map(tuple, digits[kept].tolist())))
 
 
 def _compatibility_masks(digits, s):
@@ -68,6 +78,26 @@ def _compatibility_masks(digits, s):
     return masks
 
 
+def _colour_branches(cand, comp):
+    """Greedy clique-cover colouring of cand in index order: (colour, word) pairs,
+    colour classes pairwise at distance < s."""
+    classes = []
+    order = []
+    while cand:
+        v = (cand & -cand).bit_length() - 1
+        cand &= cand - 1
+        cv = comp[v]
+        for ci in range(len(classes)):
+            if cv & classes[ci] == 0:
+                classes[ci] |= 1 << v
+                order.append((ci + 1, v))
+                break
+        else:
+            classes.append(1 << v)
+            order.append((len(classes), v))
+    return order
+
+
 def exact_max_code(q: int, r: int, s: int, node_limit: int = 10_000_000) -> SearchResult:
     """Maximum size of a q-ary code with block length r and distance >= s.
 
@@ -75,70 +105,38 @@ def exact_max_code(q: int, r: int, s: int, node_limit: int = 10_000_000) -> Sear
     distances and act transitively, so some maximum code contains it).  Raises
     NodeLimitExceeded carrying the best witness when the budget runs out.
     """
-    if not 1 <= s <= r:
-        raise PreconditionViolated(f"need 1 <= s <= r, got s={s}, r={r}")
-    n_words = q ** r
-    if n_words > MAX_SEARCH_SPACE:
-        raise PreconditionViolated(
-            f"search space {q}^{r} = {n_words} exceeds {MAX_SEARCH_SPACE}")
-    # recursion depth is bounded by the maximum code size
-    limit = sys.getrecursionlimit()
-    if limit < n_words + 128:
-        sys.setrecursionlimit(n_words + 128)
-    digits = _word_table(q, r)
+    digits = _word_table(q, r, s)
     comp = _compatibility_masks(digits, s)
     seed_code = greedy_lexicode(q, r, s)
     best_size = len(seed_code)
-    best_words = [tuple(w) for w in seed_code.words]
-    nodes = 0
-    stack_words = [0]
-
-    class _Budget(Exception):
-        pass
-
-    def expand(cand):
-        nonlocal nodes, best_size, best_words
+    best_words = seed_code.words
+    # path holds the chosen words, and frames, for each ancestor of the
+    # current node, its live candidates and untried (colour, word) branches
+    path, frames = [0], []
+    cand, nodes = comp[0], 0
+    while path:
         nodes += 1
         if nodes > node_limit:
-            raise _Budget()
-        size = len(stack_words)
-        if size > best_size:
-            best_size = size
-            best_words = digits[stack_words].tolist()
-        if not cand:
-            return
-        # greedy clique-cover coloring: classes are pairwise at distance < s
-        classes = []
-        order = []
-        w = cand
-        while w:
-            v = (w & -w).bit_length() - 1
-            w &= w - 1
-            cv = comp[v]
-            for ci in range(len(classes)):
-                if cv & classes[ci] == 0:
-                    classes[ci] |= 1 << v
-                    order.append((ci + 1, v))
-                    break
-            else:
-                classes.append(1 << v)
-                order.append((len(classes), v))
-        live = cand
-        for color, v in reversed(order):
-            if size + color <= best_size:
-                return
+            break
+        if len(path) > best_size:
+            best_size = len(path)
+            best_words = digits[path].tolist()
+        live, branches = cand, _colour_branches(cand, comp)
+        # the first colour that cannot beat the incumbent ends the node;
+        # the search resumes at the deepest node with a branch left
+        while not branches or len(path) + branches[-1][0] <= best_size:
+            path.pop()
+            if not frames:
+                break
+            live, branches = frames.pop()
+        else:
+            v = branches.pop()[1]
             live &= ~(1 << v)
-            stack_words.append(v)
-            expand(live & comp[v])
-            stack_words.pop()
-
-    try:
-        expand(comp[0])
-        optimal = True
-    except _Budget:
-        optimal = False
-    witness = QaryCode(q, r, tuple(best_words), claimed_distance=s)
-    result = SearchResult(best_size, witness, nodes, optimal=optimal)
+            frames.append((live, branches))
+            cand = live & comp[v]
+            path.append(v)
+    optimal = nodes <= node_limit
+    result = SearchResult(best_size, QaryCode(q, r, tuple(best_words)), nodes, optimal=optimal)
     if not optimal:
         raise NodeLimitExceeded(result)
     return result

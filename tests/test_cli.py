@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from codebounds import cli
@@ -213,6 +214,25 @@ def test_search_exact_node_limit_cli(capsys):
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: node limit reached after ")
+
+
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+@pytest.mark.parametrize("q, r, message", [
+    ("-2", "3", "alphabet size must be >= 2, got -2"),
+    ("0", "3", "alphabet size must be >= 2, got 0"),
+    ("1", "3", "alphabet size must be >= 2, got 1"),
+    ("2", "40", "search space 2^40 = 1099511627776 exceeds 8192"),
+    ("2", "20000", "search space 2^20000 exceeds 8192"),
+], ids=["q-2", "q0", "q1", "2^40", "2^20000"])
+def test_search_rejects_bad_inputs_with_one_error_line(monkeypatch, capsys, mode, q, r, message):
+    def no_table(*args, **kwargs):
+        raise AssertionError("word table allocated before the input check")
+
+    monkeypatch.setattr(np, "zeros", no_table)
+    code, out, err = run(capsys, "search", mode, "--q", q, "--r", r, "--s", "1")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_search_greedy_cli(capsys):

@@ -78,6 +78,9 @@ def _cases():
         "usage:bad-range": ["bound", "m", "--r", "5:1", "--alpha", "0"],
         "usage:bad-scalar": ["bound", "m", "--r", "4", "--alpha", "zebra"],
         "usage:unknown-kind": ["verify", "nonsense", "--in", "exact.sphere"],
+        # a negative scalar in its own token is read as a flag
+        "usage:negative-scalar-as-flag": ["verify", "spherical", "--in", "exact.sphere",
+                                          "--alpha", "-1/2"],
     })
     for op, (single, grid) in BOUND_RUNS.items():
         cases[f"bound:{op}"] = ["bound", op] + single
@@ -118,7 +121,7 @@ def _cases():
     cases["verify:qary:float"] = ["verify", "qary", "--float", "--in", "ternary.qary",
                                   "--s", "3"]
     cases["verify:spherical:failing-claim"] = ["verify", "spherical", "--in", "exact.sphere",
-                                               "--alpha", "-1/2"]
+                                               "--alpha=-1/2"]
     cases["verify:spherical:no-alpha"] = ["verify", "spherical", "--in", "exact.sphere"]
     cases["verify:missing-file"] = ["verify", "chain", "--in", "absent.sphere"]
     return cases
@@ -185,6 +188,7 @@ DIGESTS = {
     "usage:bad-range": "de95d588fc5224c08f8fa33c4816dd533eb7af18e71e2c0fe071ac0f1686457c",
     "usage:bad-scalar": "ba260a7d675e02f9402c1a6c796d3547d099970acd82388fd7cc2fa58144773e",
     "usage:unknown-kind": "ec9ad3d0e968cb53fee6cdda5dba7ee0eca7156bcfc1e393faa4a1e79ebd3fdb",
+    "usage:negative-scalar-as-flag": "f3baff6ffaecd2ebde522d15077b35c0669f6fa342f83e98efd485a11742464d",
     "bound:rho": "f83605fa48987c5cff9c8fa68f6e0b4b2d1ed2ed2a2120e3525ba6d50333ecdb",
     "bound:rho:grid": "43ffe6b8b747f1b6dfeded46617a428f275b9f262cd46064dc7cd211517a387e",
     "bound:m": "fd64aa249124854913d44f4aaab22d80a751b1d964420c3561f32a885ddc2094",
@@ -229,7 +233,7 @@ DIGESTS = {
     "verify:chain:float": "eba9fb04f513177a9186e8bc0031069e0f268a7d6fde45bd9b86f1f52622abe0",
     "verify:trace-rank": "131f49968f8e682baeb3fae9ce25a637e978247829437c652bc1eed99386db32",
     "verify:trace-rank:float": "5035a257d1f578d6188c6230eb656c4ce59123779ee8f5fb8c52106877a3054b",
-    "verify:spherical:failing-claim": "f3baff6ffaecd2ebde522d15077b35c0669f6fa342f83e98efd485a11742464d",
+    "verify:spherical:failing-claim": "5fe8d882974605729e13c96adbb5afeca99bb0bc8e0a946316661147a582078b",
     "verify:spherical:no-alpha": "b75a7f1c3c3459c7f73fd0f02824c47cf6b2759f7471acc30ac85ef171a6c94f",
     "verify:missing-file": "0ed55264a908aa2c1646a0080356164defa928bb977e80f3aa5fe1979ade7102",
 }

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -63,17 +65,61 @@ def test_exact_known_ternary():
     assert exact_max_code(3, 4, 3).value == 9
 
 
-def test_exact_node_limit():
+@pytest.mark.parametrize("node_limit", [100, 0])
+def test_exact_node_limit(node_limit):
     with pytest.raises(NodeLimitExceeded) as err:
-        exact_max_code(2, 8, 3, node_limit=100)
+        exact_max_code(2, 8, 3, node_limit=node_limit)
     result = err.value.result
+    assert result.nodes == node_limit + 1
     assert result.optimal is False
     assert min_distance(result.witness) >= 3
 
 
-def test_exact_rejects_oversized_space():
-    with pytest.raises(PreconditionViolated):
-        exact_max_code(4, 12, 3)
+@pytest.mark.parametrize("q, r, s, size, nodes", [
+    (2, 6, 3, 8, 4), (3, 4, 2, 27, 108), (5, 3, 2, 25, 1894), (3, 6, 5, 3, 225),
+])
+def test_exact_node_counts(q, r, s, size, nodes):
+    # pinned for the current pruning rule: branching order, candidate
+    # updates and incumbent updates all show in the count
+    result = exact_max_code(q, r, s)
+    assert (result.value, result.nodes, result.optimal) == (size, nodes, True)
+    assert min_distance(result.witness) >= s
+
+
+def test_exact_search_leaves_the_recursion_limit_alone():
+    # 2^10 words, more than the limit: the search must neither need a
+    # higher limit nor set one for the whole process
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert exact_max_code(2, 10, 5).optimal
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+@pytest.mark.parametrize("search", [exact_max_code, greedy_lexicode])
+@pytest.mark.parametrize("q, r, s, message", [
+    (-2, 3, 1, "alphabet size must be >= 2, got -2"),
+    (0, 3, 1, "alphabet size must be >= 2, got 0"),
+    (1, 3, 1, "alphabet size must be >= 2, got 1"),
+    (2, 3, 4, "need 1 <= s <= r, got s=4, r=3"),
+    (2, 40, 20, "search space 2^40 = 1099511627776 exceeds 8192"),
+    (4, 12, 3, "search space 4^12 = 16777216 exceeds 8192"),
+    (2, 20000, 1, "search space 2^20000 exceeds 8192"),
+], ids=["q-2", "q0", "q1", "s-above-r", "2^40", "4^12", "2^20000"])
+def test_searches_check_their_inputs_before_allocating(monkeypatch, search, q, r, s, message):
+    def no_table(*args, **kwargs):
+        raise AssertionError("word table allocated before the input check")
+
+    monkeypatch.setattr(np, "zeros", no_table)
+    with pytest.raises(PreconditionViolated, match=f"^{re.escape(message)}$"):
+        search(q, r, s)
+
+
+def test_greedy_reaches_the_search_space_cap():
+    code = greedy_lexicode(2, 13, 13)
+    assert code.words == ((0,) * 13, (1,) * 13)
 
 
 def test_greedy_lexicode_example():
