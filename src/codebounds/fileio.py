@@ -4,7 +4,9 @@ Spherical code file:  line 1 is ``sphere <d>``, then one vector per line as
 d whitespace-separated scalar tokens.  Q-ary code file: line 1 is
 ``qary <q> <r>``, then one codeword per line as r integers in [0, q).
 Blank lines and ``#`` comment lines are ignored on input, which lets writers
-append run manifests without breaking round-trips.
+append run manifests without breaking round-trips.  Each distinct token is
+parsed once per file, and each of a code image's few distinct floats is
+printed once per file.
 """
 
 import hashlib
@@ -38,23 +40,43 @@ def parse_spherical(text: str, exact: bool = True) -> UnitVectorSet:
     if d < 1:
         raise FileFormatError(f"line {lineno}: dimension must be >= 1")
     vectors = []
+    values = {}    # token -> parse_scalar(token); a token that fails is never stored
     for lineno, line in lines[1:]:
         tokens = line.split()
         if len(tokens) != d:
             raise FileFormatError(f"line {lineno}: expected {d} coordinates, got {len(tokens)}")
-        try:
-            vectors.append(tuple(parse_scalar(t, exact=exact) for t in tokens))
-        except ValueError as exc:
-            raise FileFormatError(f"line {lineno}: {exc}") from None
+        for t in tokens:
+            if t not in values:
+                try:
+                    values[t] = parse_scalar(t, exact=exact)
+                except ValueError as exc:
+                    raise FileFormatError(f"line {lineno}: {exc}") from None
+        vectors.append(tuple(map(values.__getitem__, tokens)))
     if not vectors:
         raise FileFormatError("no vectors in file")
     return UnitVectorSet(d, tuple(vectors))
 
 
 def serialize_spherical(vset: UnitVectorSet) -> str:
-    out = [f"sphere {vset.dimension}"]
+    # only nonzero floats are memoised: equal ones print alike, while 0.0 and
+    # -0.0 do not, nor 1 and 1.0, and a Fraction hashes slower than it prints.
+    # A code image has a few distinct coordinates, so at most d are kept: an
+    # optimizer's witness, all distinct, does not hold every text to the end.
+    texts, d = {}, vset.dimension
+    out = [f"sphere {d}"]
     for v in vset.vectors:
-        out.append(" ".join(format_scalar(x) for x in v))
+        row = []
+        for x in v:
+            if x.__class__ is float and x:
+                s = texts.get(x)
+                if s is None:
+                    s = format_scalar(x)
+                    if len(texts) < d:
+                        texts[x] = s
+            else:
+                s = format_scalar(x)
+            row.append(s)
+        out.append(" ".join(row))
     return "\n".join(out) + "\n"
 
 
@@ -71,17 +93,22 @@ def parse_qary(text: str) -> QaryCode:
     except ValueError:
         raise FileFormatError(f"line {lineno}: bad parameters {header!r}") from None
     words = []
+    symbols = {}   # token -> its symbol, for tokens already read as one in [0, q)
     for lineno, line in lines[1:]:
         tokens = line.split()
         if len(tokens) != r:
             raise FileFormatError(f"line {lineno}: expected {r} symbols, got {len(tokens)}")
         try:
-            word = tuple(int(t) for t in tokens)
-        except ValueError:
-            raise FileFormatError(f"line {lineno}: non-integer symbol") from None
-        for s in word:
-            if not 0 <= s < q:
-                raise FileFormatError(f"line {lineno}: symbol {s} outside [0, {q})")
+            word = tuple(map(symbols.__getitem__, tokens))
+        except KeyError:
+            try:
+                word = tuple(int(t) for t in tokens)
+            except ValueError:
+                raise FileFormatError(f"line {lineno}: non-integer symbol") from None
+            for s in word:
+                if not 0 <= s < q:
+                    raise FileFormatError(f"line {lineno}: symbol {s} outside [0, {q})")
+            symbols.update(zip(tokens, word))
         words.append(word)
     if not words:
         raise FileFormatError("no codewords in file")
@@ -92,9 +119,10 @@ def parse_qary(text: str) -> QaryCode:
 
 
 def serialize_qary(code: QaryCode) -> str:
+    names = {s: str(s) for s in set().union(*code.words)}
     out = [f"qary {code.q} {code.r}"]
     for w in code.words:
-        out.append(" ".join(str(s) for s in w))
+        out.append(" ".join(map(names.__getitem__, w)))
     return "\n".join(out) + "\n"
 
 

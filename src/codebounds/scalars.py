@@ -64,10 +64,7 @@ def format_scalar(x: Scalar) -> str:
         raise TypeError("bool is not a scalar")
     if isinstance(x, int):
         return str(x)
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+    # floats before Fraction, whose isinstance check goes through the ABC machinery
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError(f"non-finite float {x!r} has no text form")
@@ -76,6 +73,10 @@ def format_scalar(x: Scalar) -> str:
             # the grammar is positional only; keep the shortest digits
             s = format(Decimal(s), "f")
         return s
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
     raise TypeError(f"not a scalar: {x!r}")
 
 

@@ -172,8 +172,9 @@ def test_criterion_7_size_trend_at_shrinking_alpha():
         "unattainable as stated: at r in {64,128,256,512} with alpha = r^(-3/4) "
         "the defining inequality n^2 <= r*(2n + (alpha n)^2 + 27/4 (1+alpha n)^2 "
         "alpha n) holds for every n (alpha*n is already ~2 r^(1/4) >> 1 at "
-        "n = 2r, so the cubic right side dominates; the scan proves the failing "
-        "set is empty).  All four reports are vacuous, so the normalized trend "
+        "n = 2r, so the cubic right side dominates; m_upper's closed-form "
+        "discriminant test proves the failing set is empty).  All four reports "
+        "are vacuous, so the normalized trend "
         f"has no certified values to compare.  statuses: "
         f"{ {r: reports[r].status for r in rs} }")
 

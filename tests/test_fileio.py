@@ -1,12 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from codebounds.codes import QaryCode, UnitVectorSet
-from codebounds.constructions import cross_polytope, hadamard_code, sylvester_hadamard
+from codebounds.constructions import (cross_polytope, embed_qary, hadamard_code,
+                                      sylvester_hadamard)
 from codebounds.errors import FileFormatError
 from codebounds.fileio import (parse_qary, parse_spherical, serialize_qary,
                                serialize_spherical)
+from codebounds.scalars import format_scalar, parse_scalar
 
 
 def test_spherical_round_trip_exact():
@@ -84,3 +87,177 @@ def test_qary_malformed(text):
 def test_qary_negative_symbol_rejected():
     with pytest.raises(FileFormatError):
         parse_qary("qary 3 2\n0 -1\n")
+
+
+# ---- the per-token loops that the per-file tables replaced, kept as oracles
+
+def _loop_parse_spherical(text, exact=True):
+    lines = [(i, raw.strip()) for i, raw in enumerate(text.splitlines(), start=1)
+             if raw.strip() and not raw.strip().startswith("#")]
+    d = int(lines[0][1].split()[1])
+    vectors = []
+    for lineno, line in lines[1:]:
+        tokens = line.split()
+        if len(tokens) != d:
+            raise FileFormatError(f"line {lineno}: expected {d} coordinates, got {len(tokens)}")
+        try:
+            vectors.append(tuple(parse_scalar(t, exact=exact) for t in tokens))
+        except ValueError as exc:
+            raise FileFormatError(f"line {lineno}: {exc}") from None
+    return tuple(vectors)
+
+
+def _loop_serialize_spherical(vset):
+    out = [f"sphere {vset.dimension}"]
+    for v in vset.vectors:
+        out.append(" ".join(format_scalar(x) for x in v))
+    return "\n".join(out) + "\n"
+
+
+def _loop_parse_qary(text):
+    lines = [(i, raw.strip()) for i, raw in enumerate(text.splitlines(), start=1)
+             if raw.strip() and not raw.strip().startswith("#")]
+    _, q, r = lines[0][1].split()
+    q, r = int(q), int(r)
+    words = []
+    for lineno, line in lines[1:]:
+        tokens = line.split()
+        if len(tokens) != r:
+            raise FileFormatError(f"line {lineno}: expected {r} symbols, got {len(tokens)}")
+        try:
+            word = tuple(int(t) for t in tokens)
+        except ValueError:
+            raise FileFormatError(f"line {lineno}: non-integer symbol") from None
+        for s in word:
+            if not 0 <= s < q:
+                raise FileFormatError(f"line {lineno}: symbol {s} outside [0, {q})")
+        words.append(word)
+    return tuple(words)
+
+
+def _loop_serialize_qary(code):
+    out = [f"qary {code.q} {code.r}"]
+    for w in code.words:
+        out.append(" ".join(str(s) for s in w))
+    return "\n".join(out) + "\n"
+
+
+def _typed(vectors):
+    """Each coordinate as (type, repr): tells 0.0 from -0.0 and 1 from 1.0."""
+    return [[(type(x), repr(x)) for x in v] for v in vectors]
+
+
+def _hadamard_embedding(t):
+    return embed_qary(hadamard_code(sylvester_hadamard(t))).unit_vectors()
+
+
+def _rational_sphere_file(rng, n, d, spread=4):
+    """Inverse stereographic images of random rational points, as n/d tokens."""
+    rows = []
+    for _ in range(n):
+        y = [Fraction(rng.randint(-spread, spread), rng.randint(1, spread))
+             for _ in range(d - 1)]
+        norm_sq = sum(t * t for t in y)
+        p = [2 * t / (norm_sq + 1) for t in y] + [(norm_sq - 1) / (norm_sq + 1)]
+        rows.append(" ".join(f"{x.numerator}/{x.denominator}" for x in p))
+    return f"sphere {d}\n" + "\n".join(rows) + "\n"
+
+
+_SPHERE_CASES = {
+    "hadamard64-exact": (lambda: serialize_spherical(_hadamard_embedding(6)), True),
+    "hadamard128-float": (lambda: serialize_spherical(_hadamard_embedding(7)), False),
+    "crosspolytope3": (lambda: serialize_spherical(cross_polytope(3)), True),
+    "crosspolytope16-float": (lambda: serialize_spherical(cross_polytope(16)), False),
+    **{f"random-rational-d{d}": (lambda d=d: _rational_sphere_file(random.Random(d), 12, d), True)
+       for d in (2, 4, 6)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPHERE_CASES))
+def test_spherical_tables_match_per_token_loops(case):
+    make, exact = _SPHERE_CASES[case]
+    text = make()
+    for mode in (exact, False):
+        back = parse_spherical(text, exact=mode)
+        assert _typed(back.vectors) == _typed(_loop_parse_spherical(text, exact=mode))
+        assert serialize_spherical(back) == _loop_serialize_spherical(back)
+
+
+@pytest.mark.parametrize("vectors", [
+    ((0.0, -0.0, 1.0), (-0.0, 0.0, -1.0), (0.0, 0.0, 0.6), (-0.0, -0.0, 0.6)),
+    ((1, Fraction(1), Fraction(1, 2)), (0, Fraction(0), Fraction(-1, 2)), (1, 0, 0)),
+    # a float set may hold exact coordinates; 1 and 1.0, 1/2 and 0.5 print apart
+    ((1, 1.0, 0.5, Fraction(1, 2)), (1.0, 1, Fraction(1, 2), 0.5), (0, 0.0, -0.0, 0)),
+    ((2 ** -0.5, 1e-20, 1e22), (2 ** -0.5, 1e-20, 1e22)),
+    # more distinct floats than dimensions
+    ((0.1, 0.2), (0.3, 0.1), (0.2, 0.3), (0.3, 0.4)),
+])
+def test_serialize_spherical_keeps_each_scalars_own_text(vectors):
+    vset = UnitVectorSet(len(vectors[0]), vectors)
+    assert serialize_spherical(vset) == _loop_serialize_spherical(vset)
+
+
+def test_mixed_exact_and_float_coordinates_make_a_float_set():
+    assert UnitVectorSet(2, ((1, 1.0),)).mode() == "float"
+
+
+def test_serialize_spherical_all_distinct_floats():
+    rng = random.Random(7)
+    vset = UnitVectorSet(50, tuple(tuple(rng.uniform(-1, 1) for _ in range(50))
+                                   for _ in range(20)))
+    assert serialize_spherical(vset) == _loop_serialize_spherical(vset)
+
+
+@pytest.mark.parametrize("code", [
+    hadamard_code(sylvester_hadamard(6)),
+    QaryCode(3, 8, tuple(sorted({tuple(random.Random(i).randrange(3) for _ in range(8))
+                                 for i in range(40)}))),
+    QaryCode(12, 3, ((0, 11, 10), (10, 1, 11), (11, 10, 0))),
+])
+def test_qary_tables_match_per_token_loops(code):
+    text = serialize_qary(code)
+    assert text == _loop_serialize_qary(code)
+    assert parse_qary(text).words == _loop_parse_qary(text)
+
+
+def _error(parse, text):
+    with pytest.raises(FileFormatError) as info:
+        parse(text)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("text,message", [
+    # the first bad token of a line is the one reported
+    ("sphere 3\n1 1e5 inf\n", "line 2: not a scalar token: '1e5'"),
+    ("sphere 3\n1 0 0\n0 inf 1e5\n", "line 3: not a scalar token: 'inf'"),
+    # a bad token is never stored, so it fails at its first line
+    ("sphere 2\n1 0\n0 zz\nzz 1\n", "line 3: not a scalar token: 'zz'"),
+    ("sphere 2\n1 0\n1/0 1\n0 1/0\n", "line 3: zero denominator in '1/0'"),
+    # a count error on an earlier line wins over a bad token on a later one
+    ("sphere 2\n1\n1 zz\n", "line 2: expected 2 coordinates, got 1"),
+    ("sphere 2\n1 0\n0 1 0\n1 nan\n", "line 3: expected 2 coordinates, got 3"),
+])
+def test_spherical_error_texts(text, message, exact):
+    assert _error(lambda t: parse_spherical(t, exact=exact), text) == message
+    assert _error(lambda t: _loop_parse_spherical(t, exact=exact), text) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    ("qary 2 2\n0 1\n0 x\n", "line 3: non-integer symbol"),
+    ("qary 2 2\n0 1\n0 2\n", "line 3: symbol 2 outside [0, 2)"),
+    ("qary 2 2\n0 1\n1 2\n", "line 3: symbol 2 outside [0, 2)"),
+    # within a line, a non-integer symbol wins over an earlier out-of-range one
+    ("qary 2 2\n0 1\n2 x\n", "line 3: non-integer symbol"),
+    ("qary 3 2\n0 1\n1 -1\n", "line 3: symbol -1 outside [0, 3)"),
+    ("qary 2 2\n0 1\n1\n0 x\n", "line 3: expected 2 symbols, got 1"),
+])
+def test_qary_error_texts(text, message):
+    assert _error(parse_qary, text) == message
+    assert _error(_loop_parse_qary, text) == message
+
+
+def test_qary_symbols_keep_int_spellings():
+    # a token missing from the table is read by int(), as the per-token loop read it
+    code = parse_qary("qary 2 2\n0 01\n+1 0\n1 1\n")
+    assert code.words == ((0, 1), (1, 0), (1, 1))
