@@ -6,6 +6,8 @@ arbitrary-precision bitmasks; the bound at each node is a greedy clique-cover
 coloring of the candidates (classes are sets pairwise closer than s), which
 prunes dense low-distance instances that a size-only bound cannot touch.
 It runs as one loop over an explicit stack, so no recursion limit bounds its depth.
+Both code searches read one table of neighbour masks, each the all-zero word's
+mask translated by its word (the graph is a Cayley graph on Z_q^r).
 """
 
 import math
@@ -45,7 +47,7 @@ def _word_table(q, r, s):
     if n is None or n > MAX_SEARCH_SPACE:
         shown = f"{q}^{r}" if n is None else f"{q}^{r} = {n}"
         raise PreconditionViolated(f"search space {shown} exceeds {MAX_SEARCH_SPACE}")
-    digits = np.zeros((n, r), dtype=np.int8)
+    digits = np.zeros((n, r), dtype=np.int16)
     idx = np.arange(n)
     for pos in range(r):
         digits[:, pos] = idx % q
@@ -53,29 +55,36 @@ def _word_table(q, r, s):
     return digits
 
 
+def _compatibility_masks(digits, q, s):
+    """comp[u]: bitmask of the ids at Hamming distance >= s from word u.  For u below
+    (q-1) q^j, word u + q^j raises u's digit j by one, so its mask is u's moved by +1
+    mod q in digit j: ids below q - 1 there go up q^j, the rest down (q-1) q^j."""
+    def packed(ok):
+        return int.from_bytes(np.packbits(ok, bitorder="little").tobytes(), "little")
+    comp = [packed((digits != 0).sum(axis=1) >= s)]
+    for j in range(digits.shape[1]):
+        step, low = q ** j, packed(digits[:, j] < q - 1)
+        for _ in range(q - 1):      # the next q^j ids, from the last q^j
+            comp += [(m & low) << step | (m & ~low) >> (q - 1) * step for m in comp[-step:]]
+    return comp
+
+
+def _lexicode(comp):
+    """Ids the lexicographic scan keeps: each first word at distance >= s from all kept."""
+    alive, kept = (1 << len(comp)) - 1, []
+    while alive:
+        v = (alive & -alive).bit_length() - 1    # the first word still at distance >= s
+        kept.append(v)
+        alive &= comp[v]
+    return kept
+
+
 def greedy_lexicode(q: int, r: int, s: int) -> QaryCode:
     """Keep each word (lexicographic scan) at distance >= s from all kept words."""
-    # most significant digit first: row order is lexicographic order
-    digits = _word_table(q, r, s)[:, ::-1]
-    alive = np.ones(len(digits), dtype=bool)
-    kept = []
-    while alive.any():
-        v = int(alive.argmax())    # the first word still at distance >= s
-        kept.append(v)
-        alive[v:] &= (digits[v:] != digits[v]).sum(axis=1) >= s
-    return QaryCode(q, r, tuple(map(tuple, digits[kept].tolist())))
-
-
-def _compatibility_masks(digits, s):
-    """Per-word bitmask of words at Hamming distance >= s (numpy-packed)."""
-    masks = []
-    for u in range(len(digits)):
-        dist = (digits != digits[u]).sum(axis=1)
-        ok = dist >= s
-        ok[u] = False
-        packed = np.packbits(ok, bitorder="little").tobytes()
-        masks.append(int.from_bytes(packed, "little"))
-    return masks
+    digits = _word_table(q, r, s)
+    kept = _lexicode(_compatibility_masks(digits, q, s))
+    # most significant digit first: id order is lexicographic order
+    return QaryCode(q, r, digits[kept, ::-1].tolist())
 
 
 def _colour_branches(cand, comp):
@@ -105,11 +114,12 @@ def exact_max_code(q: int, r: int, s: int, node_limit: int = 10_000_000) -> Sear
     distances and act transitively, so some maximum code contains it).  Raises
     NodeLimitExceeded carrying the best witness when the budget runs out.
     """
+    if node_limit < 0:
+        raise PreconditionViolated(f"need node_limit >= 0, got {node_limit}")
     digits = _word_table(q, r, s)
-    comp = _compatibility_masks(digits, s)
-    seed_code = greedy_lexicode(q, r, s)
-    best_size = len(seed_code)
-    best_words = seed_code.words
+    comp = _compatibility_masks(digits, q, s)
+    kept = _lexicode(comp)
+    best_size, best_words = len(kept), digits[kept, ::-1].tolist()
     # path holds the chosen words, and frames, for each ancestor of the
     # current node, its live candidates and untried (colour, word) branches
     path, frames = [0], []
@@ -136,7 +146,7 @@ def exact_max_code(q: int, r: int, s: int, node_limit: int = 10_000_000) -> Sear
             cand = live & comp[v]
             path.append(v)
     optimal = nodes <= node_limit
-    result = SearchResult(best_size, QaryCode(q, r, tuple(best_words)), nodes, optimal=optimal)
+    result = SearchResult(best_size, QaryCode(q, r, best_words), nodes, optimal=optimal)
     if not optimal:
         raise NodeLimitExceeded(result)
     return result

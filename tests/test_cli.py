@@ -216,6 +216,14 @@ def test_search_exact_node_limit_cli(capsys):
     assert lines[0].startswith("error: node limit reached after ")
 
 
+def test_search_exact_rejects_a_negative_node_limit(capsys):
+    code, out, err = run(capsys, "search", "exact", "--q", "2", "--r", "4",
+                         "--s", "2", "--node-limit", "-5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: need node_limit >= 0, got -5\n"
+
+
 @pytest.mark.parametrize("mode", ["exact", "greedy"])
 @pytest.mark.parametrize("q, r, message", [
     ("-2", "3", "alphabet size must be >= 2, got -2"),

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from codebounds.bounds import aq_upper, rho_lower
-from codebounds.codes import min_distance
+from codebounds.codes import hamming_distance, min_distance
 from codebounds.constructions import hadamard_code, sylvester_hadamard
 from codebounds.errors import NodeLimitExceeded, PreconditionViolated
-from codebounds.search import exact_max_code, greedy_lexicode, heuristic_rho
+from codebounds.search import (_compatibility_masks, _word_table, exact_max_code,
+                               greedy_lexicode, heuristic_rho)
 
 
 def test_exact_small_cases():
@@ -115,6 +116,59 @@ def test_searches_check_their_inputs_before_allocating(monkeypatch, search, q, r
     monkeypatch.setattr(np, "zeros", no_table)
     with pytest.raises(PreconditionViolated, match=f"^{re.escape(message)}$"):
         search(q, r, s)
+
+
+def test_exact_rejects_a_negative_node_limit_before_allocating(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("word table allocated before the input check")
+
+    monkeypatch.setattr(np, "zeros", no_table)
+    with pytest.raises(PreconditionViolated, match=r"^need node_limit >= 0, got -5$"):
+        exact_max_code(2, 4, 2, node_limit=-5)
+
+
+@pytest.mark.parametrize("q", range(2, 11))
+def test_masks_match_pairwise_hamming_distance(q):
+    # every (q, r, s) with q^r <= 512; id u is the u-th word of the
+    # lexicographic product, whose last digit is the least significant
+    r = 1
+    while q ** r <= 512:
+        words = list(itertools.product(range(q), repeat=r))
+        # by_distance[u][d]: bitmask of the words at distance exactly d from u;
+        # the masks of one u are disjoint, so their sum is their union
+        by_distance = [[0] * (r + 1) for _ in words]
+        for u, x in enumerate(words):
+            for v, y in enumerate(words):
+                by_distance[u][hamming_distance(x, y)] |= 1 << v
+        for s in range(1, r + 1):
+            comp = _compatibility_masks(_word_table(q, r, s), q, s)
+            assert len(comp) == q ** r, (q, r, s)
+            for u, masks in enumerate(by_distance):
+                assert comp[u] == sum(masks[s:]), (q, r, s, u)
+                assert not comp[u] >> u & 1, (q, r, s, u)
+        r += 1
+
+
+@pytest.mark.parametrize("q, r", [(2, 13), (3, 8), (4, 6), (5, 5)])
+def test_searches_at_the_search_space_cap(q, r):
+    # A_q(r, r) = q: codewords differ in every coordinate, the first one included
+    result = exact_max_code(q, r, r)
+    assert (result.value, result.optimal) == (q, True)
+    assert min_distance(result.witness) == r
+    code = greedy_lexicode(q, r, r)
+    assert len(code) == q
+    assert min_distance(code) == r
+
+
+@pytest.mark.parametrize("q", [128, 129, 256, 8192])
+def test_searches_take_symbols_beyond_int8(q):
+    # one coordinate at distance 1: every word is kept, in symbol order
+    words = tuple((a,) for a in range(q))
+    assert greedy_lexicode(q, 1, 1).words == words
+    if q <= 256:     # the root colouring is quadratic in q here
+        result = exact_max_code(q, 1, 1)
+        assert (result.value, result.optimal) == (q, True)
+        assert sorted(result.witness.words) == list(words)
 
 
 def test_greedy_reaches_the_search_space_cap():
