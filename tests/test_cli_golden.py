@@ -43,6 +43,10 @@ INPUTS = {
 -0.2886751345948129 -0.5000000000000001 0.5773502691896258 0.0 -0.2886751345948129 0.5
 """,
     "ternary.qary": "qary 3 3\n0 0 0\n1 1 1\n2 2 2\n0 1 2\n1 2 0\n2 0 1\n",
+    # exact files whose errors print a Gram entry with !r: a repeated vector
+    # (alpha 1), and a vector of squared norm 2
+    "alpha-one.sphere": "sphere 2\n1 0\n1 0\n3/5 -4/5\n",
+    "off-sphere.sphere": "sphere 2\n1 1\n3/5 4/5\n",
 }
 
 HELP_PATHS = [
@@ -124,6 +128,8 @@ def _cases():
                                                "--alpha=-1/2"]
     cases["verify:spherical:no-alpha"] = ["verify", "spherical", "--in", "exact.sphere"]
     cases["verify:missing-file"] = ["verify", "chain", "--in", "absent.sphere"]
+    cases["verify:chain:alpha-one"] = ["verify", "chain", "--in", "alpha-one.sphere"]
+    cases["verify:chain:off-sphere"] = ["verify", "chain", "--in", "off-sphere.sphere"]
     return cases
 
 
@@ -236,6 +242,8 @@ DIGESTS = {
     "verify:spherical:failing-claim": "5fe8d882974605729e13c96adbb5afeca99bb0bc8e0a946316661147a582078b",
     "verify:spherical:no-alpha": "b75a7f1c3c3459c7f73fd0f02824c47cf6b2759f7471acc30ac85ef171a6c94f",
     "verify:missing-file": "0ed55264a908aa2c1646a0080356164defa928bb977e80f3aa5fe1979ade7102",
+    "verify:chain:alpha-one": "86af3de68bd8280314791c9b4a283f12625f331a99ecacfcc910f15a946aa0cf",
+    "verify:chain:off-sphere": "2072948a739cf2738a1cb9a30f619b3e610bf49a93ab8e4daa92424fb21aa81f",
 }
 
 
