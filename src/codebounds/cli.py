@@ -75,6 +75,10 @@ class _Run:
             fh.write(self.comment_line() + "\n")
 
 
+# the most values one parameter list may hold, counted before any is made
+MAX_LIST_VALUES = 100_000
+
+
 def _int_list(text: str):
     """Parse '4', '2,4,8', '2:8', or '2:8:2' into a sorted list of ints."""
     values = []
@@ -91,9 +95,12 @@ def _int_list(text: str):
             span = range(lo, hi + 1, step)
             if not span:
                 raise argparse.ArgumentTypeError(f"empty range {part!r}")
-            values.extend(span)
         else:
-            values.append(int(part))
+            span = (int(part),)
+        # len() of a range past 2^63 overflows; its slice's does not
+        if len(values) + len(span[:MAX_LIST_VALUES + 1]) > MAX_LIST_VALUES:
+            raise argparse.ArgumentTypeError(f"more than {MAX_LIST_VALUES} values in {text!r}")
+        values.extend(span)
     return sorted(set(values))
 
 

@@ -1,13 +1,14 @@
 """Code objects and the inequality verifiers built on their Gram matrices.
 
-An exact set's Gram is always computed, never supplied, from one of two
-sources.  Rational coordinates scaled to integers A = L*V give numerators
-A A^T over L^2.  The simplex image of a ``QaryCode`` (``UnitVectorSet.source``,
-set by ``constructions``) has irrational coordinates for q >= 3 but rational
-inner products, and its Gram comes from the code's Hamming distances
-(``distance_gram``); the float coordinates beside it are not read.  Either
-way the Gram is an ``IntegerGram``, and Fractions are made only for values
-that a certificate or an error message prints.
+An exact set is held in one form: integer rows P over one positive integer
+c, so that <v_i, v_j> = P_i . P_j / c, with an integer factor of the same
+rank.  Rational coordinates scaled to integers A = L*V give (A, L^2, A).
+The simplex image of a ``QaryCode`` (``code_image``) has irrational
+coordinates for q >= 3 but rational inner products: its float coordinates
+and its rows C = q*onehot - 1 over q(q-1)r are built from the same code.
+``integer_gram`` makes P P^T over c an ``IntegerGram`` in one body, and
+Fractions are made only for values that a certificate or an error message
+prints.
 
 A float set's Gram is a ``FloatGram``, built from the coordinates converted
 once by ``float`` into an (n, d) array; every sum in it adds left to right
@@ -15,6 +16,7 @@ from 0 (see ``linalg``).  The mode decides only which Gram is built: the
 analysis and the verifiers read both through the protocol they share.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -33,17 +35,17 @@ from .scalars import EXACT, FLOAT, Scalar, format_scalar, mode_of, unit_norm_ok
 class UnitVectorSet:
     """n vectors in R^d claimed to lie on the unit sphere.
 
-    ``source``, when given, is the QaryCode whose simplex image the vectors
-    are: the exact Gram comes from its distances and the set is in exact mode.
-    Otherwise the set is in float mode when some coordinate is a float; then
-    every coordinate, exact ones too, enters its Gram through ``float``.
+    The set is in float mode when some coordinate is a float; then every
+    coordinate, exact ones too, enters its Gram through ``float``.  Otherwise
+    its exact form (P, c, factor) is its coordinates over their common
+    denominator.  Only ``code_image`` makes an exact set of float
+    coordinates, with the rows of the code they are the image of.
     """
 
     dimension: int
     vectors: tuple
     labels: tuple = ()
-    source: "QaryCode" = None
-    _mode: str = field(init=False, repr=False, compare=False)
+    _exact: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vectors = tuple(tuple(v) for v in self.vectors)
@@ -57,22 +59,17 @@ class UnitVectorSet:
         if len(labels) != len(vectors):
             raise InvalidCode("label count differs from vector count")
         object.__setattr__(self, "labels", labels)
-        code = self.source
-        if code is not None:
-            if not isinstance(code, QaryCode):
-                raise InvalidCode("the source of a vector set must be a QaryCode")
-            if len(code) != len(vectors):
-                raise InvalidCode("source code size differs from vector count")
-            if (code.q - 1) * code.r != self.dimension:
-                raise InvalidCode("a code image has dimension (q-1)r")
-        floating = code is None and any(mode_of(x) == FLOAT for v in vectors for x in v)
-        object.__setattr__(self, "_mode", FLOAT if floating else EXACT)
+        if not any(mode_of(x) == FLOAT for v in vectors for x in v):
+            a, den = scaled_integers(vectors)
+            # int64 only when each entry of A A^T stays below 2^63
+            a = exact_array(a, self.dimension)
+            object.__setattr__(self, "_exact", (a, den * den, a))
 
     def __len__(self):
         return len(self.vectors)
 
     def mode(self) -> str:
-        return self._mode
+        return FLOAT if self._exact is None else EXACT
 
     @cached_property
     def coords(self) -> np.ndarray:
@@ -189,43 +186,62 @@ def min_distance(code: QaryCode) -> int:
     return int(min((w[i + 1:] != w[i]).sum(axis=1).min() for i in range(len(w) - 1)))
 
 
-def distance_gram(code: QaryCode) -> IntegerGram:
-    """Exact Gram of the simplex image: entry (x, y) is 1 - q*d(x,y)/((q-1)*r).
+def _simplex_table(q: int) -> np.ndarray:
+    """q equidistant unit vectors in R^(q-1) with pairwise product -1/(q-1), as rows.
 
-    With C = q*onehot(word) - 1 the Gram is C C^T / (q(q-1)r), and C C^T =
-    q(q-1)r - q^2 * distance, one exact int64 product (``einsum``, whose
-    integer loop beat both ``@`` and a loop over rows from n = 32 to 512); its
-    diagonal is the denominator, so every word maps to a unit vector.  The
-    factor is C without the last symbol's column in each coordinate block: a
-    block's q columns sum to zero, so the dropped one lies in the span of the
-    others and the rank is unchanged.  Full C has rank at most (q-1)r, below
-    min(n, qr) once n > (q-1)r, so its rank mod p could not confirm itself and
-    Bareiss elimination would always decide.
+    Built one vector at a time: forward-substitute the inner products against
+    the previously placed vectors, then spend the norm remainder on a fresh axis.
+    """
+    d = q - 1
+    target = -1.0 / (q - 1)
+    coords = np.zeros((q, d))
+    coords[0, 0] = 1.0
+    for i in range(1, q):
+        for j in range(i):
+            known = coords[i, :j] @ coords[j, :j]
+            coords[i, j] = (target - known) / coords[j, j]
+        if i < d:
+            rem = 1.0 - coords[i, :i] @ coords[i, :i]
+            coords[i, i] = math.sqrt(max(rem, 0.0))
+    return coords
+
+
+def code_image(code: QaryCode, labels: tuple = ()) -> UnitVectorSet:
+    """The simplex image of a code: an exact set with float coordinates.
+
+    Each symbol goes to a vertex of the regular simplex in R^(q-1); a word's
+    r vertices are concatenated and scaled by 1/sqrt(r).  The rows are
+    C = q*onehot(word) - 1 over c = q(q-1)r: words at Hamming distance d
+    have C_x . C_y = c - q^2 * d, so every row is a unit vector.  The factor
+    is C less the last symbol's column in each coordinate block, whose q
+    columns sum to zero, so the rank is unchanged; full C has rank at most
+    (q-1)r, below min(n, qr) once n > (q-1)r, so its rank mod p could never
+    confirm itself and Bareiss would always decide.  Labels default to the words.
     """
     q, r, n = code.q, code.r, len(code)
+    dimension = (q - 1) * r
     words = np.array(code.words, dtype=np.int64)
+    coords = _simplex_table(q)[words].reshape(n, dimension) * (1.0 / math.sqrt(r))
+    image = UnitVectorSet(dimension, tuple(map(tuple, coords.tolist())),
+                          labels or tuple("".join(map(str, w)) for w in code.words))
     c = (words[:, :, None] == np.arange(q)) * q - 1
-    full = c.reshape(n, q * r)
-    return IntegerGram(np.einsum("ik,jk->ij", full, full), q * (q - 1) * r,
-                       c[:, :, :-1].reshape(n, (q - 1) * r))
+    # float coordinates leave the set without an exact form: it is the code's
+    object.__setattr__(image, "_exact", (c.reshape(n, q * r), q * (q - 1) * r,
+                                        c[:, :, :-1].reshape(n, dimension)))
+    return image
 
 
 def integer_gram(vset: UnitVectorSet, unit: bool = False) -> IntegerGram:
-    """The IntegerGram of an exact set: its source code's ``distance_gram``, or
-    a file's A A^T over L^2 with the coordinates A as the factor.  With
-    ``unit`` a file's squared norms are first checked to be exactly 1, before
-    its Gram is formed; a code image's are 1 by construction."""
-    if vset.source is not None:
-        return distance_gram(vset.source)
-    a, den = scaled_integers(vset.vectors)
-    # int64 only when each entry of A A^T stays below 2^63
-    a = exact_array(a, vset.dimension)
+    """The IntegerGram P P^T over c of an exact set (P, c, factor).  With
+    ``unit`` every row's squared norm is first checked to be exactly c,
+    before the Gram is formed."""
+    p, c, factor = vset._exact
     if unit:
-        bad = np.flatnonzero(np.asarray((a * a).sum(axis=1), dtype=object) != den * den)
+        bad = np.flatnonzero(np.asarray((p * p).sum(axis=1), dtype=object) != c)
         if bad.size:
             v = vset.vectors[int(bad[0])]
             raise NonUnitVector(int(bad[0]), _dot(v, v))
-    return IntegerGram(a @ a.T, den * den, a)
+    return IntegerGram(p @ p.T, c, factor)
 
 
 def _sign_partition(negative):
@@ -250,12 +266,16 @@ def gram_analyze(vset: UnitVectorSet) -> GramAnalysis:
         alpha = -1
     else:
         # the first maximum in row-major order (no float entry is -0.0, so
-        # its bits are unique), typed as a file's coordinate products add up
+        # its bits are unique)
         iu = np.triu_indices(n, 1)
         k = int(np.argmax(num[iu]))
         i, j = int(iu[0][k]), int(iu[1][k])
-        alpha = _dot(vset.vectors[i], vset.vectors[j]) if exact and vset.source is None \
-            else g.value(num[i, j])
+        alpha = g.value(num[i, j])
+        if exact:
+            # exact coordinates give alpha the type their products add up to,
+            # as an error message prints it; a code image's floats do not
+            dot = _dot(vset.vectors[i], vset.vectors[j])
+            alpha = dot if mode_of(dot) == EXACT else alpha
     negative = num < 0       # never on the diagonal: den > 0, or within 1e-9 of 1
     return GramAnalysis(g, alpha, *_sign_partition(negative),
                         negative_sums(g, negative, num), vset.labels)

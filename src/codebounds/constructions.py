@@ -1,22 +1,20 @@
 """Explicit witness configurations and the q-ary-to-spherical embedding.
 
 Regular-simplex coordinates are irrational for q >= 3, so the simplex and
-the embedding of a q-ary code return float coordinates together with the
-code they are the image of (``UnitVectorSet.source``); certificates read the
-exact Gram that ``codes.distance_gram`` computes from the code, while the
-coordinates remain available for generic linear algebra.  Under the simplex
-map the inner product of two words depends only on their Hamming distance d,
-as 1 - q*d/((q-1)*r).  The +-1 embedding is that map at q = 2, and the
-regular simplex is its image of the q one-symbol words (r = 1).
+the embedding of a q-ary code are ``codes.code_image`` sets: float
+coordinates and exact integer rows, both built from the code, and
+certificates read the exact Gram of the rows.  Under the simplex map the
+inner product of two words depends only on their Hamming distance d, as
+1 - q*d/((q-1)*r).  The +-1 embedding is that map at q = 2, and the regular
+simplex is its image of the q one-symbol words (r = 1).
 """
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .codes import QaryCode, UnitVectorSet, distance_gram, min_distance
+from .codes import QaryCode, UnitVectorSet, code_image, min_distance
 from .errors import CodeBoundsError, NotBinary, PreconditionViolated
 
 # the largest Sylvester order built; on a 2-CPU machine order 2048 took 17 s
@@ -88,46 +86,35 @@ def cross_polytope(r: int) -> UnitVectorSet:
 
 
 def simplex_vectors(q: int) -> UnitVectorSet:
-    """q equidistant unit vectors in R^(q-1) with pairwise product -1/(q-1).
-
-    Coordinates are built one vector at a time: forward-substitute the inner
-    products against the previously placed vectors, then spend the norm
-    remainder on a fresh axis.  The source, the q one-symbol words, gives
-    the exact inner products.
-    """
+    """q equidistant unit vectors in R^(q-1) with pairwise product -1/(q-1):
+    the image of the q one-symbol words."""
     if q < 2:
         raise PreconditionViolated(f"alphabet size must be >= 2, got {q}")
-    d = q - 1
-    target = -1.0 / (q - 1)
-    coords = np.zeros((q, d))
-    coords[0, 0] = 1.0
-    for i in range(1, q):
-        for j in range(i):
-            known = coords[i, :j] @ coords[j, :j]
-            coords[i, j] = (target - known) / coords[j, j]
-        if i < d:
-            rem = 1.0 - coords[i, :i] @ coords[i, :i]
-            coords[i, i] = math.sqrt(max(rem, 0.0))
-    symbols = QaryCode(q, 1, tuple((s,) for s in range(q)))
-    return UnitVectorSet(d, tuple(map(tuple, coords.tolist())),
-                         tuple(f"u{i + 1}" for i in range(q)), source=symbols)
+    return code_image(QaryCode(q, 1, tuple((s,) for s in range(q))),
+                      tuple(f"u{i + 1}" for i in range(q)))
 
 
 @dataclass(frozen=True)
 class EmbeddedCode:
     """Spherical image of a q-ary code under the simplex concatenation map.
 
-    The exact Gram is computed from the source's Hamming distances, never
-    from the float coordinates: entry (x, y) is 1 - q*d(x,y)/((q-1)*r).
+    ``image`` is the ``code_image`` of ``source``; its exact Gram comes from
+    the code's rows, never from the float coordinates: entry (x, y) is
+    1 - q*d(x,y)/((q-1)*r).
     """
 
     source: QaryCode
-    dimension: int
-    coords: tuple
+    image: UnitVectorSet = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "image", code_image(self.source))
+
+    @property
+    def dimension(self) -> int:
+        return self.image.dimension
 
     def unit_vectors(self) -> UnitVectorSet:
-        labels = tuple("".join(map(str, w)) for w in self.source.words)
-        return UnitVectorSet(self.dimension, self.coords, labels, source=self.source)
+        return self.image
 
     def alpha(self):
         """Largest off-diagonal exact Gram entry (-1 for a single word)."""
@@ -138,11 +125,11 @@ class EmbeddedCode:
 
     def max_coordinate_deviation(self) -> float:
         """Largest |float inner product - exact Gram entry| over all pairs."""
-        m = np.array(self.coords)
+        m = self.image.coords
         dev = m @ m.T
         # numerator and denominator are exact floats, so the quotient is the
         # correctly rounded entry
-        g = distance_gram(self.source)
+        g = self.image.raw_gram()
         dev -= g.num / g.den
         return float(np.triu(np.abs(dev, out=dev)).max(initial=0.0))
 
@@ -153,21 +140,16 @@ def embed_qary(code: QaryCode) -> EmbeddedCode:
     The image of a code with min distance (1-1/q)r - j is a spherical
     [-1, qj/((q-1)r)]-code in dimension (q-1)r.
     """
-    q, r = code.q, code.r
-    simplex = np.array(simplex_vectors(q).vectors)
-    dimension = (q - 1) * r
-    words = np.array(code.words, dtype=np.int64)
-    coords = simplex[words].reshape(len(code), dimension) * (1.0 / math.sqrt(r))
-    return EmbeddedCode(code, dimension, tuple(map(tuple, coords.tolist())))
+    return EmbeddedCode(code)
 
 
 def pm_one_embedding(code: QaryCode) -> UnitVectorSet:
     """Binary words to vectors in R^r: 0 -> +1, 1 -> -1, scaled by 1/sqrt(r).
 
-    This is embed_qary at q = 2, whose simplex is +-1: a pair at Hamming
+    This is the code image at q = 2, whose simplex is +-1: a pair at Hamming
     distance d has inner product 1 - 2d/r, and the exact Gram reads that
-    value from the code.
+    value from the code's rows.
     """
     if code.q != 2:
         raise NotBinary(f"alphabet size {code.q}, expected 2")
-    return embed_qary(code).unit_vectors()
+    return code_image(code)

@@ -3,10 +3,9 @@
 An exact Gram is held as an ``IntegerGram``: integer numerators N over one
 positive integer denominator c, so that G = N / c, together with an integer
 matrix of the same rank over Q (the factor).  A vector set's exact Gram is
-always computed (see ``codes``): from rational coordinates, or from the
-Hamming distances of the code whose simplex image the set is.  Integer
-arrays are numpy int64 only while every sum of products they enter stays
-below 2^63, and Python ints otherwise.
+always computed from its integer rows (see ``codes``).  Integer arrays are
+numpy int64 only while every sum of products they enter stays below 2^63,
+and Python ints otherwise.
 
 Exact rank eliminates an integer matrix modulo the fixed prime ``P`` in
 numpy.  A rank mod P never exceeds the rank over Q, which never exceeds
@@ -66,20 +65,18 @@ class IntegerGram:
 
     ``num`` is symmetric with entries fit for sums of n^2 products
     (``exact_array``) and ``den`` is a positive int.  ``factor`` is an integer
-    matrix whose rank over Q is the Gram's: scaled coordinates, a code's
-    one-hot matrix less one column per coordinate block, or ``num`` itself.
-    ``rows`` builds the entries as Fractions (ints when ``den`` is 1) on
-    first use, unless ``gram_from_rows`` supplied them.
+    matrix whose rank over Q is the Gram's: a set's integer rows (less one
+    column per coordinate block for a code image), or ``num`` itself.
+    ``rows`` builds the entries as Fractions (ints when ``den`` is 1).
     """
 
-    __slots__ = ("num", "den", "factor", "_rows")
+    __slots__ = ("num", "den", "factor")
     sums = staticmethod(partial(np.sum, axis=-1))      # exact integer row sums
 
-    def __init__(self, num, den: int, factor=None, rows=None):
+    def __init__(self, num, den: int, factor=None):
         self.num = exact_array(num, len(num) ** 2)
         self.den = den
         self.factor = self.num if factor is None else factor
-        self._rows = rows
 
     @property
     def n(self) -> int:
@@ -94,12 +91,9 @@ class IntegerGram:
 
     @property
     def rows(self):
-        if self._rows is None:
-            values, index = np.unique(self.num, return_inverse=True)
-            entries = [self.value(x) for x in values.tolist()]
-            self._rows = [[entries[k] for k in row]
-                          for row in index.reshape(self.num.shape).tolist()]
-        return self._rows
+        values, index = np.unique(self.num, return_inverse=True)
+        entries = [self.value(x) for x in values.tolist()]
+        return [[entries[k] for k in row] for row in index.reshape(self.num.shape).tolist()]
 
 
 def float_kernel(f):
@@ -126,17 +120,16 @@ class FloatGram:
     """Float Gram matrix held as one symmetric (n, n) float64 array ``num``.
 
     Its mode is float by type; ``value`` is ``float`` whatever the power, and
-    ``rows`` builds the entries as a list of Python floats on first use.
+    ``rows`` builds the entries as a list of Python floats.
     """
 
-    __slots__ = ("num", "_rows")
+    __slots__ = ("num",)
     den = 1
     sums = staticmethod(sequential_sums)
     value = staticmethod(lambda x, power=1: float(x))
 
     def __init__(self, num):
         self.num = num
-        self._rows = None
 
     @property
     def n(self) -> int:
@@ -147,16 +140,14 @@ class FloatGram:
 
     @property
     def rows(self):
-        if self._rows is None:
-            self._rows = self.num.tolist()
-        return self._rows
+        return self.num.tolist()
 
 
 def gram_from_rows(rows) -> IntegerGram | FloatGram:
     """The Gram of a square symmetric matrix given by rows.
 
-    Every entry exact: an IntegerGram over the lcm of the denominators that
-    keeps the given entries as its ``rows``.  Otherwise a FloatGram of
+    Every entry exact: an IntegerGram over the lcm of the denominators, with
+    its numerators as the factor.  Otherwise a FloatGram of
     ``float(x)`` for every entry.  Raises ValueError when the matrix is not
     square or not symmetric.
     """
@@ -173,18 +164,12 @@ def gram_from_rows(rows) -> IntegerGram | FloatGram:
     if any(mode_of(x) == FLOAT for row in rows for x in row):
         return FloatGram(np.array([[float(x) for x in row] for row in rows], dtype=np.float64))
     num, den = scaled_integers(rows)
-    return IntegerGram(num, den, rows=rows)
+    return IntegerGram(np.array(num, dtype=object).reshape(n, n), den)
 
 
 def trace(m: IntegerGram | FloatGram) -> Scalar:
-    """Sum of the diagonal from 0.  Entries held as scalars (given to
-    ``gram_from_rows``, or built by ``rows``) are added as they are."""
-    if m._rows is None:
-        return m.value(m.sums(np.diagonal(m.num)))
-    total = 0
-    for i, row in enumerate(m._rows):
-        total += row[i]
-    return total
+    """Sum of the diagonal from 0, as ``value`` gives it."""
+    return m.value(m.sums(np.diagonal(m.num)))
 
 
 @float_kernel

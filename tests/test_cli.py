@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -403,7 +404,25 @@ def test_bound_grid_rejects_an_empty_range(capsys, r):
     assert "empty range" in err
 
 
-@pytest.mark.parametrize("r, k", [("1", "1" + "0" * 309), ("1" + "0" * 309, "0")],
+def test_int_list_counts_its_values_before_it_makes_them():
+    limit = cli.MAX_LIST_VALUES
+    assert cli._int_list(f"1:{limit}") == list(range(1, limit + 1))
+    assert len(cli._int_list(f"1:{limit - 1},0")) == limit
+    for text in (f"0:{limit}", f"1:{limit},0", f"1:{limit - 1},0,-1"):
+        with pytest.raises(argparse.ArgumentTypeError, match=f"more than {limit} values"):
+            cli._int_list(text)
+
+
+@pytest.mark.parametrize("r", ["1:1000000000000", "1:1" + "0" * 30])
+def test_bound_grid_rejects_a_huge_range_before_it_sweeps(capsys, r):
+    # len() of the second range does not fit in a C ssize_t
+    code, out, err = run(capsys, "bound", "m", "--r", r, "--alpha", "0", "--grid")
+    assert code == 2
+    assert out == ""
+    assert f"more than {cli.MAX_LIST_VALUES} values" in err
+
+
+@pytest.mark.parametrize("r, k",[("1", "1" + "0" * 309), ("1" + "0" * 309, "0")],
                          ids=["huge-k", "huge-r"])
 def test_bound_rho_beyond_the_float_range_exits_1(capsys, r, k):
     code, out, err = run(capsys, "bound", "rho", "--r", r, "--k", k)

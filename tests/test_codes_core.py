@@ -6,14 +6,14 @@ import pytest
 
 from codebounds import codes
 from codebounds.codes import (QaryCode, UnitVectorSet, certify_chain,
-                              distance_gram, gram_analyze, hamming_distance,
+                              code_image, gram_analyze, hamming_distance,
                               min_distance, verify_lemma_beta,
                               verify_lemma_gamma, verify_spherical_code)
 from codebounds.constructions import cross_polytope, simplex_vectors
 from codebounds.errors import (AlphaOutOfRange, DuplicateCodewords, InvalidCode,
                                NonUnitVector, TooFewWords)
 from codebounds.fileio import parse_spherical
-from codebounds.linalg import IntegerGram, gram_from_rows, rank
+from codebounds.linalg import IntegerGram, rank
 
 
 def rational_sphere_point(rng, d, spread=4):
@@ -156,7 +156,7 @@ def distance_kernel_cases():
 def test_distance_kernel_matches_pairwise_reference(code):
     n, q, r = len(code), code.q, code.r
     reference = [[hamming_distance(x, y) for y in code.words] for x in code.words]
-    g = distance_gram(code)
+    g = code_image(code).raw_gram()
     den = q * (q - 1) * r
     assert g.den == den and g.num.shape == (n, n)
     assert g.num.tolist() == [[den - q * q * d for d in row] for row in reference]
@@ -173,22 +173,12 @@ def test_qary_code_validation():
         QaryCode(2, 2, ((0, 1, 0),))
 
 
-def test_float_gram_oracle_is_rejected():
-    # an exact set's Gram is computed, never supplied: a Gram of either kind
-    # is not a source
-    for rows in ([[1, -1.0], [-1.0, 1]], [[1, -1], [-1, Fraction(3, 2)]]):
-        with pytest.raises(InvalidCode, match="must be a QaryCode"):
-            UnitVectorSet(1, ((1.0,), (-1.0,)), source=gram_from_rows(rows))
-
-
-def test_source_code_must_match_the_vectors():
-    with pytest.raises(InvalidCode, match="source code size differs"):
-        UnitVectorSet(1, ((1.0,), (-1.0,)), source=QaryCode(3, 1, ((0,), (1,), (2,))))
-    with pytest.raises(InvalidCode, match=r"dimension \(q-1\)r"):
-        UnitVectorSet(1, ((1.0,), (-1.0,)), source=QaryCode(3, 1, ((0,), (1,))))
-    vset = UnitVectorSet(1, ((1.0,), (-1.0,)), source=QaryCode(2, 1, ((0,), (1,))))
-    assert vset.mode() == "exact"
-    assert vset.raw_gram().rows == [[1, -1], [-1, 1]]
+def test_a_vector_set_takes_no_code_or_exact_form():
+    # an exact set is its integer rows: no parameter pairs a code or rows
+    # with other coordinates
+    for name in ("source", "_exact"):
+        with pytest.raises(TypeError):
+            UnitVectorSet(1, ((1.0,), (-1.0,)), **{name: QaryCode(2, 1, ((0,), (1,)))})
 
 
 def test_exact_raw_gram_of_a_file_is_its_integer_gram():

@@ -12,7 +12,7 @@ import pytest
 from codebounds import linalg
 from codebounds.certificates import Certificate, make_link
 from codebounds.cli import main
-from codebounds.codes import (QaryCode, UnitVectorSet, certify_chain,
+from codebounds.codes import (QaryCode, UnitVectorSet, certify_chain, code_image,
                               gram_analyze, hamming_distance, verify_lemma_beta,
                               verify_lemma_gamma, verify_spherical_code)
 from codebounds.constructions import embed_qary
@@ -196,17 +196,16 @@ def code_case(rng):
 
 
 def oracle_case(rng):
-    # the source code is the exact Gram's only oracle: the coordinates beside
-    # it are rounded to 3 decimals and never read.  Up to 9 words in
-    # (q-1)r <= 4 dimensions: rank-deficient whenever n > (q-1)r
+    # the code's rows are the exact Gram's only oracle: the float coordinates
+    # beside them are never read.  Up to 9 words in (q-1)r <= 4 dimensions:
+    # rank-deficient whenever n > (q-1)r
     q, r = rng.choice(((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (5, 1)))
     n = rng.randint(1, min(9, q ** r))
     words = set()
     while len(words) < n:
         words.add(tuple(rng.randrange(q) for _ in range(r)))
     code = QaryCode(q, r, tuple(sorted(words)))
-    rounded = tuple(tuple(round(x, 3) for x in v) for v in embed_qary(code).coords)
-    return UnitVectorSet((q - 1) * r, rounded, source=code), ref_distance_gram(code)
+    return code_image(code), ref_distance_gram(code)
 
 
 def cases():
