@@ -101,7 +101,7 @@ def _float_gram(v, unit: bool = False) -> FloatGram:
     norms = sequential_sums(v * v)
     if unit:
         for i, norm_sq in enumerate(norms.tolist()):
-            if not unit_norm_ok(norm_sq, FLOAT):
+            if not unit_norm_ok(norm_sq):
                 raise NonUnitVector(i, norm_sq)
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
@@ -125,21 +125,26 @@ def _dot(u, v) -> Scalar:
 
 @dataclass(frozen=True)
 class GramAnalysis:
-    """Gram matrix plus the per-vertex negative-edge data the lemmas use.
+    """Gram matrix and alpha, plus the per-vertex negative-edge load the lemmas use.
 
     ``gram`` is an IntegerGram in exact mode and a FloatGram in float mode.
+    ``gamma`` is computed on first read; a product of exactly 0 counts as
+    nonnegative.
     """
 
     gram: FloatGram | IntegerGram
     alpha: Scalar
-    nplus: tuple      # per vertex, indices with inner product >= 0
-    nminus: tuple     # per vertex, indices with inner product < 0
-    gamma: tuple      # per vertex, sum of negative inner products
     labels: tuple
 
     @property
     def n(self) -> int:
         return self.gram.n
+
+    @cached_property
+    def gamma(self) -> tuple:
+        """Per vertex, the sum of its negative inner products."""
+        num = self.gram.num      # the diagonal is c > 0, or within 1e-9 of 1
+        return negative_sums(self.gram, num < 0, num)
 
     def mode(self) -> str:
         return self.gram.mode()
@@ -244,20 +249,12 @@ def integer_gram(vset: UnitVectorSet, unit: bool = False) -> IntegerGram:
     return IntegerGram(p @ p.T, c, factor)
 
 
-def _sign_partition(negative):
-    """(nplus, nminus) from the mask of negative entries, which is never on the diagonal."""
-    plus = ~negative
-    np.fill_diagonal(plus, False)
-    return tuple(tuple(np.flatnonzero(row).tolist()) for row in plus), \
-        tuple(tuple(np.flatnonzero(row).tolist()) for row in negative)
-
-
 def gram_analyze(vset: UnitVectorSet) -> GramAnalysis:
-    """Gram matrix with per-vertex sign partition and negative-edge sums.
+    """Gram matrix and alpha; the analysis computes gamma on first read.
 
     Raises NonUnitVector if any vector is off the unit sphere (exactly in
     exact mode, within the float policy in float mode), before the Gram is built.
-    Ties at inner product 0 are classified as nonnegative.
+    An inner product of exactly 0 counts as nonnegative.
     """
     exact = vset.mode() == EXACT
     g = integer_gram(vset, unit=True) if exact else _float_gram(vset.coords, unit=True)
@@ -276,9 +273,7 @@ def gram_analyze(vset: UnitVectorSet) -> GramAnalysis:
             # as an error message prints it; a code image's floats do not
             dot = _dot(vset.vectors[i], vset.vectors[j])
             alpha = dot if mode_of(dot) == EXACT else alpha
-    negative = num < 0       # never on the diagonal: den > 0, or within 1e-9 of 1
-    return GramAnalysis(g, alpha, *_sign_partition(negative),
-                        negative_sums(g, negative, num), vset.labels)
+    return GramAnalysis(g, alpha, vset.labels)
 
 
 def verify_spherical_code(vset: UnitVectorSet, alpha_claim: Scalar) -> Certificate:

@@ -92,8 +92,6 @@ def slack_ok(slack: Scalar, mode: str) -> bool:
     return slack >= -ABS_EPS
 
 
-def unit_norm_ok(norm_sq: Scalar, mode: str) -> bool:
-    """Accept a squared norm: == 1 exactly, or within REL_EPS + ABS_EPS in float mode."""
-    if mode == EXACT:
-        return norm_sq == 1
+def unit_norm_ok(norm_sq: float) -> bool:
+    """Accept a float squared norm within REL_EPS + ABS_EPS of 1."""
     return abs(norm_sq - 1) <= REL_EPS + ABS_EPS

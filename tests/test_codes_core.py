@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -13,7 +14,7 @@ from codebounds.constructions import cross_polytope, simplex_vectors
 from codebounds.errors import (AlphaOutOfRange, DuplicateCodewords, InvalidCode,
                                NonUnitVector, TooFewWords)
 from codebounds.fileio import parse_spherical
-from codebounds.linalg import IntegerGram, rank
+from codebounds.linalg import IntegerGram, negative_sums, rank
 
 
 def rational_sphere_point(rng, d, spread=4):
@@ -53,8 +54,9 @@ def test_rational_sphere_points_are_unit():
 def test_gram_analyze_cross_polytope():
     analysis = gram_analyze(cross_polytope(2))
     assert analysis.alpha == 0
-    assert all(len(m) == 1 for m in analysis.nminus)
-    assert all(g == -1 for g in analysis.gamma)
+    # each vertex has one negative neighbour, its antipode
+    assert analysis.gamma == (-1,) * 4
+    assert all(type(g) is int for g in analysis.gamma)
 
 
 def test_gram_analyze_simplex():
@@ -67,7 +69,8 @@ def test_gram_analyze_simplex():
 def test_gram_analyze_single_vector():
     analysis = gram_analyze(UnitVectorSet(2, ((1, 0),)))
     assert analysis.alpha == -1
-    assert analysis.nminus == ((),)
+    assert analysis.gamma == (0,)
+    assert type(analysis.gamma[0]) is int
 
 
 def test_gram_analyze_rejects_non_unit():
@@ -110,10 +113,10 @@ def test_gram_analyze_float_unit_norm_boundary():
     assert err.value.index == 0
 
 
-def test_gram_analyze_zero_product_goes_to_nplus():
+def test_gram_analyze_zero_product_is_not_negative():
     analysis = gram_analyze(UnitVectorSet(2, ((1, 0), (0, 1))))
-    assert analysis.nplus == ((1,), (0,))
-    assert analysis.nminus == ((), ())
+    assert analysis.gamma == (0, 0)
+    assert all(type(g) is int for g in analysis.gamma)
 
 
 def test_gamma_cache_matches_recomputation():
@@ -126,6 +129,34 @@ def test_gamma_cache_matches_recomputation():
                               if v != u and analysis.gram.rows[u][v] < 0),
                              Fraction(0))
             assert analysis.gamma[u] == recomputed
+
+
+def test_certify_chain_reads_no_gamma(monkeypatch):
+    # the chain needs alpha, the rank and tr(M^2), never a negative-edge sum
+    def no_sums(*args, **kwargs):
+        raise AssertionError("negative_sums called")
+
+    monkeypatch.setattr(codes, "negative_sums", no_sums)
+    ternary = code_image(QaryCode(3, 2, tuple((a, b) for a in range(3) for b in range(3))))
+    for vset in (cross_polytope(4), ternary):
+        cert = certify_chain(vset)
+        assert cert.verdict and cert.mode == "exact"
+
+
+def test_gamma_is_computed_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return negative_sums(*args, **kwargs)
+
+    monkeypatch.setattr(codes, "negative_sums", counted)
+    analysis = gram_analyze(cross_polytope(3))
+    assert [f.name for f in dataclasses.fields(analysis)] == ["gram", "alpha", "labels"]
+    assert not calls
+    assert analysis.gamma == (-1,) * 6
+    assert analysis.gamma is analysis.gamma
+    assert len(calls) == 1
 
 
 def test_min_distance_examples():

@@ -91,14 +91,17 @@ def cli_outputs(tmp_path, capsys, name):
 
 
 def analysis_outputs(name):
-    """repr of the float Gram's rows and gram_analyze's alpha, nplus, nminus and
-    gamma (repr tells 0 from 0.0), or of the NonUnitVector it raises."""
+    """repr of the float Gram's rows, gram_analyze's alpha, the sign lists of
+    the rows by ref_analysis's rule and gamma (repr tells 0 from 0.0), or of
+    the NonUnitVector it raises."""
     vset = parse_spherical(case_text(name)[0], exact=False)
     try:
         a = gram_analyze(vset)
     except NonUnitVector as exc:
         return f"NonUnitVector: {exc}"
-    return repr((a.gram.rows, a.alpha, a.nplus, a.nminus, a.gamma))
+    rows = a.gram.rows
+    _, nplus, nminus, _, _ = ref_analysis(rows)
+    return repr((rows, a.alpha, nplus, nminus, a.gamma))
 
 
 def digest(text):
@@ -278,12 +281,11 @@ def test_float_kernels_match_the_python_loops(seed):
     assert repr(trace(gram)) == repr(ref_sum(rows[i][i] for i in range(len(rows))))
     analysis = outcome(lambda: gram_analyze(vset))
     if isinstance(analysis, str):
-        i = next(i for i, row in enumerate(rows) if not unit_norm_ok(row[i], "float"))
+        i = next(i for i, row in enumerate(rows) if not unit_norm_ok(row[i]))
         assert analysis == f"NonUnitVector: {NonUnitVector(i, rows[i][i])}"
         return
-    alpha, nplus, nminus, gamma, energy = ref_analysis(rows)
-    assert repr((analysis.alpha, analysis.nplus, analysis.nminus, analysis.gamma)) == \
-        repr((alpha, nplus, nminus, gamma))
+    alpha, _, _, gamma, energy = ref_analysis(rows)
+    assert repr((analysis.alpha, analysis.gamma)) == repr((alpha, gamma))
     if 0 <= alpha < 1:
         assert repr([link.lhs for link in verify_lemma_beta(analysis).links]) == repr(energy)
 
