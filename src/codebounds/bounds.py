@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NegativeAlpha, NegativeJ, OddBlockLength, OracleRange, PreconditionViolated
+from .errors import PreconditionViolated
 from .scalars import Scalar, format_scalar
 
 CERTIFIED_EXACT = "certified-exact"
@@ -132,7 +132,7 @@ def m_upper(r: int, alpha: Scalar) -> BoundReport:
         raise PreconditionViolated(f"dimension must be >= 1, got {r}")
     alpha = Fraction(alpha)     # lossless: every binary float is a rational
     if alpha < 0:
-        raise NegativeAlpha(f"alpha must be >= 0, got {alpha}")
+        raise PreconditionViolated(f"alpha must be >= 0, got {alpha}")
     a, b = alpha.numerator, alpha.denominator
     inputs = {"r": r, "alpha": alpha}
 
@@ -176,7 +176,7 @@ def aq_upper(q: int, r: int, s: int) -> BoundReport:
         raise PreconditionViolated(f"need 1 <= s <= r, got s={s}, r={r}")
     j = Fraction(q - 1, q) * r - s
     if j < 0:
-        raise NegativeJ(f"j = (1-1/q)r - s = {j} < 0; embedding regime does not apply")
+        raise PreconditionViolated(f"j = (1-1/q)r - s = {j} < 0; embedding regime does not apply")
     alpha = Fraction(q * j, (q - 1) * r)
     inner = m_upper((q - 1) * r, alpha)
     return BoundReport("aq-upper", {"q": q, "r": r, "s": s}, inner.value,
@@ -188,7 +188,7 @@ def aq_upper(q: int, r: int, s: int) -> BoundReport:
 def plotkin_upper(r: int) -> int:
     """Binary codes at half distance: at most 2r words (even block length)."""
     if r % 2 != 0 or r < 2:
-        raise OddBlockLength(f"block length must be even and >= 2, got {r}")
+        raise PreconditionViolated(f"block length must be even and >= 2, got {r}")
     return 2 * r
 
 
@@ -224,7 +224,7 @@ def ramsey_upper_param(q: int, r: int, s: int, eps: Scalar, c: Scalar,
     j = Fraction(q - 1, q) * r - s + 1
     s_reduced = math.ceil(s - c * j)
     if s_reduced < 1:
-        raise OracleRange(f"reduced distance {s_reduced} < 1")
+        raise PreconditionViolated(f"reduced distance {s_reduced} < 1")
     a_val = a_oracle(r, s_reduced)
     value = max((1 + eps) * a_val, eps * s)
     return BoundReport(

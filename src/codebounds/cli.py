@@ -31,8 +31,7 @@ from .codes import (certify_chain, gram_analyze, min_distance,
                     verify_lemma_beta, verify_lemma_gamma, verify_spherical_code)
 from .constructions import (cross_polytope, embed_qary, hadamard_code,
                             simplex_vectors, sylvester_hadamard)
-from .errors import (CodeBoundsError, DuplicateCodewords, FileFormatError,
-                     InvalidCode, NonUnitVector)
+from .errors import CodeBoundsError, FileFormatError, InvalidCode
 from .fileio import (certificate_json, parse_qary, parse_spherical, report_json,
                      serialize_qary, serialize_spherical, sha256_hex)
 from .linalg import verify_trace_rank
@@ -358,8 +357,9 @@ _parser = functools.cache(build_parser)
 _DISPATCH = {"bound": cmd_bound, "verify": cmd_verify, "construct": cmd_construct,
              "embed": cmd_embed, "search": cmd_search}
 
-# OSError: an --in that cannot be read or an --out that cannot be written
-_FILE_ERRORS = (FileFormatError, InvalidCode, NonUnitVector, DuplicateCodewords, OSError)
+# exit 2: an invalid input, or (OSError) an --in that cannot be read or an --out
+# that cannot be written; any other CodeBoundsError exits 1
+_FILE_ERRORS = (InvalidCode, OSError)
 
 
 def main(argv=None) -> int:

@@ -24,8 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .certificates import Certificate, make_link
-from .errors import (AlphaOutOfRange, DuplicateCodewords, InvalidCode,
-                     NonUnitVector, TooFewWords)
+from .errors import InvalidCode, NonUnitVector, PreconditionViolated
 from .linalg import (FloatGram, IntegerGram, exact_array, float_kernel, negative_sums,
                      rank, scaled_integers, sequential_sums, trace_of_square)
 from .scalars import EXACT, FLOAT, Scalar, format_scalar, mode_of, unit_norm_ok
@@ -172,7 +171,7 @@ class QaryCode:
                 if not 0 <= s < self.q:
                     raise InvalidCode(f"symbol {s} out of range [0, {self.q})")
         if len(set(words)) != len(words):
-            raise DuplicateCodewords("codewords must be pairwise distinct")
+            raise InvalidCode("codewords must be pairwise distinct")
 
     def __len__(self):
         return len(self.words)
@@ -186,7 +185,7 @@ def hamming_distance(x, y) -> int:
 def min_distance(code: QaryCode) -> int:
     """Minimum pairwise Hamming distance; needs at least two codewords."""
     if len(code) < 2:
-        raise TooFewWords(f"need >= 2 codewords, got {len(code)}")
+        raise PreconditionViolated(f"need >= 2 codewords, got {len(code)}")
     w = np.array(code.words, dtype=np.int64)
     return int(min((w[i + 1:] != w[i]).sum(axis=1).min() for i in range(len(w) - 1)))
 
@@ -309,7 +308,7 @@ def _negative_energy(analysis: GramAnalysis) -> tuple:
 
 def _require_alpha_in_range(alpha):
     if alpha < 0 or alpha >= 1:
-        raise AlphaOutOfRange(alpha)
+        raise PreconditionViolated(f"maximum inner product {alpha!r} outside [0, 1)")
 
 
 def verify_lemma_beta(analysis: GramAnalysis) -> Certificate:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .codes import QaryCode, UnitVectorSet, code_image, min_distance
-from .errors import CodeBoundsError, NotBinary, PreconditionViolated
+from .errors import CodeBoundsError, PreconditionViolated
 
 # the largest Sylvester order built; on a 2-CPU machine order 2048 took 17 s
 # for the checked matrix and 41 s more for its code, at a 262 MB peak, and
@@ -151,5 +151,5 @@ def pm_one_embedding(code: QaryCode) -> UnitVectorSet:
     value from the code's rows.
     """
     if code.q != 2:
-        raise NotBinary(f"alphabet size {code.q}, expected 2")
+        raise PreconditionViolated(f"alphabet size {code.q}, expected 2")
     return code_image(code)

@@ -1,65 +1,33 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+The command line maps them to exit codes by type alone: InvalidCode (or an
+OSError) exits 2, any other CodeBoundsError exits 1.
+"""
 
 
 class CodeBoundsError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class NonUnitVector(CodeBoundsError):
+class PreconditionViolated(CodeBoundsError):
+    """Input parameters outside the operation's stated domain."""
+
+
+class InvalidCode(CodeBoundsError):
+    """An input code, vector set or file violates its structural invariants."""
+
+
+class FileFormatError(InvalidCode):
+    """A code/certificate file does not follow the documented grammar."""
+
+
+class NonUnitVector(InvalidCode):
     """A vector claimed to be on the unit sphere is not (index + squared norm)."""
 
     def __init__(self, index, norm_sq):
         self.index = index
         self.norm_sq = norm_sq
         super().__init__(f"vector {index} has squared norm {norm_sq!r}, expected 1")
-
-
-class TooFewWords(CodeBoundsError):
-    """Pairwise minimum distance needs at least two codewords."""
-
-
-class AlphaOutOfRange(CodeBoundsError):
-    """Verifier hypotheses require the maximum inner product in [0, 1)."""
-
-    def __init__(self, alpha):
-        self.alpha = alpha
-        super().__init__(f"maximum inner product {alpha!r} outside [0, 1)")
-
-
-class NegativeAlpha(CodeBoundsError):
-    """Bound scans require a nonnegative maximum inner product."""
-
-
-class NegativeJ(CodeBoundsError):
-    """Distance deficit j = (1-1/q)r - s is negative; the pipeline does not apply."""
-
-
-class OddBlockLength(CodeBoundsError):
-    """The binary half-distance bound needs an even block length."""
-
-
-class PreconditionViolated(CodeBoundsError):
-    """Input parameters outside the operation's stated domain."""
-
-
-class OracleRange(CodeBoundsError):
-    """The reduced distance passed to the size oracle fell below 1."""
-
-
-class NotBinary(CodeBoundsError):
-    """The sign embedding only applies to alphabet size 2."""
-
-
-class DuplicateCodewords(CodeBoundsError):
-    """Codewords in a code must be pairwise distinct."""
-
-
-class InvalidCode(CodeBoundsError):
-    """A code object violates its structural invariants."""
-
-
-class FileFormatError(CodeBoundsError):
-    """A code/certificate file does not follow the documented grammar."""
 
 
 class NodeLimitExceeded(CodeBoundsError):

@@ -12,6 +12,7 @@ mask translated by its word (the graph is a Cayley graph on Z_q^r).
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -88,22 +89,21 @@ def greedy_lexicode(q: int, r: int, s: int) -> QaryCode:
 
 
 def _colour_branches(cand, comp):
-    """Greedy clique-cover colouring of cand in index order: (colour, word) pairs,
-    colour classes pairwise at distance < s."""
-    classes = []
-    order = []
+    """First-fit clique-cover colouring of cand in index order, as (colour, word)
+    pairs sorted by word; colour classes are pairwise at distance < s.  Built one
+    class at a time (MCQ's bitset colouring, Tomita and Seki 2003): class k takes,
+    in index order, each word left by classes 1..k-1 at distance < s from all it
+    holds.  A colour-sorted branch order only has to drop the final sort."""
+    order, colour = [], 0
     while cand:
-        v = (cand & -cand).bit_length() - 1
-        cand &= cand - 1
-        cv = comp[v]
-        for ci in range(len(classes)):
-            if cv & classes[ci] == 0:
-                classes[ci] |= 1 << v
-                order.append((ci + 1, v))
-                break
-        else:
-            classes.append(1 << v)
-            order.append((len(classes), v))
+        colour, free = colour + 1, cand
+        while free:
+            bit = free & -free
+            v = bit.bit_length() - 1
+            order.append((colour, v))
+            cand ^= bit
+            free = (free ^ bit) & ~comp[v]
+    order.sort(key=itemgetter(1))
     return order
 
 

@@ -12,8 +12,7 @@ from codebounds.bounds import (ASYMPTOTIC, CERTIFIED_EXACT, CERTIFIED_FLOAT,
                                ramsey_upper_param, rho_lower)
 from codebounds.codes import gram_analyze
 from codebounds.constructions import cross_polytope
-from codebounds.errors import (NegativeAlpha, NegativeJ, OddBlockLength,
-                               OracleRange, PreconditionViolated)
+from codebounds.errors import PreconditionViolated
 from codebounds.search import exact_max_code, heuristic_rho
 
 
@@ -73,7 +72,7 @@ def test_m_upper_reads_a_float_alpha_losslessly():
 
 
 def test_m_upper_rejects_negative_alpha():
-    with pytest.raises(NegativeAlpha):
+    with pytest.raises(PreconditionViolated, match=r"^alpha must be >= 0, got "):
         m_upper(4, Fraction(-1, 10))
 
 
@@ -207,7 +206,7 @@ def test_aq_upper_examples():
 
 
 def test_aq_upper_negative_j():
-    with pytest.raises(NegativeJ):
+    with pytest.raises(PreconditionViolated, match=r"^j = \(1-1/q\)r - s = "):
         aq_upper(2, 4, 3)   # j = 2 - 3 < 0
 
 
@@ -215,7 +214,7 @@ def test_plotkin_examples():
     assert plotkin_upper(4) == 8
     assert plotkin_upper(8) == 16
     assert plotkin_upper(2) == 4
-    with pytest.raises(OddBlockLength):
+    with pytest.raises(PreconditionViolated, match=r"^block length must be even "):
         plotkin_upper(5)
 
 
@@ -254,7 +253,7 @@ def test_ramsey_upper_eps_branch():
 
 
 def test_ramsey_upper_oracle_range():
-    with pytest.raises(OracleRange):
+    with pytest.raises(PreconditionViolated, match=r"^reduced distance "):
         ramsey_upper_param(2, 4, 2, Fraction(1, 2), 3, lambda r, s: 1)
 
 

@@ -7,10 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from codebounds import cli
+from codebounds import cli, errors
 from codebounds.cli import main
 from codebounds.fileio import parse_qary, parse_spherical, serialize_spherical
 from codebounds.constructions import cross_polytope
+from codebounds.search import SearchResult
 
 
 def run(capsys, *argv):
@@ -490,3 +491,24 @@ def test_unwritable_output_exits_2_with_one_error_line(tmp_path, capsys, argv, w
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+ERROR_CLASSES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and c.__module__ == errors.__name__]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_exit_code_follows_the_error_type(monkeypatch, capsys, cls):
+    # InvalidCode and its subclasses exit 2, every other package error exits 1
+    args = {errors.NonUnitVector: (3, 2),
+            errors.NodeLimitExceeded: (SearchResult(4, None, 9),)}
+    exc = cls(*args.get(cls, ("boom",)))
+
+    def fail(ns, run):
+        raise exc
+
+    monkeypatch.setitem(cli._DISPATCH, "bound", fail)
+    code, out, err = run(capsys, "bound", "m", "--r", "4", "--alpha", "0")
+    assert code == (2 if issubclass(cls, errors.InvalidCode) else 1)
+    assert out == ""
+    assert err == f"error: {exc}\n"

@@ -11,8 +11,7 @@ from codebounds.codes import (QaryCode, UnitVectorSet, certify_chain,
                               min_distance, verify_lemma_beta,
                               verify_lemma_gamma, verify_spherical_code)
 from codebounds.constructions import cross_polytope, simplex_vectors
-from codebounds.errors import (AlphaOutOfRange, DuplicateCodewords, InvalidCode,
-                               NonUnitVector, TooFewWords)
+from codebounds.errors import InvalidCode, NonUnitVector, PreconditionViolated
 from codebounds.fileio import parse_spherical
 from codebounds.linalg import IntegerGram, negative_sums, rank
 
@@ -162,7 +161,7 @@ def test_gamma_is_computed_once(monkeypatch):
 def test_min_distance_examples():
     assert min_distance(QaryCode(2, 3, ((0, 0, 0), (1, 1, 1)))) == 3
     assert min_distance(QaryCode(2, 3, ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)))) == 2
-    with pytest.raises(TooFewWords):
+    with pytest.raises(PreconditionViolated, match=r"^need >= 2 codewords, got 1$"):
         min_distance(QaryCode(2, 3, ((0, 0, 0),)))
 
 
@@ -196,7 +195,7 @@ def test_distance_kernel_matches_pairwise_reference(code):
 
 
 def test_qary_code_validation():
-    with pytest.raises(DuplicateCodewords):
+    with pytest.raises(InvalidCode, match=r"^codewords must be pairwise distinct$"):
         QaryCode(2, 2, ((0, 1), (0, 1)))
     with pytest.raises(InvalidCode):
         QaryCode(2, 2, ((0, 2),))
@@ -304,15 +303,18 @@ def test_lemma_gamma_cross_polytope():
     assert link.rhs == 27
 
 
+OUT_OF_RANGE = r"^maximum inner product .* outside \[0, 1\)$"
+
+
 def test_lemma_hypothesis_gate():
     analysis = gram_analyze(simplex_vectors(2))   # alpha = -1
-    with pytest.raises(AlphaOutOfRange):
+    with pytest.raises(PreconditionViolated, match=OUT_OF_RANGE):
         verify_lemma_beta(analysis)
-    with pytest.raises(AlphaOutOfRange):
+    with pytest.raises(PreconditionViolated, match=OUT_OF_RANGE):
         verify_lemma_gamma(analysis)
     # duplicate vectors push alpha to 1, also out of hypothesis range
     dup = UnitVectorSet(2, ((1, 0), (1, 0)))
-    with pytest.raises(AlphaOutOfRange):
+    with pytest.raises(PreconditionViolated, match=OUT_OF_RANGE):
         verify_lemma_beta(gram_analyze(dup))
 
 
@@ -382,7 +384,7 @@ def test_certify_chain_float_mode():
 
 
 def test_certify_chain_alpha_gate_and_norm_error():
-    with pytest.raises(AlphaOutOfRange):
+    with pytest.raises(PreconditionViolated, match=OUT_OF_RANGE):
         certify_chain(simplex_vectors(3))
     with pytest.raises(NonUnitVector):
         certify_chain(UnitVectorSet(2, ((1, 1), (1, 0))))

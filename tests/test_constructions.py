@@ -9,7 +9,7 @@ from codebounds.constructions import (HadamardMatrix, cross_polytope,
                                       embed_qary, hadamard_code,
                                       pm_one_embedding, simplex_vectors,
                                       sylvester_hadamard)
-from codebounds.errors import CodeBoundsError, NotBinary, PreconditionViolated
+from codebounds.errors import CodeBoundsError, PreconditionViolated
 from codebounds.fileio import (certificate_json, parse_spherical,
                                serialize_spherical, sha256_hex)
 from codebounds.linalg import rank
@@ -241,7 +241,7 @@ def test_pm_one_examples():
         for j in range(4):
             if i != j:
                 assert rows[i][j] == Fraction(-1, 3)
-    with pytest.raises(NotBinary):
+    with pytest.raises(PreconditionViolated, match=r"^alphabet size 3, expected 2$"):
         pm_one_embedding(QaryCode(3, 2, ((0, 0), (1, 2))))
 
 

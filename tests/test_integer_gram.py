@@ -16,7 +16,7 @@ from codebounds.codes import (QaryCode, UnitVectorSet, certify_chain, code_image
                               gram_analyze, hamming_distance, verify_lemma_beta,
                               verify_lemma_gamma, verify_spherical_code)
 from codebounds.constructions import embed_qary
-from codebounds.errors import AlphaOutOfRange, NonUnitVector
+from codebounds.errors import NonUnitVector, PreconditionViolated
 from codebounds.fileio import certificate_json, serialize_spherical
 from codebounds.linalg import (P, gram_from_rows, integer_rank, rank,
                                trace_of_square, verify_trace_rank)
@@ -94,7 +94,7 @@ def ref_analysis(rows):
 
 def ref_gate(alpha):
     if alpha < 0 or alpha >= 1:
-        raise AlphaOutOfRange(alpha)
+        raise PreconditionViolated(f"maximum inner product {alpha!r} outside [0, 1)")
 
 
 def ref_beta(rows, labels):
@@ -220,7 +220,7 @@ def cases():
 def outcome(fn):
     try:
         value = fn()
-    except (NonUnitVector, AlphaOutOfRange) as exc:
+    except (NonUnitVector, PreconditionViolated) as exc:
         return f"{type(exc).__name__}: {exc}"
     return certificate_json(value) if isinstance(value, Certificate) else value
 

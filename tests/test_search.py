@@ -10,8 +10,8 @@ from codebounds.bounds import aq_upper, rho_lower
 from codebounds.codes import hamming_distance, min_distance
 from codebounds.constructions import hadamard_code, sylvester_hadamard
 from codebounds.errors import NodeLimitExceeded, PreconditionViolated
-from codebounds.search import (_compatibility_masks, _word_table, exact_max_code,
-                               greedy_lexicode, heuristic_rho)
+from codebounds.search import (_colour_branches, _compatibility_masks, _word_table,
+                               exact_max_code, greedy_lexicode, heuristic_rho)
 
 
 def test_exact_small_cases():
@@ -147,6 +147,48 @@ def test_masks_match_pairwise_hamming_distance(q):
                 assert comp[u] == sum(masks[s:]), (q, r, s, u)
                 assert not comp[u] >> u & 1, (q, r, s, u)
         r += 1
+
+
+def first_fit_colouring(cand, comp):
+    # reference: each word in index order joins the first class with no
+    # neighbour of it, as the search coloured before its class-by-class sweep
+    classes = []
+    order = []
+    while cand:
+        v = (cand & -cand).bit_length() - 1
+        cand &= cand - 1
+        cv = comp[v]
+        for ci in range(len(classes)):
+            if cv & classes[ci] == 0:
+                classes[ci] |= 1 << v
+                order.append((ci + 1, v))
+                break
+        else:
+            classes.append(1 << v)
+            order.append((len(classes), v))
+    return order
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_colouring_matches_first_fit_on_random_graphs(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        n = int(rng.integers(1, 80))
+        upper = np.triu(rng.random((n, n)) < rng.random(), 1)
+        adjacent = (upper | upper.T).tolist()
+        comp = [sum(1 << v for v in range(n) if row[v]) for row in adjacent]
+        cand = sum(1 << v for v in range(n) if rng.random() < 0.8)
+        assert _colour_branches(cand, comp) == first_fit_colouring(cand, comp)
+
+
+@pytest.mark.parametrize("q, r, s", [(2, 8, 3), (2, 6, 1), (3, 5, 2), (4, 4, 3),
+                                     (5, 3, 2), (16, 2, 1)])
+def test_colouring_matches_first_fit_on_search_masks(q, r, s):
+    comp = _compatibility_masks(_word_table(q, r, s), q, s)
+    rng = np.random.default_rng(q * 100 + r * 10 + s)
+    for cand in [(1 << len(comp)) - 1, comp[0], comp[0] & comp[comp[0].bit_length() - 1],
+                 sum(1 << v for v in range(len(comp)) if rng.random() < 0.5)]:
+        assert _colour_branches(cand, comp) == first_fit_colouring(cand, comp)
 
 
 @pytest.mark.parametrize("q, r", [(2, 13), (3, 8), (4, 6), (5, 5)])
