@@ -20,6 +20,16 @@ from .codes import QaryCode, UnitVectorSet
 from .errors import NodeLimitExceeded, PreconditionViolated
 
 MAX_SEARCH_SPACE = 8192
+# heuristic_rho's buffers hold at most n^2 + 3nr float64 values (128 MiB)
+MAX_RHO_FLOATS = 2 ** 24
+# np.exp rounds every input below this to 0.0
+EXP_ZERO_BELOW = -746.0
+# heuristic_rho's exp gather paid from n = 44 on (2000 iterations, 2-CPU Xeon:
+# 4-14% slower at n <= 32, even at 36-40, 2-5% faster at 44, 5-14% at 48-64)
+GATHER_MIN_N = 44
+# entries per gather block: at most 48 KB each of indices and values, one
+# block at a time (a single block at n = 200 raised the bench's peak RSS)
+GATHER_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -168,62 +178,104 @@ def heuristic_rho(r: int, n: int, iterations: int = 2000, seed: int = 0) -> Sear
     weights, two n x r and one n x 1) and performs the same floating-point
     operations in the same order as a loop with fresh temporaries
     (``v @ v.T``, ``np.where`` over an off-diagonal mask, ``np.linalg.norm``),
-    so the results are bit-identical to that loop's for every seed.
-    Raises PreconditionViolated for n < 2, r < 1, iterations < 0 or seed < 0.
+    its products through np.dot, which makes the same BLAS calls as ``@``, so
+    the results are bit-identical to that loop's for every seed.
+
+    Once tau < 2/746 a scaled weight (w - max)/tau can fall below -746, and
+    np.exp rounds every such input to 0.0 (e^-746 is below 2^-1075, half the
+    least subnormal), slowly.  So from n = GATHER_MIN_N on, the weights are
+    taken GATHER_BLOCK at a time, and in a block where at most three quarters
+    of the entries are at or above -746, np.exp runs on those entries only and
+    every other entry (the -inf diagonal included) is set to the 0.0 np.exp
+    would give: the bits stay the same.  The size gate keeps the gather off
+    where its extra calls cost more than they save, the survivor gate where
+    nearly every entry survives, and the blocks keep the gather's index and
+    value temporaries at 48 KB each.
+    Raises PreconditionViolated for n < 2, r < 1, iterations < 0, seed < 0
+    or n^2 + 3nr > MAX_RHO_FLOATS.
     """
     if n < 2 or r < 1:
         raise PreconditionViolated(f"need n >= 2 and r >= 1, got n={n}, r={r}")
     if iterations < 0 or seed < 0:
         raise PreconditionViolated(
             f"need iterations >= 0 and seed >= 0, got iterations={iterations}, seed={seed}")
+    if n * n + 3 * n * r > MAX_RHO_FLOATS:
+        raise PreconditionViolated(
+            f"need n^2 + 3nr <= {MAX_RHO_FLOATS} float64 values, got n={n}, r={r}")
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n, r))
     w = np.empty((n, n))        # the Gram, then the softmax weights
     grad = np.empty((n, r))
     tmp = np.empty((n, r))
     col = np.empty((n, 1))
-    diagonal = w.reshape(-1)[::n + 1]
+    flat_w = w.reshape(-1)
     flat_grad = grad.reshape(-1)
+    fill_diagonal = flat_w[::n + 1].fill
+    vt = v.T                    # v changes in place only, so this view stays current
+    # np.dot makes the BLAS calls `@` makes on these contiguous float64 arrays
+    # (syrk for v v^T, gemm or gemv for w v), with less overhead per call
+    dot, multiply, divide, subtract = np.dot, np.multiply, np.divide, np.subtract
+    exp, sqrt, add_reduce, max_reduce = np.exp, np.sqrt, np.add.reduce, np.maximum.reduce
+    greater_equal, count_nonzero, flatnonzero = np.greater_equal, np.count_nonzero, np.flatnonzero
+    # (w - max)/tau >= -2/tau, so only below this tau can an entry reach EXP_ZERO_BELOW
+    gather_below = 2 / -EXP_ZERO_BELOW if n >= GATHER_MIN_N else 0.0
+    if gather_below:
+        survivors = np.empty(min(n * n, GATHER_BLOCK), dtype=bool)
+        parts = [flat_w[lo:lo + GATHER_BLOCK] for lo in range(0, n * n, GATHER_BLOCK)]
+        # a block is gathered only while at most three quarters of it survive
+        blocks = [(part, survivors[:part.size], 3 * part.size // 4) for part in parts]
 
-    def renormalize():
-        # v /= np.linalg.norm(v, axis=1, keepdims=True), step for step
-        np.multiply(v, v, out=tmp)
-        np.add.reduce(tmp, axis=1, keepdims=True, out=col)
-        np.sqrt(col, out=col)
-        np.divide(v, col, out=v)
-
-    def gram_max():
-        # the largest off-diagonal inner product; the diagonal is left at -inf
-        np.matmul(v, v.T, out=w)
-        diagonal.fill(-np.inf)
-        return np.maximum.reduce(w, axis=None)
-
-    renormalize()
+    # v /= np.linalg.norm(v, axis=1, keepdims=True), here and at the end of each step
+    multiply(v, v, tmp)
+    add_reduce(tmp, 1, None, col, True)
+    sqrt(col, col)
+    divide(v, col, v)
     step = 0.5
-    previous_max = np.inf
+    previous_max = math.inf
     for i in range(iterations):
         tau = max(0.97 ** i, 1e-9)
-        current_max = gram_max()
-        w -= current_max
-        w /= tau
-        np.exp(w, out=w)
-        w /= np.add.reduce(w, axis=None)
-        np.matmul(w, v, out=grad)               # d/dv_i of the smoothed max
-        np.multiply(grad, v, out=tmp)           # minus the radial part
-        np.add.reduce(tmp, axis=1, keepdims=True, out=col)
-        np.multiply(col, v, out=tmp)
-        grad -= tmp
+        # the largest off-diagonal inner product; the diagonal is left at -inf
+        dot(v, vt, w)
+        fill_diagonal(-math.inf)
+        current_max = float(max_reduce(w, None))
+        subtract(w, current_max, w)
+        divide(w, tau, w)
+        if tau < gather_below:
+            for part, part_survivors, max_survivors in blocks:
+                greater_equal(part, EXP_ZERO_BELOW, part_survivors)
+                if count_nonzero(part_survivors) > max_survivors:
+                    exp(part, part)
+                    continue
+                keep = flatnonzero(part_survivors)
+                kept = part[keep]
+                exp(kept, kept)
+                part.fill(0.0)
+                part[keep] = kept
+                del keep, kept          # one block's temporaries alive at a time
+        else:
+            exp(w, w)
+        divide(w, add_reduce(w, None), w)
+        dot(w, v, grad)                         # d/dv_i of the smoothed max
+        multiply(grad, v, tmp)                  # minus the radial part
+        add_reduce(tmp, 1, None, col, True)
+        multiply(col, v, tmp)
+        subtract(grad, tmp, grad)
         if current_max > previous_max:
             step = max(step * 0.5, 1e-12)
         else:
             step = min(step * 1.05, 0.5)
         previous_max = current_max
-        norm = math.sqrt(flat_grad.dot(flat_grad))   # np.linalg.norm(grad)
+        norm = math.sqrt(dot(flat_grad, flat_grad))     # np.linalg.norm(grad)
         if norm > 0:
-            grad *= step
-            grad /= norm
-            v -= grad
-        renormalize()
-    achieved = float(gram_max())
+            multiply(grad, step, grad)
+            divide(grad, norm, grad)
+            subtract(v, grad, v)
+        multiply(v, v, tmp)
+        add_reduce(tmp, 1, None, col, True)
+        sqrt(col, col)
+        divide(v, col, v)
+    dot(v, vt, w)
+    fill_diagonal(-math.inf)
+    achieved = float(max_reduce(w, None))
     witness = UnitVectorSet(r, tuple(map(tuple, v.tolist())))
     return SearchResult(achieved, witness, iterations, optimal=None, seed=seed)

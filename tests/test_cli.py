@@ -280,6 +280,19 @@ def test_search_rho_rejects_negative_iterations_and_seed(capsys, flag, value, go
     assert out == ""
     assert err == f"error: need iterations >= 0 and seed >= 0, got {got}\n"
 
+
+@pytest.mark.parametrize("r, n", [("2", "100000"), ("3000000000", "2"), ("1", "4096")])
+def test_search_rho_rejects_oversized_shapes_before_allocating(monkeypatch, capsys, r, n):
+    def no_buffers(*args, **kwargs):
+        raise AssertionError("optimizer buffers allocated before the size check")
+
+    monkeypatch.setattr(np.random, "default_rng", no_buffers)
+    monkeypatch.setattr(np, "empty", no_buffers)
+    code, out, err = run(capsys, "search", "rho", "--r", r, "--n", n)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: need n^2 + 3nr <= 16777216 float64 values, got n={n}, r={r}\n"
+
 def test_verify_trace_rank_cli(tmp_path, capsys):
     path = tmp_path / "cp.sphere"
     run(capsys, "construct", "crosspolytope", "--r", "3", "--out", str(path))

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from codebounds import search
 from codebounds.bounds import aq_upper, rho_lower
 from codebounds.codes import hamming_distance, min_distance
 from codebounds.constructions import hadamard_code, sylvester_hadamard
@@ -328,7 +329,11 @@ def test_heuristic_never_below_certified_bound():
 
 # sha256 of repr((value, witness.vectors)) for heuristic_rho(r, n, iterations, seed):
 # every float the optimizer returns, pinned bit for bit (a BLAS that rounds
-# its matrix products differently would change them)
+# its matrix products differently would change them, and so would an np.exp
+# that rounds differently or gives anything but 0.0 below EXP_ZERO_BELOW).
+# The last three cases reach the entries np.exp underflows: r=50, n=200 takes
+# the exp gather from iteration 281 on, n = 44 (the size gate) from 246 on and
+# n = 43 never; the last two run past tau's floor at iteration 681.
 RHO_GOLDEN = [
     (1, 2, 300, 0, "f5ff261576f0d848a577abc9ef026d6d739bc00956ad06838403705dcad794c5"),
     (1, 2, 300, 9, "08d9bfea2e57a74e38ff0ed99b2f0b4cd0ddea2dfddc8c7b778553e5c2488649"),
@@ -342,6 +347,9 @@ RHO_GOLDEN = [
     (2, 5, 2000, 1234567, "cf03486e015d86c67db8de1d18e0a592422b95ae8f99471ec8c4914a97f1e9ed"),
     (6, 18, 2000, 2 ** 31 - 1, "8ad19b731ee80b28fa938beb094fbefd3cef07019d116aad94573c1f6f9e9935"),
     (50, 200, 50, 77, "75b1f473f567c5194806b005a1402093ed3d4e18df8b0fc2d5cd93074ad3a1e0"),
+    (50, 200, 300, 77, "adac285efcfa65428d01d54b72ff1540ebaf37f275ca34be94b51ac156f5df97"),
+    (12, 44, 900, 5, "b2c6020e3921d87e801b43024332b3f763a67751978539def2553901df42e2e9"),
+    (12, 43, 900, 6, "2994d8632dda86dd6758e85930b62ccab6666ac481f1654f8339fbee9a3b7d7e"),
 ]
 
 
@@ -388,6 +396,43 @@ def test_heuristic_rho_equals_the_fresh_temporaries_loop():
         n, seed = max(n, 2), int(rng.integers(2 ** 31))
         result = heuristic_rho(r, n, iterations=200, seed=seed)
         assert (result.value, result.witness.vectors) == _fresh_temporaries_rho(r, n, 200, seed)
+    for r, n, seed in [(8, 32, 1), (12, 48, 2), (20, 64, 3)]:
+        result = heuristic_rho(r, n, iterations=400, seed=seed)
+        assert (result.value, result.witness.vectors) == _fresh_temporaries_rho(r, n, 400, seed)
+
+
+def test_exp_underflows_to_zero_below_the_gather_floor():
+    # the exp gather zeroes every entry below EXP_ZERO_BELOW without calling np.exp
+    assert search.EXP_ZERO_BELOW == -746.0
+    for x in (-746.0, np.nextafter(-746.0, -np.inf), -1000.0, -1e300, -np.inf):
+        assert np.exp(np.array([x]))[0] == 0.0, x
+        assert np.exp(np.full(64, x)).tolist() == [0.0] * 64, x
+    least = np.exp(np.array([-745.0]))[0]
+    assert 0.0 < least < np.finfo(np.float64).tiny
+
+
+def _rho_bits(r, n, iterations, seed):
+    result = heuristic_rho(r, n, iterations=iterations, seed=seed)
+    return result.value, result.witness.vectors
+
+
+def test_heuristic_rho_gather_and_plain_exp_agree(monkeypatch):
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for k in range(22):
+        r = int(rng.integers(1, 9))
+        n = [2, 3, max(r, 2), max(2 * r - 1, 2), 2 * r, 2 * r + 1][k % 6]
+        cases.append((r, n, int(rng.integers(700, 900)), int(rng.integers(2 ** 31))))
+    cases += [(1, 2, 700, 0), (8, 5, 720, 1)]
+    plain = [_rho_bits(*case) for case in cases]
+    # every shape gathers, in blocks of 7 entries so that most shapes take several
+    monkeypatch.setattr(search, "GATHER_MIN_N", 2)
+    monkeypatch.setattr(search, "GATHER_BLOCK", 7)
+    assert [_rho_bits(*case) for case in cases] == plain
+    large = (50, 200, 300, 21)
+    gathered = _rho_bits(*large)
+    monkeypatch.setattr(search, "GATHER_MIN_N", 10 ** 9)
+    assert _rho_bits(*large) == gathered
 
 @pytest.mark.parametrize("r, n, iterations, seed", [(2, 1, 10, 0), (0, 3, 10, 0),
                                                     (2, 5, -1, 0), (2, 5, 10, -1)])
