@@ -8,7 +8,9 @@ coordinates for q >= 3 but rational inner products: its float coordinates
 and its rows C = q*onehot - 1 over q(q-1)r are built from the same code.
 ``integer_gram`` makes P P^T over c an ``IntegerGram`` in one body, and
 Fractions are made only for values that a certificate or an error message
-prints.
+prints.  P P^T, like the +-1 products behind a binary ``min_distance``, is
+``linalg.integer_product``: float64 BLAS while cols * max|P|^2 < 2^53, where
+it is exact, and an int64 or Python-int product above that or when small.
 
 A float set's Gram is a ``FloatGram``, built from the coordinates converted
 once by ``float`` into an (n, d) array; every sum in it adds left to right
@@ -25,8 +27,9 @@ import numpy as np
 
 from .certificates import Certificate, make_link
 from .errors import InvalidCode, NonUnitVector, PreconditionViolated
-from .linalg import (FloatGram, IntegerGram, exact_array, float_kernel, negative_sums,
-                     rank, scaled_integers, sequential_sums, trace_of_square)
+from .linalg import (FloatGram, IntegerGram, exact_array, float_kernel, integer_product,
+                     max_off_diagonal, negative_sums, rank, scaled_integers, sequential_sums,
+                     trace_of_square)
 from .scalars import EXACT, FLOAT, Scalar, format_scalar, mode_of, unit_norm_ok
 
 
@@ -162,14 +165,14 @@ class QaryCode:
             raise InvalidCode(f"alphabet size {self.q} < 2")
         if self.r < 1:
             raise InvalidCode(f"block length {self.r} < 1")
-        words = tuple(tuple(int(s) for s in w) for w in self.words)
+        words = tuple(tuple(map(int, w)) for w in self.words)
         object.__setattr__(self, "words", words)
         for w in words:
             if len(w) != self.r:
                 raise InvalidCode(f"codeword {w} has length {len(w)}, expected {self.r}")
-            for s in w:
-                if not 0 <= s < self.q:
-                    raise InvalidCode(f"symbol {s} out of range [0, {self.q})")
+            if min(w) < 0 or max(w) >= self.q:
+                s = next(s for s in w if not 0 <= s < self.q)
+                raise InvalidCode(f"symbol {s} out of range [0, {self.q})")
         if len(set(words)) != len(words):
             raise InvalidCode("codewords must be pairwise distinct")
 
@@ -183,11 +186,21 @@ def hamming_distance(x, y) -> int:
 
 
 def min_distance(code: QaryCode) -> int:
-    """Minimum pairwise Hamming distance; needs at least two codewords."""
-    if len(code) < 2:
-        raise PreconditionViolated(f"need >= 2 codewords, got {len(code)}")
-    w = np.array(code.words, dtype=np.int64)
-    return int(min((w[i + 1:] != w[i]).sum(axis=1).min() for i in range(len(w) - 1)))
+    """Minimum pairwise Hamming distance; needs at least two codewords.
+
+    Binary words with +-1 rows x and y are (r - x.y) / 2 apart, so a binary
+    code's distance comes from ``max_off_diagonal`` of those rows, on float64
+    BLAS in blocks of rows.  Other alphabets compare each word with the words
+    after it, which holds O(n r) symbols whatever q is.
+    """
+    n = len(code)
+    if n < 2:
+        raise PreconditionViolated(f"need >= 2 codewords, got {n}")
+    if code.q == 2:
+        signs = 1 - 2 * np.array(code.words, dtype=np.int8)
+        return (code.r - max_off_diagonal(signs)) // 2
+    w = np.array(code.words, dtype=np.min_scalar_type(code.q - 1))
+    return int(min((w[i + 1:] != w[i]).sum(axis=1).min() for i in range(n - 1)))
 
 
 def _simplex_table(q: int) -> np.ndarray:
@@ -226,8 +239,10 @@ def code_image(code: QaryCode, labels: tuple = ()) -> UnitVectorSet:
     dimension = (q - 1) * r
     words = np.array(code.words, dtype=np.int64)
     coords = _simplex_table(q)[words].reshape(n, dimension) * (1.0 / math.sqrt(r))
-    image = UnitVectorSet(dimension, tuple(map(tuple, coords.tolist())),
-                          labels or tuple("".join(map(str, w)) for w in code.words))
+    if not labels:
+        names = {s: str(s) for s in set().union(*code.words)}
+        labels = tuple("".join(map(names.__getitem__, w)) for w in code.words)
+    image = UnitVectorSet(dimension, tuple(map(tuple, coords.tolist())), labels)
     c = (words[:, :, None] == np.arange(q)) * q - 1
     # float coordinates leave the set without an exact form: it is the code's
     object.__setattr__(image, "_exact", (c.reshape(n, q * r), q * (q - 1) * r,
@@ -238,14 +253,15 @@ def code_image(code: QaryCode, labels: tuple = ()) -> UnitVectorSet:
 def integer_gram(vset: UnitVectorSet, unit: bool = False) -> IntegerGram:
     """The IntegerGram P P^T over c of an exact set (P, c, factor).  With
     ``unit`` every row's squared norm is first checked to be exactly c,
-    before the Gram is formed."""
+    before the Gram is formed.  P P^T is ``integer_product``, on float64
+    BLAS when d * max|P|^2 < 2^53."""
     p, c, factor = vset._exact
     if unit:
         bad = np.flatnonzero(np.asarray((p * p).sum(axis=1), dtype=object) != c)
         if bad.size:
             v = vset.vectors[int(bad[0])]
             raise NonUnitVector(int(bad[0]), _dot(v, v))
-    return IntegerGram(p @ p.T, c, factor)
+    return IntegerGram(integer_product(p), c, factor)
 
 
 def gram_analyze(vset: UnitVectorSet) -> GramAnalysis:

@@ -7,11 +7,22 @@ always computed from its integer rows (see ``codes``).  Integer arrays are
 numpy int64 only while every sum of products they enter stays below 2^63,
 and Python ints otherwise.
 
+Every exact product a a^T is ``integer_product``.  numpy runs int64 products
+without BLAS, so when cols * max|a|^2 < 2^53 it runs on float64 BLAS: every
+product and partial sum is then an integer below 2^53, which float64 holds
+exactly, whatever the order of summation and with or without a fused
+multiply-add.  That assumes a conventional multiply-add BLAS, as numpy's
+bundled OpenBLAS is.  Above the bound, and for products too small to repay
+the conversion (``_FLOAT_MIN_WORK``), it is numpy's int64 or object product.
+``max_off_diagonal`` takes the largest off-diagonal entry of a a^T from
+``integer_product`` one block of rows at a time.
+
 Exact rank eliminates an integer matrix modulo the fixed prime ``P`` in
 numpy.  A rank mod P never exceeds the rank over Q, which never exceeds
 min(rows, cols), so the modular count is returned only when it reaches that
-minimum; otherwise fraction-free (Bareiss) elimination of the same integer
-matrix decides.
+minimum; otherwise fraction-free (Bareiss) elimination of the matrix decides.
+A matrix that is not square is counted mod P through its smaller Gram when
+that Gram's entries stay below 2^53.
 
 A float Gram is a ``FloatGram``: one float64 array.  Its kernels run in
 numpy but add in the order of a Python loop ``s = 0; for x in row: s += x``
@@ -45,12 +56,95 @@ from .scalars import EXACT, FLOAT, REL_EPS, Scalar, mode_of
 P = 2_147_483_647
 
 
+def _abs_max(a) -> int:
+    """The largest |entry| of an integer array as a Python int (0 when empty),
+    with no temporary array."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
 def exact_array(values, terms: int) -> np.ndarray:
     """Integer array for sums of up to ``terms`` products of two entries:
-    numpy int64 when such a sum stays below 2^63, Python ints otherwise."""
+    numpy int64 when such a sum stays below 2^63, Python ints otherwise.
+    An int64 array that qualifies is returned as it is, not copied."""
     a = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
-    bound = int(np.abs(a).max(initial=0))
-    return a.astype(np.int64 if terms * bound * bound < 2 ** 63 else object)
+    bound = _abs_max(a)
+    return a.astype(np.int64 if terms * bound * bound < 2 ** 63 else object, copy=False)
+
+
+def _float_exact(a) -> bool:
+    """Whether float64 forms a a^T exactly: each product of two entries and each
+    partial sum is an integer of magnitude at most cols * max|a|^2, and below
+    2^53 every such integer is a float64, so no step rounds, in any order of
+    summation and with or without a fused multiply-add."""
+    top = _abs_max(a)
+    return a.shape[1] * top * top < 2 ** 53
+
+
+# _float_product converts this many columns of its operand to float64 at a
+# time, and adds or casts at most _BLOCK entries of the product at a time
+_PANEL = 128
+_BLOCK = 1 << 18
+# below this many multiply-adds (rows * len(a) * cols) int64 `@` beats the
+# float64 path's fixed cost.  P P^T, int64 against float64, best of 7 x 200
+# calls on a 2-CPU Xeon with OpenBLAS: 12x6 P 3-4 against 5-11 us, 24x12 6-7
+# against 7-8 us, 32x16 12-13 against 9 us, 48x24 31-37 against 11 us
+_FLOAT_MIN_WORK = 1 << 14
+
+
+def _float_product(a, rows: int) -> np.ndarray:
+    """The first ``rows`` rows of a a^T as int64, through float64 BLAS, for an
+    ``a`` that passes _float_exact.
+
+    The float64 product is summed over column panels of a and then cast to
+    int64 in its own buffer, one row block at a time, so at most _PANEL
+    float64 columns of a, and no second copy of the product, are held."""
+    m = len(a)
+    step = max(1, _BLOCK // max(m, 1))
+    out = np.zeros((rows, m))
+    for k in range(0, a.shape[1], _PANEL):
+        panel = a[:, k:k + _PANEL].astype(np.float64)
+        if k == 0:
+            np.matmul(panel[:rows], panel.T, out=out)
+        else:
+            for i in range(0, rows, step):
+                out[i:i + step] += panel[i:min(i + step, rows)] @ panel.T
+        del panel
+    result = out.view(np.int64)
+    for i in range(0, rows, step):
+        result[i:i + step] = out[i:i + step]      # numpy copies the overlapping source
+    return result
+
+
+def integer_product(a, rows: int | None = None) -> np.ndarray:
+    """The first ``rows`` rows (all by default) of the integer matrix a a^T, exactly.
+
+    When cols * max|a|^2 < 2^53 and the product has at least _FLOAT_MIN_WORK
+    multiply-adds this runs on float64 BLAS and returns int64; otherwise it is
+    numpy's int64 or object product, as a's dtype gives.
+    """
+    rows = len(a) if rows is None else rows
+    if rows * a.size >= _FLOAT_MIN_WORK and _float_exact(a):
+        return _float_product(a, rows)
+    return a[:rows] @ a.T
+
+
+def max_off_diagonal(a) -> int:
+    """The largest entry of a a^T off its diagonal, for an integer matrix a of
+    at least two rows.
+
+    ``integer_product`` forms a block of rows at a time against the rows from
+    the block's first on, so at most max(_BLOCK, len(a)) entries are held."""
+    n = len(a)
+    step = max(1, _BLOCK // n)
+    tops = []
+    for i in range(0, n - 1, step):
+        # every row of the block has a pair to its right, so the block's
+        # least entry is at most its largest pair and may stand in for the diagonal
+        block = integer_product(a[i:], min(step, n - 1 - i))
+        np.fill_diagonal(block, block.min())
+        tops.append(int(block.max()))
+        del block    # freed before the next block is formed
+    return max(tops)
 
 
 def scaled_integers(rows):
@@ -244,10 +338,18 @@ def integer_rank(a) -> int:
 
     The rank mod P is a lower bound and min(rows, cols) an upper one, so the
     modular count is exact when it reaches that minimum; otherwise Bareiss
-    elimination on the same matrix decides.
+    elimination on the matrix decides.  A matrix that is not square is
+    counted mod P through its Gram on the shorter side (F^T F or F F^T) when
+    that Gram's entries are below 2^53 (``_float_exact``): over Q it has the
+    rank of F, so a full count there proves F's rank, and a shortfall sends F
+    itself to Bareiss.
     """
     bound = min(a.shape)
-    if bound == 0 or _rank_mod_p(a) == bound:
+    if bound == 0:
+        return 0
+    short = a if a.shape[0] <= a.shape[1] else a.T
+    reduced = a.shape[0] != a.shape[1] and _float_exact(short)
+    if _rank_mod_p(integer_product(short) if reduced else a) == bound:
         return bound
     return _rank_bareiss(a.tolist())
 

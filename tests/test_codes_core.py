@@ -1,8 +1,10 @@
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from codebounds import codes
@@ -201,6 +203,28 @@ def test_qary_code_validation():
         QaryCode(2, 2, ((0, 2),))
     with pytest.raises(InvalidCode):
         QaryCode(2, 2, ((0, 1, 0),))
+
+
+@pytest.mark.parametrize("q, r, words, message", [
+    (2, 2, ((0, 1), (0, 1, 0), (0, 5)), "codeword (0, 1, 0) has length 3, expected 2"),
+    (2, 2, ((0, 1), (0, 5), (0, 1, 0)), "symbol 5 out of range [0, 2)"),
+    (3, 3, ((0, 1, 2), (0, 7, -1), (1, 1)), "symbol 7 out of range [0, 3)"),
+    (3, 2, ((0, 1), (-1, 0)), "symbol -1 out of range [0, 3)"),
+    (2, 2, ((1.0, 0), (0, 2.0)), "symbol 2 out of range [0, 2)"),
+    (2, 2, ((0, 1), (0, 1.0)), "codewords must be pairwise distinct"),
+    (2, 1, ((),), "codeword () has length 0, expected 1"),
+])
+def test_qary_code_names_the_first_bad_word_and_symbol(q, r, words, message):
+    # words are checked in order, each for its length before its symbols
+    with pytest.raises(InvalidCode, match=f"^{re.escape(message)}$"):
+        QaryCode(q, r, words)
+
+
+def test_qary_code_symbols_become_ints():
+    for words in (((1.0, 0), (0, 1)), ((1.5, 0), (0, 1)), ((np.int64(1), 0), (0, True))):
+        code = QaryCode(2, 2, words)
+        assert code.words == ((1, 0), (0, 1))
+        assert all(type(s) is int for w in code.words for s in w)
 
 
 def test_a_vector_set_takes_no_code_or_exact_form():

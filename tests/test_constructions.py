@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +116,24 @@ def test_hadamard_matrix_validation():
         HadamardMatrix(2, ((1, 1), (1, 1)))
     with pytest.raises(CodeBoundsError):
         HadamardMatrix(2, ((1, 2), (2, -1)))
+
+
+@pytest.mark.parametrize("order, rows, message", [
+    (2, ((1, 2), (2, -1)), "entries must be +1 or -1"),
+    (2, ((1, 1), (1, 0)), "entries must be +1 or -1"),
+    (3, ((1, 1, 1), (1, -1, 1), (1, 1, 0)), "entries must be +1 or -1"),
+    (2, ((1, 1), (1, 1)), "H H^T != order * I"),
+    (2, ((1, 1),), "expected a 2x2 matrix"),
+])
+def test_hadamard_matrix_error_texts(order, rows, message):
+    with pytest.raises(CodeBoundsError, match=f"^{re.escape(message)}$"):
+        HadamardMatrix(order, rows)
+
+
+def test_hadamard_matrix_entries_become_ints():
+    h = HadamardMatrix(2, ((1.0, 1), (1, -1.0)))
+    assert h.rows == ((1, 1), (1, -1))
+    assert all(type(x) is int for row in h.rows for x in row)
 
 
 def test_hadamard_code_order_2():

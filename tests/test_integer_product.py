@@ -1,0 +1,287 @@
+"""The exact integer product a a^T on float64 BLAS: its exactness gate and
+size crossover, the rank reduction built on it, and the row blocks of
+max_off_diagonal behind min_distance."""
+
+import random
+import tracemalloc
+from fractions import Fraction
+from math import isqrt
+
+import numpy as np
+import pytest
+
+from codebounds import codes, linalg
+from codebounds.codes import QaryCode, min_distance
+from codebounds.linalg import P, integer_product, integer_rank, max_off_diagonal
+from test_codes_core import distance_kernel_cases
+
+
+@pytest.fixture
+def float_calls(monkeypatch):
+    """The calls that took the float64 path, as (shape, rows)."""
+    calls = []
+    real = linalg._float_product
+
+    def spy(a, rows):
+        calls.append((a.shape, rows))
+        return real(a, rows)
+
+    monkeypatch.setattr(linalg, "_float_product", spy)
+    return calls
+
+
+def reference(a, rows=None):
+    obj = np.asarray(a, dtype=object)
+    return (obj[:len(obj) if rows is None else rows] @ obj.T).tolist()
+
+
+def float_rows(cols):
+    """Enough rows that an a a^T with ``cols`` columns is large enough for float64."""
+    return max(40, isqrt(linalg._FLOAT_MIN_WORK // cols) + 1)
+
+
+def random_matrix(rng, rows, cols, top):
+    """Entries in [-top, top], with the magnitude top reached."""
+    a = rng.integers(-top, top, size=(rows, cols), endpoint=True, dtype=np.int64)
+    if a.size:
+        a[rng.integers(rows), rng.integers(cols)] = rng.choice((-top, top))
+    return a
+
+
+# 2^53 - 1 = 6361 * 69431 * 20394401 is squarefree, so cols * max^2 cannot
+# equal it with max > 1: below the bound, max is the largest that fits
+@pytest.mark.parametrize("cols", [1, 2, 3, 8, 128, 1000])
+def test_below_the_bound_the_product_runs_in_float_and_is_exact(float_calls, cols):
+    top = isqrt((2 ** 53 - 1) // cols)
+    assert cols * top * top < 2 ** 53 <= cols * (top + 1) ** 2
+    rng = np.random.default_rng(cols)
+    rows = float_rows(cols)
+    a = random_matrix(rng, rows, cols, top)
+    a[:3] = top          # rows whose partial sums climb to the bound itself
+    a[3, ::2] = -top
+    got = integer_product(a)
+    assert got.dtype == np.int64 and got.tolist() == reference(a)
+    assert got[0, 0] == cols * top * top
+    assert float_calls == [(a.shape, rows)]
+
+
+@pytest.mark.parametrize("cols, top", [(2, 2 ** 26), (8, 2 ** 25), (128, 2 ** 23)])
+def test_at_the_bound_the_product_falls_back_to_integers(float_calls, cols, top):
+    assert cols * top * top == 2 ** 53
+    rng = np.random.default_rng(cols)
+    a = random_matrix(rng, float_rows(cols), cols, top)
+    a[:3] = top
+    got = integer_product(a)
+    assert got.dtype == np.int64 and got.tolist() == reference(a)
+    assert float_calls == []
+
+
+def test_the_gate_keeps_sums_that_float64_would_round():
+    # (2^26 + 1)^2 + 2^52 = 2^53 + 2^27 + 1 is odd and above 2^53
+    a = np.array([[2 ** 26 + 1, 2 ** 26], [2 ** 26 + 1, 2 ** 26]])
+    assert int((a.astype(np.float64) @ a.T.astype(np.float64))[0, 0]) != 2 ** 53 + 2 ** 27 + 1
+    assert integer_product(a).tolist() == reference(a) == [[2 ** 53 + 2 ** 27 + 1] * 2] * 2
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0), (1, 1), (12, 6), (5, 300),
+                                   (300, 5), (30, 60), (40, 300)])
+def test_shapes_and_negative_entries(float_calls, shape):
+    rng = np.random.default_rng(sum(shape))
+    a = random_matrix(rng, *shape, 1000)
+    got = integer_product(a)
+    assert got.dtype == np.int64 and got.shape == (shape[0], shape[0])
+    assert got.tolist() == reference(a)
+    # products below the crossover stay on int64, whatever their bound
+    large = shape[0] * shape[0] * shape[1] >= linalg._FLOAT_MIN_WORK
+    assert float_calls == ([(shape, shape[0])] if large else [])
+
+
+def test_leading_rows(float_calls):
+    a = random_matrix(np.random.default_rng(5), 200, 40, 50)
+    for rows in (0, 1, 5, 100, 200):
+        assert integer_product(a, rows).tolist() == reference(a, rows)
+    # 0 and 1 rows are below the crossover
+    assert [r for _, r in float_calls] == [5, 100, 200]
+
+
+def test_object_dtype_input(float_calls):
+    rng = np.random.default_rng(8)
+    large = random_matrix(rng, 40, 30, 1000).astype(object)
+    got = integer_product(large)
+    assert got.dtype == np.int64 and got.tolist() == reference(large)
+    small = np.array([[3, -4, 5], [1, 0, -2]], dtype=object)
+    got = integer_product(small)
+    assert got.dtype == object and got.tolist() == reference(small)
+    big = np.array([[2 ** 70, 1], [-3, 2 ** 64]] * 40, dtype=object)
+    got = integer_product(big)
+    assert got.dtype == object and got.tolist() == reference(big)
+    assert float_calls == [((40, 30), 40)]
+
+
+def test_panels_and_row_blocks_add_up(monkeypatch, float_calls):
+    # tiny panels and blocks: many panels summed, many row blocks cast
+    monkeypatch.setattr(linalg, "_PANEL", 3)
+    monkeypatch.setattr(linalg, "_BLOCK", 7)
+    monkeypatch.setattr(linalg, "_FLOAT_MIN_WORK", 0)
+    rng = np.random.default_rng(11)
+    for shape in [(10, 10), (6, 17), (17, 6), (1, 8), (8, 1)]:
+        a = random_matrix(rng, *shape, 2 ** 20)
+        for rows in {0, 1, shape[0] // 2, shape[0]}:
+            assert integer_product(a, rows).tolist() == reference(a, rows)
+
+
+def fraction_rank(rows):
+    """Rank by Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col] / a[rank][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    calls = []
+    real = linalg._rank_bareiss
+
+    def spy(rows):
+        calls.append([list(r) for r in rows])
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "_rank_bareiss", spy)
+    return calls
+
+
+@pytest.fixture
+def mod_p_shapes(monkeypatch):
+    """The shapes that _rank_mod_p eliminated."""
+    shapes = []
+    real = linalg._rank_mod_p
+
+    def spy(a):
+        shapes.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "_rank_mod_p", spy)
+    return shapes
+
+
+def test_a_gram_singular_mod_p_sends_f_to_bareiss(bareiss_calls, mod_p_shapes):
+    # 38047^2 + 37906^2 + 37557^2 = 2P: F^T F is 0 mod P, yet F has rank 1
+    column = [[38047], [37906], [37557]]
+    assert sum(x * x for [x] in column) == 2 * P
+    assert integer_rank(np.array(column)) == 1
+    assert bareiss_calls == [column]
+    # two independent columns whose Gram diag(2P, 2) is singular mod P
+    f = [[38047, 0], [37906, 0], [37557, 0], [0, 1], [0, 1]]
+    assert integer_rank(np.array(f)) == 2
+    assert bareiss_calls[1] == f
+    assert mod_p_shapes == [(1, 1), (2, 2)]
+
+
+def test_the_rank_reduction_runs_on_float64_when_large(bareiss_calls, float_calls, mod_p_shapes):
+    rng = np.random.default_rng(3)
+    f = random_matrix(rng, 300, 40, 9)
+    assert integer_rank(f) == 40 and integer_rank(f.T) == 40
+    assert float_calls == [((40, 300), 40)] * 2
+    assert mod_p_shapes == [(40, 40)] * 2 and bareiss_calls == []
+    # a Gram whose entries could reach 2^53 is not formed: F goes mod P as it is
+    f[0, 0] = 2 ** 25
+    assert integer_rank(f) == 40
+    assert mod_p_shapes[2:] == [(300, 40)] and len(float_calls) == 2
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_low_rank_matrices_match_a_fraction_reference(bareiss_calls, seed):
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 14), rng.randint(1, 14)
+    k = rng.randint(0, min(n, m))
+    left = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(n)]
+    right = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(k)]
+    f = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+    expected = fraction_rank(f)
+    assert integer_rank(np.array(f, dtype=np.int64).reshape(n, m)) == expected
+    assert integer_rank(np.array(f, dtype=object).reshape(n, m)) == expected
+    if expected == min(n, m):
+        assert bareiss_calls == []
+
+
+@pytest.mark.parametrize("block", [1, 3, 50])
+def test_max_off_diagonal_in_row_blocks(monkeypatch, block):
+    # every product on float64, in blocks of `block` entries or one row
+    monkeypatch.setattr(linalg, "_BLOCK", block)
+    monkeypatch.setattr(linalg, "_PANEL", 2)
+    monkeypatch.setattr(linalg, "_FLOAT_MIN_WORK", 0)
+    rng = np.random.default_rng(block)
+    for n, cols in [(2, 1), (2, 5), (3, 4), (9, 7), (20, 3), (31, 12)]:
+        a = random_matrix(rng, n, cols, 30)
+        g = reference(a)
+        expected = max(g[i][j] for i in range(n) for j in range(n) if i != j)
+        assert max_off_diagonal(a) == expected
+        assert max_off_diagonal(a.astype(object)) == expected
+    # a diagonal above every pair, and pairs all below zero
+    assert max_off_diagonal(np.array([[5, 0], [-1, 0], [-2, 0]])) == 2
+    assert max_off_diagonal(np.array([[1, 0], [-1, 0]])) == -1
+
+
+def hamming_min(words):
+    return min(codes.hamming_distance(words[i], words[j])
+               for i in range(len(words)) for j in range(i + 1, len(words)))
+
+
+def test_min_distance_row_blocks_of_one_row(monkeypatch):
+    monkeypatch.setattr(linalg, "_BLOCK", 1)
+    monkeypatch.setattr(linalg, "_PANEL", 2)
+    monkeypatch.setattr(linalg, "_FLOAT_MIN_WORK", 0)
+    for code in distance_kernel_cases():
+        assert min_distance(code) == hamming_min(code.words)
+
+
+@pytest.mark.parametrize("q", [8, 1000, 2 ** 64, 10 ** 30])
+def test_min_distance_takes_alphabets_larger_than_the_code(q):
+    code = QaryCode(q, 3, ((0, 5, q - 1), (2, 5, q - 1), (2, 1, 1)))
+    assert min_distance(code) == 1
+
+
+def peak_bytes(f):
+    tracemalloc.start()
+    try:
+        value = f()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_min_distance_memory_grows_with_n_not_n_squared():
+    rng = random.Random(2048)
+    words = set()
+    while len(words) < 2048:
+        words.add(tuple(rng.randrange(2) for _ in range(24)))
+    code = QaryCode(2, 24, tuple(sorted(words)))
+    w = np.array(code.words)
+    expected = int(min((w[i + 1:] != w[i]).sum(axis=1).min() for i in range(len(w) - 1)))
+    distance, peak = peak_bytes(lambda: min_distance(code))
+    assert distance == expected
+    assert peak < 2048 * 2048 * 8 / 4
+
+
+def test_min_distance_memory_on_an_alphabet_larger_than_the_code():
+    # q >= n: no table of q symbols per coordinate is built
+    n, q, r = 2048, 4096, 16
+    rng = random.Random(q)
+    words = set()
+    while len(words) < n:
+        words.add(tuple(rng.randrange(q) for _ in range(r)))
+    words = sorted(words)
+    words[1] = words[0][:-3] + tuple((s + 1) % q for s in words[0][-3:])
+    code = QaryCode(q, r, tuple(words))
+    distance, peak = peak_bytes(lambda: min_distance(code))
+    assert distance == 3    # random words of 16 symbols from 4096 differ almost everywhere
+    assert peak < n * n * 8 / 4
