@@ -17,12 +17,16 @@ the conversion (``_FLOAT_MIN_WORK``), it is numpy's int64 or object product.
 ``max_off_diagonal`` takes the largest off-diagonal entry of a a^T from
 ``integer_product`` one block of rows at a time.
 
-Exact rank eliminates an integer matrix modulo the fixed prime ``P`` in
-numpy.  A rank mod P never exceeds the rank over Q, which never exceeds
-min(rows, cols), so the modular count is returned only when it reaches that
-minimum; otherwise fraction-free (Bareiss) elimination of the matrix decides.
-A matrix that is not square is counted mod P through its smaller Gram when
-that Gram's entries stay below 2^53.
+Exact rank takes a small matrix (rows * cols * min(rows, cols) at most
+``_BAREISS_MAX_WORK``) straight to fraction-free (Bareiss) elimination.  A
+larger one is eliminated in numpy modulo the prime ``P`` = 2^24 - 3.  A rank
+mod P never exceeds the rank over Q, which never exceeds min(rows, cols), so
+the modular count is returned only when it reaches that minimum; otherwise
+Bareiss decides.  A matrix that is not square is counted mod P through its
+smaller Gram when that Gram's entries stay below 2^53.  The elimination
+delays its reductions: a product of two residues is below 2^48, so int64
+holds the trailing block through 2^15 updates (P + k P^2 < 2^63) before
+one ``%``; a pivot column with nothing below the pivot skips its update.
 
 A float Gram is a ``FloatGram``: one float64 array.  Its kernels run in
 numpy but add in the order of a Python loop ``s = 0; for x in row: s += x``
@@ -52,8 +56,10 @@ from .certificates import Certificate, make_link
 from .errors import InvalidCode
 from .scalars import EXACT, FLOAT, REL_EPS, Scalar, mode_of
 
-# 2^31 - 1 is prime, and a product of two residues stays below 2^62
-P = 2_147_483_647
+# 2^24 - 3 is prime and a product of two residues is below 2^48, so int64
+# holds P + k * P^2 for every k up to _UNREDUCED_STEPS (2^15)
+P = 16_777_213
+_UNREDUCED_STEPS = (2 ** 63 - 1 - P) // (P * P)
 
 
 def _abs_max(a) -> int:
@@ -282,24 +288,50 @@ def negative_sums(gram: IntegerGram | FloatGram, mask, x, power: int = 1) -> tup
 
 
 def _rank_mod_p(a) -> int:
-    """Rank of an integer matrix over the field of P elements."""
-    a = (a % P).astype(np.int64)
+    """Rank of an integer matrix over the field of P elements.
+
+    Reductions are delayed: each step reduces only the pivot column from the
+    current row down and the pivot row, then subtracts residue multiples of
+    the pivot row from the rows below in int64 with no ``%``.  Each update
+    moves an entry by less than P^2, so after k of them every entry has
+    |x| < P + k * P^2, and the trailing block is reduced once every
+    _UNREDUCED_STEPS updates.  A step whose pivot column is zero below the
+    pivot would subtract zeros and is skipped, so a diagonal matrix costs
+    one scan per column; until the first update nothing needs reducing."""
+    a = (a % P).astype(np.int64, copy=False)
     if a.shape[0] < a.shape[1]:      # one step per column: eliminate along the shorter side
         a = a.T.copy()
     rank_count = 0
+    steps = 0       # updates since the trailing block was last reduced
     for col in range(a.shape[1]):
-        nonzero = np.flatnonzero(a[rank_count:, col])
+        column = a[rank_count:, col]
+        if steps:
+            column %= P
+        nonzero = column.nonzero()[0]
         if nonzero.size == 0:
             continue
         pivot_row = rank_count + int(nonzero[0])
         if pivot_row != rank_count:
             a[[rank_count, pivot_row]] = a[[pivot_row, rank_count]]
-        unit_row = a[rank_count, col:] * pow(int(a[rank_count, col]), -1, P) % P
-        below = a[rank_count + 1:, col:]
-        below -= below[:, :1] * unit_row
-        below %= P
+        if nonzero.size > 1:
+            below = a[rank_count + 1:, col + 1:]
+            if steps == _UNREDUCED_STEPS:
+                below %= P
+                steps = 0
+            unit_row = a[rank_count, col + 1:] % P * pow(int(column[0]), -1, P) % P
+            below -= column[1:, None] * unit_row
+            steps += 1
         rank_count += 1
     return rank_count
+
+
+# integer_rank runs Bareiss alone when rows * cols * min(rows, cols), the
+# order of its work, is at most this.  Modular count against Bareiss, min of
+# 7 x 100 integer_rank calls on a 2-CPU Xeon, in us, for entries up to 3,
+# 2^18 and 2^60: 8x8 117/44, 124/93, 136/149; 32x4 67/34, 70/80, 102/127;
+# 12x12 198/138, 196/324, 211/676.  The shorter side alone is no gate: at
+# 200x6 and entries up to 2^18 Bareiss takes 1152 us, the modular count 101
+_BAREISS_MAX_WORK = 1 << 9
 
 
 def _rank_bareiss(a) -> int:
@@ -336,22 +368,25 @@ def _rank_bareiss(a) -> int:
 def integer_rank(a) -> int:
     """Rank over Q of a 2-D integer numpy array (int64 or Python ints).
 
-    The rank mod P is a lower bound and min(rows, cols) an upper one, so the
-    modular count is exact when it reaches that minimum; otherwise Bareiss
-    elimination on the matrix decides.  A matrix that is not square is
-    counted mod P through its Gram on the shorter side (F^T F or F F^T) when
-    that Gram's entries are below 2^53 (``_float_exact``): over Q it has the
-    rank of F, so a full count there proves F's rank, and a shortfall sends F
-    itself to Bareiss.
+    A matrix with rows * cols * min(rows, cols) at most _BAREISS_MAX_WORK
+    goes straight to Bareiss elimination, which is exact.  Otherwise the
+    rank mod P is a lower bound and min(rows, cols) an upper one, so the
+    modular count is exact when it reaches that minimum, and Bareiss
+    elimination decides when it does not.  A matrix that is not square is
+    counted mod P through its Gram on the shorter side (F^T F or F F^T)
+    when that Gram's entries are below 2^53 (``_float_exact``): over Q it
+    has the rank of F, so a full count there proves F's rank, and a
+    shortfall sends F itself to Bareiss.  Bareiss always runs on the
+    orientation with fewer rows.
     """
     bound = min(a.shape)
-    if bound == 0:
-        return 0
     short = a if a.shape[0] <= a.shape[1] else a.T
+    if a.size * bound <= _BAREISS_MAX_WORK:
+        return _rank_bareiss(short.tolist())
     reduced = a.shape[0] != a.shape[1] and _float_exact(short)
     if _rank_mod_p(integer_product(short) if reduced else a) == bound:
         return bound
-    return _rank_bareiss(a.tolist())
+    return _rank_bareiss(short.tolist())
 
 
 @float_kernel

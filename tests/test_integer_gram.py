@@ -259,8 +259,14 @@ def test_rank_falls_back_to_bareiss_when_the_rank_drops_mod_p():
     assert rank(gram_from_rows([[P, 0], [0, 1]])) == 2
     assert rank(gram_from_rows([[Fraction(P, 3), 0], [0, Fraction(1, 3)]])) == 2
     assert integer_rank(np.array([[P, 0], [0, 1]])) == 2
+    # the smallest diag(P, 1, ..., 1) that is counted mod P before Bareiss
+    n = next(n for n in range(1, 100) if n ** 3 > linalg._BAREISS_MAX_WORK)
+    diagonal = [[P if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]
+    assert rank(gram_from_rows(diagonal)) == n
+    assert rank(gram_from_rows([[Fraction(x, 3) for x in row] for row in diagonal])) == n
+    assert integer_rank(np.array(diagonal)) == n
     assert integer_rank(np.array([[P], [2 * P]], dtype=object)) == 1
-    # a rank below min(rows, cols) is confirmed by the fallback, not taken mod P
+    # a rank below min(rows, cols) is decided by Bareiss, not taken mod P
     assert integer_rank(np.array([[1, 2, 3], [2, 4, 6]])) == 1
     assert integer_rank(np.zeros((3, 0), dtype=np.int64)) == 0
 

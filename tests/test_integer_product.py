@@ -5,14 +5,17 @@ max_off_diagonal behind min_distance."""
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import count
 from math import isqrt
 
 import numpy as np
 import pytest
 
 from codebounds import codes, linalg
-from codebounds.codes import QaryCode, min_distance
+from codebounds.codes import QaryCode, UnitVectorSet, certify_chain, gram_analyze, min_distance
+from codebounds.constructions import cross_polytope, embed_qary, hadamard_code, sylvester_hadamard
 from codebounds.linalg import P, integer_product, integer_rank, max_off_diagonal
+from test_acceptance import rational_sphere_point
 from test_codes_core import distance_kernel_cases
 
 
@@ -173,17 +176,37 @@ def mod_p_shapes(monkeypatch):
     return shapes
 
 
+def smallest_square_above_the_gate():
+    """The side of the smallest square matrix that integer_rank counts mod P."""
+    return next(n for n in count(1) if n ** 3 > linalg._BAREISS_MAX_WORK)
+
+
+def padded(block, k):
+    """The block-diagonal integer matrix diag(block, I_k), as rows."""
+    width = len(block[0])
+    return ([list(row) + [0] * k for row in block]
+            + [[0] * width + [int(i == j) for j in range(k)] for i in range(k)])
+
+
 def test_a_gram_singular_mod_p_sends_f_to_bareiss(bareiss_calls, mod_p_shapes):
-    # 38047^2 + 37906^2 + 37557^2 = 2P: F^T F is 0 mod P, yet F has rank 1
-    column = [[38047], [37906], [37557]]
+    # 3396^2 + 3359^2 + 3277^2 = 2P: F^T F is 0 mod P, yet F has rank 1
+    column = [[3396], [3359], [3277]]
     assert sum(x * x for [x] in column) == 2 * P
-    assert integer_rank(np.array(column)) == 1
-    assert bareiss_calls == [column]
-    # two independent columns whose Gram diag(2P, 2) is singular mod P
-    f = [[38047, 0], [37906, 0], [37557, 0], [0, 1], [0, 1]]
-    assert integer_rank(np.array(f)) == 2
-    assert bareiss_calls[1] == f
-    assert mod_p_shapes == [(1, 1), (2, 2)]
+    n = smallest_square_above_the_gate()
+    # padded by I_(n-1), F's Gram diag(2P, 1, ..., 1) is n x n and singular
+    # mod P, while F has rank n over Q
+    f = padded(column, n - 1)
+    assert integer_rank(np.array(f)) == n
+    assert bareiss_calls == [[list(c) for c in zip(*f)]]
+    # two independent columns whose Gram diag(2P, 2, 1, ..., 1) is singular mod P
+    g = padded([[3396, 0], [3359, 0], [3277, 0], [0, 1], [0, 1]], n - 2)
+    assert integer_rank(np.array(g)) == n
+    assert bareiss_calls[1] == [list(c) for c in zip(*g)]
+    # a square diag(P, 1, ..., 1) has rank 1 less mod P than over Q
+    d = padded([[P]], n - 1)
+    assert integer_rank(np.array(d)) == n
+    assert bareiss_calls[2] == d
+    assert mod_p_shapes == [(n, n)] * 3
 
 
 def test_the_rank_reduction_runs_on_float64_when_large(bareiss_calls, float_calls, mod_p_shapes):
@@ -199,7 +222,7 @@ def test_the_rank_reduction_runs_on_float64_when_large(bareiss_calls, float_call
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_random_low_rank_matrices_match_a_fraction_reference(bareiss_calls, seed):
+def test_random_low_rank_matrices_match_a_fraction_reference(bareiss_calls, mod_p_shapes, seed):
     rng = random.Random(seed)
     n, m = rng.randint(1, 14), rng.randint(1, 14)
     k = rng.randint(0, min(n, m))
@@ -207,10 +230,128 @@ def test_random_low_rank_matrices_match_a_fraction_reference(bareiss_calls, seed
     right = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(k)]
     f = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
     expected = fraction_rank(f)
-    assert integer_rank(np.array(f, dtype=np.int64).reshape(n, m)) == expected
-    assert integer_rank(np.array(f, dtype=object).reshape(n, m)) == expected
-    if expected == min(n, m):
-        assert bareiss_calls == []
+    for dtype in (np.int64, object):
+        bareiss_calls.clear()
+        mod_p_shapes.clear()
+        assert integer_rank(np.array(f, dtype=dtype).reshape(n, m)) == expected
+        if n * m * min(n, m) <= linalg._BAREISS_MAX_WORK:
+            # small enough for Bareiss alone, on the side with fewer rows
+            assert len(bareiss_calls) == 1 and mod_p_shapes == []
+            assert len(bareiss_calls[0]) == min(n, m)
+        elif expected == min(n, m):
+            assert bareiss_calls == [] and len(mod_p_shapes) == 1
+
+
+def rank_mod(rows, p):
+    """Rank over the field of p elements, by elimination on Python ints."""
+    a = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inverse = pow(a[rank][col], -1, p)
+        for i in range(rank + 1, len(a)):
+            f = a[i][col] * inverse
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def near_minus_one(rng, n, m, k, p):
+    """An n x m matrix of rank at most k whose residues mod p lie just below p:
+    a product L R with L = -1 - (0..3) mod p and R of 0s and 1s."""
+    left = p - 1 - rng.integers(0, 4, (n, k))
+    right = rng.integers(0, 2, (k, m))
+    return left @ right
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("seed", range(5))
+def test_the_delayed_reduction_matches_references(monkeypatch, steps, seed):
+    # a full reduction after every 1 or 3 updates, where the true guard allows 2^15
+    monkeypatch.setattr(linalg, "_UNREDUCED_STEPS", steps)
+    rng = np.random.default_rng(seed)
+    short = int(rng.integers(9, 41))
+    n, m = short, int(rng.integers(short, 41))
+    a = near_minus_one(rng, n, m, int(rng.integers(1, short)), P)
+    if seed % 2:
+        a = a.T
+    rows = a.tolist()
+    assert linalg._rank_mod_p(a) == rank_mod(rows, P)
+    assert integer_rank(a) == fraction_rank(rows)
+
+
+def test_the_delayed_reduction_at_the_real_guard():
+    # every residue P - 1: the first update adds the largest product (P - 1)^2
+    a = np.full((64, 64), P - 1, dtype=np.int64)
+    a[np.arange(64), np.arange(64)] = P - 2
+    assert linalg._rank_mod_p(a) == linalg._rank_bareiss(a.tolist()) == 64
+    rng = np.random.default_rng(64)
+    a = P - 1 - rng.integers(0, 3, (64, 64))
+    assert linalg._rank_mod_p(a) == rank_mod(a.tolist(), P)
+    assert integer_rank(a) == linalg._rank_bareiss(a.tolist())
+
+
+def test_the_guard_is_what_keeps_int64_exact(monkeypatch):
+    # with p = 2^31 - 1 two unreduced updates fit int64 and a third wraps, so a
+    # reduction skipped or misplaced shows as a wrong rank mod p
+    p = 2 ** 31 - 1
+    monkeypatch.setattr(linalg, "P", p)
+    monkeypatch.setattr(linalg, "_UNREDUCED_STEPS", (2 ** 63 - 1 - p) // (p * p))
+    assert linalg._UNREDUCED_STEPS == 2
+    rng = np.random.default_rng(31)
+    for n, k in [(12, 5), (30, 11), (40, 30)]:
+        a = near_minus_one(rng, n, n, k, p)
+        assert linalg._rank_mod_p(a) == rank_mod(a.tolist(), p) == k
+
+
+def ternary_words(rng, r, n):
+    """n distinct random ternary words whose embedding has alpha in [0, 1)."""
+    while True:
+        words = set()
+        while len(words) < n:
+            words.add(tuple(rng.randrange(3) for _ in range(r)))
+        words = tuple(sorted(words))
+        if 3 * min_distance(QaryCode(3, r, words)) <= 2 * r:
+            return words
+
+
+def random_configuration(rng):
+    """A set of distinct rational unit vectors with max inner product in [0, 1)."""
+    while True:
+        n, d = rng.randint(2, 12), rng.randint(2, 6)
+        points = set()
+        while len(points) < n:
+            points.add(rational_sphere_point(rng, d))
+        vset = UnitVectorSet(d, tuple(sorted(points)))
+        if 0 <= gram_analyze(vset).alpha < 1:
+            return vset
+
+
+def chain_cases():
+    for t in range(4, 8):
+        yield pytest.param(lambda t=t: embed_qary(hadamard_code(sylvester_hadamard(t))).unit_vectors(),
+                           id=f"hadamard-{1 << t}")
+    for r in range(3, 33):
+        yield pytest.param(lambda r=r: cross_polytope(r), id=f"cross-polytope-{r}")
+    for seed in range(5):
+        yield pytest.param(
+            lambda seed=seed: embed_qary(QaryCode(3, 10, ternary_words(random.Random(seed), 10, 60))
+                                         ).unit_vectors(), id=f"ternary-{seed}")
+    for seed in range(30):
+        yield pytest.param(lambda seed=seed: random_configuration(random.Random(seed)),
+                           id=f"random-{seed}")
+
+
+@pytest.mark.parametrize("build", chain_cases())
+def test_certificates_match_a_bareiss_rank(monkeypatch, build):
+    vset = build()
+    certificate = certify_chain(vset).to_dict()
+    monkeypatch.setattr(linalg, "integer_rank", lambda a: linalg._rank_bareiss(
+        (a if a.shape[0] <= a.shape[1] else a.T).tolist()))
+    assert certificate == certify_chain(vset).to_dict()
 
 
 @pytest.mark.parametrize("block", [1, 3, 50])
