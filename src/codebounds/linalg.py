@@ -19,14 +19,12 @@ the conversion (``_FLOAT_MIN_WORK``), it is numpy's int64 or object product.
 
 Exact rank takes a small matrix (rows * cols * min(rows, cols) at most
 ``_BAREISS_MAX_WORK``) straight to fraction-free (Bareiss) elimination.  A
-larger one is eliminated in numpy modulo the prime ``P`` = 2^24 - 3.  A rank
-mod P never exceeds the rank over Q, which never exceeds min(rows, cols), so
-the modular count is returned only when it reaches that minimum; otherwise
-Bareiss decides.  A matrix that is not square is counted mod P through its
-smaller Gram when that Gram's entries stay below 2^53.  The elimination
-delays its reductions: a product of two residues is below 2^48, so int64
-holds the trailing block through 2^15 updates (P + k P^2 < 2^63) before
-one ``%``; a pivot column with nothing below the pivot skips its update.
+larger one is eliminated in numpy modulo the fixed prime ``P``; a pivot
+column with nothing below the pivot skips its update.  A rank mod P never
+exceeds the rank over Q, which never exceeds min(rows, cols), so the modular
+count is returned only when it reaches that minimum; otherwise Bareiss
+decides.  A matrix that is not square is counted mod P through its smaller
+Gram when that Gram's entries stay below 2^53.
 
 A float Gram is a ``FloatGram``: one float64 array.  Its kernels run in
 numpy but add in the order of a Python loop ``s = 0; for x in row: s += x``
@@ -56,10 +54,8 @@ from .certificates import Certificate, make_link
 from .errors import InvalidCode
 from .scalars import EXACT, FLOAT, REL_EPS, Scalar, mode_of
 
-# 2^24 - 3 is prime and a product of two residues is below 2^48, so int64
-# holds P + k * P^2 for every k up to _UNREDUCED_STEPS (2^15)
-P = 16_777_213
-_UNREDUCED_STEPS = (2 ** 63 - 1 - P) // (P * P)
+# 2^31 - 1 is prime, and a product of two residues stays below 2^62
+P = 2_147_483_647
 
 
 def _abs_max(a) -> int:
@@ -288,39 +284,25 @@ def negative_sums(gram: IntegerGram | FloatGram, mask, x, power: int = 1) -> tup
 
 
 def _rank_mod_p(a) -> int:
-    """Rank of an integer matrix over the field of P elements.
-
-    Reductions are delayed: each step reduces only the pivot column from the
-    current row down and the pivot row, then subtracts residue multiples of
-    the pivot row from the rows below in int64 with no ``%``.  Each update
-    moves an entry by less than P^2, so after k of them every entry has
-    |x| < P + k * P^2, and the trailing block is reduced once every
-    _UNREDUCED_STEPS updates.  A step whose pivot column is zero below the
-    pivot would subtract zeros and is skipped, so a diagonal matrix costs
-    one scan per column; until the first update nothing needs reducing."""
-    a = (a % P).astype(np.int64, copy=False)
+    """Rank of an integer matrix over the field of P elements.  A step whose
+    pivot column is zero below the pivot would subtract zeros and is skipped,
+    so a diagonal matrix costs one scan per column."""
+    a = (a % P).astype(np.int64)
     if a.shape[0] < a.shape[1]:      # one step per column: eliminate along the shorter side
         a = a.T.copy()
     rank_count = 0
-    steps = 0       # updates since the trailing block was last reduced
     for col in range(a.shape[1]):
-        column = a[rank_count:, col]
-        if steps:
-            column %= P
-        nonzero = column.nonzero()[0]
+        nonzero = np.flatnonzero(a[rank_count:, col])
         if nonzero.size == 0:
             continue
         pivot_row = rank_count + int(nonzero[0])
         if pivot_row != rank_count:
             a[[rank_count, pivot_row]] = a[[pivot_row, rank_count]]
         if nonzero.size > 1:
-            below = a[rank_count + 1:, col + 1:]
-            if steps == _UNREDUCED_STEPS:
-                below %= P
-                steps = 0
-            unit_row = a[rank_count, col + 1:] % P * pow(int(column[0]), -1, P) % P
-            below -= column[1:, None] * unit_row
-            steps += 1
+            unit_row = a[rank_count, col:] * pow(int(a[rank_count, col]), -1, P) % P
+            below = a[rank_count + 1:, col:]
+            below -= below[:, :1] * unit_row
+            below %= P
         rank_count += 1
     return rank_count
 
@@ -328,9 +310,9 @@ def _rank_mod_p(a) -> int:
 # integer_rank runs Bareiss alone when rows * cols * min(rows, cols), the
 # order of its work, is at most this.  Modular count against Bareiss, min of
 # 7 x 100 integer_rank calls on a 2-CPU Xeon, in us, for entries up to 3,
-# 2^18 and 2^60: 8x8 117/44, 124/93, 136/149; 32x4 67/34, 70/80, 102/127;
-# 12x12 198/138, 196/324, 211/676.  The shorter side alone is no gate: at
-# 200x6 and entries up to 2^18 Bareiss takes 1152 us, the modular count 101
+# 2^18 and 2^60: 8x8 72/23, 80/44, 141/112; 32x4 35/18, 39/40, 77/73;
+# 12x12 125/71, 124/160, 144/345.  The shorter side alone is no gate: at
+# 200x6 and entries up to 2^18 Bareiss takes 666 us, the modular count 65
 _BAREISS_MAX_WORK = 1 << 9
 
 

@@ -21,6 +21,7 @@ from codebounds.fileio import certificate_json, serialize_spherical
 from codebounds.linalg import (P, gram_from_rows, integer_rank, rank,
                                trace_of_square, verify_trace_rank)
 from codebounds.scalars import format_scalar
+from test_integer_product import smallest_square_above_the_gate
 
 # ----------------------------------------------------------- the reference
 
@@ -260,7 +261,7 @@ def test_rank_falls_back_to_bareiss_when_the_rank_drops_mod_p():
     assert rank(gram_from_rows([[Fraction(P, 3), 0], [0, Fraction(1, 3)]])) == 2
     assert integer_rank(np.array([[P, 0], [0, 1]])) == 2
     # the smallest diag(P, 1, ..., 1) that is counted mod P before Bareiss
-    n = next(n for n in range(1, 100) if n ** 3 > linalg._BAREISS_MAX_WORK)
+    n = smallest_square_above_the_gate()
     diagonal = [[P if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]
     assert rank(gram_from_rows(diagonal)) == n
     assert rank(gram_from_rows([[Fraction(x, 3) for x in row] for row in diagonal])) == n
