@@ -58,27 +58,22 @@ class BoundReport:
 
 
 def _icbrt(x: int) -> int:
-    """Largest integer c with c^3 <= x (x >= 0)."""
-    if x < 0:
-        raise ValueError("negative argument")
-    if x == 0:
-        return 0
+    """Largest integer c with c^3 <= x, for x >= 1.
+
+    Integer Newton from 2^ceil(b/3) > cbrt(x), b the bit length of x: a step
+    is floor((2c + x/c^2)/3), by AM-GM never below floor(cbrt(x)), and below
+    c while c^3 > x, so the first step that does not fall starts there."""
     c = 1 << ((x.bit_length() + 2) // 3)
     while True:
         nxt = (2 * c + x // (c * c)) // 3
         if nxt >= c:
-            break
+            return c
         c = nxt
-    while c * c * c > x:
-        c -= 1
-    while (c + 1) ** 3 <= x:
-        c += 1
-    return c
 
 
-def _cbrt_lower(x: Fraction, bits: int = 80) -> Fraction:
-    """Rational y with y^3 <= x, accurate to ~2^-bits."""
-    scale = 1 << bits
+def _cbrt_lower(x: Fraction) -> Fraction:
+    """Rational y with y^3 <= x, accurate to ~2^-80, for x >= 1."""
+    scale = 1 << 80
     a, b = x.numerator, x.denominator
     c = _icbrt(a * b * b * scale ** 3)
     return Fraction(c, b * scale)
@@ -250,8 +245,7 @@ def ramsey_asymptotic(q: int, r: int, j: int) -> BoundReport:
 
 
 def _is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
+    """Whether q >= 2 (bq_window checks it first) is a prime power."""
     p = 2
     n = q
     while p * p <= n:

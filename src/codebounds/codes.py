@@ -145,8 +145,8 @@ class GramAnalysis:
     @cached_property
     def gamma(self) -> tuple:
         """Per vertex, the sum of its negative inner products."""
-        num = self.gram.num      # the diagonal is c > 0, or within 1e-9 of 1
-        return negative_sums(self.gram, num < 0, num)
+        # the diagonal is c > 0, or within 1e-9 of 1, so never negative
+        return negative_sums(self.gram, self.gram.num)
 
     def mode(self) -> str:
         return self.gram.mode()
@@ -319,7 +319,7 @@ def verify_spherical_code(vset: UnitVectorSet, alpha_claim: Scalar) -> Certifica
 def _negative_energy(analysis: GramAnalysis) -> tuple:
     """Per vertex, the sum of its squared negative inner products."""
     num = analysis.gram.num
-    return negative_sums(analysis.gram, num < 0, num * num, 2)
+    return negative_sums(analysis.gram, num * num, 2)
 
 
 def _require_alpha_in_range(alpha):

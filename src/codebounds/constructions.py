@@ -18,10 +18,10 @@ from .codes import QaryCode, UnitVectorSet, code_image, min_distance
 from .errors import CodeBoundsError, PreconditionViolated
 from .linalg import integer_product
 
-# the largest Sylvester order built; on a 2-CPU machine order 2048 took 1.7
-# to 2.3 s for the checked matrix and 4.0 to 6.1 s with its code, at a 201 MB
-# peak (order 1024: 0.5 s, 0.8 s and 78 MB), and each doubling multiplies the
-# time by three to eight and the memory by about three
+# the largest Sylvester order built; on a 2-CPU Xeon order 2048 took 0.8
+# to 1.1 s for the checked matrix and 1.8 to 2.5 s with its code, at a 196 MB
+# peak (order 1024: 0.2 s, 0.4 to 0.5 s and 74 MB), and each doubling
+# multiplies the time by four to six and the memory by about 2.7
 MAX_HADAMARD_ORDER = 2048
 
 
@@ -40,9 +40,8 @@ class HadamardMatrix:
             raise CodeBoundsError(f"expected a {self.order}x{self.order} matrix")
         if not np.all(np.abs(h) == 1):
             raise CodeBoundsError("entries must be +1 or -1")
-        g = integer_product(h)
-        # H H^T = order * I: an order-sized diagonal and nothing off it
-        if not (np.all(g.diagonal() == self.order) and np.count_nonzero(g) == self.order):
+        # the diagonal is order nonzeros (each a sum of order +-1 squares), so none is off it
+        if np.count_nonzero(integer_product(h)) != self.order:
             raise CodeBoundsError("H H^T != order * I")
 
 
@@ -60,15 +59,16 @@ def sylvester_hadamard(t: int) -> HadamardMatrix:
 
 
 def hadamard_code(h: HadamardMatrix) -> QaryCode:
-    """Rows of H and -H with +1 -> 0 and -1 -> 1: 2r words at distance r/2."""
+    """Rows of H and -H with +1 -> 0 and -1 -> 1: 2r words at distance r/2.
+
+    Words with +-1 rows x and y are (r - x.y) / 2 apart.  H H^T = r * I,
+    checked when H was built, makes x.y = -r for a row and its negation and
+    0 for every other pair, so no pair is nearer than r/2."""
     r = h.order
     if r < 2:
         raise PreconditionViolated(f"order must be >= 2, got {r}")
     rows = np.array(h.rows, dtype=np.int8)
-    code = QaryCode(2, r, (np.concatenate([rows, -rows]) != 1).view(np.int8).tolist())
-    if min_distance(code) != r // 2:
-        raise CodeBoundsError(f"construction broke: min distance != {r // 2}")
-    return code
+    return QaryCode(2, r, (np.concatenate([rows, -rows]) != 1).view(np.int8).tolist())
 
 
 def cross_polytope(r: int) -> UnitVectorSet:

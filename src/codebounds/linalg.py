@@ -24,7 +24,8 @@ column with nothing below the pivot skips its update.  A rank mod P never
 exceeds the rank over Q, which never exceeds min(rows, cols), so the modular
 count is returned only when it reaches that minimum; otherwise Bareiss
 decides.  A matrix that is not square is counted mod P through its smaller
-Gram when that Gram's entries stay below 2^53.
+Gram when that Gram's entries stay below 2^53; any other is counted in its
+tall orientation, one step per column.
 
 A float Gram is a ``FloatGram``: one float64 array.  Its kernels run in
 numpy but add in the order of a Python loop ``s = 0; for x in row: s += x``
@@ -58,10 +59,12 @@ from .scalars import EXACT, FLOAT, REL_EPS, Scalar, mode_of
 P = 2_147_483_647
 
 
-def _abs_max(a) -> int:
-    """The largest |entry| of an integer array as a Python int (0 when empty),
-    with no temporary array."""
-    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+def _fits(a, terms: int, bits: int) -> bool:
+    """Whether terms * max|a|^2 < 2^bits for an integer array a (max|a| is 0
+    when a is empty): every sum of up to ``terms`` products of two entries,
+    and each of its partial sums, is then below 2^bits in magnitude."""
+    top = max(int(a.max(initial=0)), -int(a.min(initial=0)))
+    return terms * top * top < 1 << bits
 
 
 def exact_array(values, terms: int) -> np.ndarray:
@@ -69,17 +72,7 @@ def exact_array(values, terms: int) -> np.ndarray:
     numpy int64 when such a sum stays below 2^63, Python ints otherwise.
     An int64 array that qualifies is returned as it is, not copied."""
     a = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
-    bound = _abs_max(a)
-    return a.astype(np.int64 if terms * bound * bound < 2 ** 63 else object, copy=False)
-
-
-def _float_exact(a) -> bool:
-    """Whether float64 forms a a^T exactly: each product of two entries and each
-    partial sum is an integer of magnitude at most cols * max|a|^2, and below
-    2^53 every such integer is a float64, so no step rounds, in any order of
-    summation and with or without a fused multiply-add."""
-    top = _abs_max(a)
-    return a.shape[1] * top * top < 2 ** 53
+    return a.astype(np.int64 if _fits(a, terms, 63) else object, copy=False)
 
 
 # _float_product converts this many columns of its operand to float64 at a
@@ -95,7 +88,7 @@ _FLOAT_MIN_WORK = 1 << 14
 
 def _float_product(a, rows: int) -> np.ndarray:
     """The first ``rows`` rows of a a^T as int64, through float64 BLAS, for an
-    ``a`` that passes _float_exact.
+    ``a`` whose products fit below 2^53 (``_fits``).
 
     The float64 product is summed over column panels of a and then cast to
     int64 in its own buffer, one row block at a time, so at most _PANEL
@@ -125,7 +118,7 @@ def integer_product(a, rows: int | None = None) -> np.ndarray:
     numpy's int64 or object product, as a's dtype gives.
     """
     rows = len(a) if rows is None else rows
-    if rows * a.size >= _FLOAT_MIN_WORK and _float_exact(a):
+    if rows * a.size >= _FLOAT_MIN_WORK and _fits(a, a.shape[1], 53):
         return _float_product(a, rows)
     return a[:rows] @ a.T
 
@@ -275,21 +268,22 @@ def trace_of_square(m: IntegerGram | FloatGram) -> Scalar:
     return m.value(m.sums((m.num * m.num).reshape(-1)), 2)
 
 
-def negative_sums(gram: IntegerGram | FloatGram, mask, x, power: int = 1) -> tuple:
-    """Per row, ``gram.value`` at ``power`` of the sum of x where ``mask`` holds;
-    the int 0, as an empty loop from 0 leaves it, where it holds nowhere."""
+def negative_sums(gram: IntegerGram | FloatGram, x, power: int = 1) -> tuple:
+    """Per row, ``gram.value`` at ``power`` of the sum of x where the Gram's
+    entry is negative; the int 0, as an empty loop from 0 leaves it, where
+    none is."""
+    mask = gram.num < 0
     sums = gram.sums(np.where(mask, x, 0)).tolist()
     return tuple(gram.value(s, power) if any_ else 0
                  for s, any_ in zip(sums, mask.any(axis=1).tolist()))
 
 
 def _rank_mod_p(a) -> int:
-    """Rank of an integer matrix over the field of P elements.  A step whose
-    pivot column is zero below the pivot would subtract zeros and is skipped,
-    so a diagonal matrix costs one scan per column."""
-    a = (a % P).astype(np.int64)
-    if a.shape[0] < a.shape[1]:      # one step per column: eliminate along the shorter side
-        a = a.T.copy()
+    """Rank over the field of P elements of an integer matrix with at least as
+    many rows as columns, one step per column.  A step whose pivot column is
+    zero below the pivot would subtract zeros and is skipped, so a diagonal
+    matrix costs one scan per column."""
+    a = np.ascontiguousarray(a % P, dtype=np.int64)
     rank_count = 0
     for col in range(a.shape[1]):
         nonzero = np.flatnonzero(a[rank_count:, col])
@@ -311,8 +305,11 @@ def _rank_mod_p(a) -> int:
 # order of its work, is at most this.  Modular count against Bareiss, min of
 # 7 x 100 integer_rank calls on a 2-CPU Xeon, in us, for entries up to 3,
 # 2^18 and 2^60: 8x8 72/23, 80/44, 141/112; 32x4 35/18, 39/40, 77/73;
-# 12x12 125/71, 124/160, 144/345.  The shorter side alone is no gate: at
-# 200x6 and entries up to 2^18 Bareiss takes 666 us, the modular count 65
+# 12x12 125/71, 124/160, 144/345.  The gate ignores entry size: at 20x5,
+# below it, Bareiss loses with entries up to 2^60 (94 against 87 us), and at
+# 12x12, above it, wins with entries up to 3.  The shorter side alone is no
+# gate: at 200x6 and entries up to 2^18 Bareiss takes 666 us, the modular
+# count 65
 _BAREISS_MAX_WORK = 1 << 9
 
 
@@ -356,17 +353,17 @@ def integer_rank(a) -> int:
     modular count is exact when it reaches that minimum, and Bareiss
     elimination decides when it does not.  A matrix that is not square is
     counted mod P through its Gram on the shorter side (F^T F or F F^T)
-    when that Gram's entries are below 2^53 (``_float_exact``): over Q it
-    has the rank of F, so a full count there proves F's rank, and a
-    shortfall sends F itself to Bareiss.  Bareiss always runs on the
-    orientation with fewer rows.
+    when that Gram's entries are below 2^53 (``_fits``): over Q it has the
+    rank of F, so a full count there proves F's rank, and a shortfall sends
+    F itself to Bareiss.  Otherwise the count runs on the orientation with
+    more rows, and Bareiss always on the one with fewer.
     """
     bound = min(a.shape)
     short = a if a.shape[0] <= a.shape[1] else a.T
     if a.size * bound <= _BAREISS_MAX_WORK:
         return _rank_bareiss(short.tolist())
-    reduced = a.shape[0] != a.shape[1] and _float_exact(short)
-    if _rank_mod_p(integer_product(short) if reduced else a) == bound:
+    reduced = a.shape[0] != a.shape[1] and _fits(short, short.shape[1], 53)
+    if _rank_mod_p(integer_product(short) if reduced else short.T) == bound:
         return bound
     return _rank_bareiss(short.tolist())
 
@@ -398,8 +395,6 @@ def _rank_float(a) -> int:
 
 def rank(m: IntegerGram | FloatGram) -> int:
     """Matrix rank: exact from an IntegerGram's factor, pivoted float for a FloatGram."""
-    if m.n == 0:
-        return 0
     if isinstance(m, IntegerGram):
         return integer_rank(m.factor)
     return _rank_float(m.num)

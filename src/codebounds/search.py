@@ -103,7 +103,7 @@ def _colour_branches(cand, comp):
     pairs sorted by word; colour classes are pairwise at distance < s.  Built one
     class at a time (MCQ's bitset colouring, Tomita and Seki 2003): class k takes,
     in index order, each word left by classes 1..k-1 at distance < s from all it
-    holds.  A colour-sorted branch order only has to drop the final sort."""
+    holds."""
     order, colour = [], 0
     while cand:
         colour, free = colour + 1, cand

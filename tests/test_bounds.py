@@ -10,6 +10,7 @@ from codebounds.bounds import (ASYMPTOTIC, CERTIFIED_EXACT, CERTIFIED_FLOAT,
                                m_upper, ms_upper, plotkin_upper,
                                ramsey_asymptotic, ramsey_lower,
                                ramsey_upper_param, rho_lower)
+from codebounds.bounds import _icbrt
 from codebounds.codes import gram_analyze
 from codebounds.constructions import cross_polytope
 from codebounds.errors import PreconditionViolated
@@ -303,3 +304,31 @@ def test_heuristic_never_beats_rho_lower():
         bound = rho_lower(r, n - 2 * r)
         assert result.value >= bound.value - 1e-6
         assert result.value >= float(bound.details["certified_lower"]) - 1e-6
+
+
+def bisected_cbrt(x):
+    """Largest c with c^3 <= x, by bisection below 2^(b/3 + 1), b the bit length of x."""
+    lo, hi = 0, 1 << (x.bit_length() // 3 + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid ** 3 <= x:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def test_icbrt_matches_bisection_below_two_hundred_thousand():
+    for x in range(1, 200_000):
+        assert _icbrt(x) == bisected_cbrt(x), x
+
+
+def test_icbrt_matches_bisection_at_cubes_and_powers_of_two():
+    # Newton's first step that does not fall must start at the root, with no
+    # correction after it: x one below, at and one above a cube or a power of two
+    rng = random.Random(24)
+    cubes = [rng.getrandbits(rng.randint(1, 400)) + 1 for _ in range(1000)]
+    points = [c ** 3 + d for c in cubes for d in (-1, 0, 1)]
+    points += [2 ** k + d for k in range(1, 1201) for d in (-1, 0, 1)]
+    for x in filter(None, points):
+        assert _icbrt(x) == bisected_cbrt(x), x

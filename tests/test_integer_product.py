@@ -361,3 +361,18 @@ def test_min_distance_memory_on_an_alphabet_larger_than_the_code():
     distance, peak = peak_bytes(lambda: min_distance(code))
     assert distance == 3    # random words of 16 symbols from 4096 differ almost everywhere
     assert peak < n * n * 8 / 4
+
+
+@pytest.mark.parametrize("rank", [8, 5])
+def test_a_wide_factor_is_counted_mod_p_in_its_tall_orientation(bareiss_calls, mod_p_shapes, rank):
+    # 8 x 20 with entries near 2^30: above the Bareiss gate, and its Gram could
+    # reach 2^53, so it is counted mod P as it is, transposed to 20 x 8
+    rng = random.Random(rank)
+    left = [[rng.randint(2 ** 14, 2 ** 15) for _ in range(rank)] for _ in range(8)]
+    right = [[rng.randint(2 ** 14, 2 ** 15) for _ in range(20)] for _ in range(rank)]
+    f = np.array([[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left])
+    assert 8 * 20 * 8 > linalg._BAREISS_MAX_WORK and not linalg._fits(f, 20, 53)
+    assert integer_rank(f) == fraction_rank(f.tolist()) == rank
+    assert mod_p_shapes == [(20, 8)]
+    # a shortfall mod P sends the factor to Bareiss on the side with fewer rows
+    assert bareiss_calls == ([] if rank == 8 else [f.tolist()])
