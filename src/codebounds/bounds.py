@@ -117,18 +117,21 @@ def m_upper(r: int, alpha: Scalar) -> BoundReport:
     when no n fails.  With alpha = a/b, failure divided by n is
     P(n) = -A n^2 + B n - C > 0 for A = 27 r a^3, B = 4 b^3 - 58 r a^2 b and
     C = r (8 b^3 + 27 a b^2), so n is the least integer above the smaller
-    root, found with an integer square root and confirmed by the failure
-    test at n and n-1.  Vacuity is proved, never assumed: B <= 0, a
-    discriminant <= 0, or no integer strictly between the roots.  A vacuous
-    report's details["scanned_up_to"] is the point past which no failure can
-    occur: 1 when B <= 0, else ceil(B / 2A), the parabola's vertex rounded up.
+    root, found with an integer square root.  The failure test then runs
+    once at n, where it must fail (for alpha > 0 a pass proves the report
+    vacuous), and once at n-1, where it must not.  Vacuity is proved, never
+    assumed: B <= 0, a discriminant <= 0, or no integer strictly between the
+    roots.  A vacuous report's details["scanned_up_to"] is the point past
+    which no failure can occur: 1 when B <= 0, else ceil(B / 2A), the
+    parabola's vertex rounded up.
     """
     if r < 1:
         raise PreconditionViolated(f"dimension must be >= 1, got {r}")
-    alpha = Fraction(alpha)     # lossless: every binary float is a rational
-    if alpha < 0:
-        raise PreconditionViolated(f"alpha must be >= 0, got {alpha}")
+    if not isinstance(alpha, Fraction):
+        alpha = Fraction(alpha)     # lossless: every binary float is a rational
     a, b = alpha.numerator, alpha.denominator
+    if a < 0:
+        raise PreconditionViolated(f"alpha must be >= 0, got {alpha}")
     inputs = {"r": r, "alpha": alpha}
 
     if a == 0:
@@ -152,7 +155,7 @@ def m_upper(r: int, alpha: Scalar) -> BoundReport:
                                note="no size restriction: the defining inequality "
                                     "holds for every n",
                                details={"scanned_up_to": past})
-    if not _fails(n, r, a, b) or n > 1 and _fails(n - 1, r, a, b):
+    if a == 0 and not _fails(n, r, a, b) or n > 1 and _fails(n - 1, r, a, b):
         raise AssertionError(f"closed form gave n={n}, not the least failing size")
     return BoundReport("m-upper", inputs, n - 1, CERTIFIED_EXACT,
                        note="least failing size minus one",
@@ -162,22 +165,26 @@ def m_upper(r: int, alpha: Scalar) -> BoundReport:
 def aq_upper(q: int, r: int, s: int) -> BoundReport:
     """Bound on q-ary codes via the simplex embedding into dimension (q-1)r.
 
-    A code with distance s embeds as a spherical [-1, qj/((q-1)r)]-code where
-    j = (1-1/q)r - s, so the spherical bound applies with that alpha.
+    A code with distance s embeds as a spherical [-1, alpha]-code in
+    dimension (q-1)r, where j = ((q-1)r - qs)/q = (1-1/q)r - s and
+    alpha = qj/((q-1)r) = ((q-1)r - qs)/((q-1)r), so the spherical bound
+    applies with that alpha.  Both come from the integer qj.
     """
     if q < 2:
         raise PreconditionViolated(f"alphabet size must be >= 2, got {q}")
     if not 1 <= s <= r:
         raise PreconditionViolated(f"need 1 <= s <= r, got s={s}, r={r}")
-    j = Fraction(q - 1, q) * r - s
-    if j < 0:
-        raise PreconditionViolated(f"j = (1-1/q)r - s = {j} < 0; embedding regime does not apply")
-    alpha = Fraction(q * j, (q - 1) * r)
-    inner = m_upper((q - 1) * r, alpha)
+    dimension = (q - 1) * r
+    qj = dimension - q * s
+    if qj < 0:
+        raise PreconditionViolated(f"j = (1-1/q)r - s = {Fraction(qj, q)} < 0; "
+                                   "embedding regime does not apply")
+    alpha = Fraction(qj, dimension)
+    inner = m_upper(dimension, alpha)
     return BoundReport("aq-upper", {"q": q, "r": r, "s": s}, inner.value,
                        inner.status, note=inner.note,
-                       details={"j": j, "alpha": alpha,
-                                "dimension": (q - 1) * r, **inner.details})
+                       details={"j": Fraction(qj, q), "alpha": alpha,
+                                "dimension": dimension, **inner.details})
 
 
 def plotkin_upper(r: int) -> int:

@@ -7,13 +7,14 @@ always computed from its integer rows (see ``codes``).  Integer arrays are
 numpy int64 only while every sum of products they enter stays below 2^63,
 and Python ints otherwise.
 
-Every exact product a a^T is ``integer_product``.  numpy runs int64 products
-without BLAS, so when cols * max|a|^2 < 2^53 it runs on float64 BLAS: every
-product and partial sum is then an integer below 2^53, which float64 holds
-exactly, whatever the order of summation and with or without a fused
-multiply-add.  That assumes a conventional multiply-add BLAS, as numpy's
-bundled OpenBLAS is.  Above the bound, and for products too small to repay
-the conversion (``_FLOAT_MIN_WORK``), it is numpy's int64 or object product.
+Every exact product a a^T but the Gram ``integer_rank`` reduces to (below)
+is ``integer_product``.  numpy runs int64 products without BLAS, so when
+cols * max|a|^2 < 2^53 it runs on float64 BLAS: every product and partial
+sum is then an integer below 2^53, which float64 holds exactly, whatever the
+order of summation and with or without a fused multiply-add.  That assumes
+a conventional multiply-add BLAS, as numpy's bundled OpenBLAS is.  Above the
+bound, and for products too small to repay the conversion
+(``_FLOAT_MIN_WORK``), it is numpy's int64 or object product.
 ``max_off_diagonal`` takes the largest off-diagonal entry of a a^T from
 ``integer_product`` one block of rows at a time.
 
@@ -24,8 +25,8 @@ column with nothing below the pivot skips its update.  A rank mod P never
 exceeds the rank over Q, which never exceeds min(rows, cols), so the modular
 count is returned only when it reaches that minimum; otherwise Bareiss
 decides.  A matrix that is not square is counted mod P through its smaller
-Gram when that Gram's entries stay below 2^53; any other is counted in its
-tall orientation, one step per column.
+Gram, formed on float64 BLAS, when that Gram's entries stay below 2^53; any
+other is counted in its tall orientation, one step per column.
 
 A float Gram is a ``FloatGram``: one float64 array.  Its kernels run in
 numpy but add in the order of a Python loop ``s = 0; for x in row: s += x``
@@ -353,17 +354,19 @@ def integer_rank(a) -> int:
     modular count is exact when it reaches that minimum, and Bareiss
     elimination decides when it does not.  A matrix that is not square is
     counted mod P through its Gram on the shorter side (F^T F or F F^T)
-    when that Gram's entries are below 2^53 (``_fits``): over Q it has the
-    rank of F, so a full count there proves F's rank, and a shortfall sends
-    F itself to Bareiss.  Otherwise the count runs on the orientation with
-    more rows, and Bareiss always on the one with fewer.
+    when that Gram's entries are below 2^53 (``_fits``), which also makes
+    its float64 product exact, so it is formed there whatever its size
+    (``_float_product``).  Over Q the Gram has the rank of F, so a full
+    count there proves F's rank, and a shortfall sends F itself to Bareiss.
+    Otherwise the count runs on the orientation with more rows, and Bareiss
+    always on the one with fewer.
     """
     bound = min(a.shape)
     short = a if a.shape[0] <= a.shape[1] else a.T
     if a.size * bound <= _BAREISS_MAX_WORK:
         return _rank_bareiss(short.tolist())
     reduced = a.shape[0] != a.shape[1] and _fits(short, short.shape[1], 53)
-    if _rank_mod_p(integer_product(short) if reduced else short.T) == bound:
+    if _rank_mod_p(_float_product(short, bound) if reduced else short.T) == bound:
         return bound
     return _rank_bareiss(short.tolist())
 

@@ -332,3 +332,65 @@ def test_icbrt_matches_bisection_at_cubes_and_powers_of_two():
     points += [2 ** k + d for k in range(1, 1201) for d in (-1, 0, 1)]
     for x in filter(None, points):
         assert _icbrt(x) == bisected_cbrt(x), x
+
+
+@pytest.mark.parametrize("alphas", [
+    (0, 0.0, Fraction(0)), (1, 1.0, Fraction(1)), (3, 3.0, Fraction(3)),
+    (0.125, Fraction(1, 8)), (2.0 ** -10, Fraction(1, 1024)), (0.000732421875, Fraction(3, 4096)),
+])
+def test_m_upper_reads_an_int_a_float_and_a_fraction_alike(alphas):
+    for r in (1, 7, 40, 500, 6000):
+        first, *rest = (m_upper(r, alpha).to_dict() for alpha in alphas)
+        assert all(d == first for d in rest), (r, alphas)
+
+
+@pytest.mark.parametrize("alpha, shown", [
+    (-1, "-1"), (-0.1, "-3602879701896397/36028797018963968"), (Fraction(-1, 10), "-1/10"),
+    (-2.0, "-2"), (Fraction(-3), "-3"),
+])
+def test_m_upper_rejects_a_negative_alpha_of_each_type(alpha, shown):
+    with pytest.raises(PreconditionViolated) as info:
+        m_upper(4, alpha)
+    assert str(info.value) == f"alpha must be >= 0, got {shown}"
+
+
+def _aq_by_hand(q, r, s):
+    """aq_upper's (value, status, details) in Fractions: j = (1-1/q)r - s and
+    alpha = qj/((q-1)r), then the defining inequality of m_upper in dimension
+    (q-1)r scanned from n = 1 up to 2(q-1)r + 2 at alpha 0, else up to the
+    failure parabola's vertex rounded up (at least 1)."""
+    d = (q - 1) * r
+    j = Fraction(q - 1, q) * r - s
+    alpha = q * j / d
+
+    def holds(n):
+        t = alpha * n
+        return n * n <= d * (2 * n + t * t + Fraction(27, 4) * (1 + t) ** 2 * t)
+
+    if alpha == 0:
+        top = 2 * d + 2
+    else:
+        top = max(1, math.ceil((1 - Fraction(29, 2) * d * alpha ** 2)
+                               / (Fraction(27, 2) * d * alpha ** 3)))
+    first = next((n for n in range(1, top + 1) if not holds(n)), None)
+    details = {"j": j, "alpha": alpha, "dimension": d}
+    if first is None:
+        return math.inf, VACUOUS, {**details, "scanned_up_to": top}
+    return first - 1, CERTIFIED_EXACT, {**details, "first_failure": first}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_aq_upper_matches_a_fraction_reference(q):
+    for r in range(1, 41):
+        for s in range(1, r + 1):
+            j = Fraction(q - 1, q) * r - s
+            if j < 0:
+                with pytest.raises(PreconditionViolated) as info:
+                    aq_upper(q, r, s)
+                assert str(info.value) == (f"j = (1-1/q)r - s = {j} < 0; "
+                                           "embedding regime does not apply")
+                continue
+            report = aq_upper(q, r, s)
+            got = (report.value, report.status, report.details)
+            assert got == _aq_by_hand(q, r, s), (q, r, s)
+            assert type(report.details["j"]) is type(report.details["alpha"]) is Fraction

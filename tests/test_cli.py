@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -525,3 +526,41 @@ def test_exit_code_follows_the_error_type(monkeypatch, capsys, cls):
     assert code == (2 if issubclass(cls, errors.InvalidCode) else 1)
     assert out == ""
     assert err == f"error: {exc}\n"
+
+
+_CERTIFIED, _VACUOUS, _OUT = "certified-exact", "vacuous", "out-of-domain"
+
+
+@pytest.mark.parametrize("op, names, swept, fixed, expected", [
+    ("m", ("r",), ["--r", "0:14,40,400"], ["--alpha=0"], {_CERTIFIED, _OUT}),
+    ("m", ("r",), ["--r", "0:14,40,400"], ["--alpha=1/100"], {_CERTIFIED, _VACUOUS, _OUT}),
+    ("m", ("r",), ["--r", "0:14,40,400"], ["--alpha=0.05"], {_CERTIFIED, _VACUOUS, _OUT}),
+    ("m", ("r",), ["--r", "1:6"], ["--alpha=-1/10"], {_OUT}),
+    ("aq", ("q", "r", "s"), ["--q", "1:4", "--r", "1:9", "--s", "1:10"], [],
+     {_CERTIFIED, _VACUOUS, _OUT}),
+], ids=["m-alpha-0", "m-alpha-1/100", "m-alpha-0.05", "m-negative-alpha", "aq"])
+def test_bound_grid_rows_match_single_cell_reports(capsys, op, names, swept, fixed, expected):
+    # a vacuous report is an empty value cell, and an out-of-domain cell's
+    # error line is the single run's, prefixed with the cell
+    code, out, err = run(capsys, "bound", op, "--grid", *swept, *fixed)
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == [*names, "value", "status"]
+    error_lines = iter(err.splitlines())
+    statuses = set()
+    for *cell, value, status in rows[1:]:
+        args = [x for name, v in zip(names, cell) for x in (f"--{name}", v)]
+        single_code, single_out, single_err = run(capsys, "bound", op, *args, *fixed)
+        statuses.add(status)
+        if status == _OUT:
+            assert (single_code, single_out, value) == (1, "", "")
+            label = " ".join(f"{name}={v}" for name, v in zip(names, cell))
+            assert single_err.startswith("error: ") and single_err.endswith("\n")
+            assert next(error_lines) == f"error: {label}: {single_err[7:-1]}"
+        else:
+            report = json.loads(single_out)
+            assert (single_code, single_err) == (0, "")
+            assert value == ("" if report["value"] is None else str(report["value"]))
+            assert status == report["status"]
+    assert next(error_lines, None) is None
+    assert statuses == expected
+    assert code == (1 if _OUT in statuses else 0)
