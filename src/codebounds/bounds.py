@@ -23,7 +23,9 @@ VACUOUS = "vacuous"
 ASYMPTOTIC = "asymptotic-headline"
 
 
-@dataclass(frozen=True)
+# slots=True, not frozen: a --grid sweep builds one report per cell, and a
+# frozen __init__ cost about three times as much (tests/test_records.py)
+@dataclass(slots=True)
 class BoundReport:
     """One bound evaluation: value, certification status, and provenance.
 
@@ -103,9 +105,8 @@ def rho_lower(r: int, k: int) -> BoundReport:
 def _fails(n: int, r: int, a: int, b: int) -> bool:
     """Integerized failure test at size n, alpha = a/b:
     4 n^2 b^3 > r (8 n b^3 + 4 n^2 a^2 b + 27 (b + a n)^2 a n)."""
-    b3 = b ** 3
-    return 4 * n * n * b3 > r * (8 * n * b3 + 4 * n * n * a * a * b
-                                 + 27 * (b + a * n) ** 2 * a * n)
+    b3, t = b * b * b, b + a * n
+    return 4 * n * n * b3 > r * (8 * n * b3 + 4 * n * n * a * a * b + 27 * t * t * a * n)
 
 
 def m_upper(r: int, alpha: Scalar) -> BoundReport:
@@ -137,9 +138,10 @@ def m_upper(r: int, alpha: Scalar) -> BoundReport:
     if a == 0:
         n = 2 * r + 1                    # P(n) = 4n - 8r
     else:
-        big_a = 27 * r * a ** 3
-        big_b = 4 * b ** 3 - 58 * r * a * a * b
-        big_c = r * (8 * b ** 3 + 27 * a * b * b)
+        b3 = b * b * b
+        big_a = 27 * r * a * a * a
+        big_b = 4 * b3 - 58 * r * a * a * b
+        big_c = r * (8 * b3 + 27 * a * b * b)
         disc = big_b * big_b - 4 * big_a * big_c
         n = None
         if big_b > 0 and disc > 0:

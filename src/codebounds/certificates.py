@@ -1,7 +1,7 @@
 """Machine-checkable inequality transcripts.
 
 A certificate is a list of links, one per inequality in a chain.  Each link
-freezes both sides, the slack, the arithmetic mode that produced the numbers,
+records both sides, the slack, the arithmetic mode that produced the numbers,
 and the verdict under the fixed float policy of ``scalars`` (exact
 comparison in exact mode).
 """
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from .scalars import Scalar, format_scalar, join_modes, mode_of, slack_ok
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Link:
     name: str
     lhs: Scalar
@@ -38,7 +38,7 @@ def make_link(name: str, lhs: Scalar, rhs: Scalar) -> Link:
     return Link(name, lhs, rhs, slack, mode, slack_ok(slack, mode))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Certificate:
     name: str
     links: tuple

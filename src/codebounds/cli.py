@@ -32,8 +32,8 @@ from .codes import (certify_chain, gram_analyze, min_distance,
 from .constructions import (cross_polytope, embed_qary, hadamard_code,
                             simplex_vectors, sylvester_hadamard)
 from .errors import CodeBoundsError, FileFormatError, InvalidCode
-from .fileio import (certificate_json, parse_qary, parse_spherical, report_json,
-                     serialize_qary, serialize_spherical, sha256_hex)
+from .fileio import (parse_qary, parse_spherical, record_json, serialize_qary,
+                     serialize_spherical, sha256_hex)
 from .linalg import verify_trace_rank
 from .scalars import format_scalar, parse_scalar
 from .search import exact_max_code, greedy_lexicode, heuristic_rho
@@ -136,27 +136,26 @@ _QRS = (("q", int), ("r", int), ("s", int))
 _NODE_LIMIT = ("node-limit", int, 10_000_000)
 
 # Each bound op: the parameters --grid sweeps, in CSV column order (an op with
-# none has no --grid); its BoundReport for the namespace and one combination p
-# of them; and its unswept arguments as (name, type[, default]), which its
-# parser adds after --grid.
+# none has no --grid); its BoundReport for the namespace and one value of each
+# of them, in that order; and its unswept arguments as (name, type[, default]),
+# which its parser adds after --grid.
 _BOUNDS = {
-    "rho": (("r", "k"), lambda ns, p: rho_lower(p["r"], p["k"])),
-    "m": (("r",), lambda ns, p: m_upper(p["r"], ns.alpha), ("alpha", _scalar_arg)),
-    "aq": (("q", "r", "s"), lambda ns, p: aq_upper(p["q"], p["r"], p["s"])),
-    "plotkin": (("r",), lambda ns, p: BoundReport(
-        "plotkin-upper", p, plotkin_upper(p["r"]), CERTIFIED_EXACT,
+    "rho": (("r", "k"), lambda ns, r, k: rho_lower(r, k)),
+    "m": (("r",), lambda ns, r: m_upper(r, ns.alpha), ("alpha", _scalar_arg)),
+    "aq": (("q", "r", "s"), lambda ns, q, r, s: aq_upper(q, r, s)),
+    "plotkin": (("r",), lambda ns, r: BoundReport(
+        "plotkin-upper", {"r": r}, plotkin_upper(r), CERTIFIED_EXACT,
         note="binary half-distance bound")),
-    "ms": (("q", "r"), lambda ns, p: BoundReport(
-        "ms-upper", p, ms_upper(p["q"], p["r"]), CERTIFIED_EXACT,
+    "ms": (("q", "r"), lambda ns, q, r: BoundReport(
+        "ms-upper", {"q": q, "r": r}, ms_upper(q, r), CERTIFIED_EXACT,
         note="q-ary bound at distance (1-1/q)r")),
-    "ramsey-asymptotic": (("q", "r", "j"),
-                          lambda ns, p: ramsey_asymptotic(p["q"], p["r"], p["j"])),
-    "bq": (("q",), lambda ns, p: bq_window_report(p["q"])),
-    "ramsey-lower": ((), lambda ns, p: BoundReport(
+    "ramsey-asymptotic": (("q", "r", "j"), lambda ns, q, r, j: ramsey_asymptotic(q, r, j)),
+    "bq": (("q",), lambda ns, q: bq_window_report(q)),
+    "ramsey-lower": ((), lambda ns: BoundReport(
         "ramsey-lower", {"q": ns.q, "r": ns.r, "s": ns.s, "a_value": ns.a_value},
         ramsey_lower(ns.q, ns.r, ns.s, ns.a_value), CERTIFIED_EXACT,
         note="code size plus one"), *_QRS, ("a-value", int)),
-    "ramsey-upper": ((), lambda ns, p: ramsey_upper_param(
+    "ramsey-upper": ((), lambda ns: ramsey_upper_param(
         ns.q, ns.r, ns.s, ns.eps, ns.c,
         lambda r, s: exact_max_code(ns.q, r, s, node_limit=ns.node_limit).value),
         *_QRS, ("eps", _scalar_arg), ("c", _scalar_arg), _NODE_LIMIT),
@@ -167,33 +166,33 @@ def cmd_bound(ns, run: _Run) -> int:
     names, report_of, *_ = _BOUNDS[ns.op]
     value_lists = [getattr(ns, name) for name in names]
     if not (names and ns.grid):
-        p = {name: _single(vals, name) for vals, name in zip(value_lists, names)}
-        print(report_json(report_of(ns, p)))
+        print(record_json(report_of(ns, *map(_single, value_lists, names))))
         return 0
 
     # a cell outside its bound's domain gets a row and an error line, and the
-    # sweep goes on; the exit code reports it once every row is out
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(list(names) + ["value", "status"])
+    # sweep goes on; the exit code reports it once every row is out.  One
+    # writerow per cell: a closed stdout stops the sweep at that cell, and each
+    # error line follows the rows before it
+    writerow, inf = csv.writer(sys.stdout, lineterminator="\n").writerow, math.inf
+    writerow((*names, "value", "status"))
     failed = False
     for combo in itertools.product(*value_lists):
-        p = dict(zip(names, combo))
         try:
-            report = report_of(ns, p)
+            report = report_of(ns, *combo)
         except CodeBoundsError as exc:
-            cell = " ".join(f"{k}={v}" for k, v in p.items())
+            cell = " ".join(f"{k}={v}" for k, v in zip(names, combo))
             print(f"error: {cell}: {exc}", file=sys.stderr)
-            writer.writerow(list(combo) + ["", "out-of-domain"])
+            writerow((*combo, "", "out-of-domain"))
             failed = True
             continue
         value = report.value
-        if value == math.inf:
+        if value == inf:
             value = ""
         elif isinstance(value, tuple):
-            value = " ".join(str(v) for v in value)
+            value = " ".join(map(str, value))
         else:
             value = format_scalar(value)
-        writer.writerow(list(combo) + [value, report.status])
+        writerow((*combo, value, report.status))
     return 1 if failed else 0
 
 
@@ -231,7 +230,7 @@ _VERIFY = {
 
 def cmd_verify(ns, run: _Run) -> int:
     cert = _VERIFY[ns.kind](ns, run.read_input(ns.infile))
-    print(certificate_json(cert))
+    print(record_json(cert))
     return 0 if cert.verdict else 1
 
 

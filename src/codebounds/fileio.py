@@ -126,12 +126,9 @@ def serialize_qary(code: QaryCode) -> str:
     return "\n".join(out) + "\n"
 
 
-def certificate_json(cert) -> str:
-    return json.dumps(cert.to_dict(), indent=2, sort_keys=False)
-
-
-def report_json(report) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=False)
+def record_json(record) -> str:
+    """A BoundReport's or Certificate's to_dict(), as indented JSON."""
+    return json.dumps(record.to_dict(), indent=2, sort_keys=False)
 
 
 def sha256_hex(text: str) -> str:

@@ -32,7 +32,7 @@ GATHER_MIN_N = 44
 GATHER_BLOCK = 8192
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SearchResult:
     """Outcome of one search: optimum size or achieved alpha, plus the witness."""
 

@@ -535,10 +535,15 @@ _CERTIFIED, _VACUOUS, _OUT = "certified-exact", "vacuous", "out-of-domain"
     ("m", ("r",), ["--r", "0:14,40,400"], ["--alpha=0"], {_CERTIFIED, _OUT}),
     ("m", ("r",), ["--r", "0:14,40,400"], ["--alpha=1/100"], {_CERTIFIED, _VACUOUS, _OUT}),
     ("m", ("r",), ["--r", "0:14,40,400"], ["--alpha=0.05"], {_CERTIFIED, _VACUOUS, _OUT}),
+    ("m", ("r",), ["--r", "1:40"], ["--alpha=1/1000"], {_CERTIFIED}),
+    ("m", ("r",), ["--r", "1:40"], ["--alpha=1/8"], {_CERTIFIED, _VACUOUS}),
     ("m", ("r",), ["--r", "1:6"], ["--alpha=-1/10"], {_OUT}),
     ("aq", ("q", "r", "s"), ["--q", "1:4", "--r", "1:9", "--s", "1:10"], [],
      {_CERTIFIED, _VACUOUS, _OUT}),
-], ids=["m-alpha-0", "m-alpha-1/100", "m-alpha-0.05", "m-negative-alpha", "aq"])
+    ("aq", ("q", "r", "s"), ["--q", "2,5", "--r", "10:12", "--s", "4:9"], [],
+     {_CERTIFIED, _VACUOUS, _OUT}),
+], ids=["m-alpha-0", "m-alpha-1/100", "m-alpha-0.05", "m-alpha-1/1000", "m-alpha-1/8",
+        "m-negative-alpha", "aq", "aq-q-5"])
 def test_bound_grid_rows_match_single_cell_reports(capsys, op, names, swept, fixed, expected):
     # a vacuous report is an empty value cell, and an out-of-domain cell's
     # error line is the single run's, prefixed with the cell

@@ -11,7 +11,7 @@ from codebounds.constructions import (HadamardMatrix, cross_polytope,
                                       pm_one_embedding, simplex_vectors,
                                       sylvester_hadamard)
 from codebounds.errors import CodeBoundsError, PreconditionViolated
-from codebounds.fileio import (certificate_json, parse_spherical,
+from codebounds.fileio import (parse_spherical, record_json,
                                serialize_spherical, sha256_hex)
 from codebounds.linalg import rank
 from codebounds.codes import verify_spherical_code
@@ -315,7 +315,7 @@ def test_embedding_outputs_are_byte_stable(name):
     vset = embedded.unit_vectors()
     text = "\n".join([serialize_spherical(vset), format_scalar(embedded.alpha()),
                       repr(embedded.max_coordinate_deviation()),
-                      certificate_json(certify_chain(vset))])
+                      record_json(certify_chain(vset))])
     assert sha256_hex(text) == EMBEDDING_DIGESTS[name]
 
 
@@ -326,4 +326,4 @@ def test_code_image_chain_matches_the_rational_file_chain(t):
     vset = embed_qary(hadamard_code(sylvester_hadamard(t))).unit_vectors()
     parsed = parse_spherical(serialize_spherical(vset), exact=True)
     assert parsed.mode() == "exact"
-    assert certificate_json(certify_chain(vset)) == certificate_json(certify_chain(parsed))
+    assert record_json(certify_chain(vset)) == record_json(certify_chain(parsed))

@@ -17,7 +17,7 @@ from codebounds.codes import (QaryCode, UnitVectorSet, certify_chain, code_image
                               verify_lemma_gamma, verify_spherical_code)
 from codebounds.constructions import embed_qary
 from codebounds.errors import NonUnitVector, PreconditionViolated
-from codebounds.fileio import certificate_json, serialize_spherical
+from codebounds.fileio import record_json, serialize_spherical
 from codebounds.linalg import (P, gram_from_rows, integer_rank, rank,
                                trace_of_square, verify_trace_rank)
 from codebounds.scalars import format_scalar
@@ -223,7 +223,7 @@ def outcome(fn):
         value = fn()
     except (NonUnitVector, PreconditionViolated) as exc:
         return f"{type(exc).__name__}: {exc}"
-    return certificate_json(value) if isinstance(value, Certificate) else value
+    return record_json(value) if isinstance(value, Certificate) else value
 
 
 # -------------------------------------------------------------- the tests
@@ -293,10 +293,10 @@ def test_int64_guard_on_large_denominators(digits):
     assert (analysis.alpha, analysis.gamma) == (alpha, gamma)
     assert 0 <= analysis.alpha < 1
     assert trace_of_square(vset.raw_gram()) == ref_trace_of_square(rows)
-    assert certificate_json(certify_chain(vset)) == certificate_json(ref_chain(rows, 3))
-    assert certificate_json(verify_lemma_beta(analysis)) == \
-        certificate_json(ref_beta(rows, vset.labels))
-    assert certificate_json(verify_lemma_gamma(analysis)) == certificate_json(ref_gamma(rows))
+    assert record_json(certify_chain(vset)) == record_json(ref_chain(rows, 3))
+    assert record_json(verify_lemma_beta(analysis)) == \
+        record_json(ref_beta(rows, vset.labels))
+    assert record_json(verify_lemma_gamma(analysis)) == record_json(ref_gamma(rows))
 
 
 def test_verify_trace_rank_cli_ranks_the_coordinates(tmp_path, capsys, monkeypatch):
@@ -321,5 +321,5 @@ def test_verify_trace_rank_cli_ranks_the_coordinates(tmp_path, capsys, monkeypat
         shapes.clear()
         assert main(["verify", "trace-rank", "--in", str(path)]) == 0
         out, _ = capsys.readouterr()
-        assert out == certificate_json(ref_trace_rank(ref_gram(vectors))) + "\n"
+        assert out == record_json(ref_trace_rank(ref_gram(vectors))) + "\n"
         assert shapes == [(n, d)]
