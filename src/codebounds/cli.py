@@ -247,8 +247,8 @@ _ORDER = (("order", int),)
 _CONSTRUCT = {
     "simplex": ((("q", int),), lambda ns: serialize_spherical(simplex_vectors(ns.q))),
     "crosspolytope": ((("r", int),), lambda ns: serialize_spherical(cross_polytope(ns.r))),
-    "hadamard": (_ORDER, lambda ns: f"# hadamard order {ns.order}\n" + "\n".join(
-        " ".join(map(str, row)) for row in _sylvester(ns.order).rows) + "\n"),
+    "hadamard": (_ORDER, lambda ns: "\n".join([f"# hadamard order {ns.order}", *(
+        " ".join(map(str, row)) for row in _sylvester(ns.order).rows), ""])),
     "hadamard-code": (_ORDER, lambda ns: serialize_qary(hadamard_code(_sylvester(ns.order)))),
 }
 
@@ -262,8 +262,8 @@ def cmd_construct(ns, run: _Run) -> int:
 def cmd_embed(ns, run: _Run) -> int:
     code = parse_qary(run.read_input(ns.infile))
     embedded = embed_qary(code)
-    body = serialize_spherical(embedded.unit_vectors())
-    _emit(ns.out, body, run)
+    # the text is dropped once written, before the summary's own work
+    _emit(ns.out, serialize_spherical(embedded.unit_vectors()), run)
     summary = {"dimension": embedded.dimension, "n": len(code),
                "alpha": format_scalar(embedded.alpha()),
                "max_coordinate_deviation": embedded.max_coordinate_deviation()}

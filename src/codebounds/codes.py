@@ -316,12 +316,6 @@ def verify_spherical_code(vset: UnitVectorSet, alpha_claim: Scalar) -> Certifica
                                         "alpha_claim": format_scalar(alpha_claim)})
 
 
-def _negative_energy(analysis: GramAnalysis) -> tuple:
-    """Per vertex, the sum of its squared negative inner products."""
-    num = analysis.gram.num
-    return negative_sums(analysis.gram, num * num, 2)
-
-
 def _require_alpha_in_range(alpha):
     if alpha < 0 or alpha >= 1:
         raise PreconditionViolated(f"maximum inner product {alpha!r} outside [0, 1)")
@@ -332,7 +326,9 @@ def verify_lemma_beta(analysis: GramAnalysis) -> Certificate:
     _require_alpha_in_range(analysis.alpha)
     alpha = analysis.alpha
     links = []
-    for u, lhs in enumerate(_negative_energy(analysis)):
+    num = analysis.gram.num
+    # per vertex, the sum of its squared negative inner products
+    for u, lhs in enumerate(negative_sums(analysis.gram, num * num, 2)):
         g = analysis.gamma[u]
         links.append(make_link(f"negative-edge energy at vertex {analysis.labels[u]}",
                                lhs, 1 + alpha * g * g))

@@ -22,9 +22,9 @@ from .linalg import integer_product
 # to 1.1 s for the checked matrix and 1.8 to 2.5 s with its code (order 1024:
 # 0.2 s, 0.4 to 0.5 s), and each doubling multiplies the time by four to six.
 # Peak memory (ru_maxrss of a child process) at order 2048: 201 MB for
-# `construct hadamard-code`, 1.27 GB for `embed` of that code, and 941 MB for
+# `construct hadamard-code`, 1.09 GB for `embed` of that code, and 941 MB for
 # the exact chain in one process (build, embed_qary, certify_chain); at order
-# 1024: 78 MB, 321 MB and 260 MB
+# 1024: 78 MB, 300 MB and 260 MB
 MAX_HADAMARD_ORDER = 2048
 
 

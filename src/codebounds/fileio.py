@@ -77,7 +77,8 @@ def serialize_spherical(vset: UnitVectorSet) -> str:
                 s = format_scalar(x)
             row.append(s)
         out.append(" ".join(row))
-    return "\n".join(out) + "\n"
+    out.append("")      # the final newline, without a second copy of the text
+    return "\n".join(out)
 
 
 def parse_qary(text: str) -> QaryCode:
@@ -123,7 +124,8 @@ def serialize_qary(code: QaryCode) -> str:
     out = [f"qary {code.q} {code.r}"]
     for w in code.words:
         out.append(" ".join(map(names.__getitem__, w)))
-    return "\n".join(out) + "\n"
+    out.append("")
+    return "\n".join(out)
 
 
 def record_json(record) -> str:

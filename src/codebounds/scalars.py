@@ -16,8 +16,8 @@ Scalar = Union[int, Fraction, float]
 EXACT = "exact"
 FLOAT = "float"
 
-# groups: sign, then whole and fraction digits, or numerator and denominator
-_SCALAR_RE = re.compile(r"([+-]?)(?:(\d+)(?:\.(\d+))?|(\d+)/(\d+))")
+# groups: sign, then a ratio's numerator and denominator
+_SCALAR_RE = re.compile(r"([+-]?)(?:\d+(?:\.\d+)?|(\d+)/(\d+))")
 
 
 def mode_of(x: Scalar) -> str:
@@ -39,7 +39,7 @@ def parse_scalar(token: str, exact: bool = True) -> Scalar:
     match = _SCALAR_RE.fullmatch(token)
     if not match:
         raise ValueError(f"not a scalar token: {token!r}")
-    sign, whole, frac, num, den = match.groups()
+    sign, num, den = match.groups()
     if den is not None:
         den = int(den)
         if den == 0:
@@ -48,14 +48,9 @@ def parse_scalar(token: str, exact: bool = True) -> Scalar:
         return value if exact else float(value)
     if not exact:
         return float(token)
-    # built from the matched digits as Fraction(token) builds it, without a second parse
-    value = int(whole)
-    if frac is not None:
-        scale = 10 ** len(frac)
-        value = Fraction(value * scale + int(frac), scale)
-        if value.denominator == 1:
-            value = value.numerator
-    return -value if sign == "-" else value
+    # the grammar is checked above; Fraction reads the decimal exactly
+    value = Fraction(token)
+    return value.numerator if value.denominator == 1 else value
 
 
 def format_scalar(x: Scalar) -> str:

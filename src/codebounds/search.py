@@ -183,14 +183,12 @@ def heuristic_rho(r: int, n: int, iterations: int = 2000, seed: int = 0) -> Sear
 
     Once tau < 2/746 a scaled weight (w - max)/tau can fall below -746, and
     np.exp rounds every such input to 0.0 (e^-746 is below 2^-1075, half the
-    least subnormal), slowly.  So from n = GATHER_MIN_N on, the weights are
-    taken GATHER_BLOCK at a time, and in a block where at most three quarters
-    of the entries are at or above -746, np.exp runs on those entries only and
-    every other entry (the -inf diagonal included) is set to the 0.0 np.exp
-    would give: the bits stay the same.  The size gate keeps the gather off
-    where its extra calls cost more than they save, the survivor gate where
-    nearly every entry survives, and the blocks keep the gather's index and
-    value temporaries at 48 KB each.
+    least subnormal), slowly.  So from n = GATHER_MIN_N on and below that tau,
+    the weights are taken GATHER_BLOCK at a time: np.exp runs on a block's
+    entries at or above -746 only, and every other entry (the -inf diagonal
+    included) is set to the 0.0 np.exp would give, so the bits stay the same.
+    The size gate keeps the gather off where its extra calls cost more than
+    they save, and the blocks keep its index and value temporaries at 48 KB each.
     Raises PreconditionViolated for n < 2, r < 1, iterations < 0, seed < 0
     or n^2 + 3nr > MAX_RHO_FLOATS.
     """
@@ -216,36 +214,36 @@ def heuristic_rho(r: int, n: int, iterations: int = 2000, seed: int = 0) -> Sear
     # (syrk for v v^T, gemm or gemv for w v), with less overhead per call
     dot, multiply, divide, subtract = np.dot, np.multiply, np.divide, np.subtract
     exp, sqrt, add_reduce, max_reduce = np.exp, np.sqrt, np.add.reduce, np.maximum.reduce
-    greater_equal, count_nonzero, flatnonzero = np.greater_equal, np.count_nonzero, np.flatnonzero
+    greater_equal, flatnonzero = np.greater_equal, np.flatnonzero
     # (w - max)/tau >= -2/tau, so only below this tau can an entry reach EXP_ZERO_BELOW
     gather_below = 2 / -EXP_ZERO_BELOW if n >= GATHER_MIN_N else 0.0
     if gather_below:
         survivors = np.empty(min(n * n, GATHER_BLOCK), dtype=bool)
         parts = [flat_w[lo:lo + GATHER_BLOCK] for lo in range(0, n * n, GATHER_BLOCK)]
-        # a block is gathered only while at most three quarters of it survive
-        blocks = [(part, survivors[:part.size], 3 * part.size // 4) for part in parts]
+        blocks = [(part, survivors[:part.size]) for part in parts]
 
-    # v /= np.linalg.norm(v, axis=1, keepdims=True), here and at the end of each step
-    multiply(v, v, tmp)
-    add_reduce(tmp, 1, None, col, True)
-    sqrt(col, col)
-    divide(v, col, v)
     step = 0.5
     previous_max = math.inf
-    for i in range(iterations):
-        tau = max(0.97 ** i, 1e-9)
+    # pass i renormalises the start (i = 0) or step i's result and reads its
+    # maximum; the last pass reports it
+    for i in range(iterations + 1):
+        # v /= np.linalg.norm(v, axis=1, keepdims=True)
+        multiply(v, v, tmp)
+        add_reduce(tmp, 1, None, col, True)
+        sqrt(col, col)
+        divide(v, col, v)
         # the largest off-diagonal inner product; the diagonal is left at -inf
         dot(v, vt, w)
         fill_diagonal(-math.inf)
         current_max = float(max_reduce(w, None))
+        if i == iterations:
+            break
+        tau = max(0.97 ** i, 1e-9)
         subtract(w, current_max, w)
         divide(w, tau, w)
         if tau < gather_below:
-            for part, part_survivors, max_survivors in blocks:
+            for part, part_survivors in blocks:
                 greater_equal(part, EXP_ZERO_BELOW, part_survivors)
-                if count_nonzero(part_survivors) > max_survivors:
-                    exp(part, part)
-                    continue
                 keep = flatnonzero(part_survivors)
                 kept = part[keep]
                 exp(kept, kept)
@@ -270,12 +268,5 @@ def heuristic_rho(r: int, n: int, iterations: int = 2000, seed: int = 0) -> Sear
             multiply(grad, step, grad)
             divide(grad, norm, grad)
             subtract(v, grad, v)
-        multiply(v, v, tmp)
-        add_reduce(tmp, 1, None, col, True)
-        sqrt(col, col)
-        divide(v, col, v)
-    dot(v, vt, w)
-    fill_diagonal(-math.inf)
-    achieved = float(max_reduce(w, None))
     witness = UnitVectorSet(r, tuple(map(tuple, v.tolist())))
-    return SearchResult(achieved, witness, iterations, optimal=None, seed=seed)
+    return SearchResult(current_max, witness, iterations, optimal=None, seed=seed)

@@ -291,9 +291,15 @@ if __name__ == "__main__":
 
     os.environ["COLUMNS"] = "80"
     print("DIGESTS = {")
+    moved = []
     for case, argv in CASES.items():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             digest = transcript_digest(argv, lambda: (out.getvalue(), err.getvalue()))
         print(f'    "{case}": "{digest}",')
+        if DIGESTS.get(case) != digest:
+            moved.append(case)
     print("}")
+    # the cases whose transcript no longer matches its pinned digest
+    for case in moved:
+        print(f"differs: {case}")

@@ -95,7 +95,8 @@ def _digits(rng):
 def _tokens():
     rng = random.Random(20261018)
     tokens = ["0", "-0", "+0", "0.0", "-0.000", "0/7", "-0/7", "+0/7", "007", "-1.000",
-              "2.50", "-0.125", "6/3", "-6/4", "1" * 400, "-" + "9" * 400 + "." + "0" * 400]
+              "2.50", "-0.125", "6/3", "-6/4", "1" * 400, "-" + "9" * 400 + "." + "0" * 400,
+              "-0.0", "+0.0", "+007", "-0012", "+00.500", "-003.000", "-00.01", "+10.0"]
     for _ in range(600):
         sign = rng.choice(("", "+", "-"))
         form = rng.choice(("int", "decimal", "ratio"))
@@ -130,15 +131,28 @@ def _outcome(fn, *args, **kwargs):
         return OverflowError
 
 
-@pytest.mark.parametrize("token, message", [
-    ("1e5", "not a scalar token: '1e5'"),
-    ("1.", "not a scalar token: '1.'"),
-    (".5", "not a scalar token: '.5'"),
-    ("1/0", "zero denominator in '1/0'"),
-    ("+-1", "not a scalar token: '+-1'"),
-])
-def test_parse_error_texts(token, message):
-    for exact in (True, False):
+# Python's text for an int of more digits than it converts (4300 by default)
+_DIGIT_LIMIT = ("Exceeds the limit (4300 digits) for integer string conversion: "
+                "value has {} digits; use sys.set_int_max_str_digits() to increase the limit")
+
+
+_ERROR_TEXTS = [
+    ("1e5", "not a scalar token: '1e5'", (True, False)),
+    ("1.", "not a scalar token: '1.'", (True, False)),
+    (".5", "not a scalar token: '.5'", (True, False)),
+    ("1/0", "zero denominator in '1/0'", (True, False)),
+    ("+-1", "not a scalar token: '+-1'", (True, False)),
+    # float mode rounds these, to inf and to -1.2222222222222223
+    ("1" * 4301, _DIGIT_LIMIT.format(4301), (True,)),
+    ("-1." + "2" * 5000, _DIGIT_LIMIT.format(5000), (True,)),
+]
+
+
+@pytest.mark.parametrize("token, message, modes", _ERROR_TEXTS, ids=[
+    f"{token}-{message}" if len(token) < 10 else f"{len(token)}-char-token"
+    for token, message, _ in _ERROR_TEXTS])
+def test_parse_error_texts(token, message, modes):
+    for exact in modes:
         with pytest.raises(ValueError) as err:
             parse_scalar(token, exact=exact)
         assert str(err.value) == message

@@ -331,9 +331,10 @@ def test_heuristic_never_below_certified_bound():
 # every float the optimizer returns, pinned bit for bit (a BLAS that rounds
 # its matrix products differently would change them, and so would an np.exp
 # that rounds differently or gives anything but 0.0 below EXP_ZERO_BELOW).
-# The last three cases reach the entries np.exp underflows: r=50, n=200 takes
-# the exp gather from iteration 281 on, n = 44 (the size gate) from 246 on and
-# n = 43 never; the last two run past tau's floor at iteration 681.
+# The last three cases reach the entries np.exp underflows: r=50, n=200 and
+# n = 44 (the size gate) take the exp gather from iteration 195 on, where tau
+# first falls below 2/746, and n = 43 never; the last two run past tau's floor
+# at iteration 681.
 RHO_GOLDEN = [
     (1, 2, 300, 0, "f5ff261576f0d848a577abc9ef026d6d739bc00956ad06838403705dcad794c5"),
     (1, 2, 300, 9, "08d9bfea2e57a74e38ff0ed99b2f0b4cd0ddea2dfddc8c7b778553e5c2488649"),
@@ -396,9 +397,14 @@ def test_heuristic_rho_equals_the_fresh_temporaries_loop():
         n, seed = max(n, 2), int(rng.integers(2 ** 31))
         result = heuristic_rho(r, n, iterations=200, seed=seed)
         assert (result.value, result.witness.vectors) == _fresh_temporaries_rho(r, n, 200, seed)
-    for r, n, seed in [(8, 32, 1), (12, 48, 2), (20, 64, 3)]:
-        result = heuristic_rho(r, n, iterations=400, seed=seed)
-        assert (result.value, result.witness.vectors) == _fresh_temporaries_rho(r, n, 400, seed)
+    # iterations 0 to 2, and n from GATHER_MIN_N on past iteration 195, where the
+    # exp gather starts while most entries still survive
+    for r, n, iterations, seed in [(8, 32, 400, 1), (12, 48, 400, 2), (20, 64, 400, 3),
+                                   (3, 5, 0, 4), (3, 5, 1, 5), (4, 9, 2, 6), (12, 44, 0, 7),
+                                   (12, 44, 1, 8), (12, 44, 2, 9), (12, 44, 270, 10)]:
+        result = heuristic_rho(r, n, iterations=iterations, seed=seed)
+        expected = _fresh_temporaries_rho(r, n, iterations, seed)
+        assert (result.value, result.witness.vectors) == expected, (r, n, iterations)
 
 
 def test_exp_underflows_to_zero_below_the_gather_floor():
