@@ -146,11 +146,9 @@ def m_upper(r: int, alpha: Scalar) -> BoundReport:
         n = None
         if big_b > 0 and disc > 0:
             s = math.isqrt(disc)
-            # least integer strictly above the smaller root (B - sqrt(disc)) / 2A
-            if s * s == disc:
-                n = (big_b - s) // (2 * big_a) + 1
-            else:
-                n = -((s - big_b) // (2 * big_a))
+            # least integer strictly above the smaller root (B - sqrt(disc)) / 2A:
+            # for a non-square disc, sqrt(disc) lies strictly between s and s + 1
+            n = (big_b - s - (s * s != disc)) // (2 * big_a) + 1
         if n is None or not _fails(n, r, a, b):
             past = 1 if big_b <= 0 else -(-big_b // (2 * big_a))
             return BoundReport("m-upper", inputs, math.inf, VACUOUS,

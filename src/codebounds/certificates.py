@@ -49,7 +49,7 @@ class Certificate:
     @classmethod
     def from_links(cls, name, links, meta=None):
         links = tuple(links)
-        mode = join_modes(*(link.mode for link in links)) if links else "exact"
+        mode = join_modes(*(link.mode for link in links))
         verdict = all(link.verdict for link in links)
         return cls(name, links, mode, verdict, dict(meta or {}))
 

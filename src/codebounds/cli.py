@@ -43,19 +43,19 @@ FORMAT_VERSIONS = "sphere v1, qary v1, certificate v1, report v1"
 
 @dataclass
 class _Run:
-    """Per-invocation context collected while a command executes; its
-    comment_line is the provenance manifest ending every file the CLI writes."""
+    """Per-invocation context: the parsed namespace and the digests of the
+    inputs read.  Its comment_line, the provenance manifest ending every file
+    the CLI writes, takes its arguments and seed from the namespace."""
 
-    subcommand: str
-    arguments: dict
+    ns: argparse.Namespace
     started: float = field(default_factory=time.monotonic)
     input_digests: dict = field(default_factory=dict)
-    seed: int = None
 
     def comment_line(self) -> str:
-        manifest = {"subcommand": self.subcommand, "arguments": self.arguments,
+        arguments = dict(vars(self.ns))
+        manifest = {"subcommand": arguments.pop("command"), "arguments": arguments,
                     "input_digests": self.input_digests, "version": __version__,
-                    "seed": self.seed,
+                    "seed": arguments.get("seed"),
                     "wall_time_s": round(time.monotonic() - self.started, 6)}
         return "# manifest: " + json.dumps(manifest, sort_keys=True)
 
@@ -133,7 +133,6 @@ def _add_rows(parser, dest, table):
 
 
 _QRS = (("q", int), ("r", int), ("s", int))
-_NODE_LIMIT = ("node-limit", int, 10_000_000)
 
 # Each bound op: the parameters --grid sweeps, in CSV column order (an op with
 # none has no --grid); its BoundReport for the namespace and one value of each
@@ -157,8 +156,8 @@ _BOUNDS = {
         note="code size plus one"), *_QRS, ("a-value", int)),
     "ramsey-upper": ((), lambda ns: ramsey_upper_param(
         ns.q, ns.r, ns.s, ns.eps, ns.c,
-        lambda r, s: exact_max_code(ns.q, r, s, node_limit=ns.node_limit).value),
-        *_QRS, ("eps", _scalar_arg), ("c", _scalar_arg), _NODE_LIMIT),
+        lambda r, s: exact_max_code(ns.q, r, s).value),
+        *_QRS, ("eps", _scalar_arg), ("c", _scalar_arg)),
 }
 
 
@@ -275,7 +274,7 @@ def cmd_embed(ns, run: _Run) -> int:
 # on the namespace; and, from that result, the header entries beyond the mode
 # and its required arguments, with the text of the witness.
 _SEARCH = {
-    "exact": ((*_QRS, _NODE_LIMIT),
+    "exact": ((*_QRS, ("node-limit", int, 10_000_000)),
               lambda ns: exact_max_code(ns.q, ns.r, ns.s, node_limit=ns.node_limit),
               lambda res: ({"size": res.value, "nodes": res.nodes, "optimal": res.optimal},
                            serialize_qary(res.witness))),
@@ -366,11 +365,7 @@ def main(argv=None) -> int:
         ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    def plain(v):
-        return v if isinstance(v, (bool, int, float, str, list, type(None))) else str(v)
-
-    run = _Run(ns.command, {k: plain(v) for k, v in sorted(vars(ns).items())
-                            if k != "command"}, seed=getattr(ns, "seed", None))
+    run = _Run(ns)
     try:
         code = _DISPATCH[ns.command](ns, run)
         sys.stdout.flush()

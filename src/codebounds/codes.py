@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from operator import truediv
 
 import numpy as np
 
@@ -242,7 +243,7 @@ def code_image(code: QaryCode, labels: tuple = ()) -> UnitVectorSet:
     if not labels:
         names = {s: str(s) for s in set().union(*code.words)}
         labels = tuple("".join(map(names.__getitem__, w)) for w in code.words)
-    image = UnitVectorSet(dimension, tuple(map(tuple, coords.tolist())), labels)
+    image = UnitVectorSet(dimension, coords.tolist(), labels)
     c = (words[:, :, None] == np.arange(q)) * q - 1
     # float coordinates leave the set without an exact form: it is the code's
     object.__setattr__(image, "_exact", (c.reshape(n, q * r), q * (q - 1) * r,
@@ -367,11 +368,7 @@ def certify_chain(vset: UnitVectorSet) -> Certificate:
     alpha = analysis.alpha
     t = alpha * n
     tsq = trace_of_square(gram)
-    exact = gram.mode() == EXACT
-
-    def ratio(num, den):
-        return Fraction(num, den) if exact else num / den
-
+    ratio = Fraction if gram.mode() == EXACT else truediv
     c274 = Fraction(27, 4)
     alpha_terms = t * t + c274 * (1 + t) * (1 + t) * t
     envelope = c274 * ((1 + t) ** 3 - 1)

@@ -58,7 +58,7 @@ def sylvester_hadamard(t: int) -> HadamardMatrix:
     h = np.array([[1]], dtype=np.int64)
     for _ in range(t):
         h = np.block([[h, h], [h, -h]])
-    return HadamardMatrix(1 << t, tuple(map(tuple, h.tolist())))
+    return HadamardMatrix(1 << t, h.tolist())
 
 
 def hadamard_code(h: HadamardMatrix) -> QaryCode:
@@ -135,7 +135,8 @@ class EmbeddedCode:
         # correctly rounded entry
         g = self.image.raw_gram()
         dev -= g.num / g.den
-        return float(np.triu(np.abs(dev, out=dev)).max(initial=0.0))
+        # m @ m.T runs as syrk, so dev is exactly symmetric
+        return float(np.abs(dev, out=dev).max(initial=0.0))
 
 
 def embed_qary(code: QaryCode) -> EmbeddedCode:

@@ -69,9 +69,7 @@ def format_scalar(x: Scalar) -> str:
             s = format(Decimal(s), "f")
         return s
     if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+        return str(x)
     raise TypeError(f"not a scalar: {x!r}")
 
 
@@ -82,9 +80,7 @@ ABS_EPS = 1e-12
 
 def slack_ok(slack: Scalar, mode: str) -> bool:
     """Accept an inequality's slack: >= 0 exactly, or >= -ABS_EPS in float mode."""
-    if mode == EXACT:
-        return slack >= 0
-    return slack >= -ABS_EPS
+    return slack >= (0 if mode == EXACT else -ABS_EPS)
 
 
 def unit_norm_ok(norm_sq: float) -> bool:

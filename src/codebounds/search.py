@@ -121,15 +121,16 @@ def exact_max_code(q: int, r: int, s: int, node_limit: int = 10_000_000) -> Sear
     """Maximum size of a q-ary code with block length r and distance >= s.
 
     The all-zero word is pinned (symbol permutations per coordinate preserve
-    distances and act transitively, so some maximum code contains it).  Raises
+    distances and act transitively, so some maximum code contains it).  The
+    incumbent is kept as word ids, the lexicode's first, and the witness words
+    are written from them at the end, most significant digit first.  Raises
     NodeLimitExceeded carrying the best witness when the budget runs out.
     """
     if node_limit < 0:
         raise PreconditionViolated(f"need node_limit >= 0, got {node_limit}")
     digits = _word_table(q, r, s)
     comp = _compatibility_masks(digits, q, s)
-    kept = _lexicode(comp)
-    best_size, best_words = len(kept), digits[kept, ::-1].tolist()
+    best = _lexicode(comp)
     # path holds the chosen words, and frames, for each ancestor of the
     # current node, its live candidates and untried (colour, word) branches
     path, frames = [0], []
@@ -138,13 +139,12 @@ def exact_max_code(q: int, r: int, s: int, node_limit: int = 10_000_000) -> Sear
         nodes += 1
         if nodes > node_limit:
             break
-        if len(path) > best_size:
-            best_size = len(path)
-            best_words = digits[path].tolist()
+        if len(path) > len(best):
+            best = path.copy()
         live, branches = cand, _colour_branches(cand, comp)
         # the first colour that cannot beat the incumbent ends the node;
         # the search resumes at the deepest node with a branch left
-        while not branches or len(path) + branches[-1][0] <= best_size:
+        while not branches or len(path) + branches[-1][0] <= len(best):
             path.pop()
             if not frames:
                 break
@@ -156,7 +156,8 @@ def exact_max_code(q: int, r: int, s: int, node_limit: int = 10_000_000) -> Sear
             cand = live & comp[v]
             path.append(v)
     optimal = nodes <= node_limit
-    result = SearchResult(best_size, QaryCode(q, r, best_words), nodes, optimal=optimal)
+    witness = QaryCode(q, r, digits[best, ::-1].tolist())
+    result = SearchResult(len(best), witness, nodes, optimal=optimal)
     if not optimal:
         raise NodeLimitExceeded(result)
     return result
@@ -268,5 +269,5 @@ def heuristic_rho(r: int, n: int, iterations: int = 2000, seed: int = 0) -> Sear
             multiply(grad, step, grad)
             divide(grad, norm, grad)
             subtract(v, grad, v)
-    witness = UnitVectorSet(r, tuple(map(tuple, v.tolist())))
+    witness = UnitVectorSet(r, v.tolist())
     return SearchResult(current_max, witness, iterations, optimal=None, seed=seed)

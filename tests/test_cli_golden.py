@@ -175,7 +175,7 @@ DIGESTS = {
     "help:bound ramsey-asymptotic": "e4f1dea805cf06a7b1751d7086c1df8d02792a229b6a1d9fe19fd9da792ec996",
     "help:bound bq": "975d166f543cdc2c69e0d94ec8847fbe3d4f82d71a60f42754bc223a341e304a",
     "help:bound ramsey-lower": "c5b84bccd10d7377483c867d9b647f7bdc52774c0e454323a26508209ade579d",
-    "help:bound ramsey-upper": "be86c22d4a756b9cf8289e977479fd9f7471def9a29f8cff0c62c7c83a1000c2",
+    "help:bound ramsey-upper": "c238bb120fdbec91d69bb3c1c4d0af31cd761d813125c2e99c1a38315cb92225",
     "help:verify": "c33ad3dbaf43af753ed54b67c12f58d1c40ef4c71115e145936c4164c7ca23a2",
     "help:construct": "32ab811540c995b4541d2abfa753532884e3839f633ff10620d830eb3ee6b58a",
     "help:construct simplex": "2f6a6977237c55a45a5b05fae02ab3806b325d07e9835fd20aaff53542c29c47",

@@ -291,6 +291,35 @@ def seeded_code(seed, q, r, n):
     return QaryCode(q, r, tuple(sorted(words)))
 
 
+def _triangle_deviation(embedded):
+    """The largest entry of the upper triangle, diagonal included, of
+    |m m^T - G|: max_coordinate_deviation as it once read the matrix."""
+    m = embedded.unit_vectors().coords
+    dev = m @ m.T
+    g = embedded.unit_vectors().raw_gram()
+    dev -= g.num / g.den
+    return float(np.triu(np.abs(dev, out=dev)).max(initial=0.0))
+
+
+DEVIATION_CODES = {
+    **{f"hadamard-{1 << t}": (lambda t=t: hadamard_code(sylvester_hadamard(t)))
+       for t in range(1, 10)},
+    **{f"q{q}-r{r}-n{n}": (lambda q=q, r=r, n=n: seeded_code(q, q, r, n))
+       for q, r, n in [(3, 6, 200), (4, 5, 150), (5, 4, 120), (6, 4, 100), (7, 3, 80)]},
+}
+
+
+@pytest.mark.parametrize("name", list(DEVIATION_CODES))
+def test_max_coordinate_deviation_is_the_triangle_maximum_bit_for_bit(name):
+    # m @ m.T is exactly symmetric, so the whole matrix's maximum is the
+    # upper triangle's
+    embedded = embed_qary(DEVIATION_CODES[name]())
+    m = embedded.unit_vectors().coords
+    product = m @ m.T
+    assert np.array_equal(product, product.T)
+    assert embedded.max_coordinate_deviation().hex() == _triangle_deviation(embedded).hex()
+
+
 # sha256 of the serialized embedding, alpha(), max_coordinate_deviation() and
 # the certify_chain JSON; any drift in these outputs changes a digest
 EMBEDDING_DIGESTS = {

@@ -88,6 +88,21 @@ def test_exact_node_counts(q, r, s, size, nodes):
     assert min_distance(result.witness) >= s
 
 
+def test_exact_witness_is_written_most_significant_digit_first():
+    # A3(3,2): the lexicode keeps 7 words and the search finds 9, so the
+    # witness is the search's path, the pinned all-zero word first.  Branches
+    # are taken highest id first, so the ids that follow, read with the first
+    # digit most significant (as greedy_lexicode writes words), descend
+    assert len(greedy_lexicode(3, 3, 2)) == 7
+    result = exact_max_code(3, 3, 2)
+    assert (result.value, result.nodes, result.optimal) == (9, 21, True)
+    assert result.witness.words == ((0, 0, 0), (2, 2, 0), (2, 1, 1), (2, 0, 2), (1, 2, 2),
+                                    (1, 1, 0), (1, 0, 1), (0, 2, 1), (0, 1, 2))
+    ids = [9 * a + 3 * b + c for a, b, c in result.witness.words]
+    assert ids[1:] == sorted(ids[1:], reverse=True)
+    assert min_distance(result.witness) >= 2
+
+
 def test_exact_search_leaves_the_recursion_limit_alone():
     # 2^10 words, more than the limit: the search must neither need a
     # higher limit nor set one for the whole process

@@ -1,0 +1,74 @@
+"""Count the lines of each ``src/codebounds`` module: total, code and docstring.
+
+Code lines are the lines that hold some token other than a comment: blank
+lines, comment-only lines and docstring lines are not code.  A docstring is
+the string that opens a module, class or function body.  Prints one row per
+module, then the totals.
+
+Usage, from the repository root::
+
+    python tools/src_lines.py [REV]
+
+With REV (any git revision) the modules are read from that commit through
+``git show``; without it, from the working tree.  Comparing two revisions'
+totals gives a change's line delta.
+"""
+
+import ast
+import io
+import os
+import subprocess
+import sys
+import tokenize
+from pathlib import Path
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = "src/codebounds"
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def count(source: str) -> tuple:
+    """(total, code, docstring) line counts of one module's source."""
+    docstring = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstring.update(range(first.lineno, first.end_lineno + 1))
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in NOT_CODE:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(source.splitlines()), len(code - docstring), len(docstring)
+
+
+def git(*args) -> str:
+    """git's stdout; exits with git's error message when git fails."""
+    done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+    if done.returncode:
+        sys.exit(done.stderr.strip())
+    return done.stdout
+
+
+def modules(rev=None) -> dict:
+    """Module file name -> source, at REV or in the working tree."""
+    if rev is None:
+        folder = Path(ROOT, PACKAGE)
+        return {p.name: p.read_text(encoding="utf-8") for p in sorted(folder.glob("*.py"))}
+    names = git("ls-tree", "--name-only", f"{rev}:{PACKAGE}").split()
+    return {n: git("show", f"{rev}:{PACKAGE}/{n}") for n in sorted(names) if n.endswith(".py")}
+
+
+def main(argv) -> int:
+    rows = [(name, *count(source)) for name, source in modules(*argv[:1]).items()]
+    rows.append(("total", *(sum(column) for column in zip(*(row[1:] for row in rows)))))
+    print(f"{'module':<18}{'total':>7}{'code':>7}{'doc':>7}")
+    for name, total, code, doc in rows:
+        print(f"{name:<18}{total:>7}{code:>7}{doc:>7}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
