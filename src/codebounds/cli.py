@@ -69,9 +69,16 @@ class _Run:
         return text
 
     def write_output(self, path: str, body: str):
-        with open(path, "w", encoding="utf-8") as fh:
+        # to stdout without a path; a file is rewritten in place and cut at its
+        # new end, since ext4 flushes one truncated to zero on open at close
+        if not path:
+            sys.stdout.write(body)
+            return
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
             fh.write(body)
             fh.write(self.comment_line() + "\n")
+            if os.path.isfile(path):
+                fh.truncate()
 
 
 # the most values one parameter list may hold, counted before any is made
@@ -254,7 +261,7 @@ _CONSTRUCT = {
 
 def cmd_construct(ns, run: _Run) -> int:
     _, text_of = _CONSTRUCT[ns.what]
-    _emit(ns.out, text_of(ns), run)
+    run.write_output(ns.out, text_of(ns))
     return 0
 
 
@@ -262,7 +269,7 @@ def cmd_embed(ns, run: _Run) -> int:
     code = parse_qary(run.read_input(ns.infile))
     embedded = embed_qary(code)
     # the text is dropped once written, before the summary's own work
-    _emit(ns.out, serialize_spherical(embedded.unit_vectors()), run)
+    run.write_output(ns.out, serialize_spherical(embedded.unit_vectors()))
     summary = {"dimension": embedded.dimension, "n": len(code),
                "alpha": format_scalar(embedded.alpha()),
                "max_coordinate_deviation": embedded.max_coordinate_deviation()}
@@ -301,13 +308,6 @@ def cmd_search(ns, run: _Run) -> int:
         sys.stdout.write("# result: " + json.dumps(header, sort_keys=True) + "\n")
         sys.stdout.write(body)
     return 0
-
-
-def _emit(out, body: str, run: _Run):
-    if out:
-        run.write_output(out, body)
-    else:
-        sys.stdout.write(body)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -128,6 +128,20 @@ def test_construct_and_verify_chain(tmp_path, capsys):
     assert cert["mode"] == "exact"
 
 
+def test_out_overwrites_a_longer_file_and_writes_to_devices(tmp_path, capsys):
+    # the file is rewritten in place, so its end is cut at the new content's
+    path = tmp_path / "cp.sphere"
+    run(capsys, "construct", "crosspolytope", "--r", "2", "--out", str(path))
+    fresh = path.read_text()
+    path.write_text("x" * 10 * len(fresh))
+    assert run(capsys, "construct", "crosspolytope", "--r", "2", "--out", str(path))[0] == 0
+    text = path.read_text()
+    assert text.splitlines()[:-1] == fresh.splitlines()[:-1]
+    assert text.endswith("}\n") and "x" not in text
+    # a device cannot be cut, and need not be
+    assert run(capsys, "construct", "crosspolytope", "--r", "2", "--out", os.devnull)[0] == 0
+
+
 @pytest.mark.parametrize("what", ["hadamard", "hadamard-code"])
 def test_construct_above_the_hadamard_cap_exits_1(capsys, what):
     code, out, err = run(capsys, "construct", what, "--order", "4096")
