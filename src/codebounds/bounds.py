@@ -21,6 +21,7 @@ CERTIFIED_EXACT = "certified-exact"
 CERTIFIED_FLOAT = "certified-float"
 VACUOUS = "vacuous"
 ASYMPTOTIC = "asymptotic-headline"
+CONDITIONAL = "conditional"
 
 
 # slots=True, not frozen: a --grid sweep builds one report per cell, and a
@@ -30,7 +31,9 @@ class BoundReport:
     """One bound evaluation: value, certification status, and provenance.
 
     A vacuous status carries the value math.inf (null in JSON) and claims no
-    size restriction; asymptotic-headline values carry no finite-n guarantee.
+    size restriction; asymptotic-headline values carry no finite-n guarantee;
+    a conditional value holds only if a caller-supplied input (a typed code
+    size, an existential constant or a size oracle) is right.
     """
 
     name: str
@@ -231,7 +234,7 @@ def ramsey_upper_param(q: int, r: int, s: int, eps: Scalar, c: Scalar,
     value = max((1 + eps) * a_val, eps * s)
     return BoundReport(
         "ramsey-upper", {"q": q, "r": r, "s": s, "eps": eps, "c": c},
-        value, CERTIFIED_FLOAT,
+        value, CONDITIONAL,
         note="constant c is existential in the source statement (caller-supplied); "
              "the size oracle is read as the q-ary maximum A_q",
         details={"j": j, "reduced_distance": s_reduced, "oracle_value": a_val})
@@ -267,8 +270,10 @@ def _is_prime_power(q: int) -> bool:
 def bq_window(q: int) -> tuple:
     """Window (q, 2(q-1)) for the limiting normalized code size near distance (1-1/q)r.
 
-    The lower endpoint relies on equality constructions that exist when q is
-    a prime power; bq_window_report notes when it is not.
+    Both endpoints are limits as r grows, with an unquantified o(1), so
+    bq_window_report marks the window asymptotic.  The lower endpoint relies
+    on equality constructions that exist when q is a prime power;
+    bq_window_report notes when it is not.
     """
     if q < 2:
         raise PreconditionViolated(f"alphabet size must be >= 2, got {q}")
@@ -279,5 +284,5 @@ def bq_window_report(q: int) -> BoundReport:
     lo, hi = bq_window(q)
     pp = _is_prime_power(q)
     note = "" if pp else "lower endpoint not certified: q is not a prime power"
-    return BoundReport("bq-window", {"q": q}, (lo, hi), CERTIFIED_EXACT, note=note,
+    return BoundReport("bq-window", {"q": q}, (lo, hi), ASYMPTOTIC, note=note,
                        details={"prime_power": pp})

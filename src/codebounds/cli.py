@@ -23,9 +23,9 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .bounds import (CERTIFIED_EXACT, BoundReport, aq_upper, bq_window_report,
-                     m_upper, ms_upper, plotkin_upper, ramsey_asymptotic,
-                     ramsey_lower, ramsey_upper_param, rho_lower)
+from .bounds import (CERTIFIED_EXACT, CONDITIONAL, BoundReport, aq_upper,
+                     bq_window_report, m_upper, ms_upper, plotkin_upper,
+                     ramsey_asymptotic, ramsey_lower, ramsey_upper_param, rho_lower)
 from .certificates import Certificate, make_link
 from .codes import (certify_chain, gram_analyze, min_distance,
                     verify_lemma_beta, verify_lemma_gamma, verify_spherical_code)
@@ -159,7 +159,7 @@ _BOUNDS = {
     "bq": (("q",), lambda ns, q: bq_window_report(q)),
     "ramsey-lower": ((), lambda ns: BoundReport(
         "ramsey-lower", {"q": ns.q, "r": ns.r, "s": ns.s, "a_value": ns.a_value},
-        ramsey_lower(ns.q, ns.r, ns.s, ns.a_value), CERTIFIED_EXACT,
+        ramsey_lower(ns.q, ns.r, ns.s, ns.a_value), CONDITIONAL,
         note="code size plus one"), *_QRS, ("a-value", int)),
     "ramsey-upper": ((), lambda ns: ramsey_upper_param(
         ns.q, ns.r, ns.s, ns.eps, ns.c,

@@ -38,16 +38,16 @@ from .scalars import EXACT, FLOAT, Scalar, format_scalar, mode_of, unit_norm_ok
 class UnitVectorSet:
     """n vectors in R^d claimed to lie on the unit sphere.
 
-    The set is in float mode when some coordinate is a float; then every
-    coordinate, exact ones too, enters its Gram through ``float``.  Otherwise
-    its exact form (P, c, factor) is its coordinates over their common
-    denominator.  Only ``code_image`` makes an exact set of float
+    A set is its coordinates; everything the certificates read of it comes
+    from its Gram.  The set is in float mode when some coordinate is a float;
+    then every coordinate, exact ones too, enters its Gram through ``float``.
+    Otherwise its exact form (P, c, factor) is its coordinates over their
+    common denominator.  Only ``code_image`` makes an exact set of float
     coordinates, with the rows of the code they are the image of.
     """
 
     dimension: int
     vectors: tuple
-    labels: tuple = ()
     _exact: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -58,10 +58,6 @@ class UnitVectorSet:
         for i, v in enumerate(vectors):
             if len(v) != self.dimension:
                 raise InvalidCode(f"vector {i} has {len(v)} coordinates, expected {self.dimension}")
-        labels = tuple(self.labels) or tuple(f"v{i}" for i in range(len(vectors)))
-        if len(labels) != len(vectors):
-            raise InvalidCode("label count differs from vector count")
-        object.__setattr__(self, "labels", labels)
         if not any(mode_of(x) == FLOAT for v in vectors for x in v):
             a, den = scaled_integers(vectors)
             # int64 only when each entry of A A^T stays below 2^63
@@ -118,26 +114,18 @@ def _float_gram(v, unit: bool = False) -> FloatGram:
     return gram
 
 
-def _dot(u, v) -> Scalar:
-    """Sum of coordinate products from 0, left to right: a Gram entry's value and type."""
-    s = 0
-    for a, b in zip(u, v):
-        s += a * b
-    return s
-
-
 @dataclass(frozen=True)
 class GramAnalysis:
     """Gram matrix and alpha, plus the per-vertex negative-edge load the lemmas use.
 
-    ``gram`` is an IntegerGram in exact mode and a FloatGram in float mode.
-    ``gamma`` is computed on first read; a product of exactly 0 counts as
-    nonnegative.
+    ``gram`` is an IntegerGram in exact mode and a FloatGram in float mode,
+    and ``alpha`` is its largest off-diagonal entry as ``gram.value`` makes
+    it.  ``gamma`` is computed on first read; a product of exactly 0 counts
+    as nonnegative.
     """
 
     gram: FloatGram | IntegerGram
     alpha: Scalar
-    labels: tuple
 
     @property
     def n(self) -> int:
@@ -224,7 +212,7 @@ def _simplex_table(q: int) -> np.ndarray:
     return coords
 
 
-def code_image(code: QaryCode, labels: tuple = ()) -> UnitVectorSet:
+def code_image(code: QaryCode) -> UnitVectorSet:
     """The simplex image of a code: an exact set with float coordinates.
 
     Each symbol goes to a vertex of the regular simplex in R^(q-1); a word's
@@ -234,16 +222,13 @@ def code_image(code: QaryCode, labels: tuple = ()) -> UnitVectorSet:
     is C less the last symbol's column in each coordinate block, whose q
     columns sum to zero, so the rank is unchanged; full C has rank at most
     (q-1)r, below min(n, qr) once n > (q-1)r, so its rank mod p could never
-    confirm itself and Bareiss would always decide.  Labels default to the words.
+    confirm itself and Bareiss would always decide.
     """
     q, r, n = code.q, code.r, len(code)
     dimension = (q - 1) * r
     words = np.array(code.words, dtype=np.int64)
     coords = _simplex_table(q)[words].reshape(n, dimension) * (1.0 / math.sqrt(r))
-    if not labels:
-        names = {s: str(s) for s in set().union(*code.words)}
-        labels = tuple("".join(map(names.__getitem__, w)) for w in code.words)
-    image = UnitVectorSet(dimension, coords.tolist(), labels)
+    image = UnitVectorSet(dimension, coords.tolist())
     c = (words[:, :, None] == np.arange(q)) * q - 1
     # float coordinates leave the set without an exact form: it is the code's
     object.__setattr__(image, "_exact", (c.reshape(n, q * r), q * (q - 1) * r,
@@ -253,43 +238,32 @@ def code_image(code: QaryCode, labels: tuple = ()) -> UnitVectorSet:
 
 def integer_gram(vset: UnitVectorSet, unit: bool = False) -> IntegerGram:
     """The IntegerGram P P^T over c of an exact set (P, c, factor).  With
-    ``unit`` every row's squared norm is first checked to be exactly c,
-    before the Gram is formed.  P P^T is ``integer_product``, on float64
-    BLAS when d * max|P|^2 < 2^53."""
+    ``unit`` every row's squared norm P_i . P_i / c is first checked to be
+    exactly 1, before the Gram is formed.  P P^T is ``integer_product``, on
+    float64 BLAS when d * max|P|^2 < 2^53."""
     p, c, factor = vset._exact
     if unit:
-        bad = np.flatnonzero(np.asarray((p * p).sum(axis=1), dtype=object) != c)
+        norms = np.asarray((p * p).sum(axis=1), dtype=object)
+        bad = np.flatnonzero(norms != c)
         if bad.size:
-            v = vset.vectors[int(bad[0])]
-            raise NonUnitVector(int(bad[0]), _dot(v, v))
+            raise NonUnitVector(int(bad[0]), Fraction(int(norms[bad[0]]), c))
     return IntegerGram(integer_product(p), c, factor)
 
 
 def gram_analyze(vset: UnitVectorSet) -> GramAnalysis:
     """Gram matrix and alpha; the analysis computes gamma on first read.
 
+    Alpha is ``g.value`` of the largest off-diagonal Gram entry (-1 for one
+    vector): an int or Fraction in exact mode, a float in float mode.
     Raises NonUnitVector if any vector is off the unit sphere (exactly in
     exact mode, within the float policy in float mode), before the Gram is built.
     An inner product of exactly 0 counts as nonnegative.
     """
     exact = vset.mode() == EXACT
     g = integer_gram(vset, unit=True) if exact else _float_gram(vset.coords, unit=True)
-    num, n = g.num, g.n
-    if n == 1:
-        alpha = -1
-    else:
-        # the first maximum in row-major order (no float entry is -0.0, so
-        # its bits are unique)
-        iu = np.triu_indices(n, 1)
-        k = int(np.argmax(num[iu]))
-        i, j = int(iu[0][k]), int(iu[1][k])
-        alpha = g.value(num[i, j])
-        if exact:
-            # exact coordinates give alpha the type their products add up to,
-            # as an error message prints it; a code image's floats do not
-            dot = _dot(vset.vectors[i], vset.vectors[j])
-            alpha = dot if mode_of(dot) == EXACT else alpha
-    return GramAnalysis(g, alpha, vset.labels)
+    n = g.n
+    alpha = -1 if n == 1 else g.value(g.num[np.triu_indices(n, 1)].max())
+    return GramAnalysis(g, alpha)
 
 
 def verify_spherical_code(vset: UnitVectorSet, alpha_claim: Scalar) -> Certificate:
@@ -319,11 +293,11 @@ def verify_spherical_code(vset: UnitVectorSet, alpha_claim: Scalar) -> Certifica
 
 def _require_alpha_in_range(alpha):
     if alpha < 0 or alpha >= 1:
-        raise PreconditionViolated(f"maximum inner product {alpha!r} outside [0, 1)")
+        raise PreconditionViolated(f"maximum inner product {alpha} outside [0, 1)")
 
 
 def verify_lemma_beta(analysis: GramAnalysis) -> Certificate:
-    """Per vertex u: sum of squared negative products <= 1 + alpha * gamma(u)^2."""
+    """Per vertex u, named v{u}: sum of squared negative products <= 1 + alpha * gamma(u)^2."""
     _require_alpha_in_range(analysis.alpha)
     alpha = analysis.alpha
     links = []
@@ -331,7 +305,7 @@ def verify_lemma_beta(analysis: GramAnalysis) -> Certificate:
     # per vertex, the sum of its squared negative inner products
     for u, lhs in enumerate(negative_sums(analysis.gram, num * num, 2)):
         g = analysis.gamma[u]
-        links.append(make_link(f"negative-edge energy at vertex {analysis.labels[u]}",
+        links.append(make_link(f"negative-edge energy at vertex v{u}",
                                lhs, 1 + alpha * g * g))
     return Certificate.from_links("negative-edge-energy", links,
                                   meta={"alpha": format_scalar(alpha), "n": analysis.n})

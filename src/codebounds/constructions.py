@@ -78,15 +78,14 @@ def cross_polytope(r: int) -> UnitVectorSet:
     """The 2r vectors +-e_i; maximum pairwise inner product 0 for r >= 2."""
     if r < 1:
         raise PreconditionViolated(f"dimension must be >= 1, got {r}")
-    vectors, labels = [], []
+    vectors = []
     for i in range(r):
         plus = [0] * r
         plus[i] = 1
         minus = [0] * r
         minus[i] = -1
         vectors.extend([tuple(plus), tuple(minus)])
-        labels.extend([f"+e{i + 1}", f"-e{i + 1}"])
-    return UnitVectorSet(r, tuple(vectors), tuple(labels))
+    return UnitVectorSet(r, tuple(vectors))
 
 
 def simplex_vectors(q: int) -> UnitVectorSet:
@@ -94,8 +93,7 @@ def simplex_vectors(q: int) -> UnitVectorSet:
     the image of the q one-symbol words."""
     if q < 2:
         raise PreconditionViolated(f"alphabet size must be >= 2, got {q}")
-    return code_image(QaryCode(q, 1, tuple((s,) for s in range(q))),
-                      tuple(f"u{i + 1}" for i in range(q)))
+    return code_image(QaryCode(q, 1, tuple((s,) for s in range(q))))
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,15 @@ class FileFormatError(InvalidCode):
 
 
 class NonUnitVector(InvalidCode):
-    """A vector claimed to be on the unit sphere is not (index + squared norm)."""
+    """A vector claimed to be on the unit sphere is not (index + squared norm).
+
+    The message prints the squared norm with ``str``: ``n`` or ``n/d`` when
+    exact, as a float's repr otherwise."""
 
     def __init__(self, index, norm_sq):
         self.index = index
         self.norm_sq = norm_sq
-        super().__init__(f"vector {index} has squared norm {norm_sq!r}, expected 1")
+        super().__init__(f"vector {index} has squared norm {norm_sq}, expected 1")
 
 
 class NodeLimitExceeded(CodeBoundsError):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from codebounds.bounds import (ASYMPTOTIC, CERTIFIED_EXACT, CERTIFIED_FLOAT,
+from codebounds.bounds import (ASYMPTOTIC, CERTIFIED_EXACT, CONDITIONAL,
                                VACUOUS, aq_upper, bq_window, bq_window_report,
                                m_upper, ms_upper, plotkin_upper,
                                ramsey_asymptotic, ramsey_lower,
@@ -245,7 +245,7 @@ def test_ramsey_upper_with_exact_oracle():
     assert report.details["reduced_distance"] == 1
     assert report.details["oracle_value"] == 16
     assert report.value == 24
-    assert report.status == CERTIFIED_FLOAT
+    assert report.status == CONDITIONAL     # c and the oracle are the caller's
 
 
 def test_ramsey_upper_eps_branch():

@@ -96,7 +96,9 @@ def test_bound_ramsey_subcommands(capsys):
     code, out, _ = run(capsys, "bound", "ramsey-lower", "--q", "2", "--r", "4",
                        "--s", "2", "--a-value", "8")
     assert code == 0
-    assert json.loads(out)["value"] == 9
+    report = json.loads(out)
+    assert report["value"] == 9
+    assert report["status"] == "conditional"        # the typed --a-value is unchecked
     code, out, _ = run(capsys, "bound", "ramsey-asymptotic", "--q", "2",
                        "--r", "100", "--j", "0")
     assert code == 0
@@ -106,10 +108,40 @@ def test_bound_ramsey_subcommands(capsys):
     code, out, _ = run(capsys, "bound", "ramsey-upper", "--q", "2", "--r", "4",
                        "--s", "2", "--eps", "1/2", "--c", "1")
     assert code == 0
-    assert json.loads(out)["value"] == 24
+    report = json.loads(out)
+    assert report["value"] == 24
+    assert report["status"] == "conditional"        # c and the oracle are taken on trust
     code, out, _ = run(capsys, "bound", "bq", "--q", "3")
     assert code == 0
-    assert json.loads(out)["value"] == [3, 4]
+    report = json.loads(out)
+    assert report["value"] == [3, 4]
+    assert report["status"] == "asymptotic-headline"  # a limit as r grows
+
+
+STATUSES = {"certified-exact", "certified-float", "conditional", "asymptotic-headline",
+            "vacuous"}
+# per bound op, one in-domain argument list and the status its report claims
+BOUND_STATUS = {
+    "rho": (["--r", "4", "--k", "1"], "certified-float"),
+    "m": (["--r", "4", "--alpha", "0"], "certified-exact"),
+    "aq": (["--q", "2", "--r", "8", "--s", "4"], "certified-exact"),
+    "plotkin": (["--r", "4"], "certified-exact"),
+    "ms": (["--q", "3", "--r", "6"], "certified-exact"),
+    "ramsey-asymptotic": (["--q", "2", "--r", "100", "--j", "0"], "asymptotic-headline"),
+    "bq": (["--q", "3"], "asymptotic-headline"),
+    "ramsey-lower": (["--q", "2", "--r", "4", "--s", "2", "--a-value", "8"], "conditional"),
+    "ramsey-upper": (["--q", "2", "--r", "4", "--s", "2", "--eps", "1/2", "--c", "1"],
+                     "conditional"),
+}
+
+
+def test_every_bound_op_prints_a_status_from_the_vocabulary(capsys):
+    assert set(BOUND_STATUS) == set(cli._BOUNDS)
+    for op, (argv, status) in BOUND_STATUS.items():
+        code, out, err = run(capsys, "bound", op, *argv)
+        assert (code, err) == (0, ""), op
+        printed = json.loads(out)["status"]
+        assert printed in STATUSES and printed == status, op
 
 
 def test_construct_and_verify_chain(tmp_path, capsys):

@@ -43,8 +43,8 @@ INPUTS = {
 -0.2886751345948129 -0.5000000000000001 0.5773502691896258 0.0 -0.2886751345948129 0.5
 """,
     "ternary.qary": "qary 3 3\n0 0 0\n1 1 1\n2 2 2\n0 1 2\n1 2 0\n2 0 1\n",
-    # exact files whose errors print a Gram entry with !r: a repeated vector
-    # (alpha 1), and a vector of squared norm 2
+    # exact files whose errors print a Gram entry: a repeated vector (alpha 1),
+    # and a vector of squared norm 2
     "alpha-one.sphere": "sphere 2\n1 0\n1 0\n3/5 -4/5\n",
     "off-sphere.sphere": "sphere 2\n1 1\n3/5 4/5\n",
 }
@@ -207,12 +207,12 @@ DIGESTS = {
     "bound:ms:grid": "b483b670c13a26db042e9a0adb7aa3240cdbcc11496cdad315eb3e327095a301",
     "bound:ramsey-asymptotic": "920acbf311fcfdae3b53cfcee5fb497003235f54869e73e1c004f6490ab34132",
     "bound:ramsey-asymptotic:grid": "9ec58b4ad0def7b89f934aa683ebf12604d6b45eb818ecc7997894d1e086e23e",
-    "bound:bq": "fee7643e84314d2840445609fb590629c530a4a82cc7ca5d2d80e353c1fd43bd",
-    "bound:bq:grid": "01977499b8a40c008608b20b8c613e39f1f8c7f6787d8cca06d834f338f17816",
+    "bound:bq": "1d0bfc2f01d8682663591943c0ba3cfb2465fdce5c9dbd427672042fe89aff24",
+    "bound:bq:grid": "424478ac3054953820b118c814fbef4fc4aa875233910d5e719b6e58dabeb6e6",
     "bound:m:needs-grid": "b3ce65fec7f308c754ec5e67dce510391fb3b53f5e9463f0f4e59940e67084c2",
     "bound:aq:domain": "e8a4df55a1b6b875f6b17584245b95050b198b73124a787d906b491dbd358c95",
-    "bound:ramsey-lower": "4efd2ba217bd9ddff8d49b1b07fbbaa4dbe2cb4056fae03b73947880bf4558cf",
-    "bound:ramsey-upper": "faa032609008469cf0b46986555eb5d1e39320feb304586b99c92a971bb3ee97",
+    "bound:ramsey-lower": "bf01a3e2787df434d5a39b5701e8fe4ab7b9e037a59b2edd64d6937f025b9dec",
+    "bound:ramsey-upper": "2ba9f3643f02cc51fadd271c987173daf72345da1330b0f7598aaec72e8d30c0",
     "construct:simplex": "c10263aff7b293821cd926cc3f77accb03a7ad902e5e3672ce525dbc0d65fc5b",
     "construct:crosspolytope": "46b155191e4113f48a84e3f1bad22c1de22d08cadf77f8e417ba706842410bf8",
     "construct:hadamard": "379266edbc7ae793cb66460249ad79a59928466df0558aefcb5fac673ddb0bd6",

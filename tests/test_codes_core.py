@@ -16,6 +16,7 @@ from codebounds.constructions import cross_polytope, simplex_vectors
 from codebounds.errors import InvalidCode, NonUnitVector, PreconditionViolated
 from codebounds.fileio import parse_spherical
 from codebounds.linalg import IntegerGram, negative_sums, rank
+from codebounds.scalars import parse_scalar
 
 
 def rational_sphere_point(rng, d, spread=4):
@@ -87,8 +88,12 @@ def test_gram_analyze_rejects_non_unit():
     (UnitVectorSet(2, ((1.0, 0.0), (0.6, 0.9))), 1,
      "vector 1 has squared norm 1.17, expected 1"),
     (UnitVectorSet(2, ((Fraction(3, 5), Fraction(4, 5)), (Fraction(1, 2), Fraction(1, 2)))), 1,
-     "vector 1 has squared norm Fraction(1, 2), expected 1"),
-], ids=["int", "float", "fraction"])
+     "vector 1 has squared norm 1/2, expected 1"),
+    (UnitVectorSet(2, ((1, 0), (Fraction(3, 4), 1))), 1,
+     "vector 1 has squared norm 25/16, expected 1"),
+    (UnitVectorSet(2, ((Fraction(1, 3), 0), (1, 0))), 0,
+     "vector 0 has squared norm 1/9, expected 1"),
+], ids=["int", "float", "fraction", "fraction-above", "fraction-first"])
 def test_gram_analyze_rejects_non_unit_before_building_gram(vset, index, message,
                                                             monkeypatch):
     # an off-sphere set is rejected from its norms, without its full Gram: an
@@ -103,6 +108,10 @@ def test_gram_analyze_rejects_non_unit_before_building_gram(vset, index, message
         gram_analyze(vset)
     assert err.value.index == index
     assert str(err.value) == message
+    if vset.mode() == "exact":
+        # the number reads back, in the input grammar, as the exact squared norm
+        printed = message.split()[5].rstrip(",")
+        assert parse_scalar(printed, exact=True) == sum(x * x for x in vset.vectors[index])
 
 
 def test_gram_analyze_float_unit_norm_boundary():
@@ -153,7 +162,7 @@ def test_gamma_is_computed_once(monkeypatch):
 
     monkeypatch.setattr(codes, "negative_sums", counted)
     analysis = gram_analyze(cross_polytope(3))
-    assert [f.name for f in dataclasses.fields(analysis)] == ["gram", "alpha", "labels"]
+    assert [f.name for f in dataclasses.fields(analysis)] == ["gram", "alpha"]
     assert not calls
     assert analysis.gamma == (-1,) * 6
     assert analysis.gamma is analysis.gamma
@@ -327,7 +336,7 @@ def test_lemma_gamma_cross_polytope():
     assert link.rhs == 27
 
 
-OUT_OF_RANGE = r"^maximum inner product .* outside \[0, 1\)$"
+OUT_OF_RANGE = r"^maximum inner product (.*) outside \[0, 1\)$"
 
 
 def test_lemma_hypothesis_gate():
@@ -340,6 +349,15 @@ def test_lemma_hypothesis_gate():
     dup = UnitVectorSet(2, ((1, 0), (1, 0)))
     with pytest.raises(PreconditionViolated, match=OUT_OF_RANGE):
         verify_lemma_beta(gram_analyze(dup))
+    # the printed alpha reads back, in the input grammar, as the exact value
+    for vset, alpha in ((simplex_vectors(2), -1), (dup, 1),
+                        (simplex_vectors(3), Fraction(-1, 2)),
+                        (UnitVectorSet(2, ((1, 0), (Fraction(-3, 5), Fraction(4, 5)))),
+                         Fraction(-3, 5))):
+        with pytest.raises(PreconditionViolated) as info:
+            certify_chain(vset)
+        printed = re.fullmatch(OUT_OF_RANGE, str(info.value)).group(1)
+        assert parse_scalar(printed, exact=True) == alpha
 
 
 def test_lemma_property_suite():

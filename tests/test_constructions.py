@@ -272,7 +272,6 @@ def test_pm_one_agrees_with_embed_for_binary():
         b = embed_qary(code)
         assert a.raw_gram().rows == b.unit_vectors().raw_gram().rows
         assert a.vectors == b.unit_vectors().vectors
-        assert a.labels == b.unit_vectors().labels
         assert a.dimension == b.dimension
 
 

@@ -49,8 +49,6 @@ ERRORS = {
                                    "a vector set needs at least one vector"),
     "vector of the wrong length": (lambda: UnitVectorSet(2, ((1, 0, 0),)), InvalidCode,
                                    "vector 0 has 3 coordinates, expected 2"),
-    "more labels than vectors": (lambda: UnitVectorSet(2, ((1, 0),), ("a", "b")), InvalidCode,
-                                 "label count differs from vector count"),
     "exact coordinate beyond the float range":
         (lambda: UnitVectorSet(1, ((0.5,), (10 ** 400,))).coords, InvalidCode,
          "a coordinate is beyond the float range"),
