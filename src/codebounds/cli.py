@@ -45,7 +45,9 @@ FORMAT_VERSIONS = "sphere v1, qary v1, certificate v1, report v1"
 class _Run:
     """Per-invocation context: the parsed namespace and the digests of the
     inputs read.  Its comment_line, the provenance manifest ending every file
-    the CLI writes, takes its arguments and seed from the namespace."""
+    the CLI writes, takes its arguments and seed from the namespace.  Only a
+    run with an --out path writes a manifest, so only such a run hashes its
+    inputs, each as it is read."""
 
     ns: argparse.Namespace
     started: float = field(default_factory=time.monotonic)
@@ -65,7 +67,8 @@ class _Run:
                 text = fh.read()
         except UnicodeDecodeError as exc:
             raise FileFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-        self.input_digests[path] = sha256_hex(text)
+        if getattr(self.ns, "out", None):
+            self.input_digests[path] = sha256_hex(text)
         return text
 
     def write_output(self, path: str, body: str):

@@ -29,8 +29,7 @@ import numpy as np
 from .certificates import Certificate, make_link
 from .errors import InvalidCode, NonUnitVector, PreconditionViolated
 from .linalg import (FloatGram, IntegerGram, exact_array, float_kernel, integer_product,
-                     max_off_diagonal, negative_sums, rank, scaled_integers, sequential_sums,
-                     trace_of_square)
+                     max_off_diagonal, negative_sums, rank, sequential_sums, trace_of_square)
 from .scalars import EXACT, FLOAT, Scalar, format_scalar, mode_of, unit_norm_ok
 
 
@@ -59,9 +58,11 @@ class UnitVectorSet:
             if len(v) != self.dimension:
                 raise InvalidCode(f"vector {i} has {len(v)} coordinates, expected {self.dimension}")
         if not any(mode_of(x) == FLOAT for v in vectors for x in v):
-            a, den = scaled_integers(vectors)
-            # int64 only when each entry of A A^T stays below 2^63
-            a = exact_array(a, self.dimension)
+            # A = L * V over the lcm L of the denominators, int64 only when
+            # each entry of A A^T stays below 2^63
+            den = math.lcm(*(x.denominator for v in vectors for x in v))
+            a = exact_array([[int(x.numerator) * (den // x.denominator) for x in v]
+                             for v in vectors], self.dimension)
             object.__setattr__(self, "_exact", (a, den * den, a))
 
     def __len__(self):

@@ -42,19 +42,21 @@ as an int or Fraction, or ``float(x)``) and ``sums(x)`` (exact row sums, or
 ``sequential_sums``); ``negative_sums`` builds the lemmas' row sums on them.
 
 ``rank``, ``trace``, ``trace_of_square`` and ``verify_trace_rank`` take only
-the two Gram types; a matrix given by rows reaches them through
-``gram_from_rows``, and a vector set never takes one.
+the two Gram types.  Every Gram the package builds is a vector set's
+(``codes.integer_gram`` or ``codes._float_gram``); a matrix written by hand
+is an ``IntegerGram`` of its numerators over a denominator, or a
+``FloatGram`` of a float64 array.
 """
 
 from fractions import Fraction
 from functools import partial, wraps
-from math import isfinite, lcm, sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
 from .certificates import Certificate, make_link
 from .errors import InvalidCode
-from .scalars import EXACT, FLOAT, REL_EPS, Scalar, mode_of
+from .scalars import EXACT, FLOAT, REL_EPS, Scalar
 
 # 2^31 - 1 is prime, and a product of two residues stays below 2^62
 P = 2_147_483_647
@@ -143,20 +145,14 @@ def max_off_diagonal(a) -> int:
     return max(tops)
 
 
-def scaled_integers(rows):
-    """(A, L): exact rational rows over the lcm L of their denominators, as
-    integer rows A = L * rows."""
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return [[int(x.numerator) * (den // x.denominator) for x in row] for row in rows], den
-
-
 class IntegerGram:
     """Exact Gram matrix ``num / den`` with an integer factor of the same rank.
 
     ``num`` is symmetric with entries fit for sums of n^2 products
     (``exact_array``) and ``den`` is a positive int.  ``factor`` is an integer
     matrix whose rank over Q is the Gram's: a set's integer rows (less one
-    column per coordinate block for a code image), or ``num`` itself.
+    column per coordinate block for a code image), or, for a Gram written by
+    hand from its numerators, ``num`` itself.
     ``rows`` builds the entries as Fractions (ints when ``den`` is 1).
     """
 
@@ -231,30 +227,6 @@ class FloatGram:
     @property
     def rows(self):
         return self.num.tolist()
-
-
-def gram_from_rows(rows) -> IntegerGram | FloatGram:
-    """The Gram of a square symmetric matrix given by rows.
-
-    Every entry exact: an IntegerGram over the lcm of the denominators, with
-    its numerators as the factor.  Otherwise a FloatGram of
-    ``float(x)`` for every entry.  Raises ValueError when the matrix is not
-    square or not symmetric.
-    """
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-    # list equality runs in C and short-circuits on shared entry objects
-    for i, (row, col) in enumerate(zip(rows, zip(*rows))):
-        if row[i + 1:] != list(col[i + 1:]):
-            j = next(j for j in range(i + 1, n) if row[j] != col[j])
-            raise ValueError(f"asymmetric entries at ({i},{j})")
-    if any(mode_of(x) == FLOAT for row in rows for x in row):
-        return FloatGram(np.array([[float(x) for x in row] for row in rows], dtype=np.float64))
-    num, den = scaled_integers(rows)
-    return IntegerGram(np.array(num, dtype=object).reshape(n, n), den)
 
 
 def trace(m: IntegerGram | FloatGram) -> Scalar:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -241,6 +242,26 @@ def test_embed_pipeline(tmp_path, capsys):
     # order 4 gives coordinates +-1/2, exactly representable: exact verify works
     code, _, _ = run(capsys, "verify", "spherical", "--in", str(spath), "--alpha", "0")
     assert code == 0
+
+
+def test_verify_hashes_no_input(tmp_path, capsys, monkeypatch):
+    # verify writes no manifest, so the digest of its input is never read
+    path = tmp_path / "cp.sphere"
+    path.write_text(serialize_spherical(cross_polytope(3)))
+    calls = []
+    monkeypatch.setattr(cli, "sha256_hex", lambda text: calls.append(text))
+    assert run(capsys, "verify", "chain", "--in", str(path))[0] == 0
+    assert calls == []
+
+
+def test_embed_manifest_records_the_input_digest(tmp_path, capsys):
+    qpath = tmp_path / "h4.qary"
+    spath = tmp_path / "h4.sphere"
+    run(capsys, "construct", "hadamard-code", "--order", "4", "--out", str(qpath))
+    assert run(capsys, "embed", "--in", str(qpath), "--out", str(spath))[0] == 0
+    manifest = json.loads(spath.read_text().splitlines()[-1].removeprefix("# manifest: "))
+    digest = hashlib.sha256(qpath.read_bytes()).hexdigest()
+    assert manifest["input_digests"] == {str(qpath): digest}
 
 
 def test_search_exact_cli(tmp_path, capsys):

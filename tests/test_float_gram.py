@@ -23,7 +23,7 @@ from codebounds.codes import (UnitVectorSet, certify_chain, gram_analyze, verify
 from codebounds.constructions import embed_qary, hadamard_code, sylvester_hadamard
 from codebounds.errors import NonUnitVector
 from codebounds.fileio import parse_spherical, serialize_spherical
-from codebounds.linalg import gram_from_rows, rank, sequential_sums, trace, trace_of_square
+from codebounds.linalg import FloatGram, rank, sequential_sums, trace, trace_of_square
 from codebounds.scalars import REL_EPS, format_scalar, unit_norm_ok
 from codebounds.search import heuristic_rho
 
@@ -299,7 +299,7 @@ def test_float_rank_matches_the_python_loop_on_matrices():
                  for _ in range(d)]
         rows = [[ref_sum(basis[k][i] * basis[k][j] for k in range(d)) for j in range(n)]
                 for i in range(n)]
-        assert rank(gram_from_rows(rows)) == ref_rank(rows)
+        assert rank(FloatGram(np.array(rows))) == ref_rank(rows)
 
 
 def test_sequential_sums_add_left_to_right_from_zero():
@@ -330,7 +330,7 @@ def test_float_mode_converts_exact_coordinates_before_any_product():
 def test_float_kernels_restore_the_callers_error_settings():
     # trace_of_square calls sequential_sums: both kernels silence overflow,
     # and the outer one must hand back the settings it found
-    big = gram_from_rows([[1e200, 1e200], [1e200, 1e200]])
+    big = FloatGram(np.array([[1e200, 1e200], [1e200, 1e200]]))
     with np.errstate(over="raise", invalid="raise"):
         before = np.geterr()
         assert trace_of_square(big) == math.inf

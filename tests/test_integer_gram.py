@@ -18,8 +18,8 @@ from codebounds.codes import (QaryCode, UnitVectorSet, certify_chain, code_image
 from codebounds.constructions import embed_qary
 from codebounds.errors import NonUnitVector, PreconditionViolated
 from codebounds.fileio import record_json, serialize_spherical
-from codebounds.linalg import (P, gram_from_rows, integer_rank, rank,
-                               trace_of_square, verify_trace_rank)
+from codebounds.linalg import (P, IntegerGram, integer_rank, rank, trace_of_square,
+                               verify_trace_rank)
 from codebounds.scalars import format_scalar
 from test_integer_product import smallest_square_above_the_gate
 
@@ -257,14 +257,14 @@ def test_integer_pipeline_matches_fraction_reference(vset, rows):
 
 def test_rank_falls_back_to_bareiss_when_the_rank_drops_mod_p():
     # diag(P, 1) has rank 2 over Q but rank 1 mod P
-    assert rank(gram_from_rows([[P, 0], [0, 1]])) == 2
-    assert rank(gram_from_rows([[Fraction(P, 3), 0], [0, Fraction(1, 3)]])) == 2
+    assert rank(IntegerGram(np.array([[P, 0], [0, 1]], dtype=object), 1)) == 2
+    assert rank(IntegerGram(np.array([[P, 0], [0, 1]], dtype=object), 3)) == 2
     assert integer_rank(np.array([[P, 0], [0, 1]])) == 2
     # the smallest diag(P, 1, ..., 1) that is counted mod P before Bareiss
     n = smallest_square_above_the_gate()
     diagonal = [[P if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]
-    assert rank(gram_from_rows(diagonal)) == n
-    assert rank(gram_from_rows([[Fraction(x, 3) for x in row] for row in diagonal])) == n
+    assert rank(IntegerGram(np.array(diagonal, dtype=object), 1)) == n
+    assert rank(IntegerGram(np.array(diagonal, dtype=object), 3)) == n
     assert integer_rank(np.array(diagonal)) == n
     assert integer_rank(np.array([[P], [2 * P]], dtype=object)) == 1
     # a rank below min(rows, cols) is decided by Bareiss, not taken mod P

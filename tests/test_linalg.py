@@ -5,47 +5,42 @@ import numpy as np
 import pytest
 
 from codebounds.codes import UnitVectorSet
-from codebounds.constructions import simplex_vectors
-from codebounds.linalg import (FloatGram, IntegerGram, gram_from_rows, rank, trace,
-                               trace_of_square, verify_trace_rank)
+from codebounds.constructions import cross_polytope, simplex_vectors
+from codebounds.linalg import (FloatGram, IntegerGram, rank, trace, trace_of_square,
+                               verify_trace_rank)
 
-CROSS_POLYTOPE_2_GRAM = gram_from_rows([
-    [1, -1, 0, 0],
-    [-1, 1, 0, 0],
-    [0, 0, 1, -1],
-    [0, 0, -1, 1],
-])
+# [[1, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 1, -1], [0, 0, -1, 1]]
+CROSS_POLYTOPE_2_GRAM = cross_polytope(2).raw_gram()
 
 
-def identity_rows(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+def identity(n):
+    """The n x n identity: the Gram of the standard basis of R^n."""
+    return UnitVectorSet(n, [[int(i == j) for j in range(n)] for i in range(n)]).raw_gram()
+
+
+def constant(x, n):
+    """The n x n matrix of x * x: the Gram of n copies of the 1-D vector (x,)."""
+    return UnitVectorSet(1, [(x,)] * n).raw_gram()
 
 
 def random_rational_symmetric(rng, n, denom=7):
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    """Random integer numerators in [-20, 20], symmetric, over a random denominator."""
+    num = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            x = Fraction(rng.randint(-20, 20), rng.randint(1, denom))
-            rows[i][j] = rows[j][i] = x
-    return gram_from_rows(rows)
-
-
-def test_symmetry_is_enforced():
-    with pytest.raises(ValueError):
-        gram_from_rows([[1, 2], [3, 1]])
-    with pytest.raises(ValueError):
-        gram_from_rows([[1, 2, 3], [2, 1, 1]])
+            num[i][j] = num[j][i] = rng.randint(-20, 20)
+    return IntegerGram(np.array(num, dtype=object), rng.randint(1, denom))
 
 
 def test_trace_examples():
-    assert trace(gram_from_rows(identity_rows(5))) == 5
-    assert trace(gram_from_rows([[1, 1], [1, 1]])) == 2
-    assert trace(gram_from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 0]])) == 0
+    assert trace(identity(5)) == 5
+    assert trace(constant(1, 2)) == 2
+    assert trace(constant(0, 3)) == 0
 
 
 @pytest.mark.parametrize("gram, expected", [
-    # given rows: an int diagonal over den 2 is a Fraction, as every entry is
-    (lambda: gram_from_rows([[1, Fraction(1, 2)], [Fraction(1, 2), 3]]), "Fraction(4, 1)"),
+    # given numerators: an int diagonal over den 2 is a Fraction, as every entry is
+    (lambda: IntegerGram(np.array([[2, 1], [1, 6]], dtype=object), 2), "Fraction(4, 1)"),
     (lambda: UnitVectorSet(2, ((Fraction(3, 5), Fraction(4, 5)), (1, 0))).raw_gram(),
      "Fraction(2, 1)"),
     (lambda: simplex_vectors(3).raw_gram(), "Fraction(3, 1)"),
@@ -58,8 +53,8 @@ def test_trace_value_and_type(gram, expected):
 
 
 def test_trace_of_square_examples():
-    assert trace_of_square(gram_from_rows(identity_rows(5))) == 5
-    assert trace_of_square(gram_from_rows([[1, 1], [1, 1]])) == 4
+    assert trace_of_square(identity(5)) == 5
+    assert trace_of_square(constant(1, 2)) == 4
     # 4 unit diagonal entries plus 4 entries of -1 squared
     assert trace_of_square(CROSS_POLYTOPE_2_GRAM) == 8
 
@@ -73,15 +68,10 @@ def test_trace_of_square_matches_explicit_square():
 
 
 def test_rank_examples():
-    assert rank(gram_from_rows(identity_rows(5))) == 5
-    assert rank(gram_from_rows([[1, 1, 1], [1, 1, 1], [1, 1, 1]])) == 1
+    assert rank(identity(5)) == 5
+    assert rank(constant(1, 3)) == 1
     # cross-polytope r=3: six vectors spanning R^3
-    rows = [[0] * 6 for _ in range(6)]
-    for i in range(6):
-        rows[i][i] = 1
-    for i in range(3):
-        rows[2 * i][2 * i + 1] = rows[2 * i + 1][2 * i] = -1
-    assert rank(gram_from_rows(rows)) == 3
+    assert rank(cross_polytope(3).raw_gram()) == 3
 
 
 def test_rank_exact_equals_float_on_integer_matrices():
@@ -92,34 +82,33 @@ def test_rank_exact_equals_float_on_integer_matrices():
         for i in range(n):
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = rng.randint(-5, 5)
-        m = gram_from_rows(rows)
-        exact = rank(m)
-        float_rank = rank(gram_from_rows([[float(x) for x in row] for row in rows]))
+        exact = rank(IntegerGram(np.array(rows, dtype=object), 1))
+        float_rank = rank(FloatGram(np.array(rows, dtype=np.float64)))
         assert exact == float_rank
         assert exact == np.linalg.matrix_rank(np.array(rows, dtype=float))
 
 
 def test_rank_low_rank_rational():
-    # outer product of a rational vector with itself has rank 1
+    # outer product of a rational vector v with itself, the Gram of the 1-D
+    # vectors (x,) for x in v, has rank 1
     v = [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(0)]
-    rows = [[a * b for b in v] for a in v]
-    assert rank(gram_from_rows(rows)) == 1
+    assert rank(UnitVectorSet(1, [(x,) for x in v]).raw_gram()) == 1
 
 
 def test_float_policy_boundaries_rank_and_psd():
     # rank drops a pivot at most 1e-9 times the largest row norm
-    assert rank(gram_from_rows([[1.0, 0.0], [0.0, 2e-9]])) == 2
-    assert rank(gram_from_rows([[1.0, 0.0], [0.0, 5e-10]])) == 1
+    assert rank(FloatGram(np.array([[1.0, 0.0], [0.0, 2e-9]]))) == 2
+    assert rank(FloatGram(np.array([[1.0, 0.0], [0.0, 5e-10]]))) == 1
 
 
 def test_verify_trace_rank_examples():
     for r in (1, 3, 7):
-        cert = verify_trace_rank(gram_from_rows(identity_rows(r)))
+        cert = verify_trace_rank(identity(r))
         assert cert.verdict
         link = cert.links[0]
         assert link.lhs == r * r and link.rhs == r * r
 
-    cert = verify_trace_rank(gram_from_rows([[1, 1], [1, 1]]))
+    cert = verify_trace_rank(constant(1, 2))
     assert cert.verdict
     assert cert.links[0].lhs == 4 and cert.links[0].rhs == 4
     assert cert.meta["rank"] == 1
@@ -138,36 +127,8 @@ def test_verify_trace_rank_property():
         assert cert.mode == "exact"
 
 
-def test_gram_from_rows_keeps_exact_entries():
-    half = Fraction(1, 2)
-    rows = [[1, half, 0], [half, Fraction(3, 4), -2], [0, -2, 5]]
-    g = gram_from_rows(rows)
-    assert isinstance(g, IntegerGram)
-    assert g.rows == rows
-    assert g.den == 4 and g.num.tolist() == [[4, 2, 0], [2, 3, -8], [0, -8, 20]]
-
-
-@pytest.mark.parametrize("rows", [
-    [[1.0, 0], [0, 1]],
-    [[1, Fraction(1, 3)], [Fraction(1, 3), 0.5]],
-    [[Fraction(2, 3), 0.25, 1], [0.25, 3, Fraction(-1, 7)], [1, Fraction(-1, 7), -0.0]],
-], ids=["float-int", "int-fraction-float", "mixed-negative-zero"])
-def test_gram_from_rows_with_a_float_entry_is_a_float_gram(rows):
-    g = gram_from_rows(rows)
-    assert isinstance(g, FloatGram) and g.num.dtype == np.float64
-    # float(x) for every entry, bit for bit (-0.0 included)
-    assert repr(g.rows) == repr([[float(x) for x in row] for row in rows])
-
-
-def test_gram_from_rows_error_texts():
-    with pytest.raises(ValueError, match=r"^row 1 has length 3, expected 2$"):
-        gram_from_rows([[1, 2], [2, 1, 0]])
-    with pytest.raises(ValueError, match=r"^asymmetric entries at \(0,2\)$"):
-        gram_from_rows([[1, 0, 2], [0, 1, 0], [3, 0, 1]])
-
-
 def test_empty_matrix_has_rank_zero():
-    g = gram_from_rows([])
+    g = IntegerGram(np.empty((0, 0), dtype=object), 1)
     assert isinstance(g, IntegerGram) and g.n == 0
     assert rank(g) == 0 and trace(g) == 0 and trace_of_square(g) == 0
     assert verify_trace_rank(g).verdict
