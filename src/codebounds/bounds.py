@@ -87,18 +87,17 @@ def _cbrt_lower(x: Fraction) -> Fraction:
 def rho_lower(r: int, k: int) -> BoundReport:
     """Lower bound on the least-possible max inner product of 2r+k unit vectors in R^r.
 
-    Value is the float evaluation of ((8k/27 + 1)^(1/3) - 1)/(2r + k); the
-    details carry a certified rational lower enclosure obtained by rounding
-    the cube root down, so the bound is never over-reported.
+    The bound is ((8k/27 + 1)^(1/3) - 1)/(2r + k).  details["certified_lower"]
+    is a rational lower enclosure of it, obtained by rounding the cube root
+    down, and value is the largest float at or below that enclosure, so
+    neither is ever over-reported.
     """
     if r < 1 or k < 0:
         raise PreconditionViolated(f"need r >= 1 and k >= 0, got r={r}, k={k}")
-    radicand = Fraction(8 * k, 27) + 1
-    try:
-        value = ((8 * k / 27 + 1) ** (1 / 3) - 1) / (2 * r + k)
-    except OverflowError:
-        raise PreconditionViolated("r and k are beyond the float range") from None
-    enclosure = (_cbrt_lower(radicand) - 1) / (2 * r + k)
+    enclosure = (_cbrt_lower(Fraction(8 * k, 27) + 1) - 1) / (2 * r + k)
+    value = float(enclosure)
+    if Fraction(value) > enclosure:
+        value = math.nextafter(value, -math.inf)
     return BoundReport(
         "rho-lower", {"r": r, "k": k}, value, CERTIFIED_FLOAT,
         note="cube-root lower bound on the minimax inner product",
@@ -190,20 +189,24 @@ def aq_upper(q: int, r: int, s: int) -> BoundReport:
                                 "dimension": dimension, **inner.details})
 
 
-def plotkin_upper(r: int) -> int:
-    """Binary codes at half distance: at most 2r words (even block length)."""
-    if r % 2 != 0 or r < 2:
-        raise PreconditionViolated(f"block length must be even and >= 2, got {r}")
-    return 2 * r
+def plotkin_upper(q: int, r: int, s: int) -> BoundReport:
+    """The q-ary Plotkin bound, for distances s >= (1-1/q)r.
 
-
-def ms_upper(q: int, r: int) -> int:
-    """q-ary codes at distance (1-1/q)r: at most q*r words (r >= q >= 3)."""
-    if q < 3 or r < q:
-        raise PreconditionViolated(f"need r >= q >= 3, got q={q}, r={r}")
-    if (q - 1) * r % q != 0:
-        raise PreconditionViolated(f"(1-1/q)r = {(q - 1) * r}/{q} is not integral")
-    return q * r
+    Above the line, qs > (q-1)r, a code has at most floor(qs / (qs - (q-1)r))
+    words; on it, qs = (q-1)r, puncturing once and applying that bound gives
+    q*r.  Below the line aq_upper speaks instead.
+    """
+    if q < 2:
+        raise PreconditionViolated(f"alphabet size must be >= 2, got {q}")
+    if not 1 <= s <= r:
+        raise PreconditionViolated(f"need 1 <= s <= r, got s={s}, r={r}")
+    excess = q * s - (q - 1) * r
+    if excess < 0:
+        raise PreconditionViolated(f"s = {s} < (1-1/q)r = {Fraction((q - 1) * r, q)}; "
+                                   "the Plotkin bound does not apply")
+    value = q * r if excess == 0 else q * s // excess
+    return BoundReport("plotkin-upper", {"q": q, "r": r, "s": s}, value, CERTIFIED_EXACT,
+                       note="q-ary Plotkin bound for s >= (1-1/q)r")
 
 
 def ramsey_lower(q: int, r: int, s: int, a_value: int) -> int:

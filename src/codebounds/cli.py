@@ -23,9 +23,9 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .bounds import (CERTIFIED_EXACT, CONDITIONAL, BoundReport, aq_upper,
-                     bq_window_report, m_upper, ms_upper, plotkin_upper,
-                     ramsey_asymptotic, ramsey_lower, ramsey_upper_param, rho_lower)
+from .bounds import (CONDITIONAL, BoundReport, aq_upper, bq_window_report, m_upper,
+                     plotkin_upper, ramsey_asymptotic, ramsey_lower, ramsey_upper_param,
+                     rho_lower)
 from .certificates import Certificate, make_link
 from .codes import (certify_chain, gram_analyze, min_distance,
                     verify_lemma_beta, verify_lemma_gamma, verify_spherical_code)
@@ -152,12 +152,7 @@ _BOUNDS = {
     "rho": (("r", "k"), lambda ns, r, k: rho_lower(r, k)),
     "m": (("r",), lambda ns, r: m_upper(r, ns.alpha), ("alpha", _scalar_arg)),
     "aq": (("q", "r", "s"), lambda ns, q, r, s: aq_upper(q, r, s)),
-    "plotkin": (("r",), lambda ns, r: BoundReport(
-        "plotkin-upper", {"r": r}, plotkin_upper(r), CERTIFIED_EXACT,
-        note="binary half-distance bound")),
-    "ms": (("q", "r"), lambda ns, q, r: BoundReport(
-        "ms-upper", {"q": q, "r": r}, ms_upper(q, r), CERTIFIED_EXACT,
-        note="q-ary bound at distance (1-1/q)r")),
+    "plotkin": (("q", "r", "s"), lambda ns, q, r, s: plotkin_upper(q, r, s)),
     "ramsey-asymptotic": (("q", "r", "j"), lambda ns, q, r, j: ramsey_asymptotic(q, r, j)),
     "bq": (("q",), lambda ns, q: bq_window_report(q)),
     "ramsey-lower": ((), lambda ns: BoundReport(

@@ -170,11 +170,6 @@ class QaryCode:
         return len(self.words)
 
 
-def hamming_distance(x, y) -> int:
-    """Positions where two words differ; raises ValueError when their lengths differ."""
-    return sum(1 for a, b in zip(x, y, strict=True) if a != b)
-
-
 def min_distance(code: QaryCode) -> int:
     """Minimum pairwise Hamming distance; needs at least two codewords.
 

@@ -145,14 +145,3 @@ def embed_qary(code: QaryCode) -> EmbeddedCode:
     """
     return EmbeddedCode(code)
 
-
-def pm_one_embedding(code: QaryCode) -> UnitVectorSet:
-    """Binary words to vectors in R^r: 0 -> +1, 1 -> -1, scaled by 1/sqrt(r).
-
-    This is the code image at q = 2, whose simplex is +-1: a pair at Hamming
-    distance d has inner product 1 - 2d/r, and the exact Gram reads that
-    value from the code's rows.
-    """
-    if code.q != 2:
-        raise PreconditionViolated(f"alphabet size {code.q}, expected 2")
-    return code_image(code)

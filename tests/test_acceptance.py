@@ -17,7 +17,7 @@ from codebounds.codes import (UnitVectorSet, certify_chain, gram_analyze,
                               min_distance, verify_lemma_beta,
                               verify_lemma_gamma, verify_spherical_code)
 from codebounds.constructions import (cross_polytope, embed_qary, hadamard_code,
-                                      pm_one_embedding, sylvester_hadamard)
+                                      sylvester_hadamard)
 from codebounds.codes import QaryCode
 from codebounds.search import exact_max_code, heuristic_rho
 
@@ -102,7 +102,6 @@ def test_criterion_4_proof_chain_validity():
     for t in (2, 3):
         code = hadamard_code(sylvester_hadamard(t))
         sets.append(embed_qary(code).unit_vectors())
-        sets.append(pm_one_embedding(code))
     failures = 0
     for vset in sets:
         analysis = gram_analyze(vset)

@@ -7,14 +7,14 @@ import pytest
 
 from codebounds.bounds import (ASYMPTOTIC, CERTIFIED_EXACT, CONDITIONAL,
                                VACUOUS, aq_upper, bq_window, bq_window_report,
-                               m_upper, ms_upper, plotkin_upper,
+                               m_upper, plotkin_upper,
                                ramsey_asymptotic, ramsey_lower,
                                ramsey_upper_param, rho_lower)
 from codebounds.bounds import _icbrt
 from codebounds.codes import gram_analyze
-from codebounds.constructions import cross_polytope
-from codebounds.errors import PreconditionViolated
-from codebounds.search import exact_max_code, heuristic_rho
+from codebounds.constructions import cross_polytope, hadamard_code, sylvester_hadamard
+from codebounds.errors import NodeLimitExceeded, PreconditionViolated
+from codebounds.search import exact_max_code, greedy_lexicode, heuristic_rho
 
 
 def test_rho_lower_zero_k():
@@ -29,7 +29,18 @@ def test_rho_lower_frozen_value():
     report = rho_lower(100, 27)
     assert report.value == pytest.approx(0.0047580785156471547, rel=1e-14)
     lower = report.details["certified_lower"]
-    assert 0 < lower <= Fraction(report.value)
+    assert 0 < Fraction(report.value) <= lower
+
+
+def test_rho_lower_value_is_the_largest_float_below_the_enclosure():
+    # a float evaluation of the formula lies above the enclosure at 111 of
+    # these 1,131 points
+    for r in range(1, 198, 7):
+        for k in range(0, 495, 13):
+            report = rho_lower(r, k)
+            lower = report.details["certified_lower"]
+            assert Fraction(report.value) <= lower, (r, k)
+            assert Fraction(math.nextafter(report.value, math.inf)) > lower, (r, k)
 
 
 def test_rho_lower_enclosure_never_overstates():
@@ -212,23 +223,65 @@ def test_aq_upper_negative_j():
 
 
 def test_plotkin_examples():
-    assert plotkin_upper(4) == 8
-    assert plotkin_upper(8) == 16
-    assert plotkin_upper(2) == 4
-    with pytest.raises(PreconditionViolated, match=r"^block length must be even "):
-        plotkin_upper(5)
+    # binary: 2r on the line s = r/2, floor(2s / (2s - r)) above it
+    assert plotkin_upper(2, 4, 2).value == 8
+    assert plotkin_upper(2, 8, 4).value == 16
+    assert plotkin_upper(2, 2, 1).value == 4
+    report = plotkin_upper(2, 5, 3)
+    assert report.value == 6 and report.status == CERTIFIED_EXACT
 
 
 def test_ms_examples():
-    assert ms_upper(3, 9) == 27
-    assert ms_upper(3, 3) == 9
-    assert ms_upper(4, 8) == 32
-    with pytest.raises(PreconditionViolated):
-        ms_upper(2, 4)          # q must be >= 3
-    with pytest.raises(PreconditionViolated):
-        ms_upper(4, 3)          # r < q
-    with pytest.raises(PreconditionViolated):
-        ms_upper(3, 7)          # (1-1/q) r not integral
+    # on the line s = (1-1/q)r for q >= 3: q*r (MacWilliams-Sloane, ch. 2)
+    assert plotkin_upper(3, 9, 6).value == 27
+    assert plotkin_upper(3, 3, 2).value == 9
+    assert plotkin_upper(4, 8, 6).value == 32
+
+
+@pytest.mark.parametrize("q, r, s, message", [
+    (1, 4, 4, r"^alphabet size must be >= 2, got 1$"),
+    (2, 4, 0, r"^need 1 <= s <= r, got s=0, r=4$"),
+    (3, 4, 5, r"^need 1 <= s <= r, got s=5, r=4$"),
+    (2, 5, 2, r"^s = 2 < \(1-1/q\)r = 5/2; the Plotkin bound does not apply$"),
+    (3, 7, 4, r"^s = 4 < \(1-1/q\)r = 14/3; the Plotkin bound does not apply$"),
+])
+def test_plotkin_rejects_cells_outside_its_domain(q, r, s, message):
+    with pytest.raises(PreconditionViolated, match=message):
+        plotkin_upper(q, r, s)
+
+
+@pytest.mark.parametrize("q", range(2, 8))
+def test_plotkin_matches_a_fraction_reference(q):
+    theta = 1 - Fraction(1, q)
+    for r in range(1, 40):
+        for s in range(math.ceil(theta * r), r + 1):
+            expected = q * r if s == theta * r else math.floor(s / (s - theta * r))
+            report = plotkin_upper(q, r, s)
+            assert (report.value, report.status) == (expected, CERTIFIED_EXACT), (q, r, s)
+
+
+def test_no_built_witness_exceeds_plotkin():
+    hadamard = {(2, 1 << t, 1 << (t - 1)): hadamard_code(sylvester_hadamard(t))
+                for t in (1, 2, 3)}
+    cells = met = 0
+    for q in range(2, 6):
+        r = 1
+        while q ** r <= 256:
+            for s in range(math.ceil(Fraction((q - 1) * r, q)), r + 1):
+                try:
+                    exact = exact_max_code(q, r, s, node_limit=200_000)
+                except NodeLimitExceeded as exc:
+                    exact = exc.result
+                sizes = [len(greedy_lexicode(q, r, s)), len(exact.witness)]
+                if (q, r, s) in hadamard:
+                    sizes.append(len(hadamard[q, r, s]))
+                bound = plotkin_upper(q, r, s).value
+                assert max(sizes) <= bound, (q, r, s, sizes, bound)
+                cells += 1
+                met += max(sizes) == bound
+            r += 1
+    assert cells == 40
+    assert met >= 34        # cells where some witness meets the bound
 
 
 def test_ramsey_lower_examples():

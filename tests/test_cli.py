@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,8 +55,9 @@ def test_bound_domain_error_exits_1(capsys):
     code, _, err = run(capsys, "bound", "aq", "--q", "2", "--r", "4", "--s", "3")
     assert code == 1
     assert "j" in err
-    code, _, _ = run(capsys, "bound", "plotkin", "--r", "5")
-    assert code == 1
+    code, out, err = run(capsys, "bound", "plotkin", "--q", "2", "--r", "5", "--s", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: s = 2 < (1-1/q)r = 5/2; the Plotkin bound does not apply\n"
 
 
 def test_bound_argument_error_exits_2(capsys):
@@ -65,6 +67,9 @@ def test_bound_argument_error_exits_2(capsys):
     assert code == 2
     code, _, _ = run(capsys, "bound", "nonsense")
     assert code == 2
+    code, _, err = run(capsys, "bound", "ms", "--q", "3", "--r", "6")   # folded into plotkin
+    assert code == 2
+    assert "invalid choice: 'ms'" in err
 
 
 def test_bound_requires_single_values_without_grid(capsys):
@@ -91,6 +96,17 @@ def test_bound_grid_multi_param_lexicographic(capsys):
     assert lines[0] == "r,k,value,status"
     keys = [tuple(map(int, line.split(",")[:2])) for line in lines[1:]]
     assert keys == [(1, 0), (1, 1), (2, 0), (2, 1)]
+
+
+def test_bound_plotkin_grid_marks_below_line_cells_out_of_domain(capsys):
+    code, out, err = run(capsys, "bound", "plotkin", "--q", "2", "--r", "4",
+                         "--s", "1:4", "--grid")
+    assert code == 1
+    assert out.splitlines() == ["q,r,s,value,status", "2,4,1,,out-of-domain",
+                                "2,4,2,8,certified-exact", "2,4,3,3,certified-exact",
+                                "2,4,4,2,certified-exact"]
+    assert err == ("error: q=2 r=4 s=1: s = 1 < (1-1/q)r = 2; "
+                   "the Plotkin bound does not apply\n")
 
 
 def test_bound_ramsey_subcommands(capsys):
@@ -126,8 +142,7 @@ BOUND_STATUS = {
     "rho": (["--r", "4", "--k", "1"], "certified-float"),
     "m": (["--r", "4", "--alpha", "0"], "certified-exact"),
     "aq": (["--q", "2", "--r", "8", "--s", "4"], "certified-exact"),
-    "plotkin": (["--r", "4"], "certified-exact"),
-    "ms": (["--q", "3", "--r", "6"], "certified-exact"),
+    "plotkin": (["--q", "3", "--r", "6", "--s", "4"], "certified-exact"),
     "ramsey-asymptotic": (["--q", "2", "--r", "100", "--j", "0"], "asymptotic-headline"),
     "bq": (["--q", "3"], "asymptotic-headline"),
     "ramsey-lower": (["--q", "2", "--r", "4", "--s", "2", "--a-value", "8"], "conditional"),
@@ -504,13 +519,16 @@ def test_bound_grid_rejects_a_huge_range_before_it_sweeps(capsys, r):
     assert f"more than {cli.MAX_LIST_VALUES} values" in err
 
 
-@pytest.mark.parametrize("r, k",[("1", "1" + "0" * 309), ("1" + "0" * 309, "0")],
+@pytest.mark.parametrize("r, k, value",
+                         [("1", "1" + "0" * 309, 2 / 3 * 1e-206), ("1" + "0" * 309, "0", 0.0)],
                          ids=["huge-k", "huge-r"])
-def test_bound_rho_beyond_the_float_range_exits_1(capsys, r, k):
+def test_bound_rho_beyond_the_float_range_stays_below_the_enclosure(capsys, r, k, value):
+    # r and k past the largest float: the value is read from the exact enclosure
     code, out, err = run(capsys, "bound", "rho", "--r", r, "--k", k)
-    assert code == 1
-    assert out == ""
-    assert err == "error: r and k are beyond the float range\n"
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["value"] == pytest.approx(value, rel=1e-15)
+    assert Fraction(report["value"]) <= Fraction(report["details"]["certified_lower"])
 
 
 def _unopenable(tmp_path, what):

@@ -51,7 +51,7 @@ INPUTS = {
 
 HELP_PATHS = [
     [], ["bound"], ["bound", "rho"], ["bound", "m"], ["bound", "aq"], ["bound", "plotkin"],
-    ["bound", "ms"], ["bound", "ramsey-asymptotic"], ["bound", "bq"],
+    ["bound", "ramsey-asymptotic"], ["bound", "bq"],
     ["bound", "ramsey-lower"], ["bound", "ramsey-upper"], ["verify"], ["construct"],
     ["construct", "simplex"], ["construct", "crosspolytope"], ["construct", "hadamard"],
     ["construct", "hadamard-code"], ["embed"], ["search"], ["search", "exact"],
@@ -62,8 +62,9 @@ BOUND_RUNS = {
     "rho": (["--r", "100", "--k", "27"], ["--r", "10,20", "--k", "2:3"]),
     "m": (["--r", "4", "--alpha", "0"], ["--r", "2:8:2", "--alpha", "1/100"]),
     "aq": (["--q", "2", "--r", "8", "--s", "4"], ["--q", "2,3", "--r", "4,6", "--s", "3:4"]),
-    "plotkin": (["--r", "6"], ["--r", "3:6"]),
-    "ms": (["--q", "3", "--r", "6"], ["--q", "2:3", "--r", "4,6"]),
+    # the grid holds cells on, above and below the line s = (1-1/q)r
+    "plotkin": (["--q", "2", "--r", "8", "--s", "4"],
+                ["--q", "2,3", "--r", "4,6", "--s", "2:4"]),
     "ramsey-asymptotic": (["--q", "3", "--r", "6", "--j", "1"],
                           ["--q", "1:3", "--r", "6", "--j", "0:1"]),
     "bq": (["--q", "3"], ["--q", "2:7"]),
@@ -166,12 +167,11 @@ RECORDED_ON = (3, 11)
 DIGESTS = {
     "version": "e3860903f05fcfa5d744784ccfbb748f488e43aeaaf8e43c5b24a0f931ffb535",
     "help:": "b0afe383639552c3b42ed7fd99e7af0c37bb4ffbf0d87981d28eef1eac4b69f0",
-    "help:bound": "7545ce7d543a90b96e667d28af5b0102b4d896e8640ea097d34ae1c33f4978d5",
+    "help:bound": "1e469459672226ac2f425ee7a157ea4be179440912b01ae68d3efaa5b1320882",
     "help:bound rho": "db0d9b30b58177c2b3dbd3972cf11f8f094db655460e1e83b4e5765dc7fac0d2",
     "help:bound m": "48e70627a65121960149a2bdf07b2a5ba56fd40d7733bbecd25053a07d5a1786",
     "help:bound aq": "aa3e144bde5ed4f18d199abc74c48bca37e96b0691ac7129480ed8dbb324053b",
-    "help:bound plotkin": "8c0b10e60b6a881e6b1fd447d0b53db54b739a378d21a288546dca89ec0b3126",
-    "help:bound ms": "bac43c64b9b902e633bb6fd2216b654698e93b1226651c6b36e3c5d13de426df",
+    "help:bound plotkin": "4be7ccdc65e52ac8f30e605de1f22ba9c03457a8954429b88ff5def4d70a0157",
     "help:bound ramsey-asymptotic": "e4f1dea805cf06a7b1751d7086c1df8d02792a229b6a1d9fe19fd9da792ec996",
     "help:bound bq": "975d166f543cdc2c69e0d94ec8847fbe3d4f82d71a60f42754bc223a341e304a",
     "help:bound ramsey-lower": "c5b84bccd10d7377483c867d9b647f7bdc52774c0e454323a26508209ade579d",
@@ -190,21 +190,19 @@ DIGESTS = {
     "usage:no-command": "2b8472385f52d108fcefdb6b346a3aa9be48ebe6b16cf633f5b6b4b982572577",
     "usage:missing-required": "68449eee86d5863e11a461322b75e94001ad97bc4b30c3d46fb777e7c950a3ec",
     "usage:missing-alpha": "b19127bcb85ce4f6d4fad4edc8d8a7cfce201ada9d38a3930dc0eaf3cdd55440",
-    "usage:unknown-op": "e3b2d6929be58979ec5844d3689ca86e32f04435db98e18fddc0c3ffe755e442",
+    "usage:unknown-op": "39c69da9f03a0787c669cf6fc914eeb75dcc114a124d3766ce3c46916c57f1ae",
     "usage:bad-range": "de95d588fc5224c08f8fa33c4816dd533eb7af18e71e2c0fe071ac0f1686457c",
     "usage:bad-scalar": "ba260a7d675e02f9402c1a6c796d3547d099970acd82388fd7cc2fa58144773e",
     "usage:unknown-kind": "ec9ad3d0e968cb53fee6cdda5dba7ee0eca7156bcfc1e393faa4a1e79ebd3fdb",
     "usage:negative-scalar-as-flag": "f3baff6ffaecd2ebde522d15077b35c0669f6fa342f83e98efd485a11742464d",
-    "bound:rho": "f83605fa48987c5cff9c8fa68f6e0b4b2d1ed2ed2a2120e3525ba6d50333ecdb",
-    "bound:rho:grid": "43ffe6b8b747f1b6dfeded46617a428f275b9f262cd46064dc7cd211517a387e",
+    "bound:rho": "08829f93d507b701149f42999323e89ba9850c6d5da0d91eacbbc1e0ad39b4e0",
+    "bound:rho:grid": "9762bc0aece47bfd3e6f8bb7e4b0ddf694a32a2cc9642a95572000f9c590a47e",
     "bound:m": "fd64aa249124854913d44f4aaab22d80a751b1d964420c3561f32a885ddc2094",
     "bound:m:grid": "e1d1d60d744ec512de17cf5750ca8945ea77c97e1994f6fca8f28ac5b420f9af",
     "bound:aq": "4f3ce3ecb07110d3c2f2f67dc8729de281ced9998b4d6ffb5bad4b7ec87065a3",
     "bound:aq:grid": "54b11c1c195bb5f84ea628b3e7bf1f70b9761bd8cdc072198669f16f684424f4",
-    "bound:plotkin": "1929a26214a5c740168ce720d5efa9b32bb74b48e7006f6e0b3b049462644f95",
-    "bound:plotkin:grid": "b71717f70965e67ac66785dc6a3a2c9fb16da3dcb99c671c1f1f08b5af8faf8d",
-    "bound:ms": "dcd72ed7879cdc14385b8001f0acf13a1b0094b5da7170fe7aba6e74ed68b331",
-    "bound:ms:grid": "b483b670c13a26db042e9a0adb7aa3240cdbcc11496cdad315eb3e327095a301",
+    "bound:plotkin": "18be8417123548d0439a2faa935650e044dbf98ef48bc50bd1edf41099446c41",
+    "bound:plotkin:grid": "51810e5e33d05f4518e107c3be2a83a997c80ef8626f10d63ee0da9c382af68c",
     "bound:ramsey-asymptotic": "920acbf311fcfdae3b53cfcee5fb497003235f54869e73e1c004f6490ab34132",
     "bound:ramsey-asymptotic:grid": "9ec58b4ad0def7b89f934aa683ebf12604d6b45eb818ecc7997894d1e086e23e",
     "bound:bq": "1d0bfc2f01d8682663591943c0ba3cfb2465fdce5c9dbd427672042fe89aff24",
@@ -229,8 +227,6 @@ DIGESTS = {
     "search:rho:out": "6cd9406ae84fe89c9c60a673adf18bdb2d29db590cf400f88ddbd92a535f898e",
     "verify:spherical": "ba12dc1243bdf6c0a0c918c03bc6f4074a991a05516749411508ff7bf7b555f9",
     "verify:spherical:float": "21b8db6c65b5b0446ca60d35c25c466c135f197c4c808fa13b4ec3a8aa6ccc5d",
-    "verify:qary": "b90af5c90de578732ac7d206e25582c8c084eacc80bf46f4cc4d35e269764533",
-    "verify:qary:float": "236fab629002b6b1cef643e558c4725643b0992e27cc58a9e317d5cbb6603d19",
     "verify:beta": "65078526eb13359b5c05b2f03f0d390fd9a69c9724454b2be8f40e7f0e1f8cbf",
     "verify:beta:float": "f328922561ec108a69769bb03b64c6863a5be23a49932617738122cff3480004",
     "verify:gamma": "7b6a0f0ea66bf4dc8920309a698de162bda9cc9996f3a64e7242e492c1baab0e",
@@ -239,6 +235,8 @@ DIGESTS = {
     "verify:chain:float": "eba9fb04f513177a9186e8bc0031069e0f268a7d6fde45bd9b86f1f52622abe0",
     "verify:trace-rank": "131f49968f8e682baeb3fae9ce25a637e978247829437c652bc1eed99386db32",
     "verify:trace-rank:float": "5035a257d1f578d6188c6230eb656c4ce59123779ee8f5fb8c52106877a3054b",
+    "verify:qary": "b90af5c90de578732ac7d206e25582c8c084eacc80bf46f4cc4d35e269764533",
+    "verify:qary:float": "236fab629002b6b1cef643e558c4725643b0992e27cc58a9e317d5cbb6603d19",
     "verify:spherical:failing-claim": "5fe8d882974605729e13c96adbb5afeca99bb0bc8e0a946316661147a582078b",
     "verify:spherical:no-alpha": "b75a7f1c3c3459c7f73fd0f02824c47cf6b2759f7471acc30ac85ef171a6c94f",
     "verify:missing-file": "0ed55264a908aa2c1646a0080356164defa928bb977e80f3aa5fe1979ade7102",

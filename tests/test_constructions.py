@@ -5,10 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from codebounds.codes import QaryCode, certify_chain, gram_analyze, min_distance
+from codebounds.codes import QaryCode, certify_chain, code_image, gram_analyze, min_distance
 from codebounds.constructions import (HadamardMatrix, cross_polytope,
-                                      embed_qary, hadamard_code,
-                                      pm_one_embedding, simplex_vectors,
+                                      embed_qary, hadamard_code, simplex_vectors,
                                       sylvester_hadamard)
 from codebounds.errors import CodeBoundsError, PreconditionViolated
 from codebounds.fileio import (parse_spherical, record_json,
@@ -252,34 +251,22 @@ def test_min_distance_recoverable_from_embedding_gram():
 
 
 def test_pm_one_examples():
-    two = pm_one_embedding(QaryCode(2, 2, ((0, 0), (1, 1))))
+    # the binary code image is the +-1 embedding: inner product 1 - 2d/r
+    two = code_image(QaryCode(2, 2, ((0, 0), (1, 1))))
     assert two.raw_gram().rows[0][1] == -1
-    four = pm_one_embedding(QaryCode(2, 3, ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))))
+    four = code_image(QaryCode(2, 3, ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))))
     rows = four.raw_gram().rows
     for i in range(4):
         for j in range(4):
             if i != j:
                 assert rows[i][j] == Fraction(-1, 3)
-    with pytest.raises(PreconditionViolated, match=r"^alphabet size 3, expected 2$"):
-        pm_one_embedding(QaryCode(3, 2, ((0, 0), (1, 2))))
-
-
-def test_pm_one_agrees_with_embed_for_binary():
-    rng = random.Random(99)
-    for _ in range(10):
-        code = random_code(rng, q_max=2, r_max=8, n_max=12)
-        a = pm_one_embedding(code)
-        b = embed_qary(code)
-        assert a.raw_gram().rows == b.unit_vectors().raw_gram().rows
-        assert a.vectors == b.unit_vectors().vectors
-        assert a.dimension == b.dimension
 
 
 def test_constructed_sets_pass_their_advertised_alpha():
     assert verify_spherical_code(cross_polytope(4), 0).verdict
     assert verify_spherical_code(simplex_vectors(4), Fraction(-1, 3)).verdict
     code = hadamard_code(sylvester_hadamard(2))
-    assert verify_spherical_code(pm_one_embedding(code), 0).verdict
+    assert verify_spherical_code(code_image(code), 0).verdict
 
 
 def seeded_code(seed, q, r, n):

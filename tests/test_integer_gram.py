@@ -13,14 +13,15 @@ from codebounds import linalg
 from codebounds.certificates import Certificate, make_link
 from codebounds.cli import main
 from codebounds.codes import (QaryCode, UnitVectorSet, certify_chain, code_image,
-                              gram_analyze, hamming_distance, verify_lemma_beta,
-                              verify_lemma_gamma, verify_spherical_code)
+                              gram_analyze, verify_lemma_beta, verify_lemma_gamma,
+                              verify_spherical_code)
 from codebounds.constructions import embed_qary
 from codebounds.errors import NonUnitVector, PreconditionViolated
 from codebounds.fileio import record_json, serialize_spherical
 from codebounds.linalg import (P, IntegerGram, integer_rank, rank, trace_of_square,
                                verify_trace_rank)
 from codebounds.scalars import format_scalar
+from test_codes_core import hamming_distance
 from test_integer_product import smallest_square_above_the_gate
 
 # ----------------------------------------------------------- the reference

@@ -11,12 +11,12 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from codebounds import codes, linalg
+from codebounds import linalg
 from codebounds.codes import QaryCode, UnitVectorSet, certify_chain, gram_analyze, min_distance
 from codebounds.constructions import cross_polytope, embed_qary, hadamard_code, sylvester_hadamard
 from codebounds.linalg import P, integer_product, integer_rank, max_off_diagonal
 from test_acceptance import rational_sphere_point
-from test_codes_core import distance_kernel_cases
+from test_codes_core import distance_kernel_cases, hamming_distance
 
 
 @pytest.fixture
@@ -308,7 +308,7 @@ def test_max_off_diagonal_in_row_blocks(monkeypatch, block):
 
 
 def hamming_min(words):
-    return min(codes.hamming_distance(words[i], words[j])
+    return min(hamming_distance(words[i], words[j])
                for i in range(len(words)) for j in range(i + 1, len(words)))
 
 

@@ -8,11 +8,12 @@ import pytest
 
 from codebounds import search
 from codebounds.bounds import aq_upper, rho_lower
-from codebounds.codes import hamming_distance, min_distance
+from codebounds.codes import min_distance
 from codebounds.constructions import hadamard_code, sylvester_hadamard
 from codebounds.errors import NodeLimitExceeded, PreconditionViolated
 from codebounds.search import (_colour_branches, _compatibility_masks, _word_table,
                                exact_max_code, greedy_lexicode, heuristic_rho)
+from test_codes_core import hamming_distance
 
 
 def test_exact_small_cases():
