@@ -8,7 +8,9 @@ default everywhere; float mode is opt-in via --float.  Every command is one
 row of a table keyed by its name: each bound op in ``_BOUNDS``, verify kind in
 ``_VERIFY``, construct target in ``_CONSTRUCT`` and search mode in
 ``_SEARCH``.  That row drives both its parser and its run, and a swept bound
-op's row its --grid sweep too.
+op's row its --grid sweep too.  So a verify kind reads only the claim it
+checks: a missing --alpha or --s, like a flag its row does not declare, is an
+argument error (exit 2).
 """
 
 import argparse
@@ -127,19 +129,24 @@ def _single(values, name):
 
 
 def _add_arguments(parser, args):
-    """Add --name for each (name, type[, default]); one without a default is required."""
+    """Add --name for each (name, type[, default]); one without a default is
+    required, and one of type bool is a store-true flag."""
     for name, type_, *default in args:
-        parser.add_argument(f"--{name}", type=type_, required=not default,
-                            default=default[0] if default else None)
+        if type_ is bool:
+            parser.add_argument(f"--{name}", action="store_true")
+        else:
+            parser.add_argument(f"--{name}", type=type_, required=not default,
+                                default=default[0] if default else None)
 
 
-def _add_rows(parser, dest, table):
-    """One subparser per row of a construct or search table, each with --out."""
-    rows = parser.add_subparsers(dest=dest, required=True)
+def _add_rows(parser, key, table, flag, **options):
+    """One subparser per row of a verify, construct or search table: the row's
+    arguments, then the flag every row gets (--in for verify, --out else)."""
+    rows = parser.add_subparsers(dest=key, required=True)
     for name, (args, *_) in table.items():
         p = rows.add_parser(name)
         _add_arguments(p, args)
-        p.add_argument("--out")
+        p.add_argument(flag, **options)
 
 
 _QRS = (("q", int), ("r", int), ("s", int))
@@ -200,12 +207,6 @@ def cmd_bound(ns, run: _Run) -> int:
     return 1 if failed else 0
 
 
-def _claim(value, message):
-    if value is None:
-        raise CodeBoundsError(message)
-    return value
-
-
 def _sphere(ns, text):
     return parse_spherical(text, exact=not ns.float)
 
@@ -218,22 +219,23 @@ def _qary_certificate(code, claim):
                                         "min_distance": d})
 
 
-# Each verify kind: the certificate it builds from the namespace and the file
-# text.  The file is parsed before a missing claim is reported.
+# Each verify kind: the arguments it reads besides --in, as (name, type[,
+# default]), and the certificate it builds from the namespace and the file text.
+_FLOAT = ("float", bool, False)
 _VERIFY = {
-    "spherical": lambda ns, text: verify_spherical_code(
-        _sphere(ns, text), _claim(ns.alpha, "verify spherical requires --alpha <claim>")),
-    "qary": lambda ns, text: _qary_certificate(
-        parse_qary(text), _claim(ns.s, "verify qary requires --s <claimed distance>")),
-    "beta": lambda ns, text: verify_lemma_beta(gram_analyze(_sphere(ns, text))),
-    "gamma": lambda ns, text: verify_lemma_gamma(gram_analyze(_sphere(ns, text))),
-    "chain": lambda ns, text: certify_chain(_sphere(ns, text)),
-    "trace-rank": lambda ns, text: verify_trace_rank(_sphere(ns, text).raw_gram()),
+    "spherical": ((("alpha", _scalar_arg), _FLOAT),
+                  lambda ns, text: verify_spherical_code(_sphere(ns, text), ns.alpha)),
+    "qary": ((("s", int),), lambda ns, text: _qary_certificate(parse_qary(text), ns.s)),
+    "beta": ((_FLOAT,), lambda ns, text: verify_lemma_beta(gram_analyze(_sphere(ns, text)))),
+    "gamma": ((_FLOAT,), lambda ns, text: verify_lemma_gamma(gram_analyze(_sphere(ns, text)))),
+    "chain": ((_FLOAT,), lambda ns, text: certify_chain(_sphere(ns, text))),
+    "trace-rank": ((_FLOAT,), lambda ns, text: verify_trace_rank(_sphere(ns, text).raw_gram())),
 }
 
 
 def cmd_verify(ns, run: _Run) -> int:
-    cert = _VERIFY[ns.kind](ns, run.read_input(ns.infile))
+    _, certificate_of = _VERIFY[ns.kind]
+    cert = certificate_of(ns, run.read_input(ns.infile))
     print(record_json(cert))
     return 0 if cert.verdict else 1
 
@@ -328,22 +330,16 @@ def build_parser() -> argparse.ArgumentParser:
                            help="sweep comma/range parameters and emit CSV")
         _add_arguments(p, unswept)
 
-    verify = sub.add_parser("verify", help="check a certificate against a file")
-    verify.add_argument("kind", choices=list(_VERIFY))
-    verify.add_argument("--in", dest="infile", required=True)
-    verify.add_argument("--alpha", type=_scalar_arg, default=None)
-    verify.add_argument("--s", type=int, default=None)
-    verify.add_argument("--float", action="store_true",
-                        help="parse and evaluate in float mode")
-
+    _add_rows(sub.add_parser("verify", help="check a certificate against a file"),
+              "kind", _VERIFY, "--in", dest="infile", required=True)
     _add_rows(sub.add_parser("construct", help="emit a witness configuration"),
-              "what", _CONSTRUCT)
+              "what", _CONSTRUCT, "--out")
 
     embed = sub.add_parser("embed", help="map a q-ary code onto the sphere")
     embed.add_argument("--in", dest="infile", required=True)
     embed.add_argument("--out")
 
-    _add_rows(sub.add_parser("search", help="run a search oracle"), "mode", _SEARCH)
+    _add_rows(sub.add_parser("search", help="run a search oracle"), "mode", _SEARCH, "--out")
     return parser
 
 

@@ -227,6 +227,52 @@ def test_verify_spherical_failing_claim_exits_1(tmp_path, capsys):
     assert code == 0
 
 
+# the 7 (kind, flag) pairs verify accepts; every other pair is a usage error
+_VERIFY_FLAGS = {"spherical": {"alpha", "float"}, "qary": {"s"}, "beta": {"float"},
+                 "gamma": {"float"}, "chain": {"float"}, "trace-rank": {"float"}}
+_FLAG_ARGV = {"alpha": ["--alpha", "0"], "s": ["--s", "1"], "float": ["--float"]}
+_CLAIMS = {"spherical": "alpha", "qary": "s"}
+
+
+def _verify_input(tmp_path, kind):
+    # a file of the kind's type on which every flag it reads gives verdict true
+    if kind == "qary":
+        path, text = tmp_path / "h.qary", "qary 2 2\n0 0\n1 1\n"
+    else:
+        path, text = tmp_path / "cp.sphere", "sphere 2\n1 0\n0 1\n-1 0\n0 -1\n"
+    path.write_text(text)
+    return str(path)
+
+
+def test_verify_flag_table_matches_the_verify_rows():
+    assert {kind: {name for name, *_ in args}
+            for kind, (args, _) in cli._VERIFY.items()} == _VERIFY_FLAGS
+
+
+@pytest.mark.parametrize("flag", list(_FLAG_ARGV))
+@pytest.mark.parametrize("kind", list(_VERIFY_FLAGS))
+def test_verify_kind_accepts_exactly_its_own_flags(tmp_path, capsys, kind, flag):
+    required = _CLAIMS.get(kind, flag)
+    claim = [] if required == flag else _FLAG_ARGV[required]
+    argv = ["verify", kind, "--in", _verify_input(tmp_path, kind), *claim, *_FLAG_ARGV[flag]]
+    code, out, err = run(capsys, *argv)
+    if flag in _VERIFY_FLAGS[kind]:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdict"] is True
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ")
+        assert f"unrecognized arguments: {' '.join(_FLAG_ARGV[flag])}" in err
+
+
+@pytest.mark.parametrize("kind", list(_CLAIMS))
+def test_verify_missing_claim_is_a_usage_error(tmp_path, capsys, kind):
+    code, out, err = run(capsys, "verify", kind, "--in", _verify_input(tmp_path, kind))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: codebounds verify {kind} ")
+    assert err.endswith(f"error: the following arguments are required: --{_CLAIMS[kind]}\n")
+
+
 def test_verify_missing_file_exits_2(capsys):
     code, _, _ = run(capsys, "verify", "chain", "--in", "/nonexistent.sphere")
     assert code == 2

@@ -52,7 +52,9 @@ INPUTS = {
 HELP_PATHS = [
     [], ["bound"], ["bound", "rho"], ["bound", "m"], ["bound", "aq"], ["bound", "plotkin"],
     ["bound", "ramsey-asymptotic"], ["bound", "bq"],
-    ["bound", "ramsey-lower"], ["bound", "ramsey-upper"], ["verify"], ["construct"],
+    ["bound", "ramsey-lower"], ["bound", "ramsey-upper"], ["verify"], ["verify", "spherical"],
+    ["verify", "qary"], ["verify", "beta"], ["verify", "gamma"], ["verify", "chain"],
+    ["verify", "trace-rank"], ["construct"],
     ["construct", "simplex"], ["construct", "crosspolytope"], ["construct", "hadamard"],
     ["construct", "hadamard-code"], ["embed"], ["search"], ["search", "exact"],
     ["search", "greedy"], ["search", "rho"],
@@ -86,6 +88,10 @@ def _cases():
         # a negative scalar in its own token is read as a flag
         "usage:negative-scalar-as-flag": ["verify", "spherical", "--in", "exact.sphere",
                                           "--alpha", "-1/2"],
+        # a verify kind takes only the arguments it reads, and its claim is required
+        "usage:unread-claim": ["verify", "chain", "--in", "exact.sphere", "--alpha", "0"],
+        "usage:qary-float": ["verify", "qary", "--float", "--in", "ternary.qary", "--s", "3"],
+        "usage:missing-claim": ["verify", "spherical", "--in", "exact.sphere"],
     })
     for op, (single, grid) in BOUND_RUNS.items():
         cases[f"bound:{op}"] = ["bound", op] + single
@@ -123,11 +129,8 @@ def _cases():
         cases[f"verify:{kind}:float"] = ["verify", kind, "--float",
                                          "--in", "float.sphere"] + claim
     cases["verify:qary"] = ["verify", "qary", "--in", "ternary.qary", "--s", "2"]
-    cases["verify:qary:float"] = ["verify", "qary", "--float", "--in", "ternary.qary",
-                                  "--s", "3"]
     cases["verify:spherical:failing-claim"] = ["verify", "spherical", "--in", "exact.sphere",
                                                "--alpha=-1/2"]
-    cases["verify:spherical:no-alpha"] = ["verify", "spherical", "--in", "exact.sphere"]
     cases["verify:missing-file"] = ["verify", "chain", "--in", "absent.sphere"]
     cases["verify:chain:alpha-one"] = ["verify", "chain", "--in", "alpha-one.sphere"]
     cases["verify:chain:off-sphere"] = ["verify", "chain", "--in", "off-sphere.sphere"]
@@ -176,7 +179,13 @@ DIGESTS = {
     "help:bound bq": "975d166f543cdc2c69e0d94ec8847fbe3d4f82d71a60f42754bc223a341e304a",
     "help:bound ramsey-lower": "c5b84bccd10d7377483c867d9b647f7bdc52774c0e454323a26508209ade579d",
     "help:bound ramsey-upper": "c238bb120fdbec91d69bb3c1c4d0af31cd761d813125c2e99c1a38315cb92225",
-    "help:verify": "c33ad3dbaf43af753ed54b67c12f58d1c40ef4c71115e145936c4164c7ca23a2",
+    "help:verify": "5381e05efd279e2a63c07d5f5575a42353071215431e904f8cec97cf4a680d3f",
+    "help:verify spherical": "c221d367a90baa24650ff7ae47b45782fe2c8a7d4d06904d35cd3414e9f02288",
+    "help:verify qary": "0912ee2d33a8e839c4de44d227c2cc2a497e3787a204ab9e48f2d514f1dccb81",
+    "help:verify beta": "82250a27c4b99a5ab774340a5c3f0ee6b89bbcff7bbd4043c549f802241dc51e",
+    "help:verify gamma": "494146c46776e9528f165ac02839571867734f2f594f381201b89d864a160759",
+    "help:verify chain": "4549d72ae0243255b989933675d6fec7a0514fd33ef60523e599cdf3f4692363",
+    "help:verify trace-rank": "f4ab1eb78ce0dce542182fdd8642b38524f10126423fb36e3e09069b7a677a65",
     "help:construct": "32ab811540c995b4541d2abfa753532884e3839f633ff10620d830eb3ee6b58a",
     "help:construct simplex": "2f6a6977237c55a45a5b05fae02ab3806b325d07e9835fd20aaff53542c29c47",
     "help:construct crosspolytope": "4fb57c5df8fdbacc65cba9ea938dd15141eda9cbdb73b06457d0568f983d5db8",
@@ -193,8 +202,11 @@ DIGESTS = {
     "usage:unknown-op": "39c69da9f03a0787c669cf6fc914eeb75dcc114a124d3766ce3c46916c57f1ae",
     "usage:bad-range": "de95d588fc5224c08f8fa33c4816dd533eb7af18e71e2c0fe071ac0f1686457c",
     "usage:bad-scalar": "ba260a7d675e02f9402c1a6c796d3547d099970acd82388fd7cc2fa58144773e",
-    "usage:unknown-kind": "ec9ad3d0e968cb53fee6cdda5dba7ee0eca7156bcfc1e393faa4a1e79ebd3fdb",
-    "usage:negative-scalar-as-flag": "f3baff6ffaecd2ebde522d15077b35c0669f6fa342f83e98efd485a11742464d",
+    "usage:unknown-kind": "71adb43c1dfa5d514dd52ddd2529b05313e7ae98cf1b0031ce38a96acb269399",
+    "usage:negative-scalar-as-flag": "685cc93aa11de61385919538db5c5320e781e6872d8e4c57df4e8d29b687bc96",
+    "usage:unread-claim": "db72fb8a0fd708e001c3497070fd3a4a5bf9c8670a61fb5cb86e0b3b473fca80",
+    "usage:qary-float": "effbddfe270fba3b0cced8e4bf3e9cee9f8c20401ca3a46b269728da6081ddbd",
+    "usage:missing-claim": "86df2c54f4054d46d9a7fac8f2b73121a245d2f8690222bd80d46e7154eaba9b",
     "bound:rho": "08829f93d507b701149f42999323e89ba9850c6d5da0d91eacbbc1e0ad39b4e0",
     "bound:rho:grid": "9762bc0aece47bfd3e6f8bb7e4b0ddf694a32a2cc9642a95572000f9c590a47e",
     "bound:m": "fd64aa249124854913d44f4aaab22d80a751b1d964420c3561f32a885ddc2094",
@@ -236,9 +248,7 @@ DIGESTS = {
     "verify:trace-rank": "131f49968f8e682baeb3fae9ce25a637e978247829437c652bc1eed99386db32",
     "verify:trace-rank:float": "5035a257d1f578d6188c6230eb656c4ce59123779ee8f5fb8c52106877a3054b",
     "verify:qary": "b90af5c90de578732ac7d206e25582c8c084eacc80bf46f4cc4d35e269764533",
-    "verify:qary:float": "236fab629002b6b1cef643e558c4725643b0992e27cc58a9e317d5cbb6603d19",
     "verify:spherical:failing-claim": "5fe8d882974605729e13c96adbb5afeca99bb0bc8e0a946316661147a582078b",
-    "verify:spherical:no-alpha": "b75a7f1c3c3459c7f73fd0f02824c47cf6b2759f7471acc30ac85ef171a6c94f",
     "verify:missing-file": "0ed55264a908aa2c1646a0080356164defa928bb977e80f3aa5fe1979ade7102",
     "verify:chain:alpha-one": "86af3de68bd8280314791c9b4a283f12625f331a99ecacfcc910f15a946aa0cf",
     "verify:chain:off-sphere": "2072948a739cf2738a1cb9a30f619b3e610bf49a93ab8e4daa92424fb21aa81f",

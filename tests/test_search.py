@@ -8,7 +8,7 @@ import pytest
 
 from codebounds import search
 from codebounds.bounds import aq_upper, rho_lower
-from codebounds.codes import min_distance
+from codebounds.codes import QaryCode, min_distance
 from codebounds.constructions import hadamard_code, sylvester_hadamard
 from codebounds.errors import NodeLimitExceeded, PreconditionViolated
 from codebounds.search import (_colour_branches, _compatibility_masks, _word_table,
@@ -27,9 +27,10 @@ def test_exact_small_cases():
                    "stops at the first colour that cannot beat the incumbent, cutting "
                    "live branches")
 def test_exact_search_known_wrong_optima():
-    # binary A(9,5) = 6, A(10,6) = 6 and A(9,4) = 20; the search claims
-    # optimal=True on 4, 4 and 16, each after one node
-    truth = {(2, 9, 5): 6, (2, 10, 6): 6, (2, 9, 4): 20}
+    # binary A(9,5) = 6, A(10,6) = 6 and A(9,4) = 20, and ternary A3(6,5) = 4;
+    # the search claims optimal=True on 4, 4 and 16, each after one node, and
+    # on 3 after 225 nodes
+    truth = {(2, 9, 5): 6, (2, 10, 6): 6, (2, 9, 4): 20, (3, 6, 5): 4}
     found = {}
     for (q, r, s) in truth:
         result = exact_max_code(q, r, s)
@@ -79,7 +80,7 @@ def test_exact_node_limit(node_limit):
 
 
 @pytest.mark.parametrize("q, r, s, size, nodes", [
-    (2, 6, 3, 8, 4), (3, 4, 2, 27, 108), (5, 3, 2, 25, 1894), (3, 6, 5, 3, 225),
+    (2, 6, 3, 8, 4), (3, 4, 2, 27, 108), (5, 3, 2, 25, 1894),
 ])
 def test_exact_node_counts(q, r, s, size, nodes):
     # pinned for the current pruning rule: branching order, candidate
@@ -87,6 +88,13 @@ def test_exact_node_counts(q, r, s, size, nodes):
     result = exact_max_code(q, r, s)
     assert (result.value, result.nodes, result.optimal) == (size, nodes, True)
     assert min_distance(result.witness) >= s
+
+
+def test_ternary_length_6_distance_5_code_of_four_words():
+    # A3(6,5) >= 4, one word more than the search reports as optimal
+    code = QaryCode(3, 6, ((0, 0, 0, 0, 0, 0), (0, 1, 1, 1, 1, 1), (1, 0, 1, 2, 2, 2),
+                           (2, 2, 2, 0, 1, 2)))
+    assert min_distance(code) == 5
 
 
 def test_exact_witness_is_written_most_significant_digit_first():
