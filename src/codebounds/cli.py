@@ -139,6 +139,19 @@ def _add_arguments(parser, args):
                                 default=default[0] if default else None)
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, which reports an argument it does not read with its
+    own usage line: by default a subparser hands such arguments back, and the
+    root parser reports them with its usage.  Every parser below the root is
+    one, as subparsers take their parent's class."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _add_rows(parser, key, table, flag, **options):
     """One subparser per row of a verify, construct or search table: the row's
     arguments, then the flag every row gets (--in for verify, --out else)."""
@@ -317,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "spherical and q-ary codes.")
     parser.add_argument("--version", action="version",
                         version=f"codebounds {__version__} (formats: {FORMAT_VERSIONS})")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     bound = sub.add_parser("bound", help="evaluate a bound")
     bsub = bound.add_subparsers(dest="op", required=True)

@@ -2,7 +2,9 @@
 
 An exact set is held in one form: integer rows P over one positive integer
 c, so that <v_i, v_j> = P_i . P_j / c, with an integer factor of the same
-rank.  Rational coordinates scaled to integers A = L*V give (A, L^2, A).
+rank.  Rational coordinates scaled to integers A = L*V give (A, L^2, A).  A
+parsed file's A is built from its distinct scalars, each scaled once, taken
+at each coordinate's index into them (``UnitVectorSet._from_table``).
 The simplex image of a ``QaryCode`` (``code_image``) has irrational
 coordinates for q >= 3 but rational inner products: its float coordinates
 and its rows C = q*onehot - 1 over q(q-1)r are built from the same code.
@@ -64,6 +66,23 @@ class UnitVectorSet:
             a = exact_array([[int(x.numerator) * (den // x.denominator) for x in v]
                              for v in vectors], self.dimension)
             object.__setattr__(self, "_exact", (a, den * den, a))
+
+    @classmethod
+    def _from_table(cls, dimension: int, scalars: list, rows: list) -> "UnitVectorSet":
+        """The exact set whose vector i has the coordinates ``scalars[k]`` for
+        k in ``rows[i]``, for at least one row of ``dimension`` indices into a
+        list of exact scalars.  Its coordinates and its exact form both come
+        from (scalars, rows): each scalar is scaled over the lcm of their
+        denominators once, and A takes those integers at the rows' indices."""
+        vset = object.__new__(cls)
+        object.__setattr__(vset, "dimension", dimension)
+        object.__setattr__(vset, "vectors", tuple(tuple(map(scalars.__getitem__, r))
+                                                  for r in rows))
+        den = math.lcm(*(x.denominator for x in scalars))
+        table = exact_array([x.numerator * (den // x.denominator) for x in scalars], dimension)
+        a = table[np.array(rows, dtype=np.intp)]
+        object.__setattr__(vset, "_exact", (a, den * den, a))
+        return vset
 
     def __len__(self):
         return len(self.vectors)
@@ -144,7 +163,10 @@ class GramAnalysis:
 
 @dataclass(frozen=True)
 class QaryCode:
-    """Codewords over {0..q-1} of a fixed block length, pairwise distinct."""
+    """Codewords over {0..q-1} of a fixed block length, pairwise distinct.
+
+    Words that numpy reads as one integer array are range-checked as that
+    array; any others are checked one word at a time."""
 
     q: int
     r: int
@@ -155,14 +177,26 @@ class QaryCode:
             raise InvalidCode(f"alphabet size {self.q} < 2")
         if self.r < 1:
             raise InvalidCode(f"block length {self.r} < 1")
-        words = tuple(tuple(map(int, w)) for w in self.words)
+        try:
+            table = np.array(self.words)
+        except (ValueError, TypeError, OverflowError):    # ragged words, say
+            table = None
+        # an array of integers, not bools, with r columns is range-checked
+        # whole and its rows are the words, made one row at a time so that no
+        # list of every row is held beside them; anything else is read word by
+        # word, which finds the first bad word for the error
+        if (table is not None and table.dtype.kind in "iu" and table.shape[1:] == (self.r,)
+                and table.min(initial=0) >= 0 and table.max(initial=0) < self.q):
+            words = tuple(tuple(row.tolist()) for row in table)
+        else:
+            words = tuple(tuple(map(int, w)) for w in self.words)
+            for w in words:
+                if len(w) != self.r:
+                    raise InvalidCode(f"codeword {w} has length {len(w)}, expected {self.r}")
+                if min(w) < 0 or max(w) >= self.q:
+                    s = next(s for s in w if not 0 <= s < self.q)
+                    raise InvalidCode(f"symbol {s} out of range [0, {self.q})")
         object.__setattr__(self, "words", words)
-        for w in words:
-            if len(w) != self.r:
-                raise InvalidCode(f"codeword {w} has length {len(w)}, expected {self.r}")
-            if min(w) < 0 or max(w) >= self.q:
-                s = next(s for s in w if not 0 <= s < self.q)
-                raise InvalidCode(f"symbol {s} out of range [0, {self.q})")
         if len(set(words)) != len(words):
             raise InvalidCode("codewords must be pairwise distinct")
 
@@ -246,6 +280,16 @@ def integer_gram(vset: UnitVectorSet, unit: bool = False) -> IntegerGram:
     return IntegerGram(integer_product(p), c, factor)
 
 
+def _off_diagonal(m: np.ndarray) -> np.ndarray:
+    """The n(n-1) entries of a square matrix off its diagonal, as an (n-1, n)
+    array: read as n-1 rows of n+1, the flat matrix less its last entry has
+    the diagonal as its first column, which is dropped.  A view of m when m
+    is contiguous; a vector set's Gram is symmetric, so its extremes here
+    are those of its upper triangle."""
+    n = len(m)
+    return m.reshape(-1)[:-1].reshape(n - 1, n + 1)[:, 1:]
+
+
 def gram_analyze(vset: UnitVectorSet) -> GramAnalysis:
     """Gram matrix and alpha; the analysis computes gamma on first read.
 
@@ -258,7 +302,7 @@ def gram_analyze(vset: UnitVectorSet) -> GramAnalysis:
     exact = vset.mode() == EXACT
     g = integer_gram(vset, unit=True) if exact else _float_gram(vset.coords, unit=True)
     n = g.n
-    alpha = -1 if n == 1 else g.value(g.num[np.triu_indices(n, 1)].max())
+    alpha = -1 if n == 1 else g.value(_off_diagonal(g.num).max())
     return GramAnalysis(g, alpha)
 
 
@@ -274,7 +318,7 @@ def verify_spherical_code(vset: UnitVectorSet, alpha_claim: Scalar) -> Certifica
     worst_norm = value(np.abs(m.diagonal() - gram.den).max())
     links = [make_link("unit norms (max |<v,v>| deviation from 1)", worst_norm, 0)]
     if n >= 2:
-        off = m[np.triu_indices(n, 1)]
+        off = _off_diagonal(m)
         links.append(make_link("pairwise inner products at most the claim",
                                value(off.max()), alpha_claim))
         links.append(make_link("pairwise inner products at least -1",

@@ -71,7 +71,7 @@ def hadamard_code(h: HadamardMatrix) -> QaryCode:
     if r < 2:
         raise PreconditionViolated(f"order must be >= 2, got {r}")
     rows = np.array(h.rows, dtype=np.int8)
-    return QaryCode(2, r, (np.concatenate([rows, -rows]) != 1).view(np.int8).tolist())
+    return QaryCode(2, r, (np.concatenate([rows, -rows]) != 1).view(np.int8))
 
 
 def cross_polytope(r: int) -> UnitVectorSet:

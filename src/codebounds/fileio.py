@@ -6,11 +6,16 @@ d whitespace-separated scalar tokens.  Q-ary code file: line 1 is
 Blank lines and ``#`` comment lines are ignored on input, which lets writers
 append run manifests without breaking round-trips.  Each distinct token is
 parsed once per file, and each of a code image's few distinct floats is
-printed once per file.
+printed once per file.  An exact sphere file's set is built from its list of
+distinct scalars and each coordinate's index into that list, so its exact
+form scales each distinct scalar once.  A q-ary file's words reach
+``QaryCode`` as one array of the least type that holds q - 1.
 """
 
 import hashlib
 import json
+
+import numpy as np
 
 from .codes import QaryCode, UnitVectorSet
 from .errors import CodeBoundsError, FileFormatError
@@ -39,8 +44,9 @@ def parse_spherical(text: str, exact: bool = True) -> UnitVectorSet:
         raise FileFormatError(f"line {lineno}: bad dimension {parts[1]!r}") from None
     if d < 1:
         raise FileFormatError(f"line {lineno}: dimension must be >= 1")
-    vectors = []
-    values = {}    # token -> parse_scalar(token); a token that fails is never stored
+    # token -> parse_scalar(token), or in exact mode its index in scalars; a
+    # token that fails is never stored
+    rows, values, scalars = [], {}, []
     for lineno, line in lines[1:]:
         tokens = line.split()
         if len(tokens) != d:
@@ -48,13 +54,18 @@ def parse_spherical(text: str, exact: bool = True) -> UnitVectorSet:
         for t in tokens:
             if t not in values:
                 try:
-                    values[t] = parse_scalar(t, exact=exact)
+                    x = parse_scalar(t, exact=exact)
                 except ValueError as exc:
                     raise FileFormatError(f"line {lineno}: {exc}") from None
-        vectors.append(tuple(map(values.__getitem__, tokens)))
-    if not vectors:
+                if exact:
+                    values[t] = len(scalars)
+                    scalars.append(x)
+                else:
+                    values[t] = x
+        rows.append(tuple(map(values.__getitem__, tokens)))
+    if not rows:
         raise FileFormatError("no vectors in file")
-    return UnitVectorSet(d, tuple(vectors))
+    return UnitVectorSet._from_table(d, scalars, rows) if exact else UnitVectorSet(d, rows)
 
 
 def serialize_spherical(vset: UnitVectorSet) -> str:
@@ -114,7 +125,8 @@ def parse_qary(text: str) -> QaryCode:
     if not words:
         raise FileFormatError("no codewords in file")
     try:
-        return QaryCode(q, r, tuple(words))
+        # the least type that holds every symbol, for QaryCode's one range check
+        return QaryCode(q, r, np.array(words, dtype=np.min_scalar_type(q - 1)))
     except CodeBoundsError as exc:
         raise FileFormatError(str(exc)) from None
 

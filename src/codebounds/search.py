@@ -95,7 +95,7 @@ def greedy_lexicode(q: int, r: int, s: int) -> QaryCode:
     digits = _word_table(q, r, s)
     kept = _lexicode(_compatibility_masks(digits, q, s))
     # most significant digit first: id order is lexicographic order
-    return QaryCode(q, r, digits[kept, ::-1].tolist())
+    return QaryCode(q, r, digits[kept, ::-1])
 
 
 def _colour_branches(cand, comp):
@@ -156,7 +156,7 @@ def exact_max_code(q: int, r: int, s: int, node_limit: int = 10_000_000) -> Sear
             cand = live & comp[v]
             path.append(v)
     optimal = nodes <= node_limit
-    witness = QaryCode(q, r, digits[best, ::-1].tolist())
+    witness = QaryCode(q, r, digits[best, ::-1])
     result = SearchResult(len(best), witness, nodes, optimal=optimal)
     if not optimal:
         raise NodeLimitExceeded(result)

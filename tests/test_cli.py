@@ -261,8 +261,21 @@ def test_verify_kind_accepts_exactly_its_own_flags(tmp_path, capsys, kind, flag)
         assert json.loads(out)["verdict"] is True
     else:
         assert (code, out) == (2, "")
-        assert err.startswith("usage: ")
-        assert f"unrecognized arguments: {' '.join(_FLAG_ARGV[flag])}" in err
+        assert err.startswith(f"usage: codebounds verify {kind} ")
+        assert f"verify {kind}: error: unrecognized arguments: {' '.join(_FLAG_ARGV[flag])}" in err
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("bound m", ["--r", "4", "--alpha", "0"]),
+    ("construct simplex", ["--q", "3"]),
+    ("embed", ["--in", "missing.qary"]),
+    ("search greedy", ["--q", "2", "--r", "3", "--s", "2"]),
+])
+def test_an_unread_argument_gets_its_commands_usage_line(capsys, command, argv):
+    code, out, err = run(capsys, *command.split(), *argv, "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: codebounds {command} ")
+    assert err.endswith(f"codebounds {command}: error: unrecognized arguments: --seed 1\n")
 
 
 @pytest.mark.parametrize("kind", list(_CLAIMS))

@@ -204,8 +204,8 @@ DIGESTS = {
     "usage:bad-scalar": "ba260a7d675e02f9402c1a6c796d3547d099970acd82388fd7cc2fa58144773e",
     "usage:unknown-kind": "71adb43c1dfa5d514dd52ddd2529b05313e7ae98cf1b0031ce38a96acb269399",
     "usage:negative-scalar-as-flag": "685cc93aa11de61385919538db5c5320e781e6872d8e4c57df4e8d29b687bc96",
-    "usage:unread-claim": "db72fb8a0fd708e001c3497070fd3a4a5bf9c8670a61fb5cb86e0b3b473fca80",
-    "usage:qary-float": "effbddfe270fba3b0cced8e4bf3e9cee9f8c20401ca3a46b269728da6081ddbd",
+    "usage:unread-claim": "49aa464a37e8aca13de32388dfd1e7132dd90d1bb7cb12c06dfb586634acbef0",
+    "usage:qary-float": "3f420debf764e0ff2d257b16211baacd02cfbc9a7945b31caca366ac10b85528",
     "usage:missing-claim": "86df2c54f4054d46d9a7fac8f2b73121a245d2f8690222bd80d46e7154eaba9b",
     "bound:rho": "08829f93d507b701149f42999323e89ba9850c6d5da0d91eacbbc1e0ad39b4e0",
     "bound:rho:grid": "9762bc0aece47bfd3e6f8bb7e4b0ddf694a32a2cc9642a95572000f9c590a47e",

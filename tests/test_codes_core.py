@@ -242,6 +242,105 @@ def test_qary_code_symbols_become_ints():
         assert all(type(s) is int for w in code.words for s in w)
 
 
+def _loop_qary_words(q, r, words):
+    """QaryCode's word-by-word reading, kept as the oracle of its array check."""
+    words = tuple(tuple(map(int, w)) for w in words)
+    for w in words:
+        if len(w) != r:
+            raise InvalidCode(f"codeword {w} has length {len(w)}, expected {r}")
+        if min(w) < 0 or max(w) >= q:
+            s = next(s for s in w if not 0 <= s < q)
+            raise InvalidCode(f"symbol {s} out of range [0, {q})")
+    if len(set(words)) != len(words):
+        raise InvalidCode("codewords must be pairwise distinct")
+    return words
+
+
+def _read_outcome(read, q, r, words):
+    """The words with each symbol's type, or the error's type and text."""
+    try:
+        words = read(q, r, words)
+    except Exception as exc:    # the oracle and the class must raise alike
+        return type(exc), str(exc)
+    return words, [type(s) for w in words for s in w]
+
+
+_WORD_CASES = {
+    "tuples": (3, 2, ((0, 1), (2, 2), (1, 0))),
+    "lists": (2, 3, [[0, 1, 1], [1, 0, 1]]),
+    "int8-array": (2, 3, np.array([[0, 1, 1], [1, 0, 1]], dtype=np.int8)),
+    "uint8-array": (5, 1, np.array([[4], [0]], dtype=np.uint8)),
+    "numpy-ints": (4, 2, ((np.int64(3), 0), (1, np.int64(2)))),
+    "bools": (2, 2, ((True, False), (False, False))),
+    "bool-and-int": (3, 2, ((True, 2), (0, 1))),
+    "one-and-a-half": (2, 2, ((1.5, 0), (0, 1))),
+    "floats": (3, 2, ((0.0, 2.0), (1.0, 1.0))),
+    "nan": (3, 2, ((0, float("nan")),)),
+    "strings": (3, 2, (("0", "2"), ("1", "1"))),
+    "not-a-number": (3, 2, (("0", "x"),)),
+    "empty-code": (2, 3, ()),
+    "empty-array": (2, 3, np.zeros((0, 3), dtype=np.int64)),
+    "ragged": (2, 2, ((0, 1), (0, 1, 0), (0, 5))),
+    "wrong-length-array": (2, 2, np.zeros((2, 3), dtype=np.int64)),
+    "empty-word": (2, 1, ((),)),
+    "nested": (2, 1, (((0,),),)),
+    "negative": (3, 2, ((0, 1), (-1, 0))),
+    "symbol-q": (3, 3, ((0, 1, 2), (0, 3, 1))),
+    "two-to-the-63": (2, 2, ((0, 1), (0, 2 ** 63))),
+    "uint64-two-to-the-63": (2, 2, np.array([[0, 2 ** 63]], dtype=np.uint64)),
+    "two-to-the-64-and-negative": (2, 2, ((0, 2 ** 64), (-1, 0))),
+    "q-beyond-int64": (2 ** 70, 2, ((0, 1), (1, 0))),
+    "symbols-beyond-int64": (2 ** 70, 2, ((2 ** 69, 0), (1, 2))),
+    "duplicates": (3, 2, ((0, 1), (2, 2), (0, 1))),
+    "duplicates-once-read": (2, 2, ((0, 1), (0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WORD_CASES))
+def test_qary_code_reads_words_as_the_word_by_word_loop(case):
+    q, r, words = _WORD_CASES[case]
+    assert _read_outcome(lambda *args: QaryCode(*args).words, q, r, words) == \
+        _read_outcome(_loop_qary_words, q, r, words)
+
+
+def _sequential_dot(x, y):
+    """The product of two coordinate tuples, summed left to right from 0."""
+    s = 0
+    for a, b in zip(x, y):
+        s += a * b
+    return s
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9])
+def test_off_diagonal_extremes_match_a_reference(n):
+    # exact sets against Fractions, with int64 and object rows (a wide spread
+    # makes denominators whose lcm passes the int64 gate), and float sets
+    # against the left-to-right float sums
+    rng = random.Random(n)
+    sets = [random_unit_set(rng, n, d) for d in (2, 3, 5)]
+    sets.append(UnitVectorSet(3, tuple(rational_sphere_point(rng, 3, spread=10 ** 6)
+                                       for _ in range(n))))
+    for _ in range(2):
+        rows = [[rng.uniform(-1, 1) for _ in range(4)] for _ in range(n)]
+        sets.append(UnitVectorSet(4, tuple(tuple(x / math.sqrt(_sequential_dot(v, v))
+                                                 for x in v) for v in rows)))
+    assert {vset._exact[0].dtype for vset in sets[:4]} == {np.dtype(np.int64), np.dtype(object)}
+    for vset in sets:
+        v = vset.vectors
+        exact = vset.mode() == "exact"
+        off = [_sequential_dot(map(Fraction, v[i]), v[j]) if exact else _sequential_dot(v[i], v[j])
+               for i in range(n) for j in range(n) if i != j]
+        alpha = gram_analyze(vset).alpha
+        assert alpha == max(off, default=-1)
+        links = verify_spherical_code(vset, Fraction(1, 2)).links
+        if n == 1:
+            assert len(links) == 2 and (links[1].lhs, links[1].rhs) == (-1, Fraction(1, 2))
+            continue
+        assert (links[1].lhs, links[2].rhs) == (max(off), min(off))
+        if not exact:
+            assert {type(alpha), type(links[1].lhs), type(links[2].rhs)} == {float}
+
+
 def test_a_vector_set_takes_no_code_or_exact_form():
     # an exact set is its integer rows: no parameter pairs a code or rows
     # with other coordinates

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from codebounds.codes import QaryCode, UnitVectorSet
@@ -183,6 +184,57 @@ def test_spherical_tables_match_per_token_loops(case):
         assert serialize_spherical(back) == _loop_serialize_spherical(back)
 
 
+def _respelled_sphere_file(rng, n, d):
+    """Random rational points on the sphere, each coordinate spelled as a
+    signed or unsigned ratio that may be unreduced: equal values of
+    different spellings are distinct tokens."""
+    rows = []
+    for _ in range(n):
+        y = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d - 1)]
+        norm_sq = sum(t * t for t in y)
+        point = [2 * t / (norm_sq + 1) for t in y] + [(norm_sq - 1) / (norm_sq + 1)]
+        tokens = []
+        for x in point:
+            k = rng.randint(1, 3)
+            sign = "-" if x < 0 else rng.choice(("", "+", "-" if x == 0 else ""))
+            tokens.append(f"{sign}{abs(x.numerator) * k}/{x.denominator * k}")
+        rows.append(" ".join(tokens))
+    return f"sphere {d}\n" + "\n".join(rows) + "\n"
+
+
+# each file, and the dtype of its exact rows when the case pins it: A = L * V
+# is int64 while d * max|A|^2 < 2^63
+_EXACT_FORM_CASES = {
+    **{f"repeated-tokens-d{d}": (_rational_sphere_file(random.Random(d), 12, d), None)
+       for d in (2, 5)},
+    **{f"respelled-d{d}": (_respelled_sphere_file(random.Random(10 + d), 12, d), None)
+       for d in (2, 4, 7)},
+    "hadamard16": (serialize_spherical(_hadamard_embedding(4)), np.int64),
+    "unreduced-and-signed": ("sphere 4\n2/4 +3/6 0.50 -0\n-1/2 +0.5 -2/4 0\n"
+                             "1 0 -0 +0\n-0.25 +1/4 0.125 -1/8\n", np.int64),
+    "integers": ("sphere 3\n1 0 0\n0 -1 0\n0 0 +1\n2 -3 7\n", np.int64),
+    # max|A| is the lcm L: 2 * (2^30)^2 < 2^63, and L = 46337 * 46339 has
+    # L^2 < 2^63 < 4 * L^2
+    "below-the-int64-gate": ("sphere 2\n1/1073741824 1/2\n1 0\n", np.int64),
+    "above-the-int64-gate": ("sphere 4\n1/46337 2/46339 0 0\n1 0 0 0\n", object),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXACT_FORM_CASES))
+def test_a_parsed_exact_set_has_the_constructors_exact_form(case):
+    text, dtype = _EXACT_FORM_CASES[case]
+    parsed = parse_spherical(text)
+    assert _typed(parsed.vectors) == _typed(_loop_parse_spherical(text))
+    (a, c, factor), (ref, ref_c, _) = parsed._exact, UnitVectorSet(
+        parsed.dimension, parsed.vectors)._exact
+    assert factor is a and c == ref_c
+    assert a.dtype == ref.dtype and a.shape == ref.shape
+    assert [[(type(x), x) for x in row] for row in a.tolist()] == \
+        [[(type(x), x) for x in row] for row in ref.tolist()]
+    if dtype is not None:
+        assert a.dtype == dtype
+
+
 @pytest.mark.parametrize("vectors", [
     ((0.0, -0.0, 1.0), (-0.0, 0.0, -1.0), (0.0, 0.0, 0.6), (-0.0, -0.0, 0.6)),
     ((1, Fraction(1), Fraction(1, 2)), (0, Fraction(0), Fraction(-1, 2)), (1, 0, 0)),
@@ -213,6 +265,8 @@ def test_serialize_spherical_all_distinct_floats():
     QaryCode(3, 8, tuple(sorted({tuple(random.Random(i).randrange(3) for _ in range(8))
                                  for i in range(40)}))),
     QaryCode(12, 3, ((0, 11, 10), (10, 1, 11), (11, 10, 0))),
+    # symbols beyond uint64 reach QaryCode as an object array
+    QaryCode(2 ** 70, 2, ((2 ** 69, 0), (1, 2 ** 70 - 1))),
 ])
 def test_qary_tables_match_per_token_loops(code):
     text = serialize_qary(code)
