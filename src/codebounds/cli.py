@@ -267,7 +267,7 @@ _CONSTRUCT = {
     "simplex": ((("q", int),), lambda ns: serialize_spherical(simplex_vectors(ns.q))),
     "crosspolytope": ((("r", int),), lambda ns: serialize_spherical(cross_polytope(ns.r))),
     "hadamard": (_ORDER, lambda ns: "\n".join([f"# hadamard order {ns.order}", *(
-        " ".join(map(str, row)) for row in _sylvester(ns.order).rows), ""])),
+        " ".join(map(str, row)) for row in _sylvester(ns.order).array.tolist()), ""])),
     "hadamard-code": (_ORDER, lambda ns: serialize_qary(hadamard_code(_sylvester(ns.order)))),
 }
 

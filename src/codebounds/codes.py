@@ -1,11 +1,18 @@
 """Code objects and the inequality verifiers built on their Gram matrices.
 
+Each object is held as the arrays it is built or read as.  A ``QaryCode``
+is its (n, r) symbol array, in the least numpy type that holds q - 1.  A
+``UnitVectorSet`` is a table: a list of scalars and an (n, d) index array
+into it, so that coordinate (i, k) is ``scalars[index[i, k]]``; the
+constructor's table is every coordinate, a parsed file's its distinct
+tokens' values, and a code image's its simplex vertices.  The tuples
+``words`` and ``vectors`` are views, built only when a caller reads them.
+
 An exact set is held in one form: integer rows P over one positive integer
 c, so that <v_i, v_j> = P_i . P_j / c, with an integer factor of the same
-rank.  Rational coordinates scaled to integers A = L*V give (A, L^2, A).  A
-parsed file's A is built from its distinct scalars, each scaled once, taken
-at each coordinate's index into them (``UnitVectorSet._from_table``).
-The simplex image of a ``QaryCode`` (``code_image``) has irrational
+rank.  Rational coordinates scaled to integers A = L*V give (A, L^2, A),
+and A is the table's scalars, each scaled once, taken at the index.  The
+simplex image of a ``QaryCode`` (``code_image``) has irrational
 coordinates for q >= 3 but rational inner products: its float coordinates
 and its rows C = q*onehot - 1 over q(q-1)r are built from the same code.
 ``integer_gram`` makes P P^T over c an ``IntegerGram`` in one body, and
@@ -15,15 +22,17 @@ prints.  P P^T, like the +-1 products behind a binary ``min_distance``, is
 it is exact, and an int64 or Python-int product above that or when small.
 
 A float set's Gram is a ``FloatGram``, built from the coordinates converted
-once by ``float`` into an (n, d) array; every sum in it adds left to right
-from 0 (see ``linalg``).  The mode decides only which Gram is built: the
-analysis and the verifiers read both through the protocol they share.
+once by ``float`` into an (n, d) array, the float table taken at the index;
+every sum in it adds left to right from 0 (see ``linalg``).  The mode
+decides only which Gram is built: the analysis and the verifiers read both
+through the protocol they share.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from numbers import Number
 from operator import truediv
 
 import numpy as np
@@ -32,60 +41,68 @@ from .certificates import Certificate, make_link
 from .errors import InvalidCode, NonUnitVector, PreconditionViolated
 from .linalg import (FloatGram, IntegerGram, exact_array, float_kernel, integer_product,
                      max_off_diagonal, negative_sums, rank, sequential_sums, trace_of_square)
-from .scalars import EXACT, FLOAT, Scalar, format_scalar, mode_of, unit_norm_ok
+from .scalars import EXACT, FLOAT, Scalar, format_scalar, unit_norm_ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UnitVectorSet:
     """n vectors in R^d claimed to lie on the unit sphere.
 
-    A set is its coordinates; everything the certificates read of it comes
-    from its Gram.  The set is in float mode when some coordinate is a float;
-    then every coordinate, exact ones too, enters its Gram through ``float``.
-    Otherwise its exact form (P, c, factor) is its coordinates over their
-    common denominator.  Only ``code_image`` makes an exact set of float
-    coordinates, with the rows of the code they are the image of.
+    Held as ``scalars`` and the read-only (n, d) ``index`` into them (see the
+    module docstring); ``vectors`` is built from them on first read.  The set
+    is in float mode when some scalar is a float; then every coordinate,
+    exact ones too, enters its Gram through ``float``.  Otherwise its exact
+    form (P, c, factor) is its coordinates over their common denominator.
+    Only ``code_image`` makes an exact set of float coordinates, with the
+    rows of the code they are the image of.
     """
 
     dimension: int
-    vectors: tuple
-    _exact: tuple = field(default=None, init=False, repr=False, compare=False)
+    # a field for equality, hashing and repr, read from the table
+    vectors: tuple = cached_property(lambda self: tuple(
+        tuple(map(self.scalars.__getitem__, row)) for row in self.index.tolist()))
 
-    def __post_init__(self):
-        vectors = tuple(tuple(v) for v in self.vectors)
-        object.__setattr__(self, "vectors", vectors)
-        if not vectors:
-            raise InvalidCode("a vector set needs at least one vector")
-        for i, v in enumerate(vectors):
-            if len(v) != self.dimension:
-                raise InvalidCode(f"vector {i} has {len(v)} coordinates, expected {self.dimension}")
-        if not any(mode_of(x) == FLOAT for v in vectors for x in v):
-            # A = L * V over the lcm L of the denominators, int64 only when
-            # each entry of A A^T stays below 2^63
-            den = math.lcm(*(x.denominator for v in vectors for x in v))
-            a = exact_array([[int(x.numerator) * (den // x.denominator) for x in v]
-                             for v in vectors], self.dimension)
-            object.__setattr__(self, "_exact", (a, den * den, a))
+    def __init__(self, dimension: int, vectors):
+        scalars, n = [], 0
+        for n, v in enumerate(vectors, start=1):
+            scalars.extend(v)
+            if len(scalars) != n * dimension:
+                raise InvalidCode(f"vector {n - 1} has {len(scalars) - (n - 1) * dimension} "
+                                  f"coordinates, expected {dimension}")
+        size = len(scalars)
+        self._hold(dimension, scalars,
+                   np.arange(size, dtype=np.min_scalar_type(size - 1)).reshape(n, dimension))
 
     @classmethod
-    def _from_table(cls, dimension: int, scalars: list, rows: list) -> "UnitVectorSet":
-        """The exact set whose vector i has the coordinates ``scalars[k]`` for
-        k in ``rows[i]``, for at least one row of ``dimension`` indices into a
-        list of exact scalars.  Its coordinates and its exact form both come
-        from (scalars, rows): each scalar is scaled over the lcm of their
-        denominators once, and A takes those integers at the rows' indices."""
+    def _from_table(cls, dimension: int, scalars: list, index: np.ndarray,
+                    exact: tuple = None) -> "UnitVectorSet":
+        """The set whose vector i has the coordinates ``scalars[k]`` for k in
+        ``index[i]``, an (n, dimension) integer array.  ``exact`` is the
+        set's exact form when the caller has it; otherwise, when no scalar
+        is a float, each scalar is scaled over the lcm of their denominators
+        once and A takes those integers at the index."""
         vset = object.__new__(cls)
-        object.__setattr__(vset, "dimension", dimension)
-        object.__setattr__(vset, "vectors", tuple(tuple(map(scalars.__getitem__, r))
-                                                  for r in rows))
-        den = math.lcm(*(x.denominator for x in scalars))
-        table = exact_array([x.numerator * (den // x.denominator) for x in scalars], dimension)
-        a = table[np.array(rows, dtype=np.intp)]
-        object.__setattr__(vset, "_exact", (a, den * den, a))
+        vset._hold(dimension, scalars, index, exact)
         return vset
 
+    def _hold(self, dimension, scalars, index, exact=None):
+        if not len(index):
+            raise InvalidCode("a vector set needs at least one vector")
+        if exact is None and not any(isinstance(x, float) for x in scalars):
+            # A = L * V over the lcm L of the denominators, int64 only when
+            # each entry of A A^T stays below 2^63
+            den = math.lcm(*(x.denominator for x in scalars))
+            table = exact_array([int(x.numerator) * (den // x.denominator) for x in scalars],
+                                dimension)
+            a = table[index]
+            exact = (a, den * den, a)
+        index.flags.writeable = False
+        for name, value in (("dimension", dimension), ("scalars", scalars),
+                            ("index", index), ("_exact", exact)):
+            object.__setattr__(self, name, value)
+
     def __len__(self):
-        return len(self.vectors)
+        return len(self.index)
 
     def mode(self) -> str:
         return FLOAT if self._exact is None else EXACT
@@ -97,9 +114,10 @@ class UnitVectorSet:
         Raises InvalidCode when an exact coordinate is beyond the float range.
         """
         try:
-            return np.array(self.vectors, dtype=np.float64)
+            table = np.array(self.scalars, dtype=np.float64)
         except OverflowError:
             raise InvalidCode("a coordinate is beyond the float range") from None
+        return table[self.index]
 
     def raw_gram(self) -> IntegerGram | FloatGram:
         """Gram matrix without any unit-norm enforcement.
@@ -161,47 +179,61 @@ class GramAnalysis:
         return self.gram.mode()
 
 
-@dataclass(frozen=True)
+def _symbol(s) -> int:
+    """A symbol as an int, but never a number that int() would truncate."""
+    i = int(s)
+    if i != s and isinstance(s, Number):
+        raise InvalidCode(f"symbol {s} is not an integer")
+    return i
+
+
+@dataclass(frozen=True, init=False)
 class QaryCode:
     """Codewords over {0..q-1} of a fixed block length, pairwise distinct.
 
-    Words that numpy reads as one integer array are range-checked as that
-    array; any others are checked one word at a time."""
+    Held as ``array``, the read-only (n, r) symbols (see the module
+    docstring); ``words`` is built from it on first read.  Words that numpy
+    reads as one integer array are range-checked as that array; any others
+    are read one word at a time, which finds the first bad word for the
+    error, and a symbol that is not an integer is rejected, not truncated."""
 
     q: int
     r: int
-    words: tuple
+    # a field for equality, hashing and repr, read from the array
+    words: tuple = cached_property(lambda self: tuple(map(tuple, self.array.tolist())))
 
-    def __post_init__(self):
-        if self.q < 2:
-            raise InvalidCode(f"alphabet size {self.q} < 2")
-        if self.r < 1:
-            raise InvalidCode(f"block length {self.r} < 1")
+    def __init__(self, q: int, r: int, words):
+        if q < 2:
+            raise InvalidCode(f"alphabet size {q} < 2")
+        if r < 1:
+            raise InvalidCode(f"block length {r} < 1")
         try:
-            table = np.array(self.words)
+            table = np.asarray(words)
         except (ValueError, TypeError, OverflowError):    # ragged words, say
             table = None
-        # an array of integers, not bools, with r columns is range-checked
-        # whole and its rows are the words, made one row at a time so that no
-        # list of every row is held beside them; anything else is read word by
-        # word, which finds the first bad word for the error
-        if (table is not None and table.dtype.kind in "iu" and table.shape[1:] == (self.r,)
-                and table.min(initial=0) >= 0 and table.max(initial=0) < self.q):
-            words = tuple(tuple(row.tolist()) for row in table)
-        else:
-            words = tuple(tuple(map(int, w)) for w in self.words)
-            for w in words:
-                if len(w) != self.r:
-                    raise InvalidCode(f"codeword {w} has length {len(w)}, expected {self.r}")
-                if min(w) < 0 or max(w) >= self.q:
-                    s = next(s for s in w if not 0 <= s < self.q)
-                    raise InvalidCode(f"symbol {s} out of range [0, {self.q})")
-        object.__setattr__(self, "words", words)
-        if len(set(words)) != len(words):
+        # an array of integers, not bools, with r columns is range-checked whole
+        if not (table is not None and table.dtype.kind in "iu" and table.shape[1:] == (r,)
+                and table.min(initial=0) >= 0 and table.max(initial=0) < q):
+            table = [tuple(map(_symbol, w)) for w in words]
+            for w in table:
+                if len(w) != r:
+                    raise InvalidCode(f"codeword {w} has length {len(w)}, expected {r}")
+                if min(w) < 0 or max(w) >= q:
+                    s = next(s for s in w if not 0 <= s < q)
+                    raise InvalidCode(f"symbol {s} out of range [0, {q})")
+        array = np.array(table, dtype=np.min_scalar_type(q - 1)).reshape(-1, r)
+        if array.dtype == object:
+            distinct = len(set(map(tuple, array.tolist())))
+        else:       # each row as one bytes object
+            distinct = len(set(array.view(np.dtype((np.void, array.strides[0]))).ravel().tolist()))
+        if distinct != len(array):
             raise InvalidCode("codewords must be pairwise distinct")
+        array.flags.writeable = False
+        for name, value in (("q", q), ("r", r), ("array", array)):
+            object.__setattr__(self, name, value)
 
     def __len__(self):
-        return len(self.words)
+        return len(self.array)
 
 
 def min_distance(code: QaryCode) -> int:
@@ -215,10 +247,9 @@ def min_distance(code: QaryCode) -> int:
     n = len(code)
     if n < 2:
         raise PreconditionViolated(f"need >= 2 codewords, got {n}")
+    w = code.array
     if code.q == 2:
-        signs = 1 - 2 * np.array(code.words, dtype=np.int8)
-        return (code.r - max_off_diagonal(signs)) // 2
-    w = np.array(code.words, dtype=np.min_scalar_type(code.q - 1))
+        return (code.r - max_off_diagonal(1 - 2 * w.view(np.int8))) // 2
     return int(min((w[i + 1:] != w[i]).sum(axis=1).min() for i in range(n - 1)))
 
 
@@ -256,14 +287,17 @@ def code_image(code: QaryCode) -> UnitVectorSet:
     """
     q, r, n = code.q, code.r, len(code)
     dimension = (q - 1) * r
-    words = np.array(code.words, dtype=np.int64)
-    coords = _simplex_table(q)[words].reshape(n, dimension) * (1.0 / math.sqrt(r))
-    image = UnitVectorSet(dimension, coords.tolist())
+    words = code.array
+    # the table is the simplex's q(q-1) coordinates scaled by 1/sqrt(r), and
+    # symbol s takes its q-1 entries from s(q-1) on
+    scalars = (_simplex_table(q) * (1.0 / math.sqrt(r))).ravel().tolist()
+    least = np.min_scalar_type(q * (q - 1) - 1)
+    index = words.astype(least, copy=False)[:, :, None] * (q - 1) + np.arange(q - 1, dtype=least)
     c = (words[:, :, None] == np.arange(q)) * q - 1
     # float coordinates leave the set without an exact form: it is the code's
-    object.__setattr__(image, "_exact", (c.reshape(n, q * r), q * (q - 1) * r,
-                                        c[:, :, :-1].reshape(n, dimension)))
-    return image
+    return UnitVectorSet._from_table(dimension, scalars, index.reshape(n, dimension),
+                                     (c.reshape(n, q * r), q * (q - 1) * r,
+                                      c[:, :, :-1].reshape(n, dimension)))
 
 
 def integer_gram(vset: UnitVectorSet, unit: bool = False) -> IntegerGram:

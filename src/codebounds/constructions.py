@@ -1,51 +1,62 @@
 """Explicit witness configurations and the q-ary-to-spherical embedding.
 
+A ``HadamardMatrix`` is held as its read-only int8 +-1 array, and
+``hadamard_code`` builds its code's symbol array from it directly.
 Regular-simplex coordinates are irrational for q >= 3, so the simplex and
 the embedding of a q-ary code are ``codes.code_image`` sets: float
-coordinates and exact integer rows, both built from the code, and
-certificates read the exact Gram of the rows.  Under the simplex map the
-inner product of two words depends only on their Hamming distance d, as
-1 - q*d/((q-1)*r).  The +-1 embedding is that map at q = 2, and the regular
-simplex is its image of the q one-symbol words (r = 1).
+coordinates from the scaled simplex table and exact integer rows, both
+built from the code's array, and certificates read the exact Gram of the
+rows.  Under the simplex map the inner product of two words depends only on
+their Hamming distance d, as 1 - q*d/((q-1)*r).  The +-1 embedding is that
+map at q = 2, and the regular simplex is its image of the q one-symbol
+words (r = 1).
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .codes import QaryCode, UnitVectorSet, code_image, min_distance
 from .errors import CodeBoundsError, PreconditionViolated
-from .linalg import integer_product
+from .linalg import _BLOCK, integer_product
 
-# the largest Sylvester order built; on a 2-CPU Xeon order 2048 took 0.8
-# to 1.1 s for the checked matrix and 1.8 to 2.5 s with its code (order 1024:
-# 0.2 s, 0.4 to 0.5 s), and each doubling multiplies the time by four to six.
-# Peak memory (ru_maxrss of a child process) at order 2048: 201 MB for
-# `construct hadamard-code`, 1.09 GB for `embed` of that code, and 941 MB for
+# the largest Sylvester order built; on a 2-CPU Xeon order 2048 took 0.3 s
+# for the checked matrix and 0.31 to 0.33 s with its code (order 1024: 0.04
+# to 0.05 s), and each doubling multiplies the time by about seven.  Peak
+# memory (ru_maxrss of a child process) at order 2048: 92 MB for
+# `construct hadamard-code`, 539 MB for `embed` of that code, and 448 MB for
 # the exact chain in one process (build, embed_qary, certify_chain); at order
-# 1024: 78 MB, 300 MB and 260 MB
+# 1024: 53 MB, 123 MB and 136 MB
 MAX_HADAMARD_ORDER = 2048
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HadamardMatrix:
-    """Square +-1 matrix H with H H^T = order * I (checked on construction)."""
+    """Square +-1 matrix H with H H^T = order * I (checked on construction).
+
+    H is held as ``array``, a read-only int8 array; ``rows``, the tuple of
+    row tuples, is built from it on first read."""
 
     order: int
-    rows: tuple
+    # a field for equality, hashing and repr, read from the array
+    rows: tuple = cached_property(lambda self: tuple(map(tuple, self.array.tolist())))
 
-    def __post_init__(self):
-        rows = tuple(tuple(map(int, r)) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        h = np.array(rows, dtype=np.int64)
-        if h.shape != (self.order, self.order):
-            raise CodeBoundsError(f"expected a {self.order}x{self.order} matrix")
-        if not np.all(np.abs(h) == 1):
+    def __init__(self, order: int, rows):
+        h = np.array(rows)
+        if h.shape != (order, order):
+            raise CodeBoundsError(f"expected a {order}x{order} matrix")
+        # on the entries as given, so that 1.7 is not read as 1, and no text
+        if h.dtype.kind in "SU" or not np.all(np.abs(h) == 1):
             raise CodeBoundsError("entries must be +1 or -1")
+        h = h.astype(np.int8)
         # the diagonal is order nonzeros (each a sum of order +-1 squares), so none is off it
-        if np.count_nonzero(integer_product(h)) != self.order:
+        if np.count_nonzero(integer_product(h)) != order:
             raise CodeBoundsError("H H^T != order * I")
+        h.flags.writeable = False
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "array", h)
 
 
 def sylvester_hadamard(t: int) -> HadamardMatrix:
@@ -55,10 +66,10 @@ def sylvester_hadamard(t: int) -> HadamardMatrix:
     if t > MAX_HADAMARD_ORDER.bit_length() - 1:
         raise PreconditionViolated(
             f"order 2^{t} exceeds MAX_HADAMARD_ORDER = {MAX_HADAMARD_ORDER}")
-    h = np.array([[1]], dtype=np.int64)
+    h = np.array([[1]], dtype=np.int8)
     for _ in range(t):
         h = np.block([[h, h], [h, -h]])
-    return HadamardMatrix(1 << t, h.tolist())
+    return HadamardMatrix(1 << t, h)
 
 
 def hadamard_code(h: HadamardMatrix) -> QaryCode:
@@ -70,8 +81,7 @@ def hadamard_code(h: HadamardMatrix) -> QaryCode:
     r = h.order
     if r < 2:
         raise PreconditionViolated(f"order must be >= 2, got {r}")
-    rows = np.array(h.rows, dtype=np.int8)
-    return QaryCode(2, r, (np.concatenate([rows, -rows]) != 1).view(np.int8))
+    return QaryCode(2, r, (np.concatenate([h.array, -h.array]) != 1).view(np.uint8))
 
 
 def cross_polytope(r: int) -> UnitVectorSet:
@@ -126,15 +136,23 @@ class EmbeddedCode:
         return 1 - Fraction(code.q * min_distance(code), (code.q - 1) * code.r)
 
     def max_coordinate_deviation(self) -> float:
-        """Largest |float inner product - exact Gram entry| over all pairs."""
-        m = self.image.coords
-        dev = m @ m.T
-        # numerator and denominator are exact floats, so the quotient is the
-        # correctly rounded entry
-        g = self.image.raw_gram()
-        dev -= g.num / g.den
-        # m @ m.T runs as syrk, so dev is exactly symmetric
-        return float(np.abs(dev, out=dev).max(initial=0.0))
+        """Largest |float inner product - exact Gram entry| over all pairs.
+
+        Taken one block of rows at a time against the rows from the block's
+        first on, as ``linalg.max_off_diagonal`` does, so about 2^18 entries
+        of each product are held; a set with n^2 <= 2^18 is one block, whose
+        m @ m.T runs as syrk."""
+        m, (p, c, _) = self.image.coords, self.image._exact
+        n = len(m)
+        step = max(1, _BLOCK // n)
+        worst = 0.0
+        for i in range(0, n, step):
+            dev = m[i:i + step] @ m[i:].T
+            # numerator and denominator are exact floats, so the quotient is
+            # the correctly rounded entry
+            dev -= integer_product(p[i:], len(dev)) / c
+            worst = max(worst, float(np.abs(dev, out=dev).max(initial=0.0)))
+        return worst
 
 
 def embed_qary(code: QaryCode) -> EmbeddedCode:

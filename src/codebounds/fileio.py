@@ -4,21 +4,31 @@ Spherical code file:  line 1 is ``sphere <d>``, then one vector per line as
 d whitespace-separated scalar tokens.  Q-ary code file: line 1 is
 ``qary <q> <r>``, then one codeword per line as r integers in [0, q).
 Blank lines and ``#`` comment lines are ignored on input, which lets writers
-append run manifests without breaking round-trips.  Each distinct token is
-parsed once per file, and each of a code image's few distinct floats is
-printed once per file.  An exact sphere file's set is built from its list of
-distinct scalars and each coordinate's index into that list, so its exact
-form scales each distinct scalar once.  A q-ary file's words reach
-``QaryCode`` as one array of the least type that holds q - 1.
+append run manifests without breaking round-trips.
+
+Each object is read into, and written from, the arrays it holds (see
+``codes``).  A sphere file's set is its distinct tokens' values, each parsed
+once, and each coordinate's index into them; a q-ary file's symbols reach
+``QaryCode`` as one flat array of the least type that holds q - 1.  Both
+writers share a table writer that formats each table entry (a set's scalar,
+a code's distinct symbol) once and joins each line from the index; a set
+whose scalars are all distinct, such as an optimizer's witness, is
+formatted row by row instead, so that its texts are never all held at once.
+A scalar's text depends on its type and bits, so 0.0 and -0.0, 1 and 1.0,
+and 1/2 and 0.5 print apart.  ``record_json`` writes the text of
+``json.dumps(indent=2)`` without json's pure-Python encoder.
 """
 
 import hashlib
 import json
+import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .codes import QaryCode, UnitVectorSet
 from .errors import CodeBoundsError, FileFormatError
+from .linalg import _BLOCK
 from .scalars import format_scalar, parse_scalar
 
 
@@ -44,9 +54,9 @@ def parse_spherical(text: str, exact: bool = True) -> UnitVectorSet:
         raise FileFormatError(f"line {lineno}: bad dimension {parts[1]!r}") from None
     if d < 1:
         raise FileFormatError(f"line {lineno}: dimension must be >= 1")
-    # token -> parse_scalar(token), or in exact mode its index in scalars; a
-    # token that fails is never stored
-    rows, values, scalars = [], {}, []
+    # token -> its index in scalars, the list of parse_scalar(token); a token
+    # that fails is never stored
+    flat, values, scalars = [], {}, []
     for lineno, line in lines[1:]:
         tokens = line.split()
         if len(tokens) != d:
@@ -54,42 +64,45 @@ def parse_spherical(text: str, exact: bool = True) -> UnitVectorSet:
         for t in tokens:
             if t not in values:
                 try:
-                    x = parse_scalar(t, exact=exact)
+                    scalars.append(parse_scalar(t, exact=exact))
                 except ValueError as exc:
                     raise FileFormatError(f"line {lineno}: {exc}") from None
-                if exact:
-                    values[t] = len(scalars)
-                    scalars.append(x)
-                else:
-                    values[t] = x
-        rows.append(tuple(map(values.__getitem__, tokens)))
-    if not rows:
+                values[t] = len(values)
+        flat += map(values.__getitem__, tokens)
+    if not flat:
         raise FileFormatError("no vectors in file")
-    return UnitVectorSet._from_table(d, scalars, rows) if exact else UnitVectorSet(d, rows)
+    index = np.array(flat, dtype=np.min_scalar_type(len(scalars) - 1)).reshape(-1, d)
+    return UnitVectorSet._from_table(d, scalars, index)
+
+
+def _row_blocks(a: np.ndarray):
+    """The rows of a 2-D array, about 2^18 entries (``linalg._BLOCK``) at a time."""
+    step = max(1, _BLOCK // max(a.shape[1], 1))
+    return (a[i:i + step] for i in range(0, len(a), step))
+
+
+def _table_text(header: str, scalars: list, index_blocks) -> str:
+    """The header line, then one line per row of the index blocks: the texts
+    of the scalars the row indexes, space-separated.  Each scalar is
+    formatted once, and the texts are taken one block of rows at a time."""
+    texts = np.array(list(map(format_scalar, scalars)), dtype=object)
+    out = [header]
+    for index in index_blocks:
+        out += map(" ".join, texts[index].tolist())
+    out.append("")      # the final newline, without a second copy of the text
+    return "\n".join(out)
 
 
 def serialize_spherical(vset: UnitVectorSet) -> str:
-    # only nonzero floats are memoised: equal ones print alike, while 0.0 and
-    # -0.0 do not, nor 1 and 1.0, and a Fraction hashes slower than it prints.
-    # A code image has a few distinct coordinates, so at most d are kept: an
-    # optimizer's witness, all distinct, does not hold every text to the end.
-    texts, d = {}, vset.dimension
-    out = [f"sphere {d}"]
-    for v in vset.vectors:
-        row = []
-        for x in v:
-            if x.__class__ is float and x:
-                s = texts.get(x)
-                if s is None:
-                    s = format_scalar(x)
-                    if len(texts) < d:
-                        texts[x] = s
-            else:
-                s = format_scalar(x)
-            row.append(s)
-        out.append(" ".join(row))
-    out.append("")      # the final newline, without a second copy of the text
-    return "\n".join(out)
+    # the set's own table: 0.0 and -0.0, 1 and 1.0, 1/2 and 0.5 are distinct
+    # entries whenever they are distinct coordinates, so each prints as itself
+    header, scalars, index = f"sphere {vset.dimension}", vset.scalars, vset.index
+    if len(scalars) < index.size:       # some scalar repeats, as in a code image
+        return _table_text(header, scalars, _row_blocks(index))
+    # no scalar repeats (an optimizer's witness, say): the table would save no
+    # work and hold every text at once, so each row is formatted as it is written
+    rows = (" ".join(map(format_scalar, map(scalars.__getitem__, row.tolist()))) for row in index)
+    return "\n".join([header, *rows, ""])
 
 
 def parse_qary(text: str) -> QaryCode:
@@ -104,45 +117,88 @@ def parse_qary(text: str) -> QaryCode:
         q, r = int(parts[1]), int(parts[2])
     except ValueError:
         raise FileFormatError(f"line {lineno}: bad parameters {header!r}") from None
-    words = []
-    symbols = {}   # token -> its symbol, for tokens already read as one in [0, q)
+    # symbols of every word, in order; token -> its symbol, for tokens already
+    # read as one in [0, q)
+    flat, symbols = [], {}
     for lineno, line in lines[1:]:
         tokens = line.split()
         if len(tokens) != r:
             raise FileFormatError(f"line {lineno}: expected {r} symbols, got {len(tokens)}")
+        start = len(flat)
         try:
-            word = tuple(map(symbols.__getitem__, tokens))
+            flat += map(symbols.__getitem__, tokens)
         except KeyError:
+            del flat[start:]
             try:
-                word = tuple(int(t) for t in tokens)
+                word = [int(t) for t in tokens]
             except ValueError:
                 raise FileFormatError(f"line {lineno}: non-integer symbol") from None
             for s in word:
                 if not 0 <= s < q:
                     raise FileFormatError(f"line {lineno}: symbol {s} outside [0, {q})")
             symbols.update(zip(tokens, word))
-        words.append(word)
-    if not words:
+            flat += word
+    if not flat:
         raise FileFormatError("no codewords in file")
     try:
         # the least type that holds every symbol, for QaryCode's one range check
-        return QaryCode(q, r, np.array(words, dtype=np.min_scalar_type(q - 1)))
+        return QaryCode(q, r, np.array(flat, dtype=np.min_scalar_type(q - 1)).reshape(-1, r))
     except CodeBoundsError as exc:
         raise FileFormatError(str(exc)) from None
 
 
 def serialize_qary(code: QaryCode) -> str:
-    names = {s: str(s) for s in set().union(*code.words)}
-    out = [f"qary {code.q} {code.r}"]
-    for w in code.words:
-        out.append(" ".join(map(names.__getitem__, w)))
-    out.append("")
-    return "\n".join(out)
+    # the table is the code's distinct symbols, in order, and a symbol's index
+    # is its place among them (np.unique would import numpy.ma on first use)
+    ordered = np.sort(code.array, axis=None)
+    symbols = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+    return _table_text(f"qary {code.q} {code.r}", symbols.tolist(),
+                       (np.searchsorted(symbols, rows) for rows in _row_blocks(code.array)))
+
+
+def _float_json(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)    # NaN, Infinity
+
+
+# json's text of a leaf of each exact type
+_JSON_LEAVES = {str: encode_basestring_ascii, int: int.__repr__, float: _float_json,
+                bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+def _indented_json(node, pad: str) -> str:
+    """``node`` as ``json.dumps(node, indent=2)`` writes it at indentation
+    ``pad``.  Leaves of the exact types in _JSON_LEAVES, str-keyed dicts,
+    lists and tuples are written here; any other node, subclasses included,
+    is json.dumps's own text, indented by a replace, as JSON text holds no
+    raw newline but its indentation."""
+    leaf = _JSON_LEAVES.get(node.__class__)
+    if leaf:
+        return leaf(node)
+    inner, items = pad + "  ", []
+    if node.__class__ is dict:
+        for k, v in node.items():
+            if k.__class__ is not str:
+                return json.dumps(node, indent=2).replace("\n", "\n" + pad)
+            leaf = _JSON_LEAVES.get(v.__class__)
+            items.append(encode_basestring_ascii(k) + ": " +
+                         (leaf(v) if leaf else _indented_json(v, inner)))
+        brackets = "{}"
+    elif node.__class__ is list or node.__class__ is tuple:
+        for v in node:
+            leaf = _JSON_LEAVES.get(v.__class__)
+            items.append(leaf(v) if leaf else _indented_json(v, inner))
+        brackets = "[]"
+    else:
+        return json.dumps(node, indent=2).replace("\n", "\n" + pad)
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
 def record_json(record) -> str:
-    """A BoundReport's or Certificate's to_dict(), as indented JSON."""
-    return json.dumps(record.to_dict(), indent=2, sort_keys=False)
+    """A BoundReport's or Certificate's to_dict(), as ``json.dumps(indent=2)``
+    writes it."""
+    return _indented_json(record.to_dict(), "")
 
 
 def sha256_hex(text: str) -> str:

@@ -118,11 +118,14 @@ def integer_product(a, rows: int | None = None) -> np.ndarray:
 
     When cols * max|a|^2 < 2^53 and the product has at least _FLOAT_MIN_WORK
     multiply-adds this runs on float64 BLAS and returns int64; otherwise it is
-    numpy's int64 or object product, as a's dtype gives.
+    numpy's object product for an object array and its int64 product for any
+    other, since numpy multiplies a narrower type in that type, which wraps.
     """
     rows = len(a) if rows is None else rows
     if rows * a.size >= _FLOAT_MIN_WORK and _fits(a, a.shape[1], 53):
         return _float_product(a, rows)
+    if a.dtype != object:
+        a = a.astype(np.int64, copy=False)
     return a[:rows] @ a.T
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import numbers
 import random
 import re
 from fractions import Fraction
@@ -14,7 +15,7 @@ from codebounds.codes import (QaryCode, UnitVectorSet, certify_chain,
                               verify_spherical_code)
 from codebounds.constructions import cross_polytope, simplex_vectors
 from codebounds.errors import InvalidCode, NonUnitVector, PreconditionViolated
-from codebounds.fileio import parse_spherical
+from codebounds.fileio import parse_qary, parse_spherical, serialize_qary
 from codebounds.linalg import IntegerGram, negative_sums, rank
 from codebounds.scalars import parse_scalar
 
@@ -236,15 +237,35 @@ def test_qary_code_names_the_first_bad_word_and_symbol(q, r, words, message):
 
 
 def test_qary_code_symbols_become_ints():
-    for words in (((1.0, 0), (0, 1)), ((1.5, 0), (0, 1)), ((np.int64(1), 0), (0, True))):
+    for words in (((1.0, 0), (0, 1)), ((np.int64(1), 0), (0, True))):
         code = QaryCode(2, 2, words)
         assert code.words == ((1, 0), (0, 1))
         assert all(type(s) is int for w in code.words for s in w)
 
 
+@pytest.mark.parametrize("words,symbol", [
+    (((0.5, 1), (1, 0)), "0.5"),
+    (((1.5, 0), (0, 1)), "1.5"),
+    (((0, 1), (1, np.float64(-0.25))), "-0.25"),
+    (((0, Fraction(1, 2)), (1, 0)), "1/2"),
+    (np.array([[0.0, 1.0], [1.0, 0.7]]), "0.7"),
+])
+def test_qary_code_rejects_non_integral_symbols(words, symbol):
+    # a symbol is read by int() only when that loses nothing: 0.5 is not read as 0
+    with pytest.raises(InvalidCode, match=f"^symbol {re.escape(symbol)} is not an integer$"):
+        QaryCode(2, 2, words)
+
+
+def _loop_symbol(s):
+    """int(s), for a number only when it is integral."""
+    if isinstance(s, numbers.Number) and int(s) != s:
+        raise InvalidCode(f"symbol {s} is not an integer")
+    return int(s)
+
+
 def _loop_qary_words(q, r, words):
     """QaryCode's word-by-word reading, kept as the oracle of its array check."""
-    words = tuple(tuple(map(int, w)) for w in words)
+    words = tuple(tuple(map(_loop_symbol, w)) for w in words)
     for w in words:
         if len(w) != r:
             raise InvalidCode(f"codeword {w} has length {len(w)}, expected {r}")
@@ -273,7 +294,7 @@ _WORD_CASES = {
     "numpy-ints": (4, 2, ((np.int64(3), 0), (1, np.int64(2)))),
     "bools": (2, 2, ((True, False), (False, False))),
     "bool-and-int": (3, 2, ((True, 2), (0, 1))),
-    "one-and-a-half": (2, 2, ((1.5, 0), (0, 1))),
+    "one-and-a-half": (2, 2, ((1.5, 0), (0, 1))),      # rejected, not read as 1
     "floats": (3, 2, ((0.0, 2.0), (1.0, 1.0))),
     "nan": (3, 2, ((0, float("nan")),)),
     "strings": (3, 2, (("0", "2"), ("1", "1"))),
@@ -535,3 +556,49 @@ def test_certify_chain_alpha_gate_and_norm_error():
         certify_chain(simplex_vectors(3))
     with pytest.raises(NonUnitVector):
         certify_chain(UnitVectorSet(2, ((1, 1), (1, 0))))
+
+
+@pytest.mark.parametrize("q,r,n", [(2, 16, 32), (3, 6, 40), (7, 3, 60), (300, 2, 20)])
+def test_a_code_reads_alike_from_tuples_an_array_and_a_file(q, r, n):
+    rng = random.Random(q * r)
+    words = set()
+    while len(words) < n:
+        words.add(tuple(rng.randrange(q) for _ in range(r)))
+    words = tuple(sorted(words))
+    codes_ = [QaryCode(q, r, words), QaryCode(q, r, np.array(words, dtype=np.int64)),
+              parse_qary(serialize_qary(QaryCode(q, r, words)))]
+    assert {c.words for c in codes_} == {words}
+    assert {c.array.dtype for c in codes_} == {np.min_scalar_type(q - 1)}
+    assert len({min_distance(c) for c in codes_}) == 1
+    assert codes_[0] == codes_[1] == codes_[2] and len({hash(c) for c in codes_}) == 1
+
+
+def test_a_code_holds_a_read_only_array_it_does_not_share():
+    table = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    code = QaryCode(2, 2, table)
+    table[0, 0] = 1     # the caller's array is copied, not held
+    assert code.words == ((0, 1), (1, 0)) and code.array.tolist() == [[0, 1], [1, 0]]
+    with pytest.raises(ValueError):
+        code.array[0, 0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        code.q = 3
+    assert repr(code) == "QaryCode(q=2, r=2, words=((0, 1), (1, 0)))"
+    assert [f.name for f in dataclasses.fields(code)] == ["q", "r", "words"]
+
+
+def test_a_vector_set_is_its_scalar_table_and_index():
+    vset = UnitVectorSet(2, ((1, 0), (0.0, -1.0)))
+    assert vset.scalars == [1, 0, 0.0, -1.0] and vset.index.tolist() == [[0, 1], [2, 3]]
+    assert vset.index.dtype == np.uint8 and not vset.index.flags.writeable
+    assert _typed_rows(vset.vectors) == _typed_rows(((1, 0), (0.0, -1.0)))
+    parsed = parse_spherical("sphere 2\n1 0\n0 1\n-1 0\n0 -1\n1 0\n")
+    assert parsed.scalars == [1, 0, -1] and parsed.index.tolist() == [
+        [0, 1], [1, 0], [2, 1], [1, 2], [0, 1]]
+    image = code_image(QaryCode(3, 2, ((0, 1), (2, 2))))
+    assert len(image.scalars) == 6 and image.index.tolist() == [[0, 1, 2, 3], [4, 5, 4, 5]]
+    assert image.coords.tolist() == [[image.scalars[k] for k in row]
+                                     for row in image.index.tolist()]
+
+
+def _typed_rows(vectors):
+    return [[(type(x), repr(x)) for x in v] for v in vectors]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from codebounds import constructions
 from codebounds.codes import QaryCode, certify_chain, code_image, gram_analyze, min_distance
 from codebounds.constructions import (HadamardMatrix, cross_polytope,
                                       embed_qary, hadamard_code, simplex_vectors,
@@ -133,6 +134,18 @@ def test_hadamard_matrix_entries_become_ints():
     h = HadamardMatrix(2, ((1.0, 1), (1, -1.0)))
     assert h.rows == ((1, 1), (1, -1))
     assert all(type(x) is int for row in h.rows for x in row)
+
+
+@pytest.mark.parametrize("rows", [
+    ((1.7, 1), (1, -1.2)),
+    ((1, 1), (1, -0.5)),
+    np.array([[1.0, 1.0], [1.0, -1.000001]]),
+    (("1", "1"), ("1", "-1")),
+])
+def test_hadamard_matrix_rejects_non_integral_entries(rows):
+    # the +-1 check reads the entries as given: 1.7 is not read as 1
+    with pytest.raises(CodeBoundsError, match=r"^entries must be \+1 or -1$"):
+        HadamardMatrix(2, rows)
 
 
 def test_hadamard_code_order_2():
@@ -342,3 +355,28 @@ def test_code_image_chain_matches_the_rational_file_chain(t):
     parsed = parse_spherical(serialize_spherical(vset), exact=True)
     assert parsed.mode() == "exact"
     assert record_json(certify_chain(vset)) == record_json(certify_chain(parsed))
+
+
+def test_hadamard_matrix_holds_a_read_only_int8_array():
+    h = sylvester_hadamard(3)
+    assert h.array.dtype == np.int8 and not h.array.flags.writeable
+    assert h.rows == SYLVESTER_8 and h.array.tolist() == [list(row) for row in SYLVESTER_8]
+    assert h == HadamardMatrix(8, SYLVESTER_8) and hash(h) == hash(HadamardMatrix(8, SYLVESTER_8))
+    assert hadamard_code(h).array.dtype == np.uint8
+
+
+@pytest.mark.parametrize("name", ["hadamard-16", "hadamard-64", "q3-r6-n200", "q7-r3-n80"])
+def test_max_coordinate_deviation_in_blocks_of_three_rows(monkeypatch, name):
+    # every pair is in some block: three rows at a time against the rows from
+    # the block's first on give the whole matrix's maximum, up to the last
+    # bits that a block product may round differently
+    embedded = embed_qary(DEVIATION_CODES[name]())
+    n = len(embedded.source)
+    monkeypatch.setattr(constructions, "_BLOCK", 3 * n)
+    assert abs(embedded.max_coordinate_deviation() - _triangle_deviation(embedded)) <= 2 ** -50
+    # a coordinate moved by 1e-6 shows in the last row's pairs, whichever block holds them
+    m = embedded.image.coords.copy()
+    m[-1, 0] += 1e-6
+    embedded.image.__dict__["coords"] = m
+    assert abs(embedded.max_coordinate_deviation() - _triangle_deviation(embedded)) <= 2 ** -50
+    assert embedded.max_coordinate_deviation() > 1e-8

@@ -1,16 +1,18 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from codebounds.codes import QaryCode, UnitVectorSet
+from codebounds.codes import QaryCode, UnitVectorSet, code_image
 from codebounds.constructions import (cross_polytope, embed_qary, hadamard_code,
                                       sylvester_hadamard)
 from codebounds.errors import FileFormatError
 from codebounds.fileio import (parse_qary, parse_spherical, serialize_qary,
                                serialize_spherical)
 from codebounds.scalars import format_scalar, parse_scalar
+from codebounds.search import heuristic_rho
 
 
 def test_spherical_round_trip_exact():
@@ -315,3 +317,60 @@ def test_qary_symbols_keep_int_spellings():
     # a token missing from the table is read by int(), as the per-token loop read it
     code = parse_qary("qary 2 2\n0 01\n+1 0\n1 1\n")
     assert code.words == ((0, 1), (1, 0), (1, 1))
+
+
+def _random_code(seed, q, r, n):
+    rng = random.Random(seed)
+    words = set()
+    while len(words) < n:
+        words.add(tuple(rng.randrange(q) for _ in range(r)))
+    return QaryCode(q, r, sorted(words))
+
+
+# sets whose text the table writer must give exactly as a loop over every
+# coordinate does: code images (a zero coordinate first appears at q = 3),
+# signed zeros, exponent-form floats and the optimizer's all-distinct witness
+_WRITER_CASES = {
+    "image-q2": lambda: _hadamard_embedding(4),
+    "image-q3": lambda: code_image(_random_code(3, 3, 5, 30)),
+    "image-q5": lambda: code_image(_random_code(5, 5, 3, 20)),
+    "signed-zeros-parsed": lambda: parse_spherical(
+        "sphere 3\n0.0 -0.0 1.0\n-0.0 0 -1.0\n0.6 0.8 -0\n", exact=False),
+    "signed-zeros": lambda: UnitVectorSet(2, ((0.0, 1.0), (-0.0, -1.0), (1.0, -0.0), (-1.0, 0.0))),
+    "exponent-form": lambda: UnitVectorSet(3, ((1e-07, -2.5e-16, 1.0), (1e22, 5e-324, -1e-05))),
+    "optimizer-witness": lambda: heuristic_rho(6, 12, iterations=40, seed=3).witness,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRITER_CASES))
+def test_serialize_spherical_matches_the_per_coordinate_loop(case):
+    vset = _WRITER_CASES[case]()
+    assert serialize_spherical(vset) == _loop_serialize_spherical(vset)
+
+
+@pytest.mark.parametrize("code", [
+    _random_code(0, 2, 9, 40),
+    _random_code(1, 12, 4, 50),
+    QaryCode(2 ** 70, 3, ((2 ** 70 - 1, 0, 2 ** 69), (1, 2 ** 64, 7), (0, 0, 0))),
+], ids=["q2", "q12", "q2^70"])
+def test_qary_text_round_trips(code):
+    text = serialize_qary(code)
+    assert text == _loop_serialize_qary(code)
+    back = parse_qary(text)
+    assert (back.q, back.r, back.words) == (code.q, code.r, code.words)
+    assert back.array.dtype == code.array.dtype == np.min_scalar_type(code.q - 1)
+    assert serialize_qary(back) == text
+
+
+def test_an_all_distinct_set_is_written_without_holding_every_text():
+    # the witness's 10,000 texts are not all held at once: the peak stays near
+    # the two copies of the text that the line list and its join make
+    vset = heuristic_rho(50, 200, iterations=5, seed=2).witness
+    tracemalloc.start()
+    try:
+        text = serialize_spherical(vset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == _loop_serialize_spherical(vset)
+    assert peak < 2.5 * len(text)

@@ -376,3 +376,13 @@ def test_a_wide_factor_is_counted_mod_p_in_its_tall_orientation(bareiss_calls, m
     assert mod_p_shapes == [(20, 8)]
     # a shortfall mod P sends the factor to Bareiss on the side with fewer rows
     assert bareiss_calls == ([] if rank == 8 else [f.tolist()])
+
+
+@pytest.mark.parametrize("r", [127, 128, 129, 200, 255, 256, 300])
+def test_min_distance_of_long_binary_words_in_few_rows(r):
+    # few long words take the small integer product, which must not wrap in
+    # the +-1 rows' int8: two complements are r apart, a one-bit change 1
+    ones, zeros = (1,) * r, (0,) * r
+    assert min_distance(QaryCode(2, r, (zeros, ones))) == r
+    assert min_distance(QaryCode(2, r, (zeros, ones, zeros[:-1] + (1,)))) == 1
+    assert max_off_diagonal(np.array([ones, [-1] * r], dtype=np.int8)) == -r

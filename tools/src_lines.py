@@ -1,9 +1,12 @@
-"""Count the lines of each ``src/codebounds`` module: total, code and docstring.
+"""Count the lines of each ``src/codebounds`` module: total, code and
+docstring, beside the time to compile its source.
 
 Code lines are the lines that hold some token other than a comment: blank
 lines, comment-only lines and docstring lines are not code.  A docstring is
-the string that opens a module, class or function body.  Prints one row per
-module, then the totals.
+the string that opens a module, class or function body.  The compile time is
+the least of several ``compile()`` calls of the module's source, in ms: what
+a fresh interpreter pays per module when no bytecode is cached (as with
+``PYTHONDONTWRITEBYTECODE=1``).  Prints one row per module, then the totals.
 
 Usage, from the repository root::
 
@@ -19,6 +22,7 @@ import io
 import os
 import subprocess
 import sys
+import timeit
 import tokenize
 from pathlib import Path
 
@@ -44,6 +48,11 @@ def count(source: str) -> tuple:
     return len(source.splitlines()), len(code - docstring), len(docstring)
 
 
+def compile_ms(source: str, name: str) -> float:
+    """The least of seven ``compile()`` times of one module's source, in ms."""
+    return 1e3 * min(timeit.repeat(lambda: compile(source, name, "exec"), number=1, repeat=7))
+
+
 def git(*args) -> str:
     """git's stdout; exits with git's error message when git fails."""
     done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
@@ -62,11 +71,12 @@ def modules(rev=None) -> dict:
 
 
 def main(argv) -> int:
-    rows = [(name, *count(source)) for name, source in modules(*argv[:1]).items()]
+    rows = [(name, *count(source), compile_ms(source, name))
+            for name, source in modules(*argv[:1]).items()]
     rows.append(("total", *(sum(column) for column in zip(*(row[1:] for row in rows)))))
-    print(f"{'module':<18}{'total':>7}{'code':>7}{'doc':>7}")
-    for name, total, code, doc in rows:
-        print(f"{name:<18}{total:>7}{code:>7}{doc:>7}")
+    print(f"{'module':<18}{'total':>7}{'code':>7}{'doc':>7}{'compile_ms':>12}")
+    for name, total, code, doc, ms in rows:
+        print(f"{name:<18}{total:>7}{code:>7}{doc:>7}{ms:>12.2f}")
     return 0
 
 
