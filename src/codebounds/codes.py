@@ -4,9 +4,10 @@ Each object is held as the arrays it is built or read as.  A ``QaryCode``
 is its (n, r) symbol array, in the least numpy type that holds q - 1.  A
 ``UnitVectorSet`` is a table: a list of scalars and an (n, d) index array
 into it, so that coordinate (i, k) is ``scalars[index[i, k]]``; the
-constructor's table is every coordinate, a parsed file's its distinct
-tokens' values, and a code image's its simplex vertices.  The tuples
-``words`` and ``vectors`` are views, built only when a caller reads them.
+constructor's table is every coordinate, as is a parsed float file's, an
+exact file's is its distinct tokens' values, and a code image's its simplex
+vertices.  The tuples ``words`` and ``vectors`` are views, built only when
+a caller reads them.
 
 An exact set is held in one form: integer rows P over one positive integer
 c, so that <v_i, v_j> = P_i . P_j / c, with an integer factor of the same
@@ -221,7 +222,8 @@ class QaryCode:
                 if min(w) < 0 or max(w) >= q:
                     s = next(s for s in w if not 0 <= s < q)
                     raise InvalidCode(f"symbol {s} out of range [0, {q})")
-        array = np.array(table, dtype=np.min_scalar_type(q - 1)).reshape(-1, r)
+        # C order, whatever the caller's layout, so that each row is one run of bytes
+        array = np.array(table, dtype=np.min_scalar_type(q - 1), order="C").reshape(-1, r)
         if array.dtype == object:
             distinct = len(set(map(tuple, array.tolist())))
         else:       # each row as one bytes object

@@ -7,28 +7,27 @@ Blank lines and ``#`` comment lines are ignored on input, which lets writers
 append run manifests without breaking round-trips.
 
 Each object is read into, and written from, the arrays it holds (see
-``codes``).  A sphere file's set is its distinct tokens' values, each parsed
-once, and each coordinate's index into them; a q-ary file's symbols reach
-``QaryCode`` as one flat array of the least type that holds q - 1.  Both
-writers share a table writer that formats each table entry (a set's scalar,
-a code's distinct symbol) once and joins each line from the index; a set
-whose scalars are all distinct, such as an optimizer's witness, is
-formatted row by row instead, so that its texts are never all held at once.
-A scalar's text depends on its type and bits, so 0.0 and -0.0, 1 and 1.0,
-and 1/2 and 0.5 print apart.  ``record_json`` writes the text of
-``json.dumps(indent=2)`` without json's pure-Python encoder.
+``codes``).  An exact sphere file's set is its distinct tokens' values,
+each parsed once, and each coordinate's index into them; a float file's is
+every coordinate's value, as the constructor holds them.  A q-ary file's
+symbols reach ``QaryCode`` as one flat array of the least type that holds
+q - 1.  Both writers share one table writer that joins each line from the
+index.  A table with repeated entries (a code image's or a cross
+polytope's scalars, a code's distinct symbols) is formatted once, entry by
+entry, and its index read a block of rows at a time; a set whose scalars
+are all distinct, such as an optimizer's witness, is read and formatted
+one row at a time, so that its texts are never all held at once.  A scalar's text depends on its type and bits, so
+0.0 and -0.0, 1 and 1.0, and 1/2 and 0.5 print apart.
 """
 
 import hashlib
 import json
-import math
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .codes import QaryCode, UnitVectorSet
 from .errors import CodeBoundsError, FileFormatError
-from .linalg import _BLOCK
+from .linalg import row_blocks
 from .scalars import format_scalar, parse_scalar
 
 
@@ -54,8 +53,8 @@ def parse_spherical(text: str, exact: bool = True) -> UnitVectorSet:
         raise FileFormatError(f"line {lineno}: bad dimension {parts[1]!r}") from None
     if d < 1:
         raise FileFormatError(f"line {lineno}: dimension must be >= 1")
-    # token -> its index in scalars, the list of parse_scalar(token); a token
-    # that fails is never stored
+    # token -> parse_scalar(token), or in exact mode its index in scalars; a
+    # token that fails is never stored
     flat, values, scalars = [], {}, []
     for lineno, line in lines[1:]:
         tokens = line.split()
@@ -64,31 +63,38 @@ def parse_spherical(text: str, exact: bool = True) -> UnitVectorSet:
         for t in tokens:
             if t not in values:
                 try:
-                    scalars.append(parse_scalar(t, exact=exact))
+                    x = parse_scalar(t, exact=exact)
                 except ValueError as exc:
                     raise FileFormatError(f"line {lineno}: {exc}") from None
-                values[t] = len(values)
+                if exact:
+                    values[t] = len(scalars)
+                    scalars.append(x)
+                else:
+                    values[t] = x
         flat += map(values.__getitem__, tokens)
     if not flat:
         raise FileFormatError("no vectors in file")
-    index = np.array(flat, dtype=np.min_scalar_type(len(scalars) - 1)).reshape(-1, d)
-    return UnitVectorSet._from_table(d, scalars, index)
+    if exact:   # the distinct scalars, and each coordinate's index into them
+        index = np.array(flat, dtype=np.min_scalar_type(len(scalars) - 1))
+    else:       # every coordinate its own entry, as the constructor holds them
+        scalars, index = flat, np.arange(len(flat), dtype=np.min_scalar_type(len(flat) - 1))
+    return UnitVectorSet._from_table(d, scalars, index.reshape(-1, d))
 
 
-def _row_blocks(a: np.ndarray):
-    """The rows of a 2-D array, about 2^18 entries (``linalg._BLOCK``) at a time."""
-    step = max(1, _BLOCK // max(a.shape[1], 1))
-    return (a[i:i + step] for i in range(0, len(a), step))
-
-
-def _table_text(header: str, scalars: list, index_blocks) -> str:
-    """The header line, then one line per row of the index blocks: the texts
-    of the scalars the row indexes, space-separated.  Each scalar is
-    formatted once, and the texts are taken one block of rows at a time."""
-    texts = np.array(list(map(format_scalar, scalars)), dtype=object)
+def _table_text(header: str, table: list, index_blocks, formatted: bool = True) -> str:
+    """The header line, then one line per row of the index blocks: the row's
+    entries of ``table``, space-separated.  A table of texts is formatted
+    once by the caller; a table of scalars (``formatted`` false) is
+    formatted row by row, as its lines are written."""
+    if formatted:
+        table = np.array(table, dtype=object)
     out = [header]
     for index in index_blocks:
-        out += map(" ".join, texts[index].tolist())
+        if formatted:
+            rows = table[index].tolist()
+        else:
+            rows = (map(format_scalar, map(table.__getitem__, row)) for row in index.tolist())
+        out += map(" ".join, rows)
     out.append("")      # the final newline, without a second copy of the text
     return "\n".join(out)
 
@@ -98,11 +104,13 @@ def serialize_spherical(vset: UnitVectorSet) -> str:
     # entries whenever they are distinct coordinates, so each prints as itself
     header, scalars, index = f"sphere {vset.dimension}", vset.scalars, vset.index
     if len(scalars) < index.size:       # some scalar repeats, as in a code image
-        return _table_text(header, scalars, _row_blocks(index))
-    # no scalar repeats (an optimizer's witness, say): the table would save no
-    # work and hold every text at once, so each row is formatted as it is written
-    rows = (" ".join(map(format_scalar, map(scalars.__getitem__, row.tolist()))) for row in index)
-    return "\n".join([header, *rows, ""])
+        return _table_text(header, list(map(format_scalar, scalars)),
+                           (index[i:j] for i, j in row_blocks(*index.shape)))
+    # no scalar repeats (an optimizer's witness, say): formatting the table
+    # first would save no work and hold every text at once, so it is read a
+    # row at a time
+    return _table_text(header, scalars, (index[i:i + 1] for i in range(len(index))),
+                       formatted=False)
 
 
 def parse_qary(text: str) -> QaryCode:
@@ -150,55 +158,16 @@ def parse_qary(text: str) -> QaryCode:
 def serialize_qary(code: QaryCode) -> str:
     # the table is the code's distinct symbols, in order, and a symbol's index
     # is its place among them (np.unique would import numpy.ma on first use)
-    ordered = np.sort(code.array, axis=None)
+    a = code.array
+    ordered = np.sort(a, axis=None)
     symbols = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
-    return _table_text(f"qary {code.q} {code.r}", symbols.tolist(),
-                       (np.searchsorted(symbols, rows) for rows in _row_blocks(code.array)))
-
-
-def _float_json(x: float) -> str:
-    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)    # NaN, Infinity
-
-
-# json's text of a leaf of each exact type
-_JSON_LEAVES = {str: encode_basestring_ascii, int: int.__repr__, float: _float_json,
-                bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
-
-
-def _indented_json(node, pad: str) -> str:
-    """``node`` as ``json.dumps(node, indent=2)`` writes it at indentation
-    ``pad``.  Leaves of the exact types in _JSON_LEAVES, str-keyed dicts,
-    lists and tuples are written here; any other node, subclasses included,
-    is json.dumps's own text, indented by a replace, as JSON text holds no
-    raw newline but its indentation."""
-    leaf = _JSON_LEAVES.get(node.__class__)
-    if leaf:
-        return leaf(node)
-    inner, items = pad + "  ", []
-    if node.__class__ is dict:
-        for k, v in node.items():
-            if k.__class__ is not str:
-                return json.dumps(node, indent=2).replace("\n", "\n" + pad)
-            leaf = _JSON_LEAVES.get(v.__class__)
-            items.append(encode_basestring_ascii(k) + ": " +
-                         (leaf(v) if leaf else _indented_json(v, inner)))
-        brackets = "{}"
-    elif node.__class__ is list or node.__class__ is tuple:
-        for v in node:
-            leaf = _JSON_LEAVES.get(v.__class__)
-            items.append(leaf(v) if leaf else _indented_json(v, inner))
-        brackets = "[]"
-    else:
-        return json.dumps(node, indent=2).replace("\n", "\n" + pad)
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+    return _table_text(f"qary {code.q} {code.r}", list(map(format_scalar, symbols.tolist())),
+                       (np.searchsorted(symbols, a[i:j]) for i, j in row_blocks(*a.shape)))
 
 
 def record_json(record) -> str:
-    """A BoundReport's or Certificate's to_dict(), as ``json.dumps(indent=2)``
-    writes it."""
-    return _indented_json(record.to_dict(), "")
+    """A BoundReport's or Certificate's to_dict(), as indented JSON."""
+    return json.dumps(record.to_dict(), indent=2, sort_keys=False)
 
 
 def sha256_hex(text: str) -> str:

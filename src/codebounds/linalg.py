@@ -79,7 +79,7 @@ def exact_array(values, terms: int) -> np.ndarray:
 
 
 # _float_product converts this many columns of its operand to float64 at a
-# time, and adds or casts at most _BLOCK entries of the product at a time
+# time; row_blocks takes about _BLOCK entries at a time
 _PANEL = 128
 _BLOCK = 1 << 18
 # below this many multiply-adds (rows * len(a) * cols) int64 `@` beats the
@@ -87,6 +87,13 @@ _BLOCK = 1 << 18
 # calls on a 2-CPU Xeon with OpenBLAS: 12x6 P 3-4 against 5-11 us, 24x12 6-7
 # against 7-8 us, 32x16 12-13 against 9 us, 48x24 31-37 against 11 us
 _FLOAT_MIN_WORK = 1 << 14
+
+
+def row_blocks(rows: int, width: int):
+    """(start, stop) of consecutive blocks of ``rows`` rows of ``width``
+    entries each, about _BLOCK entries, and at least one row, to a block."""
+    step = max(1, _BLOCK // max(width, 1))
+    return ((i, min(i + step, rows)) for i in range(0, rows, step))
 
 
 def _float_product(a, rows: int) -> np.ndarray:
@@ -97,19 +104,18 @@ def _float_product(a, rows: int) -> np.ndarray:
     int64 in its own buffer, one row block at a time, so at most _PANEL
     float64 columns of a, and no second copy of the product, are held."""
     m = len(a)
-    step = max(1, _BLOCK // max(m, 1))
     out = np.zeros((rows, m))
     for k in range(0, a.shape[1], _PANEL):
         panel = a[:, k:k + _PANEL].astype(np.float64)
         if k == 0:
             np.matmul(panel[:rows], panel.T, out=out)
         else:
-            for i in range(0, rows, step):
-                out[i:i + step] += panel[i:min(i + step, rows)] @ panel.T
+            for i, j in row_blocks(rows, m):
+                out[i:j] += panel[i:j] @ panel.T
         del panel
     result = out.view(np.int64)
-    for i in range(0, rows, step):
-        result[i:i + step] = out[i:i + step]      # numpy copies the overlapping source
+    for i, j in row_blocks(rows, m):
+        result[i:j] = out[i:j]      # numpy copies the overlapping source
     return result
 
 
@@ -136,12 +142,11 @@ def max_off_diagonal(a) -> int:
     ``integer_product`` forms a block of rows at a time against the rows from
     the block's first on, so at most max(_BLOCK, len(a)) entries are held."""
     n = len(a)
-    step = max(1, _BLOCK // n)
     tops = []
-    for i in range(0, n - 1, step):
+    for i, j in row_blocks(n - 1, n):
         # every row of the block has a pair to its right, so the block's
         # least entry is at most its largest pair and may stand in for the diagonal
-        block = integer_product(a[i:], min(step, n - 1 - i))
+        block = integer_product(a[i:], j - i)
         np.fill_diagonal(block, block.min())
         tops.append(int(block.max()))
         del block    # freed before the next block is formed

@@ -586,6 +586,26 @@ def test_a_code_holds_a_read_only_array_it_does_not_share():
     assert [f.name for f in dataclasses.fields(code)] == ["q", "r", "words"]
 
 
+@pytest.mark.parametrize("layout", ["transposed", "reversed", "strided"])
+def test_a_code_checks_its_words_in_any_memory_layout(layout):
+    # the words as a view whose rows are not runs of memory
+    def laid_out(words):
+        a = np.array(words, dtype=np.int64)
+        if layout == "transposed":
+            return a.T.copy().T
+        if layout == "reversed":
+            return np.flip(np.flip(a, 1).copy(), 1)
+        return np.repeat(a, 2, axis=1)[:, ::2]
+    # equal words are found, and distinct ones kept, whatever the layout
+    with pytest.raises(InvalidCode, match="pairwise distinct"):
+        QaryCode(2, 2, laid_out([[0, 1], [0, 1]]))
+    with pytest.raises(InvalidCode, match="pairwise distinct"):
+        QaryCode(3, 3, laid_out([[0, 1, 2], [2, 2, 2], [0, 1, 2]]))
+    code = QaryCode(3, 3, laid_out([[0, 1, 2], [1, 0, 2], [2, 1, 0]]))
+    assert code.words == ((0, 1, 2), (1, 0, 2), (2, 1, 0))
+    assert code.array.flags.c_contiguous and min_distance(code) == 2
+
+
 def test_a_vector_set_is_its_scalar_table_and_index():
     vset = UnitVectorSet(2, ((1, 0), (0.0, -1.0)))
     assert vset.scalars == [1, 0, 0.0, -1.0] and vset.index.tolist() == [[0, 1], [2, 3]]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from codebounds import constructions
+from codebounds import linalg
 from codebounds.codes import QaryCode, certify_chain, code_image, gram_analyze, min_distance
 from codebounds.constructions import (HadamardMatrix, cross_polytope,
                                       embed_qary, hadamard_code, simplex_vectors,
@@ -365,6 +365,17 @@ def test_hadamard_matrix_holds_a_read_only_int8_array():
     assert hadamard_code(h).array.dtype == np.uint8
 
 
+def test_a_hadamard_matrix_in_any_memory_layout_gives_its_code():
+    # columns permuted so that H^T is not H; its transpose is a column-major view
+    h = sylvester_hadamard(3).array[:, [3, 0, 6, 1, 7, 2, 5, 4]]
+    rows = tuple(map(tuple, h.T.tolist()))
+    for given in (h.T, np.asfortranarray(h.T), np.repeat(h.T, 2, axis=1)[:, ::2]):
+        code = hadamard_code(HadamardMatrix(8, given))
+        assert code == hadamard_code(HadamardMatrix(8, rows))
+        assert code.words[:8] == tuple(tuple(int(x != 1) for x in row) for row in rows)
+        assert min_distance(code) == 4
+
+
 @pytest.mark.parametrize("name", ["hadamard-16", "hadamard-64", "q3-r6-n200", "q7-r3-n80"])
 def test_max_coordinate_deviation_in_blocks_of_three_rows(monkeypatch, name):
     # every pair is in some block: three rows at a time against the rows from
@@ -372,7 +383,7 @@ def test_max_coordinate_deviation_in_blocks_of_three_rows(monkeypatch, name):
     # bits that a block product may round differently
     embedded = embed_qary(DEVIATION_CODES[name]())
     n = len(embedded.source)
-    monkeypatch.setattr(constructions, "_BLOCK", 3 * n)
+    monkeypatch.setattr(linalg, "_BLOCK", 3 * n)
     assert abs(embedded.max_coordinate_deviation() - _triangle_deviation(embedded)) <= 2 ** -50
     # a coordinate moved by 1e-6 shows in the last row's pairs, whichever block holds them
     m = embedded.image.coords.copy()

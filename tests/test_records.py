@@ -1,16 +1,11 @@
 """The per-call result records: BoundReport, Link, Certificate and SearchResult."""
 
 import dataclasses
-import json
-import random
-from fractions import Fraction
 
 import pytest
 
-from codebounds import (BoundReport, Certificate, Link, SearchResult, aq_upper, certify_chain,
-                        cross_polytope, m_upper)
+from codebounds import BoundReport, Certificate, Link, SearchResult
 from codebounds.certificates import make_link
-from codebounds.fileio import record_json
 
 RECORDS = {
     "BoundReport": BoundReport("m-upper", {"r": 4}, 8, "certified-exact"),
@@ -53,59 +48,3 @@ def test_from_links_and_a_positional_search_result_keep_their_defaults():
     assert repr(result) == "SearchResult(value=4, witness=None, nodes=9, optimal=None, seed=None)"
     assert [f.name for f in dataclasses.fields(Link)] == [
         "name", "lhs", "rhs", "slack", "mode", "verdict"]
-
-
-_LEAVES = ["", "plain", "tab\tquote\"back\\slash", "line\nbreak", "café α ≤ \U0001f600",
-           "\x00\x1f\x7f", 0, -1, 2 ** 70, -(2 ** 64), True, False, None, 0.0, -0.0, 1.0, 0.5,
-           1e22, 1e-7, 5e-324, -1.7976931348623157e308, float("nan"), float("inf"),
-           float("-inf"), 0.1 + 0.2]
-
-
-def _random_node(rng, depth):
-    """A record-shaped tree: str-keyed dicts, lists and tuples, empty ones
-    too, over the leaves JSON spells in its own ways."""
-    kind = rng.randrange(4) if depth else 3
-    if kind == 0:
-        return {rng.choice(_LEAVES[:6]) + str(i): _random_node(rng, depth - 1)
-                for i in range(rng.randrange(4))}
-    if kind == 1:
-        return [_random_node(rng, depth - 1) for _ in range(rng.randrange(4))]
-    if kind == 2:
-        return tuple(_random_node(rng, depth - 1) for _ in range(rng.randrange(3)))
-    return rng.choice(_LEAVES)
-
-
-class _Record:
-    def __init__(self, node):
-        self.node = node
-
-    def to_dict(self):
-        return self.node
-
-
-@pytest.mark.parametrize("seed", range(40))
-def test_record_json_writes_what_json_dumps_writes(seed):
-    rng = random.Random(seed)
-    node = {"name": "chain", "links": _random_node(rng, 4), "meta": _random_node(rng, 3)}
-    assert record_json(_Record(node)) == json.dumps(node, indent=2)
-
-
-@pytest.mark.parametrize("node", [
-    {}, [], (), {"a": {}}, {"a": []}, [[]], "only", 3, -0.0,
-    # nodes json.dumps writes itself: non-str keys, and any other leaf type
-    {1: "int key"}, {"outer": {None: 1, 2.5: [1, {"deep": True}]}}, [{"x": {False: ()}}],
-])
-def test_record_json_edge_nodes(node):
-    assert record_json(_Record(node)) == json.dumps(node, indent=2)
-
-
-def test_record_json_rejects_what_json_dumps_rejects():
-    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
-        record_json(_Record({"value": [Fraction(1, 2)]}))
-
-
-def test_record_json_of_real_records():
-    for record in (RECORDS["BoundReport"], RECORDS["Certificate"],
-                   m_upper(40, Fraction(1, 100)), aq_upper(3, 9, 5),
-                   certify_chain(cross_polytope(3))):
-        assert record_json(record) == json.dumps(record.to_dict(), indent=2)
