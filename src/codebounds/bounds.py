@@ -164,6 +164,15 @@ def m_upper(r: int, alpha: Scalar) -> BoundReport:
                        details={"first_failure": n})
 
 
+def check_code_domain(q: int, r: int, s: int):
+    """Raise PreconditionViolated unless q >= 2 and 1 <= s <= r, the domain
+    of a q-ary code's block length r and distance s."""
+    if q < 2:
+        raise PreconditionViolated(f"alphabet size must be >= 2, got {q}")
+    if not 1 <= s <= r:
+        raise PreconditionViolated(f"need 1 <= s <= r, got s={s}, r={r}")
+
+
 def aq_upper(q: int, r: int, s: int) -> BoundReport:
     """Bound on q-ary codes via the simplex embedding into dimension (q-1)r.
 
@@ -172,10 +181,7 @@ def aq_upper(q: int, r: int, s: int) -> BoundReport:
     alpha = qj/((q-1)r) = ((q-1)r - qs)/((q-1)r), so the spherical bound
     applies with that alpha.  Both come from the integer qj.
     """
-    if q < 2:
-        raise PreconditionViolated(f"alphabet size must be >= 2, got {q}")
-    if not 1 <= s <= r:
-        raise PreconditionViolated(f"need 1 <= s <= r, got s={s}, r={r}")
+    check_code_domain(q, r, s)
     dimension = (q - 1) * r
     qj = dimension - q * s
     if qj < 0:
@@ -196,10 +202,7 @@ def plotkin_upper(q: int, r: int, s: int) -> BoundReport:
     words; on it, qs = (q-1)r, puncturing once and applying that bound gives
     q*r.  Below the line aq_upper speaks instead.
     """
-    if q < 2:
-        raise PreconditionViolated(f"alphabet size must be >= 2, got {q}")
-    if not 1 <= s <= r:
-        raise PreconditionViolated(f"need 1 <= s <= r, got s={s}, r={r}")
+    check_code_domain(q, r, s)
     excess = q * s - (q - 1) * r
     if excess < 0:
         raise PreconditionViolated(f"s = {s} < (1-1/q)r = {Fraction((q - 1) * r, q)}; "

@@ -32,9 +32,10 @@ class Link:
 
 
 def make_link(name: str, lhs: Scalar, rhs: Scalar) -> Link:
-    """Build a link asserting lhs <= rhs."""
-    mode = join_modes(mode_of(lhs), mode_of(rhs))
+    """Build a link asserting lhs <= rhs, in the mode of its slack: a float
+    side makes the difference a float, and exact sides keep it exact."""
     slack = rhs - lhs
+    mode = mode_of(slack)
     return Link(name, lhs, rhs, slack, mode, slack_ok(slack, mode))
 
 

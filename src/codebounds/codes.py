@@ -4,10 +4,10 @@ Each object is held as the arrays it is built or read as.  A ``QaryCode``
 is its (n, r) symbol array, in the least numpy type that holds q - 1.  A
 ``UnitVectorSet`` is a table: a list of scalars and an (n, d) index array
 into it, so that coordinate (i, k) is ``scalars[index[i, k]]``; the
-constructor's table is every coordinate, as is a parsed float file's, an
-exact file's is its distinct tokens' values, and a code image's its simplex
-vertices.  The tuples ``words`` and ``vectors`` are views, built only when
-a caller reads them.
+constructor's table is every coordinate, a parsed file's is its distinct
+tokens' values in either mode, and a code image's its simplex vertices.
+The tuples ``words`` and ``vectors`` are views, built only when a caller
+reads them.
 
 An exact set is held in one form: integer rows P over one positive integer
 c, so that <v_i, v_j> = P_i . P_j / c, with an integer factor of the same
@@ -25,8 +25,9 @@ it is exact, and an int64 or Python-int product above that or when small.
 A float set's Gram is a ``FloatGram``, built from the coordinates converted
 once by ``float`` into an (n, d) array, the float table taken at the index;
 every sum in it adds left to right from 0 (see ``linalg``).  The mode
-decides only which Gram is built: the analysis and the verifiers read both
-through the protocol they share.
+decides only which Gram is built, and only ``UnitVectorSet._gram``
+decides it: the analysis and the verifiers read both through the protocol
+they share.
 """
 
 import math
@@ -43,6 +44,15 @@ from .errors import InvalidCode, NonUnitVector, PreconditionViolated
 from .linalg import (FloatGram, IntegerGram, exact_array, float_kernel, integer_product,
                      max_off_diagonal, negative_sums, rank, sequential_sums, trace_of_square)
 from .scalars import EXACT, FLOAT, Scalar, format_scalar, unit_norm_ok
+
+# the largest alphabet code_image maps: its simplex table holds q(q-1)
+# floats however few words the code has, and its time grows as q^2 (on a
+# 2-CPU Xeon 0.05, 0.2 and 0.9 s at q = 256, 512 and 1024).  At q = 1024
+# `embed` of a two-word code took 1.0 s and `construct simplex` 1.7 s,
+# peaking at 83 MB and 113 MB (ru_maxrss of a child process); the next
+# power of two, 2048, took 4.0 s and 222 MB for the image alone, so 1024
+# is the largest that keeps one image near a second and 100 MB
+MAX_IMAGE_ALPHABET = 1024
 
 
 @dataclass(frozen=True, init=False)
@@ -125,9 +135,16 @@ class UnitVectorSet:
 
         Raises InvalidCode when a float squared norm overflows to infinity.
         """
+        return self._gram(unit=False)
+
+    def _gram(self, unit: bool) -> IntegerGram | FloatGram:
+        """The set's Gram: an IntegerGram in exact mode, a FloatGram in float
+        mode, and the one place that picks between them.  With ``unit`` the
+        first vector off the unit sphere (exactly, or within the float policy)
+        raises NonUnitVector before the Gram is formed."""
         if self.mode() == EXACT:
-            return integer_gram(self)
-        return _float_gram(self.coords)
+            return integer_gram(self, unit)
+        return _float_gram(self.coords, unit)
 
 
 @float_kernel
@@ -175,9 +192,6 @@ class GramAnalysis:
         """Per vertex, the sum of its negative inner products."""
         # the diagonal is c > 0, or within 1e-9 of 1, so never negative
         return negative_sums(self.gram, self.gram.num)
-
-    def mode(self) -> str:
-        return self.gram.mode()
 
 
 def _symbol(s) -> int:
@@ -286,8 +300,14 @@ def code_image(code: QaryCode) -> UnitVectorSet:
     columns sum to zero, so the rank is unchanged; full C has rank at most
     (q-1)r, below min(n, qr) once n > (q-1)r, so its rank mod p could never
     confirm itself and Bareiss would always decide.
+
+    Raises PreconditionViolated for q above ``MAX_IMAGE_ALPHABET``, before
+    anything is allocated.
     """
     q, r, n = code.q, code.r, len(code)
+    if q > MAX_IMAGE_ALPHABET:
+        raise PreconditionViolated(
+            f"alphabet size {q} exceeds MAX_IMAGE_ALPHABET = {MAX_IMAGE_ALPHABET}")
     dimension = (q - 1) * r
     words = code.array
     # the table is the simplex's q(q-1) coordinates scaled by 1/sqrt(r), and
@@ -335,10 +355,8 @@ def gram_analyze(vset: UnitVectorSet) -> GramAnalysis:
     exact mode, within the float policy in float mode), before the Gram is built.
     An inner product of exactly 0 counts as nonnegative.
     """
-    exact = vset.mode() == EXACT
-    g = integer_gram(vset, unit=True) if exact else _float_gram(vset.coords, unit=True)
-    n = g.n
-    alpha = -1 if n == 1 else g.value(_off_diagonal(g.num).max())
+    g = vset._gram(unit=True)
+    alpha = -1 if g.n == 1 else g.value(_off_diagonal(g.num).max())
     return GramAnalysis(g, alpha)
 
 

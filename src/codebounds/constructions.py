@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codes import QaryCode, UnitVectorSet, code_image, min_distance
+from .codes import MAX_IMAGE_ALPHABET, QaryCode, UnitVectorSet, code_image, min_distance
 from .errors import CodeBoundsError, PreconditionViolated
 from .linalg import integer_product, row_blocks
 
@@ -102,6 +102,9 @@ def simplex_vectors(q: int) -> UnitVectorSet:
     the image of the q one-symbol words."""
     if q < 2:
         raise PreconditionViolated(f"alphabet size must be >= 2, got {q}")
+    if q > MAX_IMAGE_ALPHABET:      # as code_image checks, before the q words are built
+        raise PreconditionViolated(
+            f"alphabet size {q} exceeds MAX_IMAGE_ALPHABET = {MAX_IMAGE_ALPHABET}")
     return code_image(QaryCode(q, 1, tuple((s,) for s in range(q))))
 
 

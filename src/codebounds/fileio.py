@@ -7,17 +7,18 @@ Blank lines and ``#`` comment lines are ignored on input, which lets writers
 append run manifests without breaking round-trips.
 
 Each object is read into, and written from, the arrays it holds (see
-``codes``).  An exact sphere file's set is its distinct tokens' values,
-each parsed once, and each coordinate's index into them; a float file's is
-every coordinate's value, as the constructor holds them.  A q-ary file's
-symbols reach ``QaryCode`` as one flat array of the least type that holds
-q - 1.  Both writers share one table writer that joins each line from the
-index.  A table with repeated entries (a code image's or a cross
-polytope's scalars, a code's distinct symbols) is formatted once, entry by
-entry, and its index read a block of rows at a time; a set whose scalars
-are all distinct, such as an optimizer's witness, is read and formatted
-one row at a time, so that its texts are never all held at once.  A scalar's text depends on its type and bits, so
-0.0 and -0.0, 1 and 1.0, and 1/2 and 0.5 print apart.
+``codes``).  A sphere file's set is its distinct tokens' values, each
+parsed once (exactly, or rounded to a float when ``exact`` is false), and
+each coordinate's index into them, in the least unsigned type.  A q-ary
+file's symbols reach ``QaryCode`` as one flat array of the least type that
+holds q - 1.  Both writers share one table writer that joins each line from
+the index.  A table with repeated entries (a code image's, a cross
+polytope's or a parsed file's scalars, a code's distinct symbols) is
+formatted once, entry by entry, and its index read a block of rows at a
+time; a set whose scalars are all distinct, such as an optimizer's witness,
+is read and formatted one row at a time, so that its texts are never all
+held at once.  A scalar's text depends on its type and bits, so 0.0 and
+-0.0, 1 and 1.0, and 1/2 and 0.5 print apart.
 """
 
 import hashlib
@@ -53,8 +54,8 @@ def parse_spherical(text: str, exact: bool = True) -> UnitVectorSet:
         raise FileFormatError(f"line {lineno}: bad dimension {parts[1]!r}") from None
     if d < 1:
         raise FileFormatError(f"line {lineno}: dimension must be >= 1")
-    # token -> parse_scalar(token), or in exact mode its index in scalars; a
-    # token that fails is never stored
+    # token -> its index in scalars, the distinct tokens' values in either
+    # mode; a token that fails is never stored
     flat, values, scalars = [], {}, []
     for lineno, line in lines[1:]:
         tokens = line.split()
@@ -63,21 +64,14 @@ def parse_spherical(text: str, exact: bool = True) -> UnitVectorSet:
         for t in tokens:
             if t not in values:
                 try:
-                    x = parse_scalar(t, exact=exact)
+                    scalars.append(parse_scalar(t, exact=exact))
                 except ValueError as exc:
                     raise FileFormatError(f"line {lineno}: {exc}") from None
-                if exact:
-                    values[t] = len(scalars)
-                    scalars.append(x)
-                else:
-                    values[t] = x
+                values[t] = len(values)
         flat += map(values.__getitem__, tokens)
     if not flat:
         raise FileFormatError("no vectors in file")
-    if exact:   # the distinct scalars, and each coordinate's index into them
-        index = np.array(flat, dtype=np.min_scalar_type(len(scalars) - 1))
-    else:       # every coordinate its own entry, as the constructor holds them
-        scalars, index = flat, np.arange(len(flat), dtype=np.min_scalar_type(len(flat) - 1))
+    index = np.array(flat, dtype=np.min_scalar_type(len(scalars) - 1))
     return UnitVectorSet._from_table(d, scalars, index.reshape(-1, d))
 
 

@@ -32,7 +32,8 @@ A float Gram is a ``FloatGram``: one float64 array.  Its kernels run in
 numpy but add in the order of a Python loop ``s = 0; for x in row: s += x``
 (``sequential_sums``, never numpy's pairwise ``sum``), so each float they
 return has the bits that loop gives.  Overflow follows IEEE (inf, and nan
-from inf - inf) as Python floats do; numpy's warnings for it are silenced.
+from inf - inf) as Python floats do; numpy's warnings for it are silenced
+by ``float_kernel``, numpy's own ``errstate`` used as a decorator.
 Float rank uses partially pivoted elimination with a relative pivot
 threshold.
 
@@ -42,14 +43,15 @@ as an int or Fraction, or ``float(x)``) and ``sums(x)`` (exact row sums, or
 ``sequential_sums``); ``negative_sums`` builds the lemmas' row sums on them.
 
 ``rank``, ``trace``, ``trace_of_square`` and ``verify_trace_rank`` take only
-the two Gram types.  Every Gram the package builds is a vector set's
-(``codes.integer_gram`` or ``codes._float_gram``); a matrix written by hand
+the two Gram types.  Every Gram the package builds is a vector set's,
+from ``UnitVectorSet._gram`` (``codes.integer_gram`` or
+``codes._float_gram``); a matrix written by hand
 is an ``IntegerGram`` of its numerators over a denominator, or a
 ``FloatGram`` of a float64 array.
 """
 
 from fractions import Fraction
-from functools import partial, wraps
+from functools import partial
 from math import isfinite, sqrt
 
 import numpy as np
@@ -190,15 +192,13 @@ class IntegerGram:
         return [[entries[k] for k in row] for row in index.reshape(self.num.shape).tolist()]
 
 
-def float_kernel(f):
-    """Run f under a fresh ``np.errstate`` per call, so nested kernels restore the
-    caller's settings: overflow to inf and inf - inf = nan are results, as with
-    Python floats."""
-    @wraps(f)
-    def kernel(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return f(*args, **kwargs)
-    return kernel
+# the float kernels' decorator: overflow to inf and inf - inf = nan are
+# results, as with Python floats.  Since numpy 2.0, which pyproject.toml
+# requires, errstate as a decorator sets its state afresh on each call and
+# restores the caller's on return, so nested and recursive kernels hand back
+# the settings they found (numpy 1.x kept one saved state on the shared
+# instance); it is never entered with ``with``, which would do the same
+float_kernel = np.errstate(over="ignore", invalid="ignore")
 
 
 @float_kernel

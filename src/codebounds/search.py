@@ -16,6 +16,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from .bounds import check_code_domain
 from .codes import QaryCode, UnitVectorSet
 from .errors import NodeLimitExceeded, PreconditionViolated
 
@@ -48,10 +49,7 @@ def _word_table(q, r, s):
 
     Both code searches start here, so it checks their inputs before allocating.
     """
-    if q < 2:
-        raise PreconditionViolated(f"alphabet size must be >= 2, got {q}")
-    if not 1 <= s <= r:
-        raise PreconditionViolated(f"need 1 <= s <= r, got s={s}, r={r}")
+    check_code_domain(q, r, s)
     # q^r is spelled out only while it is quick to compute and within the
     # 4300 digits Python will print
     n = q ** r if r * math.log2(q) <= 4096 else None

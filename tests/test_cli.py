@@ -198,6 +198,22 @@ def test_construct_above_the_hadamard_cap_exits_1(capsys, what):
     assert err == "error: order 2^12 exceeds MAX_HADAMARD_ORDER = 2048\n"
 
 
+@pytest.mark.parametrize("q", [10 ** 5, 2 ** 70])
+def test_embed_above_the_alphabet_cap_exits_1(tmp_path, capsys, q):
+    src, out_path = tmp_path / "two.qary", tmp_path / "two.sphere"
+    src.write_text(f"qary {q} 2\n0 0\n1 1\n")
+    code, out, err = run(capsys, "embed", "--in", str(src), "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: alphabet size {q} exceeds MAX_IMAGE_ALPHABET = 1024\n"
+    assert not out_path.exists()
+
+
+def test_construct_simplex_above_the_alphabet_cap_exits_1(capsys):
+    code, out, err = run(capsys, "construct", "simplex", "--q", "1025")
+    assert (code, out) == (1, "")
+    assert err == "error: alphabet size 1025 exceeds MAX_IMAGE_ALPHABET = 1024\n"
+
+
 def test_verify_tampered_file_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.sphere"
     path.write_text("sphere 2\n1 0\n1 1\n")

@@ -66,7 +66,7 @@ def test_gram_analyze_simplex():
     analysis = gram_analyze(simplex_vectors(3))
     assert analysis.alpha == Fraction(-1, 2)
     assert all(g == -1 for g in analysis.gamma)
-    assert analysis.mode() == "exact"
+    assert analysis.gram.mode() == "exact"
 
 
 def test_gram_analyze_single_vector():
@@ -76,11 +76,21 @@ def test_gram_analyze_single_vector():
     assert type(analysis.gamma[0]) is int
 
 
+def _unit_gram(vset):
+    return vset._gram(unit=True)
+
+
+# the two calls that check unit norms; both raise the same error
+UNIT_CHECKS = (gram_analyze, _unit_gram)
+
+
 def test_gram_analyze_rejects_non_unit():
-    with pytest.raises(NonUnitVector) as err:
-        gram_analyze(UnitVectorSet(2, ((1, 1),)))
-    assert err.value.index == 0
-    assert err.value.norm_sq == 2
+    for check in UNIT_CHECKS:
+        for coord in (1, 1.0):      # exact and float mode
+            with pytest.raises(NonUnitVector) as err:
+                check(UnitVectorSet(2, ((coord, coord),)))
+            assert err.value.index == 0
+            assert err.value.norm_sq == 2
 
 
 @pytest.mark.parametrize("vset, index, message", [
@@ -105,10 +115,11 @@ def test_gram_analyze_rejects_non_unit_before_building_gram(vset, index, message
 
     monkeypatch.setattr(codes, "IntegerGram", no_gram)
     monkeypatch.setattr(codes, "FloatGram", no_gram)
-    with pytest.raises(NonUnitVector) as err:
-        gram_analyze(vset)
-    assert err.value.index == index
-    assert str(err.value) == message
+    for check in UNIT_CHECKS:
+        with pytest.raises(NonUnitVector) as err:
+            check(vset)
+        assert err.value.index == index
+        assert str(err.value) == message
     if vset.mode() == "exact":
         # the number reads back, in the input grammar, as the exact squared norm
         printed = message.split()[5].rstrip(",")
@@ -118,10 +129,12 @@ def test_gram_analyze_rejects_non_unit_before_building_gram(vset, index, message
 def test_gram_analyze_float_unit_norm_boundary():
     # float norms pass within 1e-9 + 1e-12 of 1
     inside = UnitVectorSet(2, ((1.0, math.sqrt(5e-10)),))
-    assert gram_analyze(inside).gram.rows[0][0] == 1.0 + 5e-10
-    with pytest.raises(NonUnitVector) as err:
-        gram_analyze(UnitVectorSet(2, ((1.0, math.sqrt(2e-9)),)))
-    assert err.value.index == 0
+    assert gram_analyze(inside).gram.rows[0][0] == _unit_gram(inside).rows[0][0] == 1.0 + 5e-10
+    outside = UnitVectorSet(2, ((1.0, math.sqrt(2e-9)),))
+    for check in UNIT_CHECKS:
+        with pytest.raises(NonUnitVector) as err:
+            check(outside)
+        assert err.value.index == 0
 
 
 def test_gram_analyze_zero_product_is_not_negative():

@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from codebounds import linalg
-from codebounds.codes import QaryCode, certify_chain, code_image, gram_analyze, min_distance
+from codebounds import codes, constructions, linalg
+from codebounds.codes import (MAX_IMAGE_ALPHABET, QaryCode, certify_chain, code_image,
+                              gram_analyze, min_distance)
 from codebounds.constructions import (HadamardMatrix, cross_polytope,
                                       embed_qary, hadamard_code, simplex_vectors,
                                       sylvester_hadamard)
@@ -97,6 +98,29 @@ def test_sylvester_small_orders():
 def test_sylvester_orthogonality(t):
     h = sylvester_hadamard(t)   # H H^T = order * I checked on construction
     assert h.order == 1 << t
+
+
+def test_simplex_at_the_alphabet_cap_builds():
+    s = simplex_vectors(MAX_IMAGE_ALPHABET)
+    assert (len(s), s.dimension) == (1024, 1023)
+    assert gram_analyze(s).alpha == Fraction(-1, 1023)
+
+
+@pytest.mark.parametrize("q", [1025, 10 ** 5, 2 ** 70])
+def test_code_image_rejects_alphabets_above_the_cap(monkeypatch, q):
+    # refused before the simplex table (at q = 10^5 it would need 74.5 GiB),
+    # and by simplex_vectors before its q words
+    def nothing_built(*args, **kwargs):
+        raise AssertionError("built above the cap")
+
+    message = rf"^alphabet size {q} exceeds MAX_IMAGE_ALPHABET = 1024$"
+    code = QaryCode(q, 2, ((0, 0), (1, 1)))
+    monkeypatch.setattr(codes, "_simplex_table", nothing_built)
+    monkeypatch.setattr(constructions, "QaryCode", nothing_built)
+    with pytest.raises(PreconditionViolated, match=message):
+        embed_qary(code)
+    with pytest.raises(PreconditionViolated, match=message):
+        simplex_vectors(q)
 
 
 @pytest.mark.parametrize("t", [12, 64])

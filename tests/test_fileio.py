@@ -339,7 +339,32 @@ _WRITER_CASES = {
     "signed-zeros": lambda: UnitVectorSet(2, ((0.0, 1.0), (-0.0, -1.0), (1.0, -0.0), (-1.0, 0.0))),
     "exponent-form": lambda: UnitVectorSet(3, ((1e-07, -2.5e-16, 1.0), (1e22, 5e-324, -1e-05))),
     "optimizer-witness": lambda: heuristic_rho(6, 12, iterations=40, seed=3).witness,
+    # float files whose tokens repeat, so that the table writer formats each once
+    "repeated-tokens-parsed": lambda: parse_spherical(
+        "sphere 3\n0.6 0.8 0\n0.8 -0.6 0\n0 0 1\n0.6 0.8 0\n-0.6 0.8 0\n", exact=False),
+    "zero-signs-parsed": lambda: parse_spherical(
+        "sphere 2\n0.0 1\n-0.0 -1\n1 -0.0\n-1 0.0\n0.0 -1\n", exact=False),
+    "one-spellings-parsed": lambda: parse_spherical(
+        "sphere 2\n1 0\n1.0 0.0\n0 1\n0.0 1.0\n-1 0\n-1.0 0\n", exact=False),
 }
+
+
+def test_a_float_file_is_its_distinct_tokens_and_an_index():
+    # a token is one float entry however often it repeats; 0.0 and -0.0, 1 and
+    # 1.0, 1/2 and 0.5 are distinct tokens, so each is its own entry
+    vset = parse_spherical("sphere 2\n1 0.0\n-0.0 1.0\n1/2 0.5\n1 0.0\n1.0 -0.0\n",
+                           exact=False)
+    assert [(type(x), repr(x)) for x in vset.scalars] == [
+        (float, "1.0"), (float, "0.0"), (float, "-0.0"), (float, "1.0"), (float, "0.5"),
+        (float, "0.5")]
+    assert vset.index.tolist() == [[0, 1], [2, 3], [4, 5], [0, 1], [3, 2]]
+    assert vset.index.dtype == np.uint8 and not vset.index.flags.writeable
+    assert vset.mode() == "float"
+    # 300 distinct tokens take a uint16 index, whatever the number of coordinates
+    tokens = [f"{k}/300" for k in range(300)]
+    wide = parse_spherical("sphere 1\n" + "\n".join(tokens * 2) + "\n", exact=False)
+    assert wide.scalars == [parse_scalar(t, exact=False) for t in tokens]
+    assert wide.index.dtype == np.uint16 and wide.index.ravel().tolist() == [*range(300)] * 2
 
 
 @pytest.mark.parametrize("case", sorted(_WRITER_CASES))

@@ -280,10 +280,12 @@ def test_float_kernels_match_the_python_loops(seed):
     assert repr(trace_of_square(gram)) == repr(ref_sum(x * x for row in rows for x in row))
     assert repr(trace(gram)) == repr(ref_sum(rows[i][i] for i in range(len(rows))))
     analysis = outcome(lambda: gram_analyze(vset))
+    unit_gram = outcome(lambda: vset._gram(unit=True))
     if isinstance(analysis, str):
         i = next(i for i, row in enumerate(rows) if not unit_norm_ok(row[i]))
-        assert analysis == f"NonUnitVector: {NonUnitVector(i, rows[i][i])}"
+        assert analysis == unit_gram == f"NonUnitVector: {NonUnitVector(i, rows[i][i])}"
         return
+    assert repr(unit_gram.rows) == repr(rows)
     alpha, _, _, gamma, energy = ref_analysis(rows)
     assert repr((analysis.alpha, analysis.gamma)) == repr((alpha, gamma))
     if 0 <= alpha < 1:

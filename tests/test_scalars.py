@@ -1,6 +1,8 @@
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from codebounds.certificates import make_link
@@ -77,6 +79,19 @@ def test_mode_contamination():
 def test_make_link_float_slack_boundary():
     assert make_link("x", 0.0, -1e-12).verdict
     assert not make_link("x", 0.0, -2e-12).verdict
+
+
+# exact and float sides, signed zeros, a side whose difference overflows to
+# inf, numpy scalars and bools
+LINK_SIDES = (0, 3, -2, Fraction(1, 3), Fraction(-7, 2), 0.5, 0.0, -0.0, 1e308, -1e308,
+              np.float64(0.25), np.float64(-0.0), np.int64(5), np.int64(-3), True, False)
+
+
+def test_a_links_mode_is_the_join_of_its_sides_modes():
+    # make_link reads the mode from the slack alone
+    for lhs, rhs in itertools.product(LINK_SIDES, repeat=2):
+        link = make_link("x", lhs, rhs)
+        assert link.mode == join_modes(mode_of(lhs), mode_of(rhs)), (lhs, rhs)
 
 
 def test_tolerance_policy():

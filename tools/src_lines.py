@@ -13,8 +13,10 @@ Usage, from the repository root::
     python tools/src_lines.py [REV]
 
 With REV (any git revision) the modules are read from that commit through
-``git show``; without it, from the working tree.  Comparing two revisions'
-totals gives a change's line delta.
+``git show``; without it, from the working tree.  With REV it then prints
+each module's line deltas from REV to the working tree, and the total
+deltas: a change's net ``src/`` delta in one command.  A module on one side
+only counts as zero lines on the other.
 """
 
 import ast
@@ -70,13 +72,32 @@ def modules(rev=None) -> dict:
     return {n: git("show", f"{rev}:{PACKAGE}/{n}") for n in sorted(names) if n.endswith(".py")}
 
 
+def with_total(rows: list) -> list:
+    """The rows, then a "total" row of their column sums."""
+    return rows + [("total", *(sum(column) for column in zip(*(row[1:] for row in rows))))]
+
+
+def deltas(before: dict, after: dict) -> list:
+    """(module, total, code, doc) line deltas from the sources ``before`` to
+    ``after``, one row per module on either side; a missing module is the
+    empty source, which counts (0, 0, 0)."""
+    return [(name, *(b - a for a, b in zip(count(before.get(name, "")),
+                                            count(after.get(name, "")))))
+            for name in sorted(before.keys() | after.keys())]
+
+
 def main(argv) -> int:
-    rows = [(name, *count(source), compile_ms(source, name))
-            for name, source in modules(*argv[:1]).items()]
-    rows.append(("total", *(sum(column) for column in zip(*(row[1:] for row in rows)))))
+    sources = modules(*argv[:1])
+    rows = with_total([(name, *count(source), compile_ms(source, name))
+                       for name, source in sources.items()])
     print(f"{'module':<18}{'total':>7}{'code':>7}{'doc':>7}{'compile_ms':>12}")
     for name, total, code, doc, ms in rows:
         print(f"{name:<18}{total:>7}{code:>7}{doc:>7}{ms:>12.2f}")
+    if argv:
+        print(f"\ndelta from {argv[0]} to the working tree")
+        print(f"{'module':<18}{'total':>7}{'code':>7}{'doc':>7}")
+        for name, total, code, doc in with_total(deltas(sources, modules())):
+            print(f"{name:<18}{total:>+7}{code:>+7}{doc:>+7}")
     return 0
 
 
