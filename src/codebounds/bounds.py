@@ -62,15 +62,16 @@ class BoundReport:
         }
 
 
-def _icbrt(x: int) -> int:
-    """Largest integer c with c^3 <= x, for x >= 1.
+def _iroot(x: int, k: int) -> int:
+    """Largest integer c with c^k <= x, for x >= 1 and k >= 1.
 
-    Integer Newton from 2^ceil(b/3) > cbrt(x), b the bit length of x: a step
-    is floor((2c + x/c^2)/3), by AM-GM never below floor(cbrt(x)), and below
-    c while c^3 > x, so the first step that does not fall starts there."""
-    c = 1 << ((x.bit_length() + 2) // 3)
+    Integer Newton from 2^ceil(b/k) > x^(1/k), b the bit length of x: a step
+    is floor(((k-1)c + x/c^(k-1))/k), by AM-GM never below floor(x^(1/k)),
+    and below c while c^k > x, so the first step that does not fall starts
+    there."""
+    c = 1 << ((x.bit_length() + k - 1) // k)
     while True:
-        nxt = (2 * c + x // (c * c)) // 3
+        nxt = ((k - 1) * c + x // c ** (k - 1)) // k
         if nxt >= c:
             return c
         c = nxt
@@ -80,7 +81,7 @@ def _cbrt_lower(x: Fraction) -> Fraction:
     """Rational y with y^3 <= x, accurate to ~2^-80, for x >= 1."""
     scale = 1 << 80
     a, b = x.numerator, x.denominator
-    c = _icbrt(a * b * b * scale ** 3)
+    c = _iroot(a * b * b * scale ** 3, 3)
     return Fraction(c, b * scale)
 
 
@@ -214,6 +215,9 @@ def plotkin_upper(q: int, r: int, s: int) -> BoundReport:
 
 def ramsey_lower(q: int, r: int, s: int, a_value: int) -> int:
     """Set-coloring Ramsey numbers exceed a known code size by at least one."""
+    check_code_domain(q, r, s)
+    if a_value < 0:
+        raise PreconditionViolated(f"code size must be >= 0, got {a_value}")
     return a_value + 1
 
 
@@ -260,17 +264,53 @@ def ramsey_asymptotic(q: int, r: int, j: int) -> BoundReport:
                        note="no finite-n guarantee; multiplicative 1+o(1) unquantified")
 
 
+# the primes to 41: trial divisors, then the bases of a Miller-Rabin test
+# that is exact below 3,317,044,064,679,887,385,961,981, the least strong
+# pseudoprime to all thirteen (Sorenson and Webster, 2015)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME_POWER_Q = 3_317_044_064_679_887_385_961_980
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases _SMALL_PRIMES, for odd n > 41 up to
+    MAX_PRIME_POWER_Q."""
+    d = n - 1
+    twos = (d & -d).bit_length() - 1
+    d >>= twos
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _is_prime_power(q: int) -> bool:
-    """Whether q >= 2 (bq_window checks it first) is a prime power."""
-    p = 2
-    n = q
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1
-    return True  # q itself is prime
+    """Whether q >= 2 (bq_window checks it first) is a prime power.
+
+    A factor up to 41 decides at once.  Else q = b^k needs a prime b > 41, so
+    k <= log_43(q): each such k takes one integer root and, when it is exact,
+    one Miller-Rabin test of the root."""
+    if q > MAX_PRIME_POWER_Q:
+        raise PreconditionViolated(
+            f"alphabet size {q} exceeds MAX_PRIME_POWER_Q = {MAX_PRIME_POWER_Q}")
+    for p in _SMALL_PRIMES:
+        if q % p == 0:
+            while q % p == 0:
+                q //= p
+            return q == 1
+    k = 1
+    while 43 ** k <= q:
+        b = _iroot(q, k)
+        if b ** k == q and _is_prime(b):
+            return True
+        k += 1
+    return False
 
 
 def bq_window(q: int) -> tuple:

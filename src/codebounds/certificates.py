@@ -54,9 +54,6 @@ class Certificate:
         verdict = all(link.verdict for link in links)
         return cls(name, links, mode, verdict, dict(meta or {}))
 
-    def failing_links(self):
-        return [link for link in self.links if not link.verdict]
-
     def to_dict(self):
         return {
             "name": self.name,

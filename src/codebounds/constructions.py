@@ -32,6 +32,12 @@ from .linalg import integer_product, row_blocks
 # 1024: 53 MB, 123 MB and 136 MB
 MAX_HADAMARD_ORDER = 2048
 
+# the largest cross polytope built: its index holds 2r^2 bytes.  At r = 2048,
+# `construct crosspolytope --out` took 0.44 to 0.60 s and 142 MB (ru_maxrss
+# of a child process, 2-CPU Xeon) for a 16.8 MB file; at r = 4096, 1.3 to
+# 1.5 s and 456 MB
+MAX_CROSS_POLYTOPE_DIMENSION = 2048
+
 
 @dataclass(frozen=True, init=False)
 class HadamardMatrix:
@@ -92,6 +98,9 @@ def cross_polytope(r: int) -> UnitVectorSet:
     at coordinate i, and entry 0 elsewhere."""
     if r < 1:
         raise PreconditionViolated(f"dimension must be >= 1, got {r}")
+    if r > MAX_CROSS_POLYTOPE_DIMENSION:
+        raise PreconditionViolated(f"dimension {r} exceeds MAX_CROSS_POLYTOPE_DIMENSION = "
+                                   f"{MAX_CROSS_POLYTOPE_DIMENSION}")
     index = np.zeros((r, 2, r), dtype=np.uint8)
     index[np.arange(r), :, np.arange(r)] = (1, 2)
     return UnitVectorSet._from_table(r, [0, 1, -1], index.reshape(2 * r, r))

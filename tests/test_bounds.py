@@ -10,7 +10,7 @@ from codebounds.bounds import (ASYMPTOTIC, CERTIFIED_EXACT, CONDITIONAL,
                                m_upper, plotkin_upper,
                                ramsey_asymptotic, ramsey_lower,
                                ramsey_upper_param, rho_lower)
-from codebounds.bounds import _icbrt
+from codebounds.bounds import MAX_PRIME_POWER_Q, _iroot, _is_prime_power
 from codebounds.codes import gram_analyze
 from codebounds.constructions import cross_polytope, hadamard_code, sylvester_hadamard
 from codebounds.errors import NodeLimitExceeded, PreconditionViolated
@@ -359,12 +359,12 @@ def test_heuristic_never_beats_rho_lower():
         assert result.value >= float(bound.details["certified_lower"]) - 1e-6
 
 
-def bisected_cbrt(x):
-    """Largest c with c^3 <= x, by bisection below 2^(b/3 + 1), b the bit length of x."""
-    lo, hi = 0, 1 << (x.bit_length() // 3 + 1)
+def bisected_root(x, k):
+    """Largest c with c^k <= x, by bisection below 2^(b/k + 1), b the bit length of x."""
+    lo, hi = 0, 1 << (x.bit_length() // k + 1)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if mid ** 3 <= x:
+        if mid ** k <= x:
             lo = mid
         else:
             hi = mid - 1
@@ -373,7 +373,7 @@ def bisected_cbrt(x):
 
 def test_icbrt_matches_bisection_below_two_hundred_thousand():
     for x in range(1, 200_000):
-        assert _icbrt(x) == bisected_cbrt(x), x
+        assert _iroot(x, 3) == bisected_root(x, 3), x
 
 
 def test_icbrt_matches_bisection_at_cubes_and_powers_of_two():
@@ -384,7 +384,54 @@ def test_icbrt_matches_bisection_at_cubes_and_powers_of_two():
     points = [c ** 3 + d for c in cubes for d in (-1, 0, 1)]
     points += [2 ** k + d for k in range(1, 1201) for d in (-1, 0, 1)]
     for x in filter(None, points):
-        assert _icbrt(x) == bisected_cbrt(x), x
+        assert _iroot(x, 3) == bisected_root(x, 3), x
+
+
+def test_iroot_matches_bisection_at_every_degree():
+    # k-th powers and their neighbours, and random integers, for k = 1 to 9
+    rng = random.Random(36)
+    for k in range(1, 10):
+        bases = [rng.getrandbits(rng.randint(1, 100)) + 1 for _ in range(200)]
+        points = [c ** k + d for c in bases for d in (-1, 0, 1)]
+        points += [rng.getrandbits(rng.randint(1, 600)) for _ in range(200)] + list(range(1, 300))
+        for x in filter(None, points):
+            assert _iroot(x, k) == bisected_root(x, k), (x, k)
+
+
+def trial_division_prime_power(q):
+    """Whether q >= 2 is a prime power: strip its least prime factor."""
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            while q % p == 0:
+                q //= p
+            return q == 1
+        p += 1
+    return True
+
+
+def test_prime_power_test_matches_trial_division_below_two_hundred_thousand():
+    for q in range(2, 200_001):
+        assert _is_prime_power(q) == trial_division_prime_power(q), q
+
+
+M61 = 2 ** 61 - 1                   # a Mersenne prime
+P12 = 999_999_999_989               # the largest prime below 10^12
+
+
+@pytest.mark.parametrize("q, expected", [
+    (M61, True), (3 ** 40, True), (P12 ** 2, True), (43 ** 14, True), (43 ** 2, True),
+    (561, False),                   # Carmichael: 3 * 11 * 17
+    (3_215_031_751, False),         # 151 * 751 * 28351, a strong pseudoprime to 2, 3, 5 and 7
+    # 399165290221 * 798330580441, the least strong pseudoprime to every prime
+    # base up to 37; base 41 rejects it
+    (318_665_857_834_031_151_167_461, False),
+    (P12 * 1_000_000_000_039, False), (M61 * 3 ** 2, False), (43 * 47, False),
+    (MAX_PRIME_POWER_Q, False),
+], ids=["2^61-1", "3^40", "p12^2", "43^14", "43^2", "561", "3215031751", "psi12",
+        "p12*q12", "9*(2^61-1)", "43*47", "limit"])
+def test_prime_power_test_on_hand_picked_cases(q, expected):
+    assert _is_prime_power(q) is expected
 
 
 @pytest.mark.parametrize("alphas", [

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -212,6 +213,27 @@ def test_construct_simplex_above_the_alphabet_cap_exits_1(capsys):
     code, out, err = run(capsys, "construct", "simplex", "--q", "1025")
     assert (code, out) == (1, "")
     assert err == "error: alphabet size 1025 exceeds MAX_IMAGE_ALPHABET = 1024\n"
+
+
+def test_construct_crosspolytope_above_the_cap_exits_1(capsys):
+    code, out, err = run(capsys, "construct", "crosspolytope", "--r", "2049")
+    assert (code, out) == (1, "")
+    assert err == "error: dimension 2049 exceeds MAX_CROSS_POLYTOPE_DIMENSION = 2048\n"
+
+
+def test_bound_bq_decides_a_large_prime_in_under_a_second(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bound", "bq", "--q", "1000000000000000003")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert json.loads(out)["details"] == {"prime_power": True}
+
+
+def test_bound_bq_above_the_prime_power_limit_exits_1(capsys):
+    code, out, err = run(capsys, "bound", "bq", "--q", "3317044064679887385961981")
+    assert (code, out) == (1, "")
+    assert err == ("error: alphabet size 3317044064679887385961981 exceeds "
+                   "MAX_PRIME_POWER_Q = 3317044064679887385961980\n")
 
 
 def test_verify_tampered_file_exits_2(tmp_path, capsys):
@@ -550,7 +572,14 @@ def test_main_repeats_identically_within_one_process(tmp_path, capsys):
      "alphabet size must be >= 2, got 0"),
     (["ramsey-upper", "--q", "1", "--r", "4", "--s", "2", "--eps", "1/2", "--c", "1"],
      "alphabet size must be >= 2, got 1"),
-], ids=["asymptotic-q0", "asymptotic-q1", "asymptotic-r0", "upper-q0", "upper-q1"])
+    (["ramsey-lower", "--q", "2", "--r", "2", "--s", "1", "--a-value", "-5"],
+     "code size must be >= 0, got -5"),
+    (["ramsey-lower", "--q", "1", "--r", "4", "--s", "2", "--a-value", "3"],
+     "alphabet size must be >= 2, got 1"),
+    (["ramsey-lower", "--q", "2", "--r", "4", "--s", "5", "--a-value", "3"],
+     "need 1 <= s <= r, got s=5, r=4"),
+], ids=["asymptotic-q0", "asymptotic-q1", "asymptotic-r0", "upper-q0", "upper-q1",
+        "lower-negative-size", "lower-q1", "lower-s-above-r"])
 def test_bound_ramsey_rejects_small_alphabets_and_lengths(capsys, argv, message):
     code, out, err = run(capsys, "bound", *argv)
     assert code == 1

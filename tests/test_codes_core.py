@@ -548,7 +548,7 @@ def test_certify_chain_property_suite():
         vset = random_unit_set(rng, rng.randint(2, 10), rng.randint(2, 5),
                                require_alpha_nonneg=True)
         cert = certify_chain(vset)
-        assert cert.verdict, f"chain failed: {[l.name for l in cert.failing_links()]}"
+        assert cert.verdict, f"chain failed: {[l.name for l in cert.links if not l.verdict]}"
 
 
 def test_certify_chain_float_mode():
@@ -556,7 +556,7 @@ def test_certify_chain_float_mode():
     result = heuristic_rho(2, 5, seed=3)     # regular pentagon, alpha ~ 0.309
     cert = certify_chain(result.witness)
     assert cert.mode == "float"
-    assert cert.verdict, [link.name for link in cert.failing_links()]
+    assert cert.verdict, [link.name for link in cert.links if not link.verdict]
     # pentagon Gram has two equal nonzero eigenvalues: trace-rank link is tight
     first = cert.links[0]
     assert first.lhs == pytest.approx(12.5, abs=1e-9)

@@ -8,9 +8,8 @@ from fractions import Fraction
 import pytest
 
 from codebounds import bounds
-from codebounds.bounds import (aq_upper, bq_window, m_upper, ramsey_asymptotic,
-                               ramsey_upper_param, rho_lower)
-from codebounds.certificates import Certificate, make_link
+from codebounds.bounds import (aq_upper, bq_window, bq_window_report, m_upper,
+                               ramsey_asymptotic, ramsey_lower, ramsey_upper_param, rho_lower)
 from codebounds.cli import _int_list
 from codebounds.codes import QaryCode, UnitVectorSet
 from codebounds.constructions import (EmbeddedCode, cross_polytope, simplex_vectors,
@@ -41,10 +40,21 @@ ERRORS = {
                                  PreconditionViolated, "eps and c must be positive"),
     "ramsey_upper_param s too large": (lambda: ramsey_upper_param(2, 8, 5, 1, 1, no_oracle),
                                        PreconditionViolated, "need s <= (1-1/q)r, got s=5"),
+    "ramsey_lower negative code size": (lambda: ramsey_lower(2, 2, 1, -5), PreconditionViolated,
+                                        "code size must be >= 0, got -5"),
+    "ramsey_lower q < 2": (lambda: ramsey_lower(1, 4, 2, 3), PreconditionViolated,
+                           "alphabet size must be >= 2, got 1"),
+    "ramsey_lower s > r": (lambda: ramsey_lower(2, 4, 5, 3), PreconditionViolated,
+                           "need 1 <= s <= r, got s=5, r=4"),
     "ramsey_asymptotic j < 0": (lambda: ramsey_asymptotic(2, 8, -1), PreconditionViolated,
                                 "j must be >= 0, got -1"),
     "bq_window q < 2": (lambda: bq_window(1), PreconditionViolated,
                         "alphabet size must be >= 2, got 1"),
+    # one above the limit is the least strong pseudoprime to all thirteen bases
+    "bq_window_report q past the prime-power test":
+        (lambda: bq_window_report(3317044064679887385961981), PreconditionViolated,
+         "alphabet size 3317044064679887385961981 exceeds "
+         "MAX_PRIME_POWER_Q = 3317044064679887385961980"),
     "vector set without vectors": (lambda: UnitVectorSet(2, ()), InvalidCode,
                                    "a vector set needs at least one vector"),
     "vector of the wrong length": (lambda: UnitVectorSet(2, ((1, 0, 0),)), InvalidCode,
@@ -58,6 +68,9 @@ ERRORS = {
                         "t must be >= 0, got -1"),
     "cross_polytope r < 1": (lambda: cross_polytope(0), PreconditionViolated,
                              "dimension must be >= 1, got 0"),
+    "cross_polytope r past the cap": (lambda: cross_polytope(2049), PreconditionViolated,
+                                      "dimension 2049 exceeds "
+                                      "MAX_CROSS_POLYTOPE_DIMENSION = 2048"),
     "simplex q < 2": (lambda: simplex_vectors(1), PreconditionViolated,
                       "alphabet size must be >= 2, got 1"),
     "sphere dimension 0": (lambda: parse_spherical("sphere 0\n"), FileFormatError,
@@ -94,10 +107,3 @@ def test_m_upper_refuses_a_closed_form_its_failure_test_denies(monkeypatch):
 def test_a_one_word_embedding_has_alpha_minus_one():
     alpha = EmbeddedCode(QaryCode(3, 2, ((0, 1),))).alpha()
     assert alpha == -1 and type(alpha) is Fraction
-
-
-def test_failing_links_lists_only_the_failing_links():
-    links = [make_link("holds", 1, 2), make_link("fails", 3, 2), make_link("tight", 2, 2)]
-    cert = Certificate.from_links("mixed", links)
-    assert not cert.verdict
-    assert cert.failing_links() == [links[1]]
