@@ -8,9 +8,14 @@ first failing n certifies the bound n-1.  The failing set is the integers
 strictly between the two roots of a downward parabola, so its least element
 comes from an exact integer square root; when the set is empty the report
 carries an honest "vacuous" status.
+
+Every integer parameter is read once with ``operator.index``, so a numpy
+integer becomes a Python int before any arithmetic (int64 would wrap
+silently) and a float is a TypeError.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -93,6 +98,7 @@ def rho_lower(r: int, k: int) -> BoundReport:
     down, and value is the largest float at or below that enclosure, so
     neither is ever over-reported.
     """
+    r, k = operator.index(r), operator.index(k)
     if r < 1 or k < 0:
         raise PreconditionViolated(f"need r >= 1 and k >= 0, got r={r}, k={k}")
     enclosure = (_cbrt_lower(Fraction(8 * k, 27) + 1) - 1) / (2 * r + k)
@@ -129,11 +135,15 @@ def m_upper(r: int, alpha: Scalar) -> BoundReport:
     which no failure can occur: 1 when B <= 0, else ceil(B / 2A), the
     parabola's vertex rounded up.
     """
+    r = operator.index(r)
     if r < 1:
         raise PreconditionViolated(f"dimension must be >= 1, got {r}")
     if not isinstance(alpha, Fraction):
         alpha = Fraction(alpha)     # lossless: every binary float is a rational
-    a, b = alpha.numerator, alpha.denominator
+    # Fraction keeps a numpy integer numerator or denominator as it is
+    a, b = operator.index(alpha.numerator), operator.index(alpha.denominator)
+    if type(alpha.numerator) is not int or type(alpha.denominator) is not int:
+        alpha = Fraction(a, b)
     if a < 0:
         raise PreconditionViolated(f"alpha must be >= 0, got {alpha}")
     inputs = {"r": r, "alpha": alpha}
@@ -165,13 +175,15 @@ def m_upper(r: int, alpha: Scalar) -> BoundReport:
                        details={"first_failure": n})
 
 
-def check_code_domain(q: int, r: int, s: int):
-    """Raise PreconditionViolated unless q >= 2 and 1 <= s <= r, the domain
-    of a q-ary code's block length r and distance s."""
+def check_code_domain(q: int, r: int, s: int) -> tuple:
+    """(q, r, s) as Python ints; raise PreconditionViolated unless q >= 2 and
+    1 <= s <= r, the domain of a q-ary code's block length r and distance s."""
+    q, r, s = map(operator.index, (q, r, s))
     if q < 2:
         raise PreconditionViolated(f"alphabet size must be >= 2, got {q}")
     if not 1 <= s <= r:
         raise PreconditionViolated(f"need 1 <= s <= r, got s={s}, r={r}")
+    return q, r, s
 
 
 def aq_upper(q: int, r: int, s: int) -> BoundReport:
@@ -182,7 +194,7 @@ def aq_upper(q: int, r: int, s: int) -> BoundReport:
     alpha = qj/((q-1)r) = ((q-1)r - qs)/((q-1)r), so the spherical bound
     applies with that alpha.  Both come from the integer qj.
     """
-    check_code_domain(q, r, s)
+    q, r, s = check_code_domain(q, r, s)
     dimension = (q - 1) * r
     qj = dimension - q * s
     if qj < 0:
@@ -203,7 +215,7 @@ def plotkin_upper(q: int, r: int, s: int) -> BoundReport:
     words; on it, qs = (q-1)r, puncturing once and applying that bound gives
     q*r.  Below the line aq_upper speaks instead.
     """
-    check_code_domain(q, r, s)
+    q, r, s = check_code_domain(q, r, s)
     excess = q * s - (q - 1) * r
     if excess < 0:
         raise PreconditionViolated(f"s = {s} < (1-1/q)r = {Fraction((q - 1) * r, q)}; "
@@ -215,7 +227,8 @@ def plotkin_upper(q: int, r: int, s: int) -> BoundReport:
 
 def ramsey_lower(q: int, r: int, s: int, a_value: int) -> int:
     """Set-coloring Ramsey numbers exceed a known code size by at least one."""
-    check_code_domain(q, r, s)
+    q, r, s = check_code_domain(q, r, s)
+    a_value = operator.index(a_value)
     if a_value < 0:
         raise PreconditionViolated(f"code size must be >= 0, got {a_value}")
     return a_value + 1
@@ -230,6 +243,7 @@ def ramsey_upper_param(q: int, r: int, s: int, eps: Scalar, c: Scalar,
     caller input, as is the code-size oracle; the subscriptless size function
     is interpreted as the q-ary size A_q.
     """
+    q, r, s = map(operator.index, (q, r, s))
     if q < 2:
         raise PreconditionViolated(f"alphabet size must be >= 2, got {q}")
     if eps <= 0 or c <= 0:
@@ -251,7 +265,10 @@ def ramsey_upper_param(q: int, r: int, s: int, eps: Scalar, c: Scalar,
 
 
 def ramsey_asymptotic(q: int, r: int, j: int) -> BoundReport:
-    """Headline transfer value 2(q-1)r; the o(1) term is unquantified."""
+    """Headline transfer value 2(q-1)r; the o(1) term is unquantified.
+
+    The distance s = (1-1/q)r - j must be an integer of at least 1."""
+    q, r, j = map(operator.index, (q, r, j))
     if q < 2 or r < 1:
         raise PreconditionViolated(f"need q >= 2 and r >= 1, got q={q}, r={r}")
     if j < 0:
@@ -259,6 +276,7 @@ def ramsey_asymptotic(q: int, r: int, j: int) -> BoundReport:
     s = Fraction(q - 1, q) * r - j
     if s.denominator != 1:
         raise PreconditionViolated(f"(1-1/q)r - j = {s} is not integral")
+    check_code_domain(q, r, s.numerator)
     return BoundReport("ramsey-asymptotic", {"q": q, "r": r, "j": j},
                        2 * (q - 1) * r, ASYMPTOTIC,
                        note="no finite-n guarantee; multiplicative 1+o(1) unquantified")
@@ -321,12 +339,14 @@ def bq_window(q: int) -> tuple:
     on equality constructions that exist when q is a prime power;
     bq_window_report notes when it is not.
     """
+    q = operator.index(q)
     if q < 2:
         raise PreconditionViolated(f"alphabet size must be >= 2, got {q}")
     return (q, 2 * (q - 1))
 
 
 def bq_window_report(q: int) -> BoundReport:
+    q = operator.index(q)
     lo, hi = bq_window(q)
     pp = _is_prime_power(q)
     note = "" if pp else "lower endpoint not certified: q is not a prime power"

@@ -24,18 +24,18 @@ it is exact, and an int64 or Python-int product above that or when small.
 
 A float set's Gram is a ``FloatGram``, built from the coordinates converted
 once by ``float`` into an (n, d) array, the float table taken at the index;
-every sum in it adds left to right from 0 (see ``linalg``).  The mode
-decides only which Gram is built, and only ``UnitVectorSet._gram``
-decides it: the analysis and the verifiers read both through the protocol
-they share.
+every sum in it adds left to right from 0 (see ``linalg``).  The mode is
+the set's, and decides which Gram ``UnitVectorSet._gram`` builds and
+whether ``certify_chain`` takes n^2/rank as a Fraction; the analysis and
+the verifiers read both Grams through the protocol they share.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from numbers import Number
-from operator import truediv
 
 import numpy as np
 
@@ -53,6 +53,13 @@ from .scalars import EXACT, FLOAT, Scalar, format_scalar, unit_norm_ok
 # power of two, 2048, took 4.0 s and 222 MB for the image alone, so 1024
 # is the largest that keeps one image near a second and 100 MB
 MAX_IMAGE_ALPHABET = 1024
+# the most one-hot entries n*q*r code_image builds: those of the order-2048
+# Hadamard code's image (n = 4096, q = 2, r = 2048), the largest the package
+# constructs itself.  `embed` of that code took 7.2 to 7.3 s and peaked at
+# 546 MB (ru_maxrss of a child process, 2-CPU Xeon)
+MAX_IMAGE_ENTRIES = 1 << 24
+# the coordinate types format_scalar writes
+_COORDINATE_TYPES = (int, Fraction, float)
 
 
 @dataclass(frozen=True, init=False)
@@ -65,7 +72,9 @@ class UnitVectorSet:
     exact ones too, enters its Gram through ``float``.  Otherwise its exact
     form (P, c, factor) is its coordinates over their common denominator.
     Only ``code_image`` makes an exact set of float coordinates, with the
-    rows of the code they are the image of.
+    rows of the code they are the image of.  The constructor reads a numpy
+    scalar as the Python scalar it holds (``item()``) and rejects any
+    coordinate that is then not an int (bool excluded), Fraction or float.
     """
 
     dimension: int
@@ -74,12 +83,20 @@ class UnitVectorSet:
         tuple(map(self.scalars.__getitem__, row)) for row in self.index.tolist()))
 
     def __init__(self, dimension: int, vectors):
+        dimension = operator.index(dimension)
         scalars, n = [], 0
         for n, v in enumerate(vectors, start=1):
             scalars.extend(v)
             if len(scalars) != n * dimension:
                 raise InvalidCode(f"vector {n - 1} has {len(scalars) - (n - 1) * dimension} "
                                   f"coordinates, expected {dimension}")
+        if not set(map(type, scalars)).issubset(_COORDINATE_TYPES):
+            for k, x in enumerate(scalars):
+                if isinstance(x, np.generic):
+                    x = scalars[k] = x.item()
+                if isinstance(x, bool) or not isinstance(x, _COORDINATE_TYPES):
+                    raise InvalidCode(f"vector {k // dimension}: coordinate {x!r} "
+                                      "is not an int, Fraction or float")
         size = len(scalars)
         self._hold(dimension, scalars,
                    np.arange(size, dtype=np.min_scalar_type(size - 1)).reshape(n, dimension))
@@ -218,6 +235,7 @@ class QaryCode:
     words: tuple = cached_property(lambda self: tuple(map(tuple, self.array.tolist())))
 
     def __init__(self, q: int, r: int, words):
+        q, r = operator.index(q), operator.index(r)
         if q < 2:
             raise InvalidCode(f"alphabet size {q} < 2")
         if r < 1:
@@ -301,13 +319,16 @@ def code_image(code: QaryCode) -> UnitVectorSet:
     (q-1)r, below min(n, qr) once n > (q-1)r, so its rank mod p could never
     confirm itself and Bareiss would always decide.
 
-    Raises PreconditionViolated for q above ``MAX_IMAGE_ALPHABET``, before
-    anything is allocated.
+    Raises PreconditionViolated for q above ``MAX_IMAGE_ALPHABET`` or n*q*r
+    above ``MAX_IMAGE_ENTRIES``, before anything is allocated.
     """
     q, r, n = code.q, code.r, len(code)
     if q > MAX_IMAGE_ALPHABET:
         raise PreconditionViolated(
             f"alphabet size {q} exceeds MAX_IMAGE_ALPHABET = {MAX_IMAGE_ALPHABET}")
+    if n * q * r > MAX_IMAGE_ENTRIES:
+        raise PreconditionViolated(f"image of {n} words has n*q*r = {n * q * r} entries, "
+                                   f"above MAX_IMAGE_ENTRIES = {MAX_IMAGE_ENTRIES}")
     dimension = (q - 1) * r
     words = code.array
     # the table is the simplex's q(q-1) coordinates scaled by 1/sqrt(r), and
@@ -436,7 +457,7 @@ def certify_chain(vset: UnitVectorSet) -> Certificate:
     alpha = analysis.alpha
     t = alpha * n
     tsq = trace_of_square(gram)
-    ratio = Fraction if gram.mode() == EXACT else truediv
+    ratio = Fraction if vset.mode() == EXACT else operator.truediv
     c274 = Fraction(27, 4)
     alpha_terms = t * t + c274 * (1 + t) * (1 + t) * t
     envelope = c274 * ((1 + t) ** 3 - 1)

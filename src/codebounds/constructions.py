@@ -13,6 +13,7 @@ map at q = 2, and the regular simplex is its image of the q one-symbol
 words (r = 1).
 """
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -51,6 +52,7 @@ class HadamardMatrix:
     rows: tuple = cached_property(lambda self: tuple(map(tuple, self.array.tolist())))
 
     def __init__(self, order: int, rows):
+        order = operator.index(order)
         h = np.array(rows)
         if h.shape != (order, order):
             raise CodeBoundsError(f"expected a {order}x{order} matrix")
@@ -68,6 +70,7 @@ class HadamardMatrix:
 
 def sylvester_hadamard(t: int) -> HadamardMatrix:
     """Order 2^t matrix from the doubling construction [[H, H], [H, -H]]."""
+    t = operator.index(t)
     if t < 0:
         raise PreconditionViolated(f"t must be >= 0, got {t}")
     if t > MAX_HADAMARD_ORDER.bit_length() - 1:
@@ -96,6 +99,7 @@ def cross_polytope(r: int) -> UnitVectorSet:
 
     Held as the table (0, 1, -1): vectors 2i and 2i + 1 take entry 1 and 2
     at coordinate i, and entry 0 elsewhere."""
+    r = operator.index(r)
     if r < 1:
         raise PreconditionViolated(f"dimension must be >= 1, got {r}")
     if r > MAX_CROSS_POLYTOPE_DIMENSION:
@@ -109,6 +113,7 @@ def cross_polytope(r: int) -> UnitVectorSet:
 def simplex_vectors(q: int) -> UnitVectorSet:
     """q equidistant unit vectors in R^(q-1) with pairwise product -1/(q-1):
     the image of the q one-symbol words."""
+    q = operator.index(q)
     if q < 2:
         raise PreconditionViolated(f"alphabet size must be >= 2, got {q}")
     if q > MAX_IMAGE_ALPHABET:      # as code_image checks, before the q words are built

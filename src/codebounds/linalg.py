@@ -7,14 +7,14 @@ always computed from its integer rows (see ``codes``).  Integer arrays are
 numpy int64 only while every sum of products they enter stays below 2^63,
 and Python ints otherwise.
 
-Every exact product a a^T but the Gram ``integer_rank`` reduces to (below)
-is ``integer_product``.  numpy runs int64 products without BLAS, so when
-cols * max|a|^2 < 2^53 it runs on float64 BLAS: every product and partial
-sum is then an integer below 2^53, which float64 holds exactly, whatever the
-order of summation and with or without a fused multiply-add.  That assumes
-a conventional multiply-add BLAS, as numpy's bundled OpenBLAS is.  Above the
-bound, and for products too small to repay the conversion
-(``_FLOAT_MIN_WORK``), it is numpy's int64 or object product.
+Every exact product a a^T is ``integer_product``.  numpy runs int64
+products without BLAS, so when cols * max|a|^2 < 2^53 it runs on float64
+BLAS: every product and partial sum is then an integer below 2^53, which
+float64 holds exactly, whatever the order of summation and with or without
+a fused multiply-add.  That assumes a conventional multiply-add BLAS, as
+numpy's bundled OpenBLAS is.  Above the bound, and for products too small
+to repay the conversion (``_FLOAT_MIN_WORK``), it is numpy's int64 or
+object product.
 ``max_off_diagonal`` takes the largest off-diagonal entry of a a^T from
 ``integer_product`` one block of rows at a time.
 
@@ -25,8 +25,8 @@ column with nothing below the pivot skips its update.  A rank mod P never
 exceeds the rank over Q, which never exceeds min(rows, cols), so the modular
 count is returned only when it reaches that minimum; otherwise Bareiss
 decides.  A matrix that is not square is counted mod P through its smaller
-Gram, formed on float64 BLAS, when that Gram's entries stay below 2^53; any
-other is counted in its tall orientation, one step per column.
+Gram, formed by ``integer_product``, when that Gram's entries stay below
+2^53; any other is counted in its tall orientation, one step per column.
 
 A float Gram is a ``FloatGram``: one float64 array.  Its kernels run in
 numpy but add in the order of a Python loop ``s = 0; for x in row: s += x``
@@ -58,7 +58,7 @@ import numpy as np
 
 from .certificates import Certificate, make_link
 from .errors import InvalidCode
-from .scalars import EXACT, FLOAT, REL_EPS, Scalar
+from .scalars import REL_EPS, Scalar
 
 # 2^31 - 1 is prime, and a product of two residues stays below 2^62
 P = 2_147_483_647
@@ -178,9 +178,6 @@ class IntegerGram:
     def n(self) -> int:
         return len(self.num)
 
-    def mode(self) -> str:
-        return EXACT
-
     def value(self, x, power: int = 1) -> Scalar:
         """The integer x / den^power: an int when den is 1, else a Fraction."""
         return int(x) if self.den == 1 else Fraction(int(x), self.den ** power)
@@ -213,8 +210,8 @@ def sequential_sums(x) -> np.ndarray:
 class FloatGram:
     """Float Gram matrix held as one symmetric (n, n) float64 array ``num``.
 
-    Its mode is float by type; ``value`` is ``float`` whatever the power, and
-    ``rows`` builds the entries as a list of Python floats.
+    ``value`` is ``float`` whatever the power, and ``rows`` builds the
+    entries as a list of Python floats.
     """
 
     __slots__ = ("num",)
@@ -228,9 +225,6 @@ class FloatGram:
     @property
     def n(self) -> int:
         return len(self.num)
-
-    def mode(self) -> str:
-        return FLOAT
 
     @property
     def rows(self):
@@ -333,20 +327,19 @@ def integer_rank(a) -> int:
     rank mod P is a lower bound and min(rows, cols) an upper one, so the
     modular count is exact when it reaches that minimum, and Bareiss
     elimination decides when it does not.  A matrix that is not square is
-    counted mod P through its Gram on the shorter side (F^T F or F F^T)
-    when that Gram's entries are below 2^53 (``_fits``), which also makes
-    its float64 product exact, so it is formed there whatever its size
-    (``_float_product``).  Over Q the Gram has the rank of F, so a full
-    count there proves F's rank, and a shortfall sends F itself to Bareiss.
-    Otherwise the count runs on the orientation with more rows, and Bareiss
-    always on the one with fewer.
+    counted mod P through its Gram on the shorter side (F^T F or F F^T),
+    ``integer_product`` of that side, when the Gram's entries are below
+    2^53 (``_fits``, the test that product makes for float64 BLAS).  Over Q
+    the Gram has the rank of F, so a full count there proves F's rank, and
+    a shortfall sends F itself to Bareiss.  Otherwise the count runs on the
+    orientation with more rows, and Bareiss always on the one with fewer.
     """
     bound = min(a.shape)
     short = a if a.shape[0] <= a.shape[1] else a.T
     if a.size * bound <= _BAREISS_MAX_WORK:
         return _rank_bareiss(short.tolist())
     reduced = a.shape[0] != a.shape[1] and _fits(short, short.shape[1], 53)
-    if _rank_mod_p(_float_product(short, bound) if reduced else short.T) == bound:
+    if _rank_mod_p(integer_product(short) if reduced else short.T) == bound:
         return bound
     return _rank_bareiss(short.tolist())
 

@@ -1,4 +1,4 @@
-"""Desk-scale ground truth: exhaustive code search and a spherical minimax heuristic.
+"""Desk-scale oracles: a branch-and-bound code search and a spherical minimax heuristic.
 
 The exact searcher is a branch-and-bound maximum clique over the graph on
 all q^r words with edges at Hamming distance >= s.  Candidate sets live in
@@ -8,9 +8,14 @@ prunes dense low-distance instances that a size-only bound cannot touch.
 It runs as one loop over an explicit stack, so no recursion limit bounds its depth.
 Both code searches read one table of neighbour masks, each the all-zero word's
 mask translated by its word (the graph is a Cayley graph on Z_q^r).
+
+Its ``optimal`` says only that the search finished within its node budget.
+That is not yet a proof: the pruning can cut live branches, and README
+lists nine sizes reported optimal that are too small (ROADMAP item 1a).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -40,16 +45,19 @@ class SearchResult:
     value: object            # int size (exact) or float alpha (heuristic)
     witness: object          # QaryCode or UnitVectorSet
     nodes: int               # nodes expanded / iterations run
-    optimal: bool = None     # exhaustiveness flag; None for heuristics
+    # the search finished within its node budget, which is not yet a proof
+    # of optimality (ROADMAP item 1a); None for heuristics
+    optimal: bool = None
     seed: int = None
 
 
 def _word_table(q, r, s):
     """q^r x r array of digits: row w holds w's base-q digits, least significant first.
 
-    Both code searches start here, so it checks their inputs before allocating.
+    Both code searches start here, so it checks their inputs before
+    allocating, read as Python ints whatever integer type the caller gave.
     """
-    check_code_domain(q, r, s)
+    q, r, s = check_code_domain(q, r, s)
     # q^r is spelled out only while it is quick to compute and within the
     # 4300 digits Python will print
     n = q ** r if r * math.log2(q) <= 4096 else None
@@ -90,6 +98,7 @@ def _lexicode(comp):
 
 def greedy_lexicode(q: int, r: int, s: int) -> QaryCode:
     """Keep each word (lexicographic scan) at distance >= s from all kept words."""
+    q, r, s = check_code_domain(q, r, s)
     digits = _word_table(q, r, s)
     kept = _lexicode(_compatibility_masks(digits, q, s))
     # most significant digit first: id order is lexicographic order
@@ -116,7 +125,11 @@ def _colour_branches(cand, comp):
 
 
 def exact_max_code(q: int, r: int, s: int, node_limit: int = 10_000_000) -> SearchResult:
-    """Maximum size of a q-ary code with block length r and distance >= s.
+    """Largest q-ary code of block length r and distance >= s that the search finds.
+
+    ``optimal`` on the result means the search finished within
+    ``node_limit``; it is not yet a proof that no larger code exists, since
+    the pruning can cut live branches (ROADMAP item 1a).
 
     The all-zero word is pinned (symbol permutations per coordinate preserve
     distances and act transitively, so some maximum code contains it).  The
@@ -124,8 +137,10 @@ def exact_max_code(q: int, r: int, s: int, node_limit: int = 10_000_000) -> Sear
     are written from them at the end, most significant digit first.  Raises
     NodeLimitExceeded carrying the best witness when the budget runs out.
     """
+    node_limit = operator.index(node_limit)
     if node_limit < 0:
         raise PreconditionViolated(f"need node_limit >= 0, got {node_limit}")
+    q, r, s = check_code_domain(q, r, s)
     digits = _word_table(q, r, s)
     comp = _compatibility_masks(digits, q, s)
     best = _lexicode(comp)
@@ -191,6 +206,7 @@ def heuristic_rho(r: int, n: int, iterations: int = 2000, seed: int = 0) -> Sear
     Raises PreconditionViolated for n < 2, r < 1, iterations < 0, seed < 0
     or n^2 + 3nr > MAX_RHO_FLOATS.
     """
+    r, n, iterations, seed = map(operator.index, (r, n, iterations, seed))
     if n < 2 or r < 1:
         raise PreconditionViolated(f"need n >= 2 and r >= 1, got n={n}, r={r}")
     if iterations < 0 or seed < 0:

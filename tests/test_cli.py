@@ -209,6 +209,18 @@ def test_embed_above_the_alphabet_cap_exits_1(tmp_path, capsys, q):
     assert not out_path.exists()
 
 
+def test_embed_above_the_image_cap_exits_1(tmp_path, capsys):
+    # n*q*r = 2 * 1024 * 8193, just past MAX_IMAGE_ENTRIES = 2^24
+    src, out_path = tmp_path / "two.qary", tmp_path / "two.sphere"
+    src.write_text("qary 1024 8193\n" + " ".join(["0"] * 8193) + "\n"
+                   + " ".join(["1"] * 8193) + "\n")
+    code, out, err = run(capsys, "embed", "--in", str(src), "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err == ("error: image of 2 words has n*q*r = 16779264 entries, "
+                   "above MAX_IMAGE_ENTRIES = 16777216\n")
+    assert not out_path.exists()
+
+
 def test_construct_simplex_above_the_alphabet_cap_exits_1(capsys):
     code, out, err = run(capsys, "construct", "simplex", "--q", "1025")
     assert (code, out) == (1, "")
@@ -585,6 +597,23 @@ def test_bound_ramsey_rejects_small_alphabets_and_lengths(capsys, argv, message)
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("q, r, j, s", [(2, 4, 2, 0), (3, 3, 5, -3)])
+def test_bound_ramsey_asymptotic_needs_a_distance_of_at_least_one(capsys, q, r, j, s):
+    code, out, err = run(capsys, "bound", "ramsey-asymptotic",
+                         "--q", str(q), "--r", str(r), "--j", str(j))
+    assert (code, out) == (1, "")
+    assert err == f"error: need 1 <= s <= r, got s={s}, r={r}\n"
+
+
+def test_bound_ramsey_asymptotic_grid_marks_distance_zero_out_of_domain(capsys):
+    code, out, err = run(capsys, "bound", "ramsey-asymptotic", "--grid",
+                         "--q", "2", "--r", "4", "--j", "0:2")
+    assert code == 1
+    assert out.splitlines() == ["q,r,j,value,status", "2,4,0,8,asymptotic-headline",
+                                "2,4,1,8,asymptotic-headline", "2,4,2,,out-of-domain"]
+    assert err == "error: q=2 r=4 j=2: need 1 <= s <= r, got s=0, r=4\n"
 
 
 def test_bound_ramsey_asymptotic_grid_marks_small_q_out_of_domain(capsys):

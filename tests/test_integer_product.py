@@ -2,11 +2,13 @@
 size crossover, the rank reduction built on it, and the row blocks of
 max_off_diagonal behind min_distance."""
 
+import ast
 import random
 import tracemalloc
 from fractions import Fraction
 from itertools import count
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,3 +388,17 @@ def test_min_distance_of_long_binary_words_in_few_rows(r):
     assert min_distance(QaryCode(2, r, (zeros, ones))) == r
     assert min_distance(QaryCode(2, r, (zeros, ones, zeros[:-1] + (1,)))) == 1
     assert max_off_diagonal(np.array([ones, [-1] * r], dtype=np.int8)) == -r
+
+
+def test_only_integer_product_calls_the_float64_path():
+    # every exact a a^T, the Gram integer_rank reduces to included, goes
+    # through integer_product, which alone applies its size crossover
+    callers = set()
+    for path in Path(linalg.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                callers.update((path.stem, node.name) for call in ast.walk(node)
+                               if isinstance(call, ast.Call)
+                               and getattr(call.func, "id", None) == "_float_product")
+    assert callers == {("linalg", "integer_product")}

@@ -132,3 +132,11 @@ def test_empty_matrix_has_rank_zero():
     assert isinstance(g, IntegerGram) and g.n == 0
     assert rank(g) == 0 and trace(g) == 0 and trace_of_square(g) == 0
     assert verify_trace_rank(g).verdict
+
+
+@pytest.mark.parametrize("gram_type, extra", [(IntegerGram, {"factor"}), (FloatGram, set())],
+                         ids=["integer", "float"])
+def test_gram_types_answer_only_their_documented_members(gram_type, extra):
+    # a Gram records no mode: a caller that needs it asks the vector set
+    members = {name for name in dir(gram_type) if not name.startswith("_")}
+    assert members == {"num", "den", "n", "value", "sums", "rows"} | extra
