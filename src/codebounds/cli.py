@@ -34,8 +34,8 @@ from .codes import (certify_chain, gram_analyze, min_distance,
 from .constructions import (cross_polytope, embed_qary, hadamard_code,
                             simplex_vectors, sylvester_hadamard)
 from .errors import CodeBoundsError, FileFormatError, InvalidCode
-from .fileio import (parse_qary, parse_spherical, record_json, serialize_qary,
-                     serialize_spherical, sha256_hex)
+from .fileio import (parse_qary, parse_spherical, record_json, serialize_hadamard,
+                     serialize_qary, serialize_spherical, sha256_hex)
 from .linalg import verify_trace_rank
 from .scalars import format_scalar, parse_scalar
 from .search import exact_max_code, greedy_lexicode, heuristic_rho
@@ -266,8 +266,7 @@ _ORDER = (("order", int),)
 _CONSTRUCT = {
     "simplex": ((("q", int),), lambda ns: serialize_spherical(simplex_vectors(ns.q))),
     "crosspolytope": ((("r", int),), lambda ns: serialize_spherical(cross_polytope(ns.r))),
-    "hadamard": (_ORDER, lambda ns: "\n".join([f"# hadamard order {ns.order}", *(
-        " ".join(map(str, row)) for row in _sylvester(ns.order).array.tolist()), ""])),
+    "hadamard": (_ORDER, lambda ns: serialize_hadamard(_sylvester(ns.order))),
     "hadamard-code": (_ORDER, lambda ns: serialize_qary(hadamard_code(_sylvester(ns.order)))),
 }
 

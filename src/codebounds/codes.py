@@ -73,8 +73,9 @@ class UnitVectorSet:
     form (P, c, factor) is its coordinates over their common denominator.
     Only ``code_image`` makes an exact set of float coordinates, with the
     rows of the code they are the image of.  The constructor reads a numpy
-    scalar as the Python scalar it holds (``item()``) and rejects any
-    coordinate that is then not an int (bool excluded), Fraction or float.
+    scalar as the Python scalar it holds (``item()``) and rejects a dimension
+    below 1 and any coordinate that is then not an int (bool excluded),
+    Fraction or float.  No set holds a NaN coordinate.
     """
 
     dimension: int
@@ -84,6 +85,8 @@ class UnitVectorSet:
 
     def __init__(self, dimension: int, vectors):
         dimension = operator.index(dimension)
+        if dimension < 1:
+            raise InvalidCode(f"dimension must be >= 1, got {dimension}")
         scalars, n = [], 0
         for n, v in enumerate(vectors, start=1):
             scalars.extend(v)
@@ -124,6 +127,11 @@ class UnitVectorSet:
                                 dimension)
             a = table[index]
             exact = (a, den * den, a)
+        elif exact is None:
+            nan = next((k for k, x in enumerate(scalars) if x != x), None)
+            if nan is not None:
+                vector = int(np.flatnonzero((index == nan).any(axis=1))[0])
+                raise InvalidCode(f"vector {vector}: coordinate nan is not a number")
         index.flags.writeable = False
         for name, value in (("dimension", dimension), ("scalars", scalars),
                             ("index", index), ("_exact", exact)):

@@ -3,6 +3,8 @@
 Spherical code file:  line 1 is ``sphere <d>``, then one vector per line as
 d whitespace-separated scalar tokens.  Q-ary code file: line 1 is
 ``qary <q> <r>``, then one codeword per line as r integers in [0, q).
+A Hadamard matrix is written, never read, as ``# hadamard order <n>`` and
+one row per line of 1 and -1.
 Blank lines and ``#`` comment lines are ignored on input, which lets writers
 append run manifests without breaking round-trips.
 
@@ -11,14 +13,15 @@ Each object is read into, and written from, the arrays it holds (see
 parsed once (exactly, or rounded to a float when ``exact`` is false), and
 each coordinate's index into them, in the least unsigned type.  A q-ary
 file's symbols reach ``QaryCode`` as one flat array of the least type that
-holds q - 1.  Both writers share one table writer that joins each line from
+holds q - 1.  The writers share one table writer that joins each line from
 the index.  A table with repeated entries (a code image's, a cross
-polytope's or a parsed file's scalars, a code's distinct symbols) is
-formatted once, entry by entry, and its index read a block of rows at a
-time; a set whose scalars are all distinct, such as an optimizer's witness,
-is read and formatted one row at a time, so that its texts are never all
-held at once.  A scalar's text depends on its type and bits, so 0.0 and
--0.0, 1 and 1.0, and 1/2 and 0.5 print apart.
+polytope's or a parsed file's scalars, a code's distinct symbols, a
+Hadamard matrix's 1 and -1) is formatted once, entry by entry, and its
+index read a block of rows at a time; a set whose scalars are all
+distinct, such as an optimizer's witness, is read and formatted one row at
+a time, so that its texts are never all held at once.  A scalar's text
+depends on its type and bits, so 0.0 and -0.0, 1 and 1.0, and 1/2 and 0.5
+print apart.
 """
 
 import hashlib
@@ -27,6 +30,7 @@ import json
 import numpy as np
 
 from .codes import QaryCode, UnitVectorSet
+from .constructions import HadamardMatrix
 from .errors import CodeBoundsError, FileFormatError
 from .linalg import row_blocks
 from .scalars import format_scalar, parse_scalar
@@ -157,6 +161,13 @@ def serialize_qary(code: QaryCode) -> str:
     symbols = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
     return _table_text(f"qary {code.q} {code.r}", list(map(format_scalar, symbols.tolist())),
                        (np.searchsorted(symbols, a[i:j]) for i, j in row_blocks(*a.shape)))
+
+
+def serialize_hadamard(h: HadamardMatrix) -> str:
+    # an entry's index into ("1", "-1") is whether it is negative
+    a = h.array
+    return _table_text(f"# hadamard order {h.order}", ["1", "-1"],
+                       ((a[i:j] < 0).view(np.uint8) for i, j in row_blocks(*a.shape)))
 
 
 def record_json(record) -> str:

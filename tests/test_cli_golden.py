@@ -1,16 +1,19 @@
 """Golden CLI transcripts: what a user sees from each command line, as text.
 
-Each case runs ``cli.main`` in a fresh directory holding the input files
-below and compares its transcript with the one recorded in
+Each case runs ``cli.main`` in a fresh directory holding the input files it
+names and compares its transcript with the one recorded in
 ``cli_transcripts.json``, beside this file: the argv, the exit code, and
 stdout, stderr and each file written, as lists of lines (joining a list
 gives back the exact text).  A written file's manifest keeps everything but
 ``wall_time_s``.  Help text is formatted at 80 columns.  argparse words its
 help and usage errors differently across Python versions, so the ``help``
 and ``usage`` cases are compared only on the version they were recorded
-with.
+with.  ``FLOAT_CASES``, the five verify kinds under ``--float`` on each of
+golden_inputs.py's float inputs, are recorded here too and run input by
+input in test_float_gram.py.
 
-After an intended change to the output, rewrite the file with
+After an intended change to the output, rewrite the file, and
+``embedding_outputs.json`` with it, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -29,6 +32,8 @@ from pathlib import Path
 import pytest
 
 from codebounds import cli
+
+from golden_inputs import EMBEDDED_CODES, EMBEDDINGS_FILE, FLOAT_INPUTS, embedding_record, lines
 
 INPUTS = {
     # the simplex image of the order-4 Hadamard code: exact coordinates, alpha 0
@@ -51,6 +56,7 @@ INPUTS = {
     # and a vector of squared norm 2
     "alpha-one.sphere": "sphere 2\n1 0\n1 0\n3/5 -4/5\n",
     "off-sphere.sphere": "sphere 2\n1 1\n3/5 4/5\n",
+    **{f"{name}.sphere": text for name, (text, _) in FLOAT_INPUTS.items()},
 }
 
 HELP_PATHS = [
@@ -143,33 +149,39 @@ def _cases():
 
 CASES = _cases()
 
+# the --float verify runs on each float input, run input by input in
+# test_float_gram.py
+FLOAT_KINDS = ("chain", "beta", "gamma", "trace-rank", "spherical")
+FLOAT_CASES = {
+    f"verify:{kind}:float:{name}": ["verify", kind, "--float", "--in", f"{name}.sphere",
+                                    *(["--alpha", claim] if kind == "spherical" else [])]
+    for name, (_, claim) in FLOAT_INPUTS.items() for kind in FLOAT_KINDS}
+ALL_CASES = {**CASES, **FLOAT_CASES}
+
 _WALL_TIME = re.compile(r'"wall_time_s": [0-9.e+-]+')
 
 
-def _lines(text):
-    return text.splitlines(keepends=True)
-
-
 def transcript(argv, captured) -> dict:
-    """Run argv in a fresh directory holding INPUTS and record what it shows
-    and writes; ``captured()`` returns the (stdout, stderr) text of the run."""
+    """Run argv in a fresh directory holding the INPUTS it names and record
+    what it shows and writes; ``captured()`` returns the (stdout, stderr)
+    text of the run."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for name, text in INPUTS.items():
+            for name in INPUTS.keys() & set(argv):
                 with open(name, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                    fh.write(INPUTS[name])
             code = cli.main(list(argv))
             out, err = captured()
             written = {}
             for name in sorted(os.listdir(".")):
                 if name not in INPUTS:
                     with open(name, encoding="utf-8") as fh:
-                        written[name] = _lines(_WALL_TIME.sub('"wall_time_s": 0', fh.read()))
+                        written[name] = lines(_WALL_TIME.sub('"wall_time_s": 0', fh.read()))
         finally:
             os.chdir(cwd)
-    return {"argv": list(argv), "exit": code, "stdout": _lines(out), "stderr": _lines(err),
+    return {"argv": list(argv), "exit": code, "stdout": lines(out), "stderr": lines(err),
             "files": written}
 
 
@@ -178,9 +190,9 @@ RECORDED_ON = (3, 11)
 TRANSCRIPTS_FILE = Path(__file__).with_name("cli_transcripts.json")
 
 
-def render(transcripts) -> str:
-    """The file's one text for a {case: transcript} table."""
-    return json.dumps(transcripts, ensure_ascii=False, indent=1) + "\n"
+def render(table) -> str:
+    """A pin file's one text for its {name: entry} table."""
+    return json.dumps(table, ensure_ascii=False, indent=1) + "\n"
 
 
 TRANSCRIPTS = json.loads(TRANSCRIPTS_FILE.read_text(encoding="utf-8"))
@@ -190,23 +202,28 @@ def _version_bound(case):
     return case.split(":")[0] in ("help", "usage")
 
 
+def check_transcript(case, capsys):
+    """Run the case and compare its transcript with the recorded one, field
+    by field and file by file, so that a failure names the case and the line
+    that moved."""
+    def captured():
+        c = capsys.readouterr()
+        return c.out, c.err
+
+    fresh, recorded = transcript(ALL_CASES[case], captured), TRANSCRIPTS[case]
+    for key in ("argv", "exit", "stdout", "stderr"):
+        assert fresh[key] == recorded[key], f"{case}: {key}"
+    assert list(fresh["files"]) == list(recorded["files"]), f"{case}: files written"
+    for name, text_lines in recorded["files"].items():
+        assert fresh["files"][name] == text_lines, f"{case}: {name}"
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_cli_transcript_matches_its_golden_digest(case, capsys, monkeypatch):
     if _version_bound(case) and sys.version_info[:2] != RECORDED_ON:
         pytest.skip(f"argparse text recorded on Python {RECORDED_ON[0]}.{RECORDED_ON[1]}")
     monkeypatch.setenv("COLUMNS", "80")
-
-    def captured():
-        c = capsys.readouterr()
-        return c.out, c.err
-
-    fresh, recorded = transcript(CASES[case], captured), TRANSCRIPTS[case]
-    # field by field and file by file, so that a failure names the line that moved
-    for key in ("argv", "exit", "stdout", "stderr"):
-        assert fresh[key] == recorded[key], key
-    assert list(fresh["files"]) == list(recorded["files"]), "files written"
-    for name, lines in recorded["files"].items():
-        assert fresh["files"][name] == lines, name
+    check_transcript(case, capsys)
 
 
 def _parser_paths(parser, path=()):
@@ -231,12 +248,16 @@ def test_every_parser_has_a_help_path():
 
 
 def test_transcripts_and_cases_have_the_same_keys():
-    assert list(TRANSCRIPTS) == list(CASES)
+    assert list(TRANSCRIPTS) == list(ALL_CASES)
+    assert list(json.loads(EMBEDDINGS_FILE.read_text(encoding="utf-8"))) == list(EMBEDDED_CODES)
 
 
 def test_the_transcript_file_is_in_its_canonical_form():
-    # as regeneration writes it, so that rewriting an unchanged tree moves nothing
-    assert TRANSCRIPTS_FILE.read_text(encoding="utf-8") == render(TRANSCRIPTS)
+    # both pin files as regeneration writes them, so that rewriting an
+    # unchanged tree moves nothing
+    for path in (TRANSCRIPTS_FILE, EMBEDDINGS_FILE):
+        text = path.read_text(encoding="utf-8")
+        assert text == render(json.loads(text)), path.name
 
 
 if __name__ == "__main__":
@@ -247,7 +268,7 @@ if __name__ == "__main__":
     # argparse's text from another Python version is not written over the recorded one
     keep = sys.version_info[:2] != RECORDED_ON
     fresh = {}
-    for case, argv in CASES.items():
+    for case, argv in ALL_CASES.items():
         if keep and _version_bound(case):
             fresh[case] = TRANSCRIPTS[case]
             continue
@@ -255,3 +276,5 @@ if __name__ == "__main__":
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             fresh[case] = transcript(argv, lambda: (out.getvalue(), err.getvalue()))
     TRANSCRIPTS_FILE.write_text(render(fresh), encoding="utf-8")
+    EMBEDDINGS_FILE.write_text(render({name: embedding_record(name) for name in EMBEDDED_CODES}),
+                               encoding="utf-8")

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from fractions import Fraction
@@ -12,11 +13,11 @@ from codebounds.constructions import (HadamardMatrix, cross_polytope,
                                       embed_qary, hadamard_code, simplex_vectors,
                                       sylvester_hadamard)
 from codebounds.errors import CodeBoundsError, PreconditionViolated
-from codebounds.fileio import (parse_spherical, record_json,
-                               serialize_spherical, sha256_hex)
+from codebounds.fileio import parse_spherical, record_json, serialize_spherical
 from codebounds.linalg import rank
 from codebounds.codes import verify_spherical_code
-from codebounds.scalars import format_scalar
+
+from golden_inputs import EMBEDDED_CODES, EMBEDDINGS_FILE, embedding_record, seeded_code
 
 SYLVESTER_8 = (
     (1, 1, 1, 1, 1, 1, 1, 1),
@@ -306,14 +307,6 @@ def test_constructed_sets_pass_their_advertised_alpha():
     assert verify_spherical_code(code_image(code), 0).verdict
 
 
-def seeded_code(seed, q, r, n):
-    rng = random.Random(seed)
-    words = set()
-    while len(words) < n:
-        words.add(tuple(rng.randrange(q) for _ in range(r)))
-    return QaryCode(q, r, tuple(sorted(words)))
-
-
 def _triangle_deviation(embedded):
     """The largest entry of the upper triangle, diagonal included, of
     |m m^T - G|: max_coordinate_deviation as it once read the matrix."""
@@ -343,32 +336,16 @@ def test_max_coordinate_deviation_is_the_triangle_maximum_bit_for_bit(name):
     assert embedded.max_coordinate_deviation().hex() == _triangle_deviation(embedded).hex()
 
 
-# sha256 of the serialized embedding, alpha(), max_coordinate_deviation() and
-# the certify_chain JSON; any drift in these outputs changes a digest
-EMBEDDING_DIGESTS = {
-    "hadamard-8": "cc704376422a01b8f31fcf319b9d0d7566406fc5509fc3c05c0d5077d07e82e8",
-    "q2-r10-n24": "391019add55407329ab5ce39845a910f21dd2ddb5621c6db232a53947c240353",
-    "q3-r6-n30": "ded76c17ae6c32db6f3724bd0e48b20e898a32da40303d4a047ef603996d25ab",
-    "q4-r5-n20": "b2c948f73e25592e7acbef899bb45c09c60883697b94a2ec9829a5ccc12d3638",
-    "q5-r4-n15": "22c327080351789e4090fcfb802dd6ddbbe2101ae80735f022959e0f24005f2d",
-}
-GOLDEN_CODES = {
-    "hadamard-8": lambda: hadamard_code(sylvester_hadamard(3)),
-    "q2-r10-n24": lambda: seeded_code(1, 2, 10, 24),
-    "q3-r6-n30": lambda: seeded_code(2, 3, 6, 30),
-    "q4-r5-n20": lambda: seeded_code(3, 4, 5, 20),
-    "q5-r4-n15": lambda: seeded_code(4, 5, 4, 15),
-}
+EMBEDDINGS = json.loads(EMBEDDINGS_FILE.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_CODES))
+@pytest.mark.parametrize("name", sorted(EMBEDDED_CODES))
 def test_embedding_outputs_are_byte_stable(name):
-    embedded = embed_qary(GOLDEN_CODES[name]())
-    vset = embedded.unit_vectors()
-    text = "\n".join([serialize_spherical(vset), format_scalar(embedded.alpha()),
-                      repr(embedded.max_coordinate_deviation()),
-                      record_json(certify_chain(vset))])
-    assert sha256_hex(text) == EMBEDDING_DIGESTS[name]
+    # recorded in embedding_outputs.json by test_cli_golden.py's regeneration
+    fresh, recorded = embedding_record(name), EMBEDDINGS[name]
+    assert list(fresh) == list(recorded)
+    for key, value in recorded.items():
+        assert fresh[key] == value, key
 
 
 @pytest.mark.parametrize("t", [2, 4, 6], ids=["r4", "r16", "r64"])

@@ -2,6 +2,7 @@
 type it raises and its whole message."""
 
 import argparse
+import math
 import re
 from fractions import Fraction
 
@@ -59,6 +60,12 @@ ERRORS = {
                                    "a vector set needs at least one vector"),
     "vector of the wrong length": (lambda: UnitVectorSet(2, ((1, 0, 0),)), InvalidCode,
                                    "vector 0 has 3 coordinates, expected 2"),
+    # before any vector is read: dimension 0 would take two empty vectors
+    "vector set of dimension 0": (lambda: UnitVectorSet(0, ((), ())), InvalidCode,
+                                  "dimension must be >= 1, got 0"),
+    # inf keeps its overflow message (tests/test_cli.py); NaN has no text form
+    "NaN coordinate": (lambda: UnitVectorSet(2, ((0.0, 1.0), (math.nan, 0.0))), InvalidCode,
+                       "vector 1: coordinate nan is not a number"),
     "exact coordinate beyond the float range":
         (lambda: UnitVectorSet(1, ((0.5,), (10 ** 400,))).coords, InvalidCode,
          "a coordinate is beyond the float range"),
