@@ -243,9 +243,7 @@ def ramsey_upper_param(q: int, r: int, s: int, eps: Scalar, c: Scalar,
     caller input, as is the code-size oracle; the subscriptless size function
     is interpreted as the q-ary size A_q.
     """
-    q, r, s = map(operator.index, (q, r, s))
-    if q < 2:
-        raise PreconditionViolated(f"alphabet size must be >= 2, got {q}")
+    q, r, s = check_code_domain(q, r, s)
     if eps <= 0 or c <= 0:
         raise PreconditionViolated("eps and c must be positive")
     if s > Fraction(q - 1, q) * r:

@@ -34,8 +34,8 @@ from .codes import (certify_chain, gram_analyze, min_distance,
 from .constructions import (cross_polytope, embed_qary, hadamard_code,
                             simplex_vectors, sylvester_hadamard)
 from .errors import CodeBoundsError, FileFormatError, InvalidCode
-from .fileio import (parse_qary, parse_spherical, record_json, serialize_hadamard,
-                     serialize_qary, serialize_spherical, sha256_hex)
+from .fileio import (hadamard_pieces, parse_qary, parse_spherical, qary_pieces, record_json,
+                     sha256_hex, spherical_pieces)
 from .linalg import verify_trace_rank
 from .scalars import format_scalar, parse_scalar
 from .search import exact_max_code, greedy_lexicode, heuristic_rho
@@ -73,17 +73,36 @@ class _Run:
             self.input_digests[path] = sha256_hex(text)
         return text
 
-    def write_output(self, path: str, body: str):
-        # to stdout without a path; a file is rewritten in place and cut at its
-        # new end, since ext4 flushes one truncated to zero on open at close
+    def write_output(self, path: str, pieces):
+        """Write a text's pieces as they are made: to stdout without a path,
+        else to the file, then the manifest.  A file is rewritten in place
+        and cut at its new end, since ext4 flushes one truncated to zero on
+        open at close; a run that fails once the file is open cuts it to
+        empty, so no new text is left over the old file's tail."""
         if not path:
-            sys.stdout.write(body)
+            for piece in pieces:
+                sys.stdout.write(piece)
             return
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
-            fh.write(body)
-            fh.write(self.comment_line() + "\n")
+        # unbuffered, so that a failed write leaves nothing to flush at close
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb", buffering=0) as fh:
+            try:
+                for piece in pieces:
+                    _write_all(fh, piece)
+                _write_all(fh, self.comment_line() + "\n")
+            except BaseException:
+                if os.path.isfile(path):
+                    os.ftruncate(fh.fileno(), 0)
+                raise
             if os.path.isfile(path):
                 fh.truncate()
+
+
+def _write_all(fh, text: str):
+    """Write all of a text to an unbuffered binary file, whose one write call
+    may take less than it is given."""
+    data = memoryview(text.encode())
+    while data:
+        data = data[fh.write(data):]
 
 
 # the most values one parameter list may hold, counted before any is made
@@ -224,6 +243,10 @@ def _sphere(ns, text):
     return parse_spherical(text, exact=not ns.float)
 
 
+def _qary(ns, text):
+    return parse_qary(text)
+
+
 def _qary_certificate(code, claim):
     d = min_distance(code)
     link = make_link("minimum distance at least the claim", claim, d)
@@ -233,22 +256,23 @@ def _qary_certificate(code, claim):
 
 
 # Each verify kind: the arguments it reads besides --in, as (name, type[,
-# default]), and the certificate it builds from the namespace and the file text.
+# default]); the parser of the file text; and the certificate it builds from
+# the namespace and the parsed object, once the text is dropped.
 _FLOAT = ("float", bool, False)
 _VERIFY = {
-    "spherical": ((("alpha", _scalar_arg), _FLOAT),
-                  lambda ns, text: verify_spherical_code(_sphere(ns, text), ns.alpha)),
-    "qary": ((("s", int),), lambda ns, text: _qary_certificate(parse_qary(text), ns.s)),
-    "beta": ((_FLOAT,), lambda ns, text: verify_lemma_beta(gram_analyze(_sphere(ns, text)))),
-    "gamma": ((_FLOAT,), lambda ns, text: verify_lemma_gamma(gram_analyze(_sphere(ns, text)))),
-    "chain": ((_FLOAT,), lambda ns, text: certify_chain(_sphere(ns, text))),
-    "trace-rank": ((_FLOAT,), lambda ns, text: verify_trace_rank(_sphere(ns, text).raw_gram())),
+    "spherical": ((("alpha", _scalar_arg), _FLOAT), _sphere,
+                  lambda ns, vset: verify_spherical_code(vset, ns.alpha)),
+    "qary": ((("s", int),), _qary, lambda ns, code: _qary_certificate(code, ns.s)),
+    "beta": ((_FLOAT,), _sphere, lambda ns, vset: verify_lemma_beta(gram_analyze(vset))),
+    "gamma": ((_FLOAT,), _sphere, lambda ns, vset: verify_lemma_gamma(gram_analyze(vset))),
+    "chain": ((_FLOAT,), _sphere, lambda ns, vset: certify_chain(vset)),
+    "trace-rank": ((_FLOAT,), _sphere, lambda ns, vset: verify_trace_rank(vset.raw_gram())),
 }
 
 
 def cmd_verify(ns, run: _Run) -> int:
-    _, certificate_of = _VERIFY[ns.kind]
-    cert = certificate_of(ns, run.read_input(ns.infile))
+    _, parse, certificate_of = _VERIFY[ns.kind]
+    cert = certificate_of(ns, parse(ns, run.read_input(ns.infile)))
     print(record_json(cert))
     return 0 if cert.verdict else 1
 
@@ -260,14 +284,14 @@ def _sylvester(order: int):
     return sylvester_hadamard(t)
 
 
-# Each construct target: its arguments as (name, type[, default]) and the text
-# it writes for the namespace.
+# Each construct target: its arguments as (name, type[, default]) and the
+# pieces of the text it writes for the namespace.
 _ORDER = (("order", int),)
 _CONSTRUCT = {
-    "simplex": ((("q", int),), lambda ns: serialize_spherical(simplex_vectors(ns.q))),
-    "crosspolytope": ((("r", int),), lambda ns: serialize_spherical(cross_polytope(ns.r))),
-    "hadamard": (_ORDER, lambda ns: serialize_hadamard(_sylvester(ns.order))),
-    "hadamard-code": (_ORDER, lambda ns: serialize_qary(hadamard_code(_sylvester(ns.order)))),
+    "simplex": ((("q", int),), lambda ns: spherical_pieces(simplex_vectors(ns.q))),
+    "crosspolytope": ((("r", int),), lambda ns: spherical_pieces(cross_polytope(ns.r))),
+    "hadamard": (_ORDER, lambda ns: hadamard_pieces(_sylvester(ns.order))),
+    "hadamard-code": (_ORDER, lambda ns: qary_pieces(hadamard_code(_sylvester(ns.order)))),
 }
 
 
@@ -280,8 +304,7 @@ def cmd_construct(ns, run: _Run) -> int:
 def cmd_embed(ns, run: _Run) -> int:
     code = parse_qary(run.read_input(ns.infile))
     embedded = embed_qary(code)
-    # the text is dropped once written, before the summary's own work
-    run.write_output(ns.out, serialize_spherical(embedded.unit_vectors()))
+    run.write_output(ns.out, spherical_pieces(embedded.unit_vectors()))
     summary = {"dimension": embedded.dimension, "n": len(code),
                "alpha": format_scalar(embedded.alpha()),
                "max_coordinate_deviation": embedded.max_coordinate_deviation()}
@@ -291,18 +314,18 @@ def cmd_embed(ns, run: _Run) -> int:
 
 # Each search mode: its arguments as (name, type[, default]); the search it runs
 # on the namespace; and, from that result, the header entries beyond the mode
-# and its required arguments, with the text of the witness.
+# and its required arguments, with the pieces of the witness's text.
 _SEARCH = {
     "exact": ((*_QRS, ("node-limit", int, 10_000_000)),
               lambda ns: exact_max_code(ns.q, ns.r, ns.s, node_limit=ns.node_limit),
               lambda res: ({"size": res.value, "nodes": res.nodes, "optimal": res.optimal},
-                           serialize_qary(res.witness))),
+                           qary_pieces(res.witness))),
     "greedy": (_QRS, lambda ns: greedy_lexicode(ns.q, ns.r, ns.s),
-               lambda code: ({"size": len(code)}, serialize_qary(code))),
+               lambda code: ({"size": len(code)}, qary_pieces(code))),
     "rho": ((("r", int), ("n", int), ("iterations", int, 2000), ("seed", int, 0)),
             lambda ns: heuristic_rho(ns.r, ns.n, iterations=ns.iterations, seed=ns.seed),
             lambda res: ({"seed": res.seed, "iterations": res.nodes,
-                          "achieved_alpha": res.value}, serialize_spherical(res.witness))),
+                          "achieved_alpha": res.value}, spherical_pieces(res.witness))),
 }
 
 
@@ -318,7 +341,7 @@ def cmd_search(ns, run: _Run) -> int:
     else:
         # keep stdout a valid code file: the result header rides in a comment
         sys.stdout.write("# result: " + json.dumps(header, sort_keys=True) + "\n")
-        sys.stdout.write(body)
+        run.write_output(None, body)
     return 0
 
 

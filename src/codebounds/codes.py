@@ -42,21 +42,23 @@ import numpy as np
 from .certificates import Certificate, make_link
 from .errors import InvalidCode, NonUnitVector, PreconditionViolated
 from .linalg import (FloatGram, IntegerGram, exact_array, float_kernel, integer_product,
-                     max_off_diagonal, negative_sums, rank, sequential_sums, trace_of_square)
+                     max_off_diagonal, negative_sums, rank, row_blocks, sequential_sums,
+                     trace_of_square)
 from .scalars import EXACT, FLOAT, Scalar, format_scalar, unit_norm_ok
 
 # the largest alphabet code_image maps: its simplex table holds q(q-1)
 # floats however few words the code has, and its time grows as q^2 (on a
 # 2-CPU Xeon 0.05, 0.2 and 0.9 s at q = 256, 512 and 1024).  At q = 1024
-# `embed` of a two-word code took 1.0 s and `construct simplex` 1.7 s,
-# peaking at 83 MB and 113 MB (ru_maxrss of a child process); the next
-# power of two, 2048, took 4.0 s and 222 MB for the image alone, so 1024
-# is the largest that keeps one image near a second and 100 MB
+# `embed` of a two-word code took 1.0 to 1.2 s and `construct simplex --out`
+# 1.6 to 1.8 s, peaking at 83 MB and 87 MB (tools/peak.py); the next power
+# of two, 2048, took 4.0 s and 222 MB for the image alone (measured before
+# this cap), so 1024 is the largest that keeps one image near a second and
+# 100 MB
 MAX_IMAGE_ALPHABET = 1024
 # the most one-hot entries n*q*r code_image builds: those of the order-2048
 # Hadamard code's image (n = 4096, q = 2, r = 2048), the largest the package
-# constructs itself.  `embed` of that code took 7.2 to 7.3 s and peaked at
-# 546 MB (ru_maxrss of a child process, 2-CPU Xeon)
+# constructs itself.  `embed --out` of that code took 5.0 to 5.2 s and peaked
+# at 276 to 277 MB (tools/peak.py, 2-CPU Xeon)
 MAX_IMAGE_ENTRIES = 1 << 24
 # the coordinate types format_scalar writes
 _COORDINATE_TYPES = (int, Fraction, float)
@@ -177,8 +179,13 @@ def _float_gram(v, unit: bool = False) -> FloatGram:
     """G = sum over k of outer(v[:, k], v[:, k]), added from zeros one column
     at a time: each entry is its pair's products summed left to right from 0.
     The squared norms, summed the same way, are checked first: to be 1 within
-    the float policy when ``unit``, then to be finite."""
-    norms = sequential_sums(v * v)
+    the float policy when ``unit``, then to be finite.
+
+    G is built one row tile at a time: the tile's rows against the rows from
+    its first on, through a buffer of one tile's products, and the part right
+    of the tile's own columns is copied, transposed, below it.  A product
+    and its transpose have the same bits, so G is the full sum's."""
+    norms = np.concatenate([sequential_sums(v[i:j] * v[i:j]) for i, j in row_blocks(len(v))])
     if unit:
         for i, norm_sq in enumerate(norms.tolist()):
             if not unit_norm_ok(norm_sq):
@@ -188,11 +195,15 @@ def _float_gram(v, unit: bool = False) -> FloatGram:
         # a finite squared norm bounds the row's products (Cauchy-Schwarz)
         raise InvalidCode(f"vector {int(bad[0])}: squared norm overflows a float")
     n = len(v)
-    gram, term = FloatGram(np.zeros((n, n))), np.empty((n, n))
-    for column in np.ascontiguousarray(v.T):
-        np.multiply(column[:, None], column, out=term)
-        gram.num += term
-    return gram
+    gram, columns = np.empty((n, n)), np.ascontiguousarray(v.T)
+    for i, j in row_blocks(n):
+        upper, products = gram[i:j, i:], np.empty((j - i, n - i))
+        upper[...] = 0.0
+        for column in columns:
+            np.multiply(column[i:j, None], column[i:], out=products)
+            upper += products
+        gram[j:, i:j] = upper[:, j - i:].T
+    return FloatGram(gram)
 
 
 @dataclass(frozen=True)
@@ -216,7 +227,7 @@ class GramAnalysis:
     def gamma(self) -> tuple:
         """Per vertex, the sum of its negative inner products."""
         # the diagonal is c > 0, or within 1e-9 of 1, so never negative
-        return negative_sums(self.gram, self.gram.num)
+        return negative_sums(self.gram)
 
 
 def _symbol(s) -> int:
@@ -424,9 +435,8 @@ def verify_lemma_beta(analysis: GramAnalysis) -> Certificate:
     _require_alpha_in_range(analysis.alpha)
     alpha = analysis.alpha
     links = []
-    num = analysis.gram.num
     # per vertex, the sum of its squared negative inner products
-    for u, lhs in enumerate(negative_sums(analysis.gram, num * num, 2)):
+    for u, lhs in enumerate(negative_sums(analysis.gram, 2)):
         g = analysis.gamma[u]
         links.append(make_link(f"negative-edge energy at vertex v{u}",
                                lhs, 1 + alpha * g * g))

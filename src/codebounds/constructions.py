@@ -26,17 +26,20 @@ from .linalg import integer_product, row_blocks
 
 # the largest Sylvester order built; on a 2-CPU Xeon order 2048 took 0.3 s
 # for the checked matrix and 0.31 to 0.33 s with its code (order 1024: 0.04
-# to 0.05 s), and each doubling multiplies the time by about seven.  Peak
-# memory (ru_maxrss of a child process) at order 2048: 92 MB for
-# `construct hadamard-code`, 539 MB for `embed` of that code, and 448 MB for
-# the exact chain in one process (build, embed_qary, certify_chain); at order
-# 1024: 53 MB, 123 MB and 136 MB
+# to 0.05 s), and each doubling multiplies the time by about seven.  Wall
+# time and peak memory of a whole run (tools/peak.py) at order 2048: 0.7 to
+# 0.8 s and 79 MB for `construct hadamard --out`, 0.7 to 0.9 s and 80 MB for
+# `construct hadamard-code --out`, 5.0 to 5.2 s and 277 MB for `embed --out`
+# of that code, and 3.4 to 4.5 s and 384 MB for the exact chain in one
+# process (build, embed_qary, certify_chain); at order 1024 the peaks are
+# 47 MB, 47 MB, 97 MB and 120 MB
 MAX_HADAMARD_ORDER = 2048
 
 # the largest cross polytope built: its index holds 2r^2 bytes.  At r = 2048,
-# `construct crosspolytope --out` took 0.44 to 0.60 s and 142 MB (ru_maxrss
-# of a child process, 2-CPU Xeon) for a 16.8 MB file; at r = 4096, 1.3 to
-# 1.5 s and 456 MB
+# `construct crosspolytope --out` took 0.35 to 0.42 s and 105 MB
+# (tools/peak.py, 2-CPU Xeon) for a 16.8 MB file; at r = 4096, before this
+# cap and before outputs were written a row tile at a time, 1.3 to 1.5 s and
+# 456 MB
 MAX_CROSS_POLYTOPE_DIMENSION = 2048
 
 
@@ -154,14 +157,12 @@ class EmbeddedCode:
     def max_coordinate_deviation(self) -> float:
         """Largest |float inner product - exact Gram entry| over all pairs.
 
-        Taken one block of rows at a time against the rows from the block's
-        first on, as ``linalg.max_off_diagonal`` does, so about 2^18 entries
-        of each product are held; a set with n^2 <= 2^18 is one block, whose
-        m @ m.T runs as syrk."""
+        Taken one row tile at a time against the rows from the tile's first
+        on, as ``linalg.max_off_diagonal`` does, so one tile's rows of each
+        product are held."""
         m, (p, c, _) = self.image.coords, self.image._exact
-        n = len(m)
         worst = 0.0
-        for i, j in row_blocks(n, n):
+        for i, j in row_blocks(len(m)):
             dev = m[i:j] @ m[i:].T
             # numerator and denominator are exact floats, so the quotient is
             # the correctly rounded entry

@@ -14,14 +14,15 @@ parsed once (exactly, or rounded to a float when ``exact`` is false), and
 each coordinate's index into them, in the least unsigned type.  A q-ary
 file's symbols reach ``QaryCode`` as one flat array of the least type that
 holds q - 1.  The writers share one table writer that joins each line from
-the index.  A table with repeated entries (a code image's, a cross
-polytope's or a parsed file's scalars, a code's distinct symbols, a
-Hadamard matrix's 1 and -1) is formatted once, entry by entry, and its
-index read a block of rows at a time; a set whose scalars are all
-distinct, such as an optimizer's witness, is read and formatted one row at
-a time, so that its texts are never all held at once.  A scalar's text
-depends on its type and bits, so 0.0 and -0.0, 1 and 1.0, and 1/2 and 0.5
-print apart.
+the index and yields the text one row tile (``linalg.row_blocks``) at a
+time, so that a caller can write each piece as it is made; ``serialize_*``
+return the pieces joined.  A table with repeated entries (a code image's,
+a cross polytope's or a parsed file's scalars, a code's distinct symbols,
+a Hadamard matrix's 1 and -1) is formatted once, entry by entry; a set
+whose scalars are all distinct, such as an optimizer's witness, is
+formatted row by row, so that its texts are never all held at once.  A
+scalar's text depends on its type and bits, so 0.0 and -0.0, 1 and 1.0,
+and 1/2 and 0.5 print apart.
 """
 
 import hashlib
@@ -79,36 +80,41 @@ def parse_spherical(text: str, exact: bool = True) -> UnitVectorSet:
     return UnitVectorSet._from_table(d, scalars, index.reshape(-1, d))
 
 
-def _table_text(header: str, table: list, index_blocks, formatted: bool = True) -> str:
-    """The header line, then one line per row of the index blocks: the row's
-    entries of ``table``, space-separated.  A table of texts is formatted
-    once by the caller; a table of scalars (``formatted`` false) is
-    formatted row by row, as its lines are written."""
+def _table_pieces(header: str, table: list, tiles, formatted: bool = True):
+    """The header line, then one piece per tile of index rows: each row's
+    entries of ``table``, space-separated, on its own line.  A table of
+    texts is formatted once by the caller; a table of scalars
+    (``formatted`` false) is formatted row by row, as its lines are made."""
     if formatted:
         table = np.array(table, dtype=object)
-    out = [header]
-    for index in index_blocks:
+    yield header + "\n"
+    for index in tiles:
         if formatted:
             rows = table[index].tolist()
         else:
             rows = (map(format_scalar, map(table.__getitem__, row)) for row in index.tolist())
-        out += map(" ".join, rows)
-    out.append("")      # the final newline, without a second copy of the text
-    return "\n".join(out)
+        yield "\n".join([*map(" ".join, rows), ""])     # with the tile's final newline
 
 
-def serialize_spherical(vset: UnitVectorSet) -> str:
+def _tiles(a):
+    """The row tiles of an array, as views."""
+    return (a[i:j] for i, j in row_blocks(len(a)))
+
+
+def spherical_pieces(vset: UnitVectorSet):
+    """The text of ``serialize_spherical``, one row tile at a time."""
     # the set's own table: 0.0 and -0.0, 1 and 1.0, 1/2 and 0.5 are distinct
     # entries whenever they are distinct coordinates, so each prints as itself
     header, scalars, index = f"sphere {vset.dimension}", vset.scalars, vset.index
     if len(scalars) < index.size:       # some scalar repeats, as in a code image
-        return _table_text(header, list(map(format_scalar, scalars)),
-                           (index[i:j] for i, j in row_blocks(*index.shape)))
+        return _table_pieces(header, list(map(format_scalar, scalars)), _tiles(index))
     # no scalar repeats (an optimizer's witness, say): formatting the table
-    # first would save no work and hold every text at once, so it is read a
-    # row at a time
-    return _table_text(header, scalars, (index[i:i + 1] for i in range(len(index))),
-                       formatted=False)
+    # first would save no work and hold every text at once
+    return _table_pieces(header, scalars, _tiles(index), formatted=False)
+
+
+def serialize_spherical(vset: UnitVectorSet) -> str:
+    return "".join(spherical_pieces(vset))
 
 
 def parse_qary(text: str) -> QaryCode:
@@ -153,21 +159,30 @@ def parse_qary(text: str) -> QaryCode:
         raise FileFormatError(str(exc)) from None
 
 
-def serialize_qary(code: QaryCode) -> str:
+def qary_pieces(code: QaryCode):
+    """The text of ``serialize_qary``, one row tile at a time."""
     # the table is the code's distinct symbols, in order, and a symbol's index
     # is its place among them (np.unique would import numpy.ma on first use)
     a = code.array
     ordered = np.sort(a, axis=None)
     symbols = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
-    return _table_text(f"qary {code.q} {code.r}", list(map(format_scalar, symbols.tolist())),
-                       (np.searchsorted(symbols, a[i:j]) for i, j in row_blocks(*a.shape)))
+    return _table_pieces(f"qary {code.q} {code.r}", list(map(format_scalar, symbols.tolist())),
+                         (np.searchsorted(symbols, tile) for tile in _tiles(a)))
+
+
+def serialize_qary(code: QaryCode) -> str:
+    return "".join(qary_pieces(code))
+
+
+def hadamard_pieces(h: HadamardMatrix):
+    """The text of ``serialize_hadamard``, one row tile at a time."""
+    # an entry's index into ("1", "-1") is whether it is negative
+    return _table_pieces(f"# hadamard order {h.order}", ["1", "-1"],
+                         ((tile < 0).view(np.uint8) for tile in _tiles(h.array)))
 
 
 def serialize_hadamard(h: HadamardMatrix) -> str:
-    # an entry's index into ("1", "-1") is whether it is negative
-    a = h.array
-    return _table_text(f"# hadamard order {h.order}", ["1", "-1"],
-                       ((a[i:j] < 0).view(np.uint8) for i, j in row_blocks(*a.shape)))
+    return "".join(hadamard_pieces(h))
 
 
 def record_json(record) -> str:

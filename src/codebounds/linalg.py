@@ -16,7 +16,13 @@ numpy's bundled OpenBLAS is.  Above the bound, and for products too small
 to repay the conversion (``_FLOAT_MIN_WORK``), it is numpy's int64 or
 object product.
 ``max_off_diagonal`` takes the largest off-diagonal entry of a a^T from
-``integer_product`` one block of rows at a time.
+``integer_product`` one row tile at a time.
+
+Every kernel that walks a matrix by rows, here and in ``codes``,
+``constructions`` and ``fileio``, takes it one tile of ``_TILE`` rows at a
+time (``row_blocks``), so what it holds besides its input and its result is
+a tile's worth.  Tiles change no sum's order: a sum along a row stays in its
+tile, and one that runs on from row to row carries its total into the next.
 
 Exact rank takes a small matrix (rows * cols * min(rows, cols) at most
 ``_BAREISS_MAX_WORK``) straight to fraction-free (Bareiss) elimination.  A
@@ -81,9 +87,11 @@ def exact_array(values, terms: int) -> np.ndarray:
 
 
 # _float_product converts this many columns of its operand to float64 at a
-# time; row_blocks takes about _BLOCK entries at a time
+# time; row_blocks takes _TILE rows at a time.  Tiles of 2^14 entries, not a
+# row count, made `embed` of the order-2048 Hadamard code five times slower:
+# max_off_diagonal converts every row below a tile to float panels once per tile
 _PANEL = 128
-_BLOCK = 1 << 18
+_TILE = 64
 # below this many multiply-adds (rows * len(a) * cols) int64 `@` beats the
 # float64 path's fixed cost.  P P^T, int64 against float64, best of 7 x 200
 # calls on a 2-CPU Xeon with OpenBLAS: 12x6 P 3-4 against 5-11 us, 24x12 6-7
@@ -91,11 +99,10 @@ _BLOCK = 1 << 18
 _FLOAT_MIN_WORK = 1 << 14
 
 
-def row_blocks(rows: int, width: int):
-    """(start, stop) of consecutive blocks of ``rows`` rows of ``width``
-    entries each, about _BLOCK entries, and at least one row, to a block."""
-    step = max(1, _BLOCK // max(width, 1))
-    return ((i, min(i + step, rows)) for i in range(0, rows, step))
+def row_blocks(rows: int):
+    """(start, stop) of the consecutive tiles of _TILE rows that cover
+    ``rows`` rows; the last tile holds what is left."""
+    return ((i, min(i + _TILE, rows)) for i in range(0, rows, _TILE))
 
 
 def _float_product(a, rows: int) -> np.ndarray:
@@ -103,7 +110,7 @@ def _float_product(a, rows: int) -> np.ndarray:
     ``a`` whose products fit below 2^53 (``_fits``).
 
     The float64 product is summed over column panels of a and then cast to
-    int64 in its own buffer, one row block at a time, so at most _PANEL
+    int64 in its own buffer, one row tile at a time, so at most _PANEL
     float64 columns of a, and no second copy of the product, are held."""
     m = len(a)
     out = np.zeros((rows, m))
@@ -112,11 +119,11 @@ def _float_product(a, rows: int) -> np.ndarray:
         if k == 0:
             np.matmul(panel[:rows], panel.T, out=out)
         else:
-            for i, j in row_blocks(rows, m):
+            for i, j in row_blocks(rows):
                 out[i:j] += panel[i:j] @ panel.T
         del panel
     result = out.view(np.int64)
-    for i, j in row_blocks(rows, m):
+    for i, j in row_blocks(rows):
         result[i:j] = out[i:j]      # numpy copies the overlapping source
     return result
 
@@ -141,17 +148,17 @@ def max_off_diagonal(a) -> int:
     """The largest entry of a a^T off its diagonal, for an integer matrix a of
     at least two rows.
 
-    ``integer_product`` forms a block of rows at a time against the rows from
-    the block's first on, so at most max(_BLOCK, len(a)) entries are held."""
+    ``integer_product`` forms a tile of rows at a time against the rows from
+    the tile's first on, so at most _TILE * len(a) entries are held."""
     n = len(a)
     tops = []
-    for i, j in row_blocks(n - 1, n):
-        # every row of the block has a pair to its right, so the block's
+    for i, j in row_blocks(n - 1):
+        # every row of the tile has a pair to its right, so the tile's
         # least entry is at most its largest pair and may stand in for the diagonal
         block = integer_product(a[i:], j - i)
         np.fill_diagonal(block, block.min())
         tops.append(int(block.max()))
-        del block    # freed before the next block is formed
+        del block    # freed before the next tile is formed
     return max(tops)
 
 
@@ -239,18 +246,27 @@ def trace(m: IntegerGram | FloatGram) -> Scalar:
 @float_kernel
 def trace_of_square(m: IntegerGram | FloatGram) -> Scalar:
     """Sum of squared entries; equals the trace of M^2 for symmetric M.
-    Float squares are added in row-major order."""
-    return m.value(m.sums((m.num * m.num).reshape(-1)), 2)
+    Float squares are added in row-major order, one row tile at a time."""
+    total = 0
+    for i, j in row_blocks(m.n):
+        squares = (m.num[i:j] * m.num[i:j]).reshape(-1)
+        squares[0] += total     # the sum goes on from the previous tiles' total
+        total = m.sums(squares)
+    return m.value(total, 2)
 
 
-def negative_sums(gram: IntegerGram | FloatGram, x, power: int = 1) -> tuple:
-    """Per row, ``gram.value`` at ``power`` of the sum of x where the Gram's
-    entry is negative; the int 0, as an empty loop from 0 leaves it, where
-    none is."""
-    mask = gram.num < 0
-    sums = gram.sums(np.where(mask, x, 0)).tolist()
-    return tuple(gram.value(s, power) if any_ else 0
-                 for s, any_ in zip(sums, mask.any(axis=1).tolist()))
+@float_kernel
+def negative_sums(gram: IntegerGram | FloatGram, power: int = 1) -> tuple:
+    """Per row, ``gram.value`` at ``power`` of the sum of the row's negative
+    entries, each raised to ``power``; the int 0, as an empty loop from 0
+    leaves it, where the row has none.  Taken one row tile at a time."""
+    sums, found = [], []
+    for i, j in row_blocks(gram.n):
+        tile = gram.num[i:j]
+        mask = tile < 0
+        sums += gram.sums(np.where(mask, tile ** power, 0)).tolist()
+        found += mask.any(axis=1).tolist()
+    return tuple(gram.value(s, power) if any_ else 0 for s, any_ in zip(sums, found))
 
 
 def _rank_mod_p(a) -> int:
@@ -348,10 +364,12 @@ def integer_rank(a) -> int:
 def _rank_float(a) -> int:
     """Rank of a float64 matrix by elimination with partial pivoting (the
     first largest |entry| of the column), dropping pivots at most REL_EPS
-    times the largest row norm; rows whose multiplier is 0 are left as they are."""
+    times the largest row norm; rows whose multiplier is 0 are left as they
+    are, and the others are updated one row tile at a time."""
     a = a.copy()
     nr, nc = a.shape
-    max_row_norm = max(map(sqrt, sequential_sums(a * a).tolist()), default=0.0)
+    max_row_norm = max((sqrt(s) for i, j in row_blocks(nr)
+                        for s in sequential_sums(a[i:j] * a[i:j]).tolist()), default=0.0)
     threshold = REL_EPS * max_row_norm
     rank_count = 0
     for col in range(nc):
@@ -362,7 +380,9 @@ def _rank_float(a) -> int:
             a[[rank_count, pivot_row]] = a[[pivot_row, rank_count]]
         f = a[rank_count + 1:, col] / a[rank_count, col]
         moved = np.flatnonzero(f)
-        a[rank_count + 1 + moved, col:] -= np.multiply.outer(f[moved], a[rank_count, col:])
+        for i, j in row_blocks(moved.size):
+            rows = moved[i:j]
+            a[rank_count + 1 + rows, col:] -= np.multiply.outer(f[rows], a[rank_count, col:])
         rank_count += 1
         if rank_count == nr:
             break

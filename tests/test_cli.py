@@ -1,7 +1,9 @@
 import argparse
 import csv
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,11 +13,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from codebounds import cli, errors
+from codebounds import cli, errors, linalg
 from codebounds.cli import main
-from codebounds.fileio import parse_qary, parse_spherical, serialize_spherical
-from codebounds.constructions import cross_polytope
-from codebounds.search import SearchResult
+from codebounds.fileio import (parse_qary, parse_spherical, serialize_hadamard, serialize_qary,
+                               serialize_spherical)
+from codebounds.constructions import (cross_polytope, embed_qary, hadamard_code,
+                                      sylvester_hadamard)
+from codebounds.search import SearchResult, heuristic_rho
 
 
 def run(capsys, *argv):
@@ -296,7 +300,7 @@ def _verify_input(tmp_path, kind):
 
 def test_verify_flag_table_matches_the_verify_rows():
     assert {kind: {name for name, *_ in args}
-            for kind, (args, _) in cli._VERIFY.items()} == _VERIFY_FLAGS
+            for kind, (args, *_) in cli._VERIFY.items()} == _VERIFY_FLAGS
 
 
 @pytest.mark.parametrize("flag", list(_FLAG_ARGV))
@@ -584,6 +588,10 @@ def test_main_repeats_identically_within_one_process(tmp_path, capsys):
      "alphabet size must be >= 2, got 0"),
     (["ramsey-upper", "--q", "1", "--r", "4", "--s", "2", "--eps", "1/2", "--c", "1"],
      "alphabet size must be >= 2, got 1"),
+    (["ramsey-upper", "--q", "2", "--r", "0", "--s", "0", "--eps", "1", "--c", "1/10"],
+     "need 1 <= s <= r, got s=0, r=0"),
+    (["ramsey-upper", "--q", "2", "--r", "4", "--s", "0", "--eps", "1", "--c", "1/10"],
+     "need 1 <= s <= r, got s=0, r=4"),
     (["ramsey-lower", "--q", "2", "--r", "2", "--s", "1", "--a-value", "-5"],
      "code size must be >= 0, got -5"),
     (["ramsey-lower", "--q", "1", "--r", "4", "--s", "2", "--a-value", "3"],
@@ -591,7 +599,7 @@ def test_main_repeats_identically_within_one_process(tmp_path, capsys):
     (["ramsey-lower", "--q", "2", "--r", "4", "--s", "5", "--a-value", "3"],
      "need 1 <= s <= r, got s=5, r=4"),
 ], ids=["asymptotic-q0", "asymptotic-q1", "asymptotic-r0", "upper-q0", "upper-q1",
-        "lower-negative-size", "lower-q1", "lower-s-above-r"])
+        "upper-r0", "upper-s0", "lower-negative-size", "lower-q1", "lower-s-above-r"])
 def test_bound_ramsey_rejects_small_alphabets_and_lengths(capsys, argv, message):
     code, out, err = run(capsys, "bound", *argv)
     assert code == 1
@@ -708,6 +716,96 @@ def test_closed_stdout_exits_1_without_an_error_line():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     with subprocess.Popen([sys.executable, "-m", "codebounds.cli", *argv], env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 1
+
+
+def _streamed_cases(tmp_path):
+    """(argv without --out, the text the run writes, the prefix of its stdout
+    before that text) for a code image, an optimizer's witness and a Hadamard
+    matrix."""
+    source = tmp_path / "h128.qary"
+    source.write_text(serialize_qary(hadamard_code(sylvester_hadamard(7))))
+    image = embed_qary(parse_qary(source.read_text())).unit_vectors()
+    result = heuristic_rho(50, 200, iterations=5, seed=3)
+    header = {"search": "rho", "r": 50, "n": 200, "seed": 3, "iterations": result.nodes,
+              "achieved_alpha": result.value}
+    return [(["embed", "--in", str(source)], serialize_spherical(image), ""),
+            (["search", "rho", "--r", "50", "--n", "200", "--iterations", "5", "--seed", "3"],
+             serialize_spherical(result.witness),
+             "# result: " + json.dumps(header, sort_keys=True) + "\n"),
+            (["construct", "hadamard", "--order", "64"],
+             serialize_hadamard(sylvester_hadamard(6)), "")]
+
+
+class _RecordedFile(io.FileIO):
+    """An --out file that records the size of each write, and fails each
+    write past ``fail_after`` as a full disk does."""
+
+    sizes = []
+    fail_after = math.inf
+
+    def write(self, data):
+        if len(self.sizes) >= self.fail_after:
+            raise OSError(28, "No space left on device")
+        self.sizes.append(len(data))
+        return super().write(data)
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    monkeypatch.setattr(_RecordedFile, "sizes", [])
+    def opened(file, mode="r", **kwargs):
+        return _RecordedFile(file, mode) if mode == "wb" else open(file, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "open", opened, raising=False)
+    return _RecordedFile
+
+
+def test_outputs_stream_in_row_tiles_as_the_serializers_write_them(tmp_path, capsys,
+                                                                   monkeypatch, recorded):
+    # the texts as the serializers write them in whole tiles of 64 rows; then
+    # tiles of three rows: every output is many pieces, the last one partial
+    cases = _streamed_cases(tmp_path)
+    monkeypatch.setattr(linalg, "_TILE", 3)
+    for argv, text, prefix in cases:
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, prefix + text), argv[:2]
+        path = tmp_path / "streamed.out"
+        path.write_bytes(b"x" * (len(text) + 1000))
+        recorded.sizes.clear()
+        assert run(capsys, *argv, "--out", str(path))[0] == 0
+        written = path.read_bytes()
+        assert written[:len(text)] == text.encode(), argv[:2]
+        manifest = written[len(text):].decode()
+        assert manifest.startswith("# manifest: {") and manifest.count("\n") == 1
+        # the header, a piece per tile of three rows, and the manifest
+        rows = text.count("\n") - 1
+        assert len(recorded.sizes) == 1 + -(-rows // 3) + 1, argv[:2]
+
+
+def test_a_write_failing_midway_leaves_the_out_file_empty(tmp_path, capsys, monkeypatch,
+                                                          recorded):
+    # the header is written over the old text; the next piece fails
+    monkeypatch.setattr(recorded, "fail_after", 1)
+    path = tmp_path / "h.txt"
+    path.write_text("old text\n" * 10_000)
+    code, out, err = run(capsys, "construct", "hadamard", "--order", "64", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 28] No space left on device\n"
+    assert recorded.sizes == [len("# hadamard order 64\n")]
+    assert path.read_bytes() == b""
+
+
+def test_stdout_closed_after_the_first_piece_exits_1_without_an_error_line():
+    # the matrix's text, about 650 kB, is many pipe buffers
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    argv = ["construct", "hadamard", "--order", "512"]
+    with subprocess.Popen([sys.executable, "-m", "codebounds.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"# hadamard order 512\n"
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)
     assert err == b""

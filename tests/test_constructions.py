@@ -379,12 +379,11 @@ def test_a_hadamard_matrix_in_any_memory_layout_gives_its_code():
 
 @pytest.mark.parametrize("name", ["hadamard-16", "hadamard-64", "q3-r6-n200", "q7-r3-n80"])
 def test_max_coordinate_deviation_in_blocks_of_three_rows(monkeypatch, name):
-    # every pair is in some block: three rows at a time against the rows from
-    # the block's first on give the whole matrix's maximum, up to the last
-    # bits that a block product may round differently
+    # every pair is in some tile: three rows at a time against the rows from
+    # the tile's first on give the whole matrix's maximum, up to the last
+    # bits that a tile's product may round differently
     embedded = embed_qary(DEVIATION_CODES[name]())
-    n = len(embedded.source)
-    monkeypatch.setattr(linalg, "_BLOCK", 3 * n)
+    monkeypatch.setattr(linalg, "_TILE", 3)
     assert abs(embedded.max_coordinate_deviation() - _triangle_deviation(embedded)) <= 2 ** -50
     # a coordinate moved by 1e-6 shows in the last row's pairs, whichever block holds them
     m = embedded.image.coords.copy()

@@ -19,9 +19,11 @@ import pytest
 
 from codebounds.codes import (UnitVectorSet, certify_chain, gram_analyze, verify_lemma_beta,
                               verify_spherical_code)
-from codebounds.errors import NonUnitVector
+from codebounds import linalg
+from codebounds.errors import InvalidCode, NonUnitVector
 from codebounds.fileio import parse_spherical
-from codebounds.linalg import FloatGram, rank, sequential_sums, trace, trace_of_square
+from codebounds.linalg import (FloatGram, negative_sums, rank, sequential_sums, trace,
+                               trace_of_square)
 from codebounds.scalars import REL_EPS, unit_norm_ok
 
 from golden_inputs import FLOAT_INPUTS
@@ -163,7 +165,11 @@ def outcome(fn):
 
 @pytest.mark.parametrize("seed", range(300))
 def test_float_kernels_match_the_python_loops(seed):
-    vset = random_case(random.Random(seed))
+    check_kernels(random_case(random.Random(seed)))
+
+
+def check_kernels(vset):
+    """Every float kernel on the set against the reference loops."""
     rows = ref_gram(vset.vectors)
     gram = vset.raw_gram()
     assert repr(gram.rows) == repr(rows)
@@ -180,6 +186,57 @@ def test_float_kernels_match_the_python_loops(seed):
     assert repr((analysis.alpha, analysis.gamma)) == repr((alpha, gamma))
     if 0 <= alpha < 1:
         assert repr([link.lhs for link in verify_lemma_beta(analysis).links]) == repr(energy)
+
+
+# ------------------------------------------------------------ row tiles
+
+
+@pytest.mark.parametrize("tile", [2, 3])
+@pytest.mark.parametrize("seed", range(40))
+def test_float_kernels_in_row_tiles_match_the_python_loops(monkeypatch, tile, seed):
+    # several tiles and a partial last one; a unit row of -0.0 coordinates
+    # sits in the last tile
+    monkeypatch.setattr(linalg, "_TILE", tile)
+    rng = random.Random(seed)
+    vset = random_case(rng)
+    while len(vset) <= tile or len(vset) % tile == tile - 1:
+        vset = random_case(rng)
+    d = vset.dimension
+    zeros = (-0.0,) * (d - 1) + (rng.choice((1.0, -1.0)),)
+    check_kernels(UnitVectorSet(d, vset.vectors + (zeros,)))
+
+
+@pytest.mark.parametrize("tile", [2, 3])
+def test_float_matrix_kernels_in_row_tiles_match_the_python_loops(monkeypatch, tile):
+    # the running sum of squares crosses tiles, and overflows in a later one
+    monkeypatch.setattr(linalg, "_TILE", tile)
+    rng = random.Random(tile)
+    for _ in range(100):
+        n = rng.randint(1, 4 * tile + 1)
+        rows = [[rng.choice((rng.gauss(0, 1), 0.0, -0.0, -1e-170, 1e160, -1e160))
+                 for _ in range(n)] for _ in range(n)]
+        gram = FloatGram(np.array(rows))
+        assert rank(gram) == ref_rank(rows)
+        assert repr(trace_of_square(gram)) == repr(ref_sum(x * x for row in rows for x in row))
+        assert repr(negative_sums(gram)) == repr(
+            tuple(ref_sum(x for x in row if x < 0) for row in rows))
+        assert repr(negative_sums(gram, 2)) == repr(
+            tuple(ref_sum(x * x for x in row if x < 0) for row in rows))
+
+
+@pytest.mark.parametrize("unit", [False, True])
+def test_an_overflowing_squared_norm_in_a_later_tile_names_its_row(monkeypatch, unit):
+    monkeypatch.setattr(linalg, "_TILE", 2)
+    vectors = [(1.0, 0.0), (0.0, -1.0), (-0.0, 1.0), (0.6, 0.8), (1e200, 0.0), (0.0, 1e300)]
+    vset = UnitVectorSet(2, vectors)
+    with pytest.raises(InvalidCode) as raised:
+        vset._gram(unit)
+    norm = ref_sum(x * x for x in vectors[4])
+    if unit:
+        assert str(raised.value) == str(NonUnitVector(4, norm))
+    else:
+        assert str(raised.value) == "vector 4: squared norm overflows a float"
+    assert norm == math.inf
 
 
 def test_float_rank_matches_the_python_loop_on_matrices():

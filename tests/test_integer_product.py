@@ -124,9 +124,9 @@ def test_object_dtype_input(float_calls):
 
 
 def test_panels_and_row_blocks_add_up(monkeypatch, float_calls):
-    # tiny panels and blocks: many panels summed, many row blocks cast
+    # tiny panels and tiles: many panels summed, many row tiles cast
     monkeypatch.setattr(linalg, "_PANEL", 3)
-    monkeypatch.setattr(linalg, "_BLOCK", 7)
+    monkeypatch.setattr(linalg, "_TILE", 3)
     monkeypatch.setattr(linalg, "_FLOAT_MIN_WORK", 0)
     rng = np.random.default_rng(11)
     for shape in [(10, 10), (6, 17), (17, 6), (1, 8), (8, 1)]:
@@ -291,13 +291,13 @@ def test_certificates_match_a_bareiss_rank(monkeypatch, build):
     assert certificate == certify_chain(vset).to_dict()
 
 
-@pytest.mark.parametrize("block", [1, 3, 50])
-def test_max_off_diagonal_in_row_blocks(monkeypatch, block):
-    # every product on float64, in blocks of `block` entries or one row
-    monkeypatch.setattr(linalg, "_BLOCK", block)
+@pytest.mark.parametrize("tile", [1, 3, 50])
+def test_max_off_diagonal_in_row_blocks(monkeypatch, tile):
+    # every product on float64, in tiles of `tile` rows (50: one tile)
+    monkeypatch.setattr(linalg, "_TILE", tile)
     monkeypatch.setattr(linalg, "_PANEL", 2)
     monkeypatch.setattr(linalg, "_FLOAT_MIN_WORK", 0)
-    rng = np.random.default_rng(block)
+    rng = np.random.default_rng(tile)
     for n, cols in [(2, 1), (2, 5), (3, 4), (9, 7), (20, 3), (31, 12)]:
         a = random_matrix(rng, n, cols, 30)
         g = reference(a)
@@ -315,7 +315,7 @@ def hamming_min(words):
 
 
 def test_min_distance_row_blocks_of_one_row(monkeypatch):
-    monkeypatch.setattr(linalg, "_BLOCK", 1)
+    monkeypatch.setattr(linalg, "_TILE", 1)
     monkeypatch.setattr(linalg, "_PANEL", 2)
     monkeypatch.setattr(linalg, "_FLOAT_MIN_WORK", 0)
     for code in distance_kernel_cases():
