@@ -14,8 +14,14 @@ That is not yet a proof: the pruning can cut live branches, and README
 lists nine sizes reported optimal that are too small (ROADMAP item 1a).
 """
 
+import ctypes
+import functools
+import glob
 import math
 import operator
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -176,6 +182,51 @@ def exact_max_code(q: int, r: int, s: int, node_limit: int = 10_000_000) -> Sear
     return result
 
 
+@functools.cache
+def _openblas_set_num_threads_local():
+    """``openblas_set_num_threads_local`` of the OpenBLAS numpy bundles, or None.
+
+    The library is the file numpy's wheels ship beside the package
+    (``numpy.libs`` on Linux and Windows, ``numpy/.dylibs`` on macOS), looked
+    up on first use.  None where numpy bundles no OpenBLAS or it lacks the symbol.
+    """
+    package = os.path.dirname(np.__file__)
+    for path in sorted(glob.glob(os.path.join(package + ".libs", "*openblas*"))
+                       + glob.glob(os.path.join(package, ".dylibs", "*openblas*"))):
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+# numpy's OpenBLAS is a pthreads build, whose count is one per process, so
+# concurrent callers take turns at setting and restoring it
+_one_blas_thread_lock = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then give the caller's count back.
+
+    At the optimizer's shapes the threaded products cost more than they save,
+    and they round some entries differently, so the witness followed the
+    thread count.  Without the library or the symbol the block runs as it is.
+    """
+    setter = _openblas_set_num_threads_local()
+    if setter is None:
+        yield
+        return
+    with _one_blas_thread_lock:
+        previous = setter(1)
+        try:
+            yield
+        finally:
+            setter(previous)
+
+
 def heuristic_rho(r: int, n: int, iterations: int = 2000, seed: int = 0) -> SearchResult:
     """Push n unit vectors in R^r apart by annealed log-sum-exp descent.
 
@@ -185,15 +236,24 @@ def heuristic_rho(r: int, n: int, iterations: int = 2000, seed: int = 0) -> Sear
     sphere.  The step length starts at 0.5, halves (down to 1e-12) whenever
     the true maximum got worse and grows by 5% (up to 0.5) otherwise, which
     lets late iterations polish to ~1e-12.
-    Deterministic for a fixed seed; the reported value is the true maximum
-    pairwise inner product of the final configuration.
+    The reported value is the true maximum pairwise inner product of the
+    final configuration.
+
+    Deterministic for a fixed seed whatever ``OPENBLAS_NUM_THREADS``, with
+    numpy's bundled OpenBLAS: the loop runs on one BLAS thread and gives the
+    caller's count back after (with another BLAS, its threading decides).
+    One thread is slower at large shapes on several CPUs (25-30 % at
+    r = 500, n = 3000 on a 2-CPU Xeon); there is no size gate, so the
+    witness never follows the thread count.  That OpenBLAS keeps one count
+    per process, so calls on several threads take turns at the loop.
 
     Every iteration works in four arrays allocated once per run (the n x n
     weights, two n x r and one n x 1) and performs the same floating-point
     operations in the same order as a loop with fresh temporaries
     (``v @ v.T``, ``np.where`` over an off-diagonal mask, ``np.linalg.norm``),
     its products through np.dot, which makes the same BLAS calls as ``@``, so
-    the results are bit-identical to that loop's for every seed.
+    the results are bit-identical to that loop's on one BLAS thread for every
+    seed.
 
     Once tau < 2/746 a scaled weight (w - max)/tau can fall below -746, and
     np.exp rounds every such input to 0.0 (e^-746 is below 2^-1075, half the
@@ -241,47 +301,48 @@ def heuristic_rho(r: int, n: int, iterations: int = 2000, seed: int = 0) -> Sear
     previous_max = math.inf
     # pass i renormalises the start (i = 0) or step i's result and reads its
     # maximum; the last pass reports it
-    for i in range(iterations + 1):
-        # v /= np.linalg.norm(v, axis=1, keepdims=True)
-        multiply(v, v, tmp)
-        add_reduce(tmp, 1, None, col, True)
-        sqrt(col, col)
-        divide(v, col, v)
-        # the largest off-diagonal inner product; the diagonal is left at -inf
-        dot(v, vt, w)
-        fill_diagonal(-math.inf)
-        current_max = float(max_reduce(w, None))
-        if i == iterations:
-            break
-        tau = max(0.97 ** i, 1e-9)
-        subtract(w, current_max, w)
-        divide(w, tau, w)
-        if tau < gather_below:
-            for part, part_survivors in blocks:
-                greater_equal(part, EXP_ZERO_BELOW, part_survivors)
-                keep = flatnonzero(part_survivors)
-                kept = part[keep]
-                exp(kept, kept)
-                part.fill(0.0)
-                part[keep] = kept
-                del keep, kept          # one block's temporaries alive at a time
-        else:
-            exp(w, w)
-        divide(w, add_reduce(w, None), w)
-        dot(w, v, grad)                         # d/dv_i of the smoothed max
-        multiply(grad, v, tmp)                  # minus the radial part
-        add_reduce(tmp, 1, None, col, True)
-        multiply(col, v, tmp)
-        subtract(grad, tmp, grad)
-        if current_max > previous_max:
-            step = max(step * 0.5, 1e-12)
-        else:
-            step = min(step * 1.05, 0.5)
-        previous_max = current_max
-        norm = math.sqrt(dot(flat_grad, flat_grad))     # np.linalg.norm(grad)
-        if norm > 0:
-            multiply(grad, step, grad)
-            divide(grad, norm, grad)
-            subtract(v, grad, v)
+    with _one_blas_thread():
+        for i in range(iterations + 1):
+            # v /= np.linalg.norm(v, axis=1, keepdims=True)
+            multiply(v, v, tmp)
+            add_reduce(tmp, 1, None, col, True)
+            sqrt(col, col)
+            divide(v, col, v)
+            # the largest off-diagonal inner product; the diagonal is left at -inf
+            dot(v, vt, w)
+            fill_diagonal(-math.inf)
+            current_max = float(max_reduce(w, None))
+            if i == iterations:
+                break
+            tau = max(0.97 ** i, 1e-9)
+            subtract(w, current_max, w)
+            divide(w, tau, w)
+            if tau < gather_below:
+                for part, part_survivors in blocks:
+                    greater_equal(part, EXP_ZERO_BELOW, part_survivors)
+                    keep = flatnonzero(part_survivors)
+                    kept = part[keep]
+                    exp(kept, kept)
+                    part.fill(0.0)
+                    part[keep] = kept
+                    del keep, kept          # one block's temporaries alive at a time
+            else:
+                exp(w, w)
+            divide(w, add_reduce(w, None), w)
+            dot(w, v, grad)                         # d/dv_i of the smoothed max
+            multiply(grad, v, tmp)                  # minus the radial part
+            add_reduce(tmp, 1, None, col, True)
+            multiply(col, v, tmp)
+            subtract(grad, tmp, grad)
+            if current_max > previous_max:
+                step = max(step * 0.5, 1e-12)
+            else:
+                step = min(step * 1.05, 0.5)
+            previous_max = current_max
+            norm = math.sqrt(dot(flat_grad, flat_grad))     # np.linalg.norm(grad)
+            if norm > 0:
+                multiply(grad, step, grad)
+                divide(grad, norm, grad)
+                subtract(v, grad, v)
     witness = UnitVectorSet(r, v.tolist())
     return SearchResult(current_max, witness, iterations, optimal=None, seed=seed)

@@ -1,7 +1,11 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from codebounds.constructions import (HadamardMatrix, cross_polytope,
                                       embed_qary, hadamard_code, simplex_vectors,
                                       sylvester_hadamard)
 from codebounds.errors import CodeBoundsError, PreconditionViolated
-from codebounds.fileio import parse_spherical, record_json, serialize_spherical
+from codebounds.fileio import parse_spherical, record_json, serialize_qary, serialize_spherical
 from codebounds.linalg import rank
 from codebounds.codes import verify_spherical_code
 
@@ -334,6 +338,25 @@ def test_max_coordinate_deviation_is_the_triangle_maximum_bit_for_bit(name):
     product = m @ m.T
     assert np.array_equal(product, product.T)
     assert embedded.max_coordinate_deviation().hex() == _triangle_deviation(embedded).hex()
+
+
+@pytest.mark.parametrize("q, r, n, deviation", [(3, 40, 300, 4.440892098500626e-16),
+                                                (5, 30, 400, 6.661338147750939e-16)])
+def test_embed_prints_the_same_on_one_and_two_blas_threads(tmp_path, q, r, n, deviation):
+    # the optimizer alone runs on one BLAS thread; the certificate path's
+    # products keep the caller's threads, and at these shapes OpenBLAS splits
+    # them, yet the image and its float deviation come out the same
+    code_file = tmp_path / "code.txt"
+    code_file.write_text(serialize_qary(seeded_code(q, q, r, n)), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(codes.__file__).parents[1])}
+    outputs = [subprocess.run([sys.executable, "-m", "codebounds.cli", "embed",
+                               "--in", str(code_file)],
+                              env={**env, "OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True, text=True, check=True, timeout=120)
+               for threads in ("1", "2")]
+    assert outputs[0].stdout == outputs[1].stdout
+    assert outputs[0].stderr == outputs[1].stderr
+    assert json.loads(outputs[0].stderr)["max_coordinate_deviation"] == deviation
 
 
 EMBEDDINGS = json.loads(EMBEDDINGS_FILE.read_text(encoding="utf-8"))

@@ -1,11 +1,16 @@
 import hashlib
 import itertools
+import os
 import re
+import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import codebounds
 from codebounds import search
 from codebounds.bounds import aq_upper, rho_lower
 from codebounds.codes import QaryCode, min_distance
@@ -419,7 +424,10 @@ def test_heuristic_never_below_certified_bound():
 # The last three cases reach the entries np.exp underflows: r=50, n=200 and
 # n = 44 (the size gate) take the exp gather from iteration 195 on, where tau
 # first falls below 2/746, and n = 43 never; the last two run past tau's floor
-# at iteration 681.
+# at iteration 681.  The loop runs on one OpenBLAS thread, so these hold
+# whatever OPENBLAS_NUM_THREADS says; r=30, n=150 is a shape whose witness
+# followed the thread count before that (THREAD_SPLIT_CASE).
+THREAD_SPLIT_CASE = (30, 150, 20, 1)
 RHO_GOLDEN = [
     (1, 2, 300, 0, "f5ff261576f0d848a577abc9ef026d6d739bc00956ad06838403705dcad794c5"),
     (1, 2, 300, 9, "08d9bfea2e57a74e38ff0ed99b2f0b4cd0ddea2dfddc8c7b778553e5c2488649"),
@@ -436,6 +444,7 @@ RHO_GOLDEN = [
     (50, 200, 300, 77, "adac285efcfa65428d01d54b72ff1540ebaf37f275ca34be94b51ac156f5df97"),
     (12, 44, 900, 5, "b2c6020e3921d87e801b43024332b3f763a67751978539def2553901df42e2e9"),
     (12, 43, 900, 6, "2994d8632dda86dd6758e85930b62ccab6666ac481f1654f8339fbee9a3b7d7e"),
+    (*THREAD_SPLIT_CASE, "323524897dca8352586d24ed4ed7657854a1b12f68d67244570b0be3991eb54b"),
 ]
 
 
@@ -448,8 +457,58 @@ def test_heuristic_rho_golden_digests(r, n, iterations, seed, digest):
     assert (result.nodes, result.seed, result.optimal) == (iterations, seed, None)
 
 
+def _rho_digest(r, n, iterations, seed):
+    result = heuristic_rho(r, n, iterations=iterations, seed=seed)
+    return hashlib.sha256(repr((result.value, result.witness.vectors)).encode()).hexdigest()
+
+
+def test_heuristic_rho_digest_does_not_follow_the_blas_thread_count():
+    code = ("import hashlib; from codebounds.search import heuristic_rho; "
+            f"result = heuristic_rho{THREAD_SPLIT_CASE}; "
+            "print(hashlib.sha256(repr((result.value, result.witness.vectors)).encode())"
+            ".hexdigest())")
+    env = {**os.environ, "PYTHONPATH": str(Path(codebounds.__file__).parents[1])}
+    digests = [subprocess.run([sys.executable, "-c", code],
+                              env={**env, "OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True, text=True, check=True, timeout=120).stdout
+               for threads in ("1", "2")]
+    assert digests == [_rho_digest(*THREAD_SPLIT_CASE) + "\n"] * 2
+
+
+def test_heuristic_rho_gives_the_callers_blas_thread_count_back():
+    set_threads = search._openblas_set_num_threads_local()
+    if set_threads is None:
+        pytest.skip("numpy bundles no OpenBLAS with openblas_set_num_threads_local")
+    callers = set_threads(2)
+    try:
+        heuristic_rho(50, 200, iterations=5, seed=1)
+        assert set_threads(2) == 2
+        # the count is one per process, so calls on two threads must not
+        # restore each other's 1
+        runs = [threading.Thread(target=heuristic_rho, args=(50, 200, 100, seed))
+                for seed in (1, 2)]
+        for run in runs:
+            run.start()
+        for run in runs:
+            run.join()
+        assert set_threads(callers) == 2
+    finally:
+        set_threads(callers)
+
+
+def test_golden_digests_hold_without_the_openblas_library(monkeypatch):
+    # the loop then runs at the caller's thread count, which moves
+    # THREAD_SPLIT_CASE's witness on several threads but none of the others
+    monkeypatch.setattr(search, "_openblas_set_num_threads_local", lambda: None)
+    for *case, digest in RHO_GOLDEN:
+        if tuple(case) != THREAD_SPLIT_CASE:
+            assert _rho_digest(*case) == digest, case
+
+
+@search._one_blas_thread()
 def _fresh_temporaries_rho(r, n, iterations, seed):
-    """Reference: the optimizer loop with a fresh array for every step."""
+    """Reference: the optimizer loop with a fresh array for every step, on
+    one BLAS thread as heuristic_rho's loop."""
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n, r))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
