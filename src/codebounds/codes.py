@@ -46,14 +46,13 @@ from .linalg import (FloatGram, IntegerGram, exact_array, float_kernel, integer_
                      trace_of_square)
 from .scalars import EXACT, FLOAT, Scalar, format_scalar, unit_norm_ok
 
-# the largest alphabet code_image maps: its simplex table holds q(q-1)
-# floats however few words the code has, and its time grows as q^2 (on a
-# 2-CPU Xeon 0.05, 0.2 and 0.9 s at q = 256, 512 and 1024).  At q = 1024
-# `embed` of a two-word code took 1.0 to 1.2 s and `construct simplex --out`
-# 1.6 to 1.8 s, peaking at 83 MB and 87 MB (tools/peak.py); the next power
-# of two, 2048, took 4.0 s and 222 MB for the image alone (measured before
-# this cap), so 1024 is the largest that keeps one image near a second and
-# 100 MB
+# the largest alphabet code_image maps: its table holds the simplex's q(q-1)
+# coordinates as Python floats however few words the code has, so the cap
+# bounds memory.  At q = 1024 `embed` of a two-word code took 0.3 to 0.5 s
+# and `construct simplex --out` 1.0 to 1.7 s, peaking at 85 MB and 87 MB
+# (tools/peak.py, 2-CPU Xeon); at q = 2048, past the cap, the image alone
+# took 0.3 s but peaked at 222 MB, so 1024 is the largest that keeps one
+# image near 100 MB
 MAX_IMAGE_ALPHABET = 1024
 # the most one-hot entries n*q*r code_image builds: those of the order-2048
 # Hadamard code's image (n = 4096, q = 2, r = 2048), the largest the package
@@ -309,20 +308,20 @@ def min_distance(code: QaryCode) -> int:
 def _simplex_table(q: int) -> np.ndarray:
     """q equidistant unit vectors in R^(q-1) with pairwise product -1/(q-1), as rows.
 
-    Built one vector at a time: forward-substitute the inner products against
-    the previously placed vectors, then spend the norm remainder on a fresh axis.
+    The rows form a lower-triangular table in which every vertex after the
+    j-th holds the same entry in column j, so one forward step per column
+    fills it.  Row j's entries left of the diagonal are those shared entries,
+    with squared norm t: vertex j spends the remainder 1 - t on its fresh
+    axis, and the entry below it makes every later vertex's product with
+    vertex j equal -1/(q-1).
     """
     d = q - 1
     target = -1.0 / (q - 1)
     coords = np.zeros((q, d))
-    coords[0, 0] = 1.0
-    for i in range(1, q):
-        for j in range(i):
-            known = coords[i, :j] @ coords[j, :j]
-            coords[i, j] = (target - known) / coords[j, j]
-        if i < d:
-            rem = 1.0 - coords[i, :i] @ coords[i, :i]
-            coords[i, i] = math.sqrt(max(rem, 0.0))
+    for j in range(d):
+        t = coords[j, :j] @ coords[j, :j]
+        coords[j, j] = math.sqrt(max(1.0 - t, 0.0))
+        coords[j + 1:, j] = (target - t) / coords[j, j]
     return coords
 
 

@@ -245,7 +245,9 @@ def heuristic_rho(r: int, n: int, iterations: int = 2000, seed: int = 0) -> Sear
     One thread is slower at large shapes on several CPUs (25-30 % at
     r = 500, n = 3000 on a 2-CPU Xeon); there is no size gate, so the
     witness never follows the thread count.  That OpenBLAS keeps one count
-    per process, so calls on several threads take turns at the loop.
+    per process, so while the loop runs every OpenBLAS call in the process,
+    on any Python thread, runs on one thread, and concurrent calls of this
+    function take turns at the loop.
 
     Every iteration works in four arrays allocated once per run (the n x n
     weights, two n x r and one n x 1) and performs the same floating-point

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import re
@@ -80,6 +81,33 @@ def test_simplex_float_coords_match_exact_gram(q):
     fg = coords @ coords.T
     eg = np.array([[float(x) for x in row] for row in s.raw_gram().rows])
     assert np.abs(fg - eg).max() < 1e-12
+
+
+def _vertex_by_vertex_simplex(q):
+    """The simplex table as it was once built, one vertex at a time: each
+    entry forward-substitutes its product against every earlier vertex."""
+    d = q - 1
+    target = -1.0 / (q - 1)
+    coords = np.zeros((q, d))
+    coords[0, 0] = 1.0
+    for i in range(1, q):
+        for j in range(i):
+            known = coords[i, :j] @ coords[j, :j]
+            coords[i, j] = (target - known) / coords[j, j]
+        if i < d:
+            rem = 1.0 - coords[i, :i] @ coords[i, :i]
+            coords[i, i] = math.sqrt(max(rem, 0.0))
+    return coords
+
+
+def test_simplex_table_is_the_vertex_by_vertex_table_bit_for_bit():
+    # every vertex after the j-th holds the same entry in column j, so one
+    # step per column takes dots of the very values the nested loop takes
+    for q in [*range(2, 65), 128, 256]:
+        table = codes._simplex_table(q)
+        reference = _vertex_by_vertex_simplex(q)
+        assert table.dtype == reference.dtype and table.shape == reference.shape
+        assert np.array_equal(table.view(np.int64), reference.view(np.int64)), q
 
 
 def test_cross_polytope_examples():
